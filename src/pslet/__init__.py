@@ -43,6 +43,7 @@ from .engine import (
 )
 from .errors import (
     DomainTooSmall,
+    HierarchyResidual,
     NoRootInDomain,
     NonIntegralCluster,
     NonPositiveRadius,
@@ -96,6 +97,7 @@ __all__ = [
     "STABILITY_TOL",
     "Crossing",
     "DomainTooSmall",
+    "HierarchyResidual",
     "DotParams",
     "EnergyExpansion",
     "HierarchyState",

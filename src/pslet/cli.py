@@ -91,18 +91,21 @@ def _write(path: Path | None, text: str) -> None:
         path.write_text(text, newline="")
 
 
+def _solver_opts(args) -> dict:
+    """The --order, --pade and --precision settings as record keyword arguments."""
+    return {"order": args.order, "pade": tuple(args.pade), "precision": args.precision}
+
+
 def _cmd_solve(args) -> int:
     d = DotParams(gamma=args.gamma, gamma_d=args.gamma_d)
     coulomb = not args.no_coulomb
     if args.system == "ion":
         st = StateLabel(args.k, args.m)
-        rec = ion_record(d, st, order=args.order, pade=tuple(args.pade),
-                         precision=args.precision, coulomb=coulomb)
+        rec = ion_record(d, st, coulomb=coulomb, **_solver_opts(args))
         oracle_system = "ion"
     else:
         lvl = TwoElectronLevel(rm=StateLabel(args.k, args.m), cm_k=args.K, cm_m=args.M)
-        rec = two_electron_record(d, lvl, order=args.order, pade=tuple(args.pade),
-                                  precision=args.precision, coulomb=coulomb)
+        rec = two_electron_record(d, lvl, coulomb=coulomb, **_solver_opts(args))
         oracle_system = "two_electron_rm"
     line = (
         f"{rec.label} energy={rec.energy:.6f} leading_fraction={rec.leading_fraction:.6f} "
@@ -120,10 +123,8 @@ def _cmd_table(args) -> int:
     report = tables.compute_table(
         args.id,
         tolerance=args.tolerance,
-        order=args.order,
-        pade=tuple(args.pade),
-        precision=args.precision,
         oracle=args.oracle,
+        **_solver_opts(args),
     )
     sep = "\t" if args.format == "tsv" else ","
     out = args.output or Path(f"table{args.id}.{args.format}")
@@ -141,7 +142,7 @@ def _cmd_figure(args) -> int:
     elif args.gamma:
         grid = tables.parse_grid(args.gamma)
     records, crossings = tables.figure_curves(
-        args.id, grid=grid, jobs=args.jobs, oracle=args.oracle
+        args.id, grid=grid, jobs=args.jobs, oracle=args.oracle, **_solver_opts(args)
     )
     sep = "\t" if args.format == "tsv" else ","
     out = args.output or Path(f"figure{args.id}.{args.format}")
@@ -180,14 +181,18 @@ def _cmd_scan(args) -> int:
     from .quantum_dot import spectrum_record
 
     states = _parse_states(args.states, args.system)
-    lo, hi, step = tables.parse_grid(args.gamma)
-    pts = [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
+    pts = tables._grid_points(tables.parse_grid(args.gamma))
     d0 = DotParams(gamma=pts[0], gamma_d=args.gamma_d)
-    evaluator = partial(spectrum_record, interaction=not args.no_interaction)
+    evaluator = partial(
+        spectrum_record,
+        interaction=not args.no_interaction,
+        oracle=args.oracle,
+        **_solver_opts(args),
+    )
     records, crossings = scan_spectrum(states, d0, pts, evaluator=evaluator, jobs=args.jobs)
     sep = "\t" if args.format == "tsv" else ","
     out = args.output or Path(f"scan.{args.format}")
-    _write(out, tables.records_csv(records, sep=sep))
+    _write(out, tables.records_csv(records, oracle=args.oracle, sep=sep))
     sidecar = out.with_name(out.stem + ".crossings" + out.suffix)
     _write(sidecar, tables.crossings_csv(crossings, sep=sep))
     print(f"scan: {len(records)} rows -> {out}, {len(crossings)} crossings -> {sidecar}")

@@ -32,6 +32,7 @@ import numpy as np
 from . import _dd
 from ._dd import DD, DDPoly
 from .errors import (
+    HierarchyResidual,
     NoRootInDomain,
     OmegaDomainError,
     OrderOverflow,
@@ -494,16 +495,27 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
 
     vpolys: backend polynomials v^(0)..v^(2*order+2); omega_s, q0_s backend
     scalars; returns (corrections list of backend scalars, W, F poly lists).
-    Raises ZeroPivot when an elimination pivot vanishes and asserts that the
-    residual of every half-order closes to rounding level.
+    Raises ZeroPivot when an elimination pivot vanishes and HierarchyResidual
+    when the residual of a half-order does not close to rounding level.
+
+    Work that does not change inside the half-order loop is done once per
+    solve: the influence polynomial of each power, the derivative of each
+    solved F_i and the mirrored products W_i W_{j-i}.  Products with an F_i
+    that has no unknowns (every i >= 1 for k = 0, even i for k = 1) are
+    skipped, and T_j is only built where such a product reads it.  Each of
+    these must keep the arithmetic of every term and the order of every sum:
+    tests/test_corrections_pin.py checks the results bit for bit.
     """
     be = backend
     J = 2 * order + 2
     cap = k + 2 * J + 4
+    minus_half = be.scalar(-0.5)
+    two = be.scalar(2.0)
 
-    W = [be.poly_zeros(1) for _ in range(J + 1)]
-    F = [be.poly_zeros(1) for _ in range(J + 1)]
-    T = [be.poly_zeros(1) for _ in range(J + 1)]
+    W = [None] * (J + 1)
+    F = [None] * (J + 1)
+    Fp = [None] * (J + 1)
+    T = [None] * (J + 1)
     eps = {}
 
     if be.to_float(omega_s) <= 0.0:
@@ -519,36 +531,66 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         val = be.scalar((p + 1) * (p + 2) / 2.0) * be.get(f0, p + 2) / (omega_s * be.scalar(p - k))
         be.set_(f0, p, val)
     F[0] = f0
-    t0 = be.poly_add(be.poly_diff(W[0]), be.poly_mul(W[0], W[0], cap))
-    T[0] = be.poly_add(be.poly_scale(t0, be.scalar(-0.5)), vpolys[0])
     f0p = be.poly_diff(F[0])
 
+    # F_i carries unknowns at the powers p < k of parity k + i; with none it
+    # stays zero and its products would add exact zeros to R.  T_j is read
+    # only through F_i T_{j-i} with such a nonzero F_i.
+    has_f = [any(p % 2 == (k + i) % 2 for p in range(k)) for i in range(J + 1)]
+    need_t = any(has_f[1:])
+
+    # influence of the unknown W coefficient at power t <= 2J+1 on the
+    # residual, F_0 (Omega x^(t+1) - (t/2) x^(t-1)) - F_0' x^t, with its max_abs
+    influence = []
+    for t in range(2 * J + 2):
+        tmp = be.poly_zeros(t + 2)
+        be.set_(tmp, t + 1, omega_s)
+        if t >= 1:
+            be.set_(tmp, t - 1, be.scalar(-t / 2.0))
+        infl = be.poly_mul(F[0], tmp, cap)
+        xt = be.poly_zeros(t + 1)
+        be.set_(xt, t, be.scalar(1.0))
+        infl = be.poly_add(infl, be.poly_mul(f0p, xt, cap), -1.0)
+        influence.append((infl, be.max_abs(infl)))
+
+    # influence of the unknown F coefficient at power p < k: pivot and poly
+    prefactor = []
+    for p in range(k):
+        pivot = omega_s * be.scalar(p - k)
+        if be.to_float(pivot) == 0.0:
+            raise ZeroPivot(f"prefactor pivot vanished at power {p}")
+        infl = be.poly_zeros(p + 1)
+        be.set_(infl, p, pivot)
+        if p >= 2:
+            be.set_(infl, p - 2, be.scalar(-p * (p - 1) / 2.0))
+        prefactor.append((pivot, infl))
+
     for j in range(1, J + 1):
-        # known part: products of already-solved pieces
+        # known part: products of already-solved pieces.  W_i W_{j-i} and
+        # W_{j-i} W_i are the same bits: W_i has 2i+2 coefficients, so the
+        # operands differ in length whenever i != j-i, and both np.convolve
+        # (longer operand first) and DDPoly.mul (loop over the shorter one)
+        # then compute the product in one fixed operand order.  Each product
+        # is formed once and added at i and j-i, summing over i = 1..j-1.
+        ww = [None] + [be.poly_mul(W[i], W[j - i], cap) for i in range(1, j // 2 + 1)]
         acc = be.poly_zeros(1)
         for i in range(1, j):
-            acc = be.poly_add(acc, be.poly_mul(W[i], W[j - i], cap))
-        t_known = be.poly_add(be.poly_scale(acc, be.scalar(-0.5)), vpolys[j])
+            acc = be.poly_add(acc, ww[min(i, j - i)])
+        t_known = be.poly_add(be.poly_scale(acc, minus_half), vpolys[j])
         R = be.poly_mul(F[0], t_known, cap)
         for i in range(1, j):
-            R = be.poly_add(R, be.poly_mul(F[i], T[j - i], cap))
-            R = be.poly_add(R, be.poly_mul(be.poly_diff(F[i]), W[j - i], cap), -1.0)
+            if has_f[i]:
+                R = be.poly_add(R, be.poly_mul(F[i], T[j - i], cap))
+                R = be.poly_add(R, be.poly_mul(Fp[i], W[j - i], cap), -1.0)
         scale = max(be.max_abs(R), 1.0)
 
         # odd-parity unknowns at even half-orders, even-parity at odd ones
         wj = be.poly_zeros(2 * j + 2)
         powers = range(2 * j + 1, -1, -2) if j % 2 == 0 else range(2 * j, -1, -2)
         for t in powers:
-            tmp = be.poly_zeros(t + 2)
-            be.set_(tmp, t + 1, omega_s)
-            if t >= 1:
-                be.set_(tmp, t - 1, be.scalar(-t / 2.0))
-            infl = be.poly_mul(F[0], tmp, cap)
-            xt = be.poly_zeros(t + 1)
-            be.set_(xt, t, be.scalar(1.0))
-            infl = be.poly_add(infl, be.poly_mul(f0p, xt, cap), -1.0)
+            infl, infl_max = influence[t]
             z = -be.get(R, k + t + 1) / omega_s
-            scale = max(scale, abs(be.to_float(z)) * be.max_abs(infl))
+            scale = max(scale, abs(be.to_float(z)) * infl_max)
             R = be.poly_add(R, be.poly_scale(infl, z))
             be.set_(wj, t, z)
         W[j] = wj
@@ -564,32 +606,30 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         for p in range(k - 1, -1, -1):
             if p % 2 != (k + j) % 2:
                 continue
-            pivot = omega_s * be.scalar(p - k)
-            if be.to_float(pivot) == 0.0:
-                raise ZeroPivot(f"prefactor pivot vanished at power {p}, half-order {j}")
+            pivot, infl = prefactor[p]
             z = -be.get(R, p) / pivot
-            infl = be.poly_zeros(p + 1)
-            be.set_(infl, p, pivot)
-            if p >= 2:
-                be.set_(infl, p - 2, be.scalar(-p * (p - 1) / 2.0))
             R = be.poly_add(R, be.poly_scale(infl, z))
             be.set_(fj, p, z)
         F[j] = fj
+        if has_f[j]:
+            Fp[j] = be.poly_diff(fj)
 
         resid = be.max_abs(R)
-        assert resid <= be.residual_tol * scale, (
-            f"hierarchy residual {resid:.3e} at half-order {j} exceeds "
-            f"{be.residual_tol:.0e} of scale {scale:.3e}"
-        )
+        if not resid <= be.residual_tol * scale:
+            raise HierarchyResidual(
+                f"hierarchy residual {resid:.3e} at half-order {j} exceeds "
+                f"{be.residual_tol:.0e} of scale {scale:.3e}"
+            )
 
-        w0_wj = be.poly_mul(W[0], W[j], cap)
-        acc = be.poly_add(acc, be.poly_scale(w0_wj, be.scalar(2.0)))
-        tj = be.poly_add(be.poly_diff(W[j]), acc)
-        tj = be.poly_scale(tj, be.scalar(-0.5))
-        tj = be.poly_add(tj, vpolys[j])
-        if j % 2 == 0:
-            be.set_(tj, 0, be.get(tj, 0) - eps[j])
-        T[j] = tj
+        if need_t and j < J:
+            w0_wj = be.poly_mul(W[0], W[j], cap)
+            acc = be.poly_add(acc, be.poly_scale(w0_wj, two))
+            tj = be.poly_add(be.poly_diff(W[j]), acc)
+            tj = be.poly_scale(tj, minus_half)
+            tj = be.poly_add(tj, vpolys[j])
+            if j % 2 == 0:
+                be.set_(tj, 0, be.get(tj, 0) - eps[j])
+            T[j] = tj
 
     q0_sq = q0_s * q0_s
     corrections = [eps[2 * n + 2] / q0_sq for n in range(order + 1)]

@@ -34,6 +34,10 @@ class ZeroPivot(PsletError):
     """An elimination pivot vanished while solving the correction hierarchy."""
 
 
+class HierarchyResidual(PsletError):
+    """A half-order of the correction hierarchy left a residual above rounding level."""
+
+
 class OrderOverflow(PsletError):
     """A correction order beyond the supported cap was requested."""
 

@@ -45,6 +45,8 @@ class DotParams:
     gamma_d: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.gamma) and math.isfinite(self.gamma_d)):
+            raise ValueError(f"gamma and gamma_d must be finite, got {self.gamma}, {self.gamma_d}")
         if self.gamma < 0.0:
             raise ValueError("gamma must be non-negative")
         if self.gamma_d <= 0.0:
@@ -254,21 +256,22 @@ def two_electron_record(
 
 
 def spectrum_record(
-    state, d: DotParams, interaction: bool = True, oracle: bool = False
+    state, d: DotParams, interaction: bool = True, oracle: bool = False, **opts
 ) -> SpectrumRecord:
     """Dispatch a state to the matching solver and package the result.
 
-    With oracle set (and the interaction on), the record also carries the
-    finite-difference cross-check delta.
+    opts (order, pade, precision) go to the solver.  With oracle set (and
+    the interaction on), the record also carries the finite-difference
+    cross-check delta.
     """
     if isinstance(state, TwoElectronLevel):
-        rec = two_electron_record(d, state, interaction=interaction)
+        rec = two_electron_record(d, state, interaction=interaction, **opts)
         if oracle and interaction:
             from .oracle import cross_check
 
             rec = replace(rec, oracle_delta=cross_check(state.rm, d, "two_electron_rm"))
         return rec
-    rec = ion_record(d, state, interaction=interaction)
+    rec = ion_record(d, state, interaction=interaction, **opts)
     if oracle and interaction:
         from .oracle import cross_check
 

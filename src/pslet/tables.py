@@ -268,8 +268,8 @@ def _grid_points(grid: tuple[float, float, float]) -> list[float]:
     return pts
 
 
-def _ee_record(state: StateLabel, d: DotParams) -> SpectrumRecord:
-    rec = two_electron_record(d, TwoElectronLevel(rm=state, cm_k=0, cm_m=0))
+def _ee_record(state: StateLabel, d: DotParams, **opts) -> SpectrumRecord:
+    rec = two_electron_record(d, TwoElectronLevel(rm=state, cm_k=0, cm_m=0), **opts)
     e_free = (2 * state.k + abs(state.m) + 1) * d.gamma_eff + state.m * d.gamma
     return replace(
         rec,
@@ -278,7 +278,15 @@ def _ee_record(state: StateLabel, d: DotParams) -> SpectrumRecord:
     )
 
 
-def figure_curves(fig_id: int, grid=None, jobs: int = 1, oracle: bool = False):
+def figure_curves(
+    fig_id: int,
+    grid=None,
+    jobs: int = 1,
+    oracle: bool = False,
+    order: int = DEFAULT_ORDER,
+    pade: tuple[int, int] = DEFAULT_PADE,
+    precision: str = "auto",
+):
     """Curves behind one published figure: (records, crossings).
 
     Figures 1-4 scan the impurity-electron states over gamma at gamma_d = 0.2
@@ -286,10 +294,12 @@ def figure_curves(fig_id: int, grid=None, jobs: int = 1, oracle: bool = False):
     interaction energy over the combined confinement; figures 6 and 7 scan
     the two-electron levels of table 5 without and with the pair interaction.
     With oracle set, every interacting point also carries its
-    finite-difference cross-check delta.
+    finite-difference cross-check delta.  order, pade and precision go to
+    every solve.
     """
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"figure id must be one of {FIGURE_IDS}")
+    opts = {"order": order, "pade": pade, "precision": precision}
     if fig_id == 5:
         pts = _grid_points(grid or DEFAULT_GAMMA_EFF_GRID)
         states = [StateLabel(k, m) for k, m in _T23_STATES]
@@ -298,7 +308,7 @@ def figure_curves(fig_id: int, grid=None, jobs: int = 1, oracle: bool = False):
             for g_eff in pts:
                 d = DotParams(gamma=0.0, gamma_d=g_eff)
                 try:
-                    rec = _ee_record(st, d)
+                    rec = _ee_record(st, d, **opts)
                     if oracle:
                         rec = replace(rec, oracle_delta=cross_check(st, d, "two_electron_rm"))
                     records.append(rec)
@@ -320,28 +330,30 @@ def figure_curves(fig_id: int, grid=None, jobs: int = 1, oracle: bool = False):
     pts = _grid_points(grid or DEFAULT_GAMMA_GRID)
     if fig_id in (1, 2, 3, 4):
         states = [StateLabel(k, m) for k, m in _FIG_ION_STATES[fig_id]]
-        evaluator = partial(_ion_eval, interaction=fig_id != 1, oracle=oracle)
+        evaluator = partial(_ion_eval, interaction=fig_id != 1, oracle=oracle, **opts)
         d0 = DotParams(gamma=pts[0], gamma_d=_T1_GAMMA_D)
         return scan_spectrum(states, d0, pts, evaluator=evaluator, jobs=jobs)
     levels = [
         TwoElectronLevel(rm=StateLabel(k, m), cm_k=K, cm_m=M) for _, k, m, K, M in _T5_LEVELS
     ]
-    evaluator = partial(_two_electron_eval, interaction=fig_id == 7, oracle=oracle)
+    evaluator = partial(_two_electron_eval, interaction=fig_id == 7, oracle=oracle, **opts)
     d0 = DotParams(gamma=pts[0], gamma_d=_T5_GAMMA_D)
     return scan_spectrum(levels, d0, pts, evaluator=evaluator, jobs=jobs)
 
 
-def _ion_eval(state: StateLabel, d: DotParams, interaction: bool = True, oracle: bool = False) -> SpectrumRecord:
-    rec = ion_record(d, state, interaction=interaction)
+def _ion_eval(
+    state: StateLabel, d: DotParams, interaction: bool = True, oracle: bool = False, **opts
+) -> SpectrumRecord:
+    rec = ion_record(d, state, interaction=interaction, **opts)
     if oracle and interaction:
         rec = replace(rec, oracle_delta=cross_check(state, d, "ion"))
     return rec
 
 
 def _two_electron_eval(
-    level: TwoElectronLevel, d: DotParams, interaction: bool = True, oracle: bool = False
+    level: TwoElectronLevel, d: DotParams, interaction: bool = True, oracle: bool = False, **opts
 ) -> SpectrumRecord:
-    rec = two_electron_record(d, level, interaction=interaction)
+    rec = two_electron_record(d, level, interaction=interaction, **opts)
     if oracle and interaction:
         rec = replace(rec, oracle_delta=cross_check(level.rm, d, "two_electron_rm"))
     return rec

@@ -1,6 +1,10 @@
 """Shift geometry, hierarchy, and resummation against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -22,7 +26,8 @@ from pslet import (
     v_series,
     wavefunction_eval,
 )
-from pslet.errors import NoRootInDomain, OmegaDomainError, OrderOverflow
+from pslet.errors import HierarchyResidual, NoRootInDomain, OmegaDomainError, OrderOverflow
+from pslet.series import Polynomial
 
 # ion impurity state 1s at combined confinement 0.2: the standard workhorse
 ION = HybridPotential(a_osc=0.2**2 / 8.0, c_coul=1.0)
@@ -243,6 +248,52 @@ class TestHierarchy:
         v = v_series(b, sp.beta, 6)
         with pytest.raises(ValueError):
             solve_hierarchy(v, 0, 19, sp, 0.1)
+
+    def test_corrupted_v_raises_residual_error(self):
+        v, sp = _corrupted_v(order=3)
+        with pytest.raises(HierarchyResidual, match="half-order 1"):
+            solve_hierarchy(v, S00.k, 3, sp, leading_energy(ION, sp))
+
+    def test_residual_check_survives_optimized_mode(self):
+        # under python -O every assert is stripped; the check must still fire
+        script = textwrap.dedent(
+            """
+            import sys
+            from test_engine import ION, S00, _corrupted_v
+            from pslet import HierarchyResidual, leading_energy, solve_hierarchy
+
+            assert False, "asserts are live"  # stripped under -O
+            v, sp = _corrupted_v(order=3)
+            try:
+                solve_hierarchy(v, S00.k, 3, sp, leading_energy(ION, sp))
+            except HierarchyResidual:
+                sys.exit(0)
+            sys.exit(1)
+            """
+        )
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (here, src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+def _corrupted_v(order):
+    """v^(0)..v^(2 order + 2) of the ion 1s state with an even x^2 term in the odd v^(1)."""
+    q0 = locate_q0(ION, S00)
+    sp = shift_params(ION, q0, S00)
+    v = v_series(b_coefficients(ION, sp, 2 * order + 4), sp.beta, 2 * order + 2)
+    c = v[1].coeffs.copy()
+    c[2] += 0.1
+    v[1] = Polynomial(c, v[1].cap)
+    return v, sp
 
 
 class TestResummation:

@@ -39,6 +39,21 @@ class TestDotParams:
         with pytest.raises(ValueError):
             DotParams(gamma=0.1, gamma_d=0.0)
 
+    @pytest.mark.parametrize(
+        "gamma,gamma_d",
+        [
+            (math.nan, 0.2),
+            (math.inf, 0.2),
+            (-math.inf, 0.2),
+            (0.1, math.nan),
+            (0.1, math.inf),
+            (0.1, -math.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, gamma, gamma_d):
+        with pytest.raises(ValueError, match="finite"):
+            DotParams(gamma=gamma, gamma_d=gamma_d)
+
 
 class TestLabels:
     @pytest.mark.parametrize(

@@ -158,6 +158,52 @@ class TestCli:
         assert len(lines) == 5
         assert len(sidecar.read_text().splitlines()) == 2  # header + B/A crossing
 
+    def test_scan_grid_stops_at_hi(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        code = cli.main(
+            ["scan", "--system", "ion", "--states", "0,0", "--gamma", "0:0.36:0.1",
+             "--gamma-d", "0.2", "--no-interaction", "--output", str(out)]
+        )
+        assert code == 0
+        gammas = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert gammas == pytest.approx([0.0, 0.1, 0.2, 0.3], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["scan", "--system", "ion", "--states", "0,0", "--gamma", "0.3:0.3:0.1",
+             "--gamma-d", "0.2"],
+            ["figure", "2", "--gamma", "0.3:0.3:0.1"],
+        ],
+        ids=["scan", "figure"],
+    )
+    @pytest.mark.parametrize(
+        "flags", [["--pade", "4", "5"], ["--precision", "extended"]], ids=["pade", "precision"]
+    )
+    def test_solver_flags_reach_the_solver(self, tmp_path, capsys, command, flags):
+        default, changed = tmp_path / "default.csv", tmp_path / "changed.csv"
+        assert cli.main(command + ["--output", str(default)]) == 0
+        assert cli.main(command + flags + ["--output", str(changed)]) == 0
+        assert changed.read_text() != default.read_text()
+
+    def test_scan_oracle_column(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        code = cli.main(
+            ["scan", "--system", "ion", "--states", "0,0", "--gamma", "0:0:0.1",
+             "--gamma-d", "0.2", "--oracle", "--output", str(out)]
+        )
+        assert code == 0
+        header, row = out.read_text().splitlines()
+        assert header.endswith(",oracle_delta")
+        assert abs(float(row.split(",")[-1])) < 1e-3
+
+    @pytest.mark.parametrize("gamma,gamma_d", [("nan", "0.2"), ("0", "inf")])
+    def test_non_finite_field_is_usage_error(self, capsys, gamma, gamma_d):
+        code = cli.main(["solve", "--system", "ion", "--k", "0", "--m", "0",
+                         "--gamma", gamma, "--gamma-d", gamma_d])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_figure_writes_files_deterministically(self, tmp_path):
         out = tmp_path / "fig1.csv"
         code = cli.main(
