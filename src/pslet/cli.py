@@ -183,13 +183,11 @@ def _cmd_scan(args) -> int:
     states = _parse_states(args.states, args.system)
     pts = tables._grid_points(tables.parse_grid(args.gamma))
     d0 = DotParams(gamma=pts[0], gamma_d=args.gamma_d)
-    evaluator = partial(
-        spectrum_record,
-        interaction=not args.no_interaction,
-        oracle=args.oracle,
-        **_solver_opts(args),
+    interaction = not args.no_interaction
+    evaluator = partial(spectrum_record, interaction=interaction, **_solver_opts(args))
+    records, crossings = scan_spectrum(
+        states, d0, pts, evaluator=evaluator, jobs=args.jobs, oracle=args.oracle and interaction
     )
-    records, crossings = scan_spectrum(states, d0, pts, evaluator=evaluator, jobs=args.jobs)
     sep = "\t" if args.format == "tsv" else ","
     out = args.output or Path(f"scan.{args.format}")
     _write(out, tables.records_csv(records, oracle=args.oracle, sep=sep))

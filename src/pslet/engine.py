@@ -71,6 +71,8 @@ class StateIndex:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("node count k must be non-negative")
+        if not math.isfinite(self.l_eff):
+            raise ValueError(f"effective angular momentum must be finite, got {self.l_eff}")
         if self.l_eff < -0.5:
             raise ValueError("effective angular momentum must be >= -1/2")
 
@@ -131,21 +133,17 @@ class EnergyExpansion:
 
 @dataclass(frozen=True)
 class HierarchyState:
-    """Coefficient tables produced by the order-by-order matching.
+    """Coefficients produced by the order-by-order matching.
 
     d_table[m, j] multiplies x**(2m-1) in the odd log-derivative piece of
-    half-order j; c_table[m, j] multiplies x**(2m) in the even piece (offset
-    so index j stores the piece entering at half-order j+1); a_table[p, j]
-    is the x**p coefficient of the polynomial prefactor correction at
-    half-order j.  Row m = 0 of d_table is identically zero.
+    half-order j; row m = 0 is identically zero.  w_polys[j] and f_polys[j]
+    are the log-derivative and prefactor polynomials of half-order j.
     """
 
     k: int
     order: int
     omega: float
     d_table: np.ndarray
-    c_table: np.ndarray
-    a_table: np.ndarray
     w_polys: tuple = field(repr=False, default=())
     f_polys: tuple = field(repr=False, default=())
 
@@ -162,6 +160,13 @@ class StaircaseResult:
     @property
     def available(self) -> list:
         return [v for v in self.values if v is not None]
+
+    def member(self, M: int, N: int) -> float | None:
+        """The ladder's own [M/N] value; None when (M, N) is off the ladder or its fit failed."""
+        try:
+            return self.values[self.orders.index((M, N))]
+        except ValueError:
+            return None
 
 
 @dataclass(frozen=True)
@@ -434,6 +439,32 @@ class _F64Backend:
     def poly_to_float(a) -> np.ndarray:
         return np.asarray(a, dtype=float)
 
+    # Elimination of one unknown adds z times its influence polynomial to the
+    # residual R.  An influence has only a handful of nonzero coefficients,
+    # so the update runs on a Python-float copy of R over those alone, and
+    # R goes back to numpy once per half-order.  Each touched coefficient
+    # gets the same two roundings as the full-length numpy update.  An
+    # untouched one would only have gained an exact zero, which changes
+    # nothing: numpy sums start from +0.0, so R holds no negative zero.
+
+    @staticmethod
+    def sparse(a) -> list:
+        return [(i, v) for i, v in enumerate(a.tolist()) if v != 0.0]
+
+    @staticmethod
+    def work(a) -> list:
+        return a.tolist()
+
+    @staticmethod
+    def axpy(r: list, infl: list, z: float, sign=1.0) -> list:
+        for i, v in infl:
+            r[i] += sign * (v * z)
+        return r
+
+    @staticmethod
+    def unwork(r: list) -> np.ndarray:
+        return np.array(r)
+
 
 class _DDBackend:
     """Double-double pairs of numpy arrays; scalars are DD instances."""
@@ -489,6 +520,24 @@ class _DDBackend:
     def poly_to_float(a: DDPoly) -> np.ndarray:
         return a.to_float()
 
+    # the elimination updates stay full-length DDPoly operations
+
+    @staticmethod
+    def sparse(a: DDPoly) -> DDPoly:
+        return a
+
+    @staticmethod
+    def work(a: DDPoly) -> DDPoly:
+        return a
+
+    @staticmethod
+    def axpy(r: DDPoly, infl: DDPoly, z: DD, sign=1.0) -> DDPoly:
+        return r.add(infl.scale(z), sign)
+
+    @staticmethod
+    def unwork(r: DDPoly) -> DDPoly:
+        return r
+
 
 def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     """Match Riccati coefficients half-order by half-order.
@@ -502,9 +551,12 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     solve: the influence polynomial of each power, the derivative of each
     solved F_i and the mirrored products W_i W_{j-i}.  Products with an F_i
     that has no unknowns (every i >= 1 for k = 0, even i for k = 1) are
-    skipped, and T_j is only built where such a product reads it.  Each of
-    these must keep the arithmetic of every term and the order of every sum:
-    tests/test_corrections_pin.py checks the results bit for bit.
+    skipped, and T_j is only built where such a product reads it.  The
+    backend performs each elimination update (axpy) on its own form of R,
+    which for double precision touches only the nonzero coefficients of
+    the influence.  Each of these must keep the arithmetic of every term
+    and the order of every sum: tests/test_corrections_pin.py checks the
+    results bit for bit.
     """
     be = backend
     J = 2 * order + 2
@@ -540,7 +592,8 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     need_t = any(has_f[1:])
 
     # influence of the unknown W coefficient at power t <= 2J+1 on the
-    # residual, F_0 (Omega x^(t+1) - (t/2) x^(t-1)) - F_0' x^t, with its max_abs
+    # residual, F_0 (Omega x^(t+1) - (t/2) x^(t-1)) - F_0' x^t, with its max_abs;
+    # the influences are kept in the backend's elimination form
     influence = []
     for t in range(2 * J + 2):
         tmp = be.poly_zeros(t + 2)
@@ -551,7 +604,8 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         xt = be.poly_zeros(t + 1)
         be.set_(xt, t, be.scalar(1.0))
         infl = be.poly_add(infl, be.poly_mul(f0p, xt, cap), -1.0)
-        influence.append((infl, be.max_abs(infl)))
+        influence.append((be.sparse(infl), be.max_abs(infl)))
+    f0_sparse = be.sparse(F[0])
 
     # influence of the unknown F coefficient at power p < k: pivot and poly
     prefactor = []
@@ -563,7 +617,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         be.set_(infl, p, pivot)
         if p >= 2:
             be.set_(infl, p - 2, be.scalar(-p * (p - 1) / 2.0))
-        prefactor.append((pivot, infl))
+        prefactor.append((pivot, be.sparse(infl)))
 
     for j in range(1, J + 1):
         # known part: products of already-solved pieces.  W_i W_{j-i} and
@@ -584,38 +638,43 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
                 R = be.poly_add(R, be.poly_mul(Fp[i], W[j - i], cap), -1.0)
         scale = max(be.max_abs(R), 1.0)
 
-        # odd-parity unknowns at even half-orders, even-parity at odd ones
+        # odd-parity unknowns at even half-orders, even-parity at odd ones;
+        # r is R in the backend's elimination form
+        r = be.work(R)
         wj = be.poly_zeros(2 * j + 2)
         powers = range(2 * j + 1, -1, -2) if j % 2 == 0 else range(2 * j, -1, -2)
         for t in powers:
             infl, infl_max = influence[t]
-            z = -be.get(R, k + t + 1) / omega_s
+            z = -be.get(r, k + t + 1) / omega_s
             scale = max(scale, abs(be.to_float(z)) * infl_max)
-            R = be.poly_add(R, be.poly_scale(infl, z))
+            r = be.axpy(r, infl, z)
             be.set_(wj, t, z)
         W[j] = wj
 
         if j % 2 == 0:
             # the x^k coefficient carries the energy at integer orders
-            z = be.get(R, k) / be.get(F[0], k)
+            z = be.get(r, k) / be.get(F[0], k)
             eps[j] = z
             scale = max(scale, abs(be.to_float(z)))
-            R = be.poly_add(R, be.poly_scale(F[0], z), -1.0)
+            r = be.axpy(r, f0_sparse, z, -1.0)
 
         fj = be.poly_zeros(max(k, 1))
         for p in range(k - 1, -1, -1):
             if p % 2 != (k + j) % 2:
                 continue
             pivot, infl = prefactor[p]
-            z = -be.get(R, p) / pivot
-            R = be.poly_add(R, be.poly_scale(infl, z))
+            z = -be.get(r, p) / pivot
+            r = be.axpy(r, infl, z)
             be.set_(fj, p, z)
         F[j] = fj
         if has_f[j]:
             Fp[j] = be.poly_diff(fj)
 
+        # the check reads every coefficient of R; an overflow that leaves
+        # R infinite (with an infinite scale) fails it too
+        R = be.unwork(r)
         resid = be.max_abs(R)
-        if not resid <= be.residual_tol * scale:
+        if not (resid <= be.residual_tol * scale and math.isfinite(resid)):
             raise HierarchyResidual(
                 f"hierarchy residual {resid:.3e} at half-order {j} exceeds "
                 f"{be.residual_tol:.0e} of scale {scale:.3e}"
@@ -640,32 +699,19 @@ def _tables_from_polys(W, F, k, order, backend) -> HierarchyState:
     be = backend
     J = 2 * order + 2
     d_table = np.zeros((J + 2, J + 1))
-    c_table = np.zeros((J + 2, J + 1))
-    a_table = np.zeros((max(k, 1), J + 1))
     w_float = tuple(be.poly_to_float(w) for w in W)
     f_float = tuple(be.poly_to_float(f) for f in F)
     omega = -w_float[0][1]
-    for j in range(J + 1):
+    for j in range(0, J + 1, 2):
         wj = w_float[j]
-        if j % 2 == 0:
-            for m in range(1, j + 2):
-                if 2 * m - 1 < len(wj):
-                    d_table[m, j] = wj[2 * m - 1]
-        else:
-            # even piece entering at half-order j is indexed j - 1
-            for m in range(0, j + 1):
-                if 2 * m < len(wj):
-                    c_table[m, j - 1] = wj[2 * m]
-        fj = f_float[j]
-        for p in range(min(k, len(fj))):
-            a_table[p, j] = fj[p]
+        for m in range(1, j + 2):
+            if 2 * m - 1 < len(wj):
+                d_table[m, j] = wj[2 * m - 1]
     return HierarchyState(
         k=k,
         order=order,
         omega=omega,
         d_table=d_table,
-        c_table=c_table,
-        a_table=a_table,
         w_polys=w_float,
         f_polys=f_float,
     )
@@ -875,6 +921,9 @@ def _dd_staircase(corr_dd, lbar: DD, em2: DD, M: int, N: int, tol: float):
     tail = [v for v in values if v is not None][-5:]
     spread = (max(tail) - min(tail)) if tail else math.inf
     stair = StaircaseResult(orders=orders, values=values, spread=spread, converged=spread <= tol)
+    if (M, N) in orders:
+        # the ladder already fitted [M/N]; a failed fit would fail again
+        return stair, stair.member(M, N)
     try:
         num, den = _dd.dd_pade_fit(corr_dd[: M + N + 1], M, N)
         energy = float(lead + _dd.dd_pade_eval(num, den, t))
@@ -900,6 +949,8 @@ def solve_state(
     """
     if precision not in ("auto", "double", "extended"):
         raise ValueError(f"unknown precision {precision!r}")
+    if not (math.isfinite(stability_tol) and stability_tol >= 0.0):
+        raise ValueError(f"stability_tol must be finite and non-negative, got {stability_tol}")
     if order > ORDER_CAP or order < 0:
         raise OrderOverflow(f"order {order} outside supported range 0..{ORDER_CAP}")
     M, N = pade
@@ -914,7 +965,12 @@ def solve_state(
         expansion, hierarchy = solve_hierarchy(v, s.k, order, sp, leading_energy(p, sp))
         stair = pade_stability(expansion, tol=stability_tol)
         if stair.converged or precision == "double":
-            energy = resummed_energy(expansion, M, N)
+            # reuse the ladder's [M/N] value; a trivial series fitted no member
+            energy = None
+            if not _series_is_trivial(expansion.corrections, expansion.leading_term):
+                energy = stair.member(M, N)
+            if energy is None:
+                energy = resummed_energy(expansion, M, N)
             return SolveResult(
                 energy=energy,
                 expansion=expansion,

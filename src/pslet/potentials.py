@@ -41,6 +41,8 @@ class HybridPotential:
     c_coul: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.a_osc) and math.isfinite(self.c_coul)):
+            raise ValueError(f"a_osc and c_coul must be finite, got {self.a_osc}, {self.c_coul}")
         if self.a_osc < 0.0:
             raise ValueError("a_osc must be non-negative")
         if self.c_coul < 0.0:

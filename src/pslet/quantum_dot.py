@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .engine import (
     DEFAULT_ORDER,
     DEFAULT_PADE,
-    SolveResult,
     StateIndex,
     solve_state,
 )
@@ -123,6 +123,52 @@ def _annotate(err: PsletError, label: str) -> PsletError:
     return err
 
 
+@dataclass(frozen=True)
+class RadialSolution:
+    """What the records read of one radial solve, in engine units."""
+
+    energy: float
+    leading_fraction: float
+    pade_spread: float
+    converged: bool
+    precision: str
+
+
+@lru_cache(maxsize=4096)
+def radial_solution(
+    system: str,
+    coulomb: bool,
+    gamma_eff: float,
+    k: int,
+    abs_m: int,
+    order: int,
+    pade: tuple[int, int],
+    precision: str,
+) -> RadialSolution:
+    """Memoised radial solve, keyed on exactly the inputs solve_state receives.
+
+    States with +m and -m, and all (gamma, gamma_d) with one gamma_eff, share
+    an entry, so each distinct radial problem is solved once per process.
+    An entry keeps a few floats, not the SolveResult with its coefficient
+    arrays.  A solve that raises is not cached: every call raises afresh.
+    """
+    if system == "ion":
+        pot = HybridPotential(a_osc=gamma_eff * gamma_eff / 8.0, c_coul=1.0 if coulomb else 0.0)
+    elif system == "rm":
+        pot = HybridPotential(a_osc=gamma_eff * gamma_eff / 32.0, c_coul=0.5 if coulomb else 0.0)
+    else:
+        raise ValueError(f"unknown system {system!r}")
+    state = StateIndex.from_azimuthal(k, abs_m)
+    res = solve_state(pot, state, order=order, pade=pade, precision=precision)
+    return RadialSolution(
+        energy=res.energy,
+        leading_fraction=res.leading_fraction,
+        pade_spread=res.staircase.spread,
+        converged=res.staircase.converged,
+        precision=res.precision,
+    )
+
+
 def _radial_solve(
     d: DotParams,
     st: StateLabel,
@@ -131,17 +177,11 @@ def _radial_solve(
     order: int = DEFAULT_ORDER,
     pade: tuple[int, int] = DEFAULT_PADE,
     precision: str = "auto",
-) -> SolveResult:
-    g = d.gamma_eff
-    if system == "ion":
-        pot = HybridPotential(a_osc=g * g / 8.0, c_coul=1.0 if coulomb else 0.0)
-    elif system == "rm":
-        pot = HybridPotential(a_osc=g * g / 32.0, c_coul=0.5 if coulomb else 0.0)
-    else:
-        raise ValueError(f"unknown system {system!r}")
-    state = StateIndex.from_azimuthal(st.k, st.m)
+) -> RadialSolution:
     try:
-        return solve_state(pot, state, order=order, pade=pade, precision=precision)
+        return radial_solution(
+            system, coulomb, d.gamma_eff, st.k, abs(st.m), order, tuple(pade), precision
+        )
     except PsletError as err:
         raise _annotate(err, f"{system} state {st.name} (k={st.k}, m={st.m})") from None
 
@@ -205,7 +245,9 @@ def landau_cluster(kp: int, mp: int) -> tuple[int, int]:
 # records, scans, crossings, orderings
 # ----------------------------------------------------------------------
 
-def _record_from_solve(label: str, d: DotParams, energy: float, res: SolveResult) -> SpectrumRecord:
+def _record_from_solve(
+    label: str, d: DotParams, energy: float, res: RadialSolution
+) -> SpectrumRecord:
     return SpectrumRecord(
         label=label,
         gamma=d.gamma,
@@ -213,8 +255,23 @@ def _record_from_solve(label: str, d: DotParams, energy: float, res: SolveResult
         gamma_eff=d.gamma_eff,
         energy=energy,
         leading_fraction=res.leading_fraction,
-        pade_spread=res.staircase.spread,
-        converged=res.staircase.converged,
+        pade_spread=res.pade_spread,
+        converged=res.converged,
+    )
+
+
+def failed_record(label: str, d: DotParams, err: PsletError) -> SpectrumRecord:
+    """The record of a point that failed to solve: NaN energy, error attached."""
+    return SpectrumRecord(
+        label=label,
+        gamma=d.gamma,
+        gamma_d=d.gamma_d,
+        gamma_eff=d.gamma_eff,
+        energy=math.nan,
+        leading_fraction=math.nan,
+        pade_spread=math.inf,
+        converged=False,
+        error=str(err),
     )
 
 
@@ -266,17 +323,20 @@ def spectrum_record(
     """
     if isinstance(state, TwoElectronLevel):
         rec = two_electron_record(d, state, interaction=interaction, **opts)
-        if oracle and interaction:
-            from .oracle import cross_check
-
-            rec = replace(rec, oracle_delta=cross_check(state.rm, d, "two_electron_rm"))
-        return rec
-    rec = ion_record(d, state, interaction=interaction, **opts)
+    else:
+        rec = ion_record(d, state, interaction=interaction, **opts)
     if oracle and interaction:
-        from .oracle import cross_check
-
-        rec = replace(rec, oracle_delta=cross_check(state, d, "ion"))
+        rec = replace(rec, oracle_delta=oracle_delta(state, d))
     return rec
+
+
+def oracle_delta(state, d: DotParams) -> float:
+    """Finite-difference cross-check delta of one impurity or two-electron state."""
+    from .oracle import cross_check
+
+    if isinstance(state, TwoElectronLevel):
+        return cross_check(state.rm, d, "two_electron_rm")
+    return cross_check(state, d, "ion")
 
 
 @dataclass(frozen=True)
@@ -300,6 +360,7 @@ def scan_spectrum(
     evaluator=None,
     refine_tol: float = 1e-4,
     jobs: int = 1,
+    oracle: bool = False,
 ):
     """Evaluate every state across a magnetic-field grid and locate crossings.
 
@@ -308,19 +369,25 @@ def scan_spectrum(
     the error message attached, and the scan continues.  Every adjacent-grid
     sign change of an energy difference is refined by bisection to a gamma
     interval no wider than refine_tol.
+
+    The bisection calls the evaluator alone, so the evaluator should not run
+    the oracle.  With oracle set, each grid record instead gets its
+    finite-difference cross-check delta right after it is solved; a failing
+    cross-check fails its grid point, as it does in spectrum_record.
     """
     gamma_grid = [float(g) for g in gamma_grid]
     if any(b <= a for a, b in zip(gamma_grid, gamma_grid[1:])):
         raise ValueError("gamma grid must be strictly increasing")
     evaluator = evaluator or spectrum_record
 
-    tasks = [(state, replace(d0, gamma=g)) for state in states for g in gamma_grid]
+    tasks = [
+        (evaluator, state, replace(d0, gamma=g), oracle) for state in states for g in gamma_grid
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_one, [(evaluator, s, d) for s, d in tasks], chunksize=4))
+            records = list(pool.map(_scan_one, tasks, chunksize=4))
     else:
-        results = [_scan_one((evaluator, s, d)) for s, d in tasks]
-    records = list(results)
+        records = [_scan_one(task) for task in tasks]
 
     n_g = len(gamma_grid)
     energies = {}
@@ -367,21 +434,14 @@ def scan_spectrum(
 
 
 def _scan_one(args):
-    evaluator, state, d = args
+    evaluator, state, d, oracle = args
     try:
-        return evaluator(state, d)
+        rec = evaluator(state, d)
+        if oracle:
+            rec = replace(rec, oracle_delta=oracle_delta(state, d))
+        return rec
     except PsletError as err:
-        return SpectrumRecord(
-            label=_state_label(state),
-            gamma=d.gamma,
-            gamma_d=d.gamma_d,
-            gamma_eff=d.gamma_eff,
-            energy=math.nan,
-            leading_fraction=math.nan,
-            pade_spread=math.inf,
-            converged=False,
-            error=str(err),
-        )
+        return failed_record(_state_label(state), d, err)
 
 
 def level_order(d: DotParams, levels, **opts):

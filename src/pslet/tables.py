@@ -13,7 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 from importlib import resources
 
 from .engine import DEFAULT_ORDER, DEFAULT_PADE
@@ -25,8 +25,11 @@ from .quantum_dot import (
     StateLabel,
     TwoElectronLevel,
     cm_energy,
+    failed_record,
     ion_record,
+    rm_free_energy,
     scan_spectrum,
+    spectrum_record,
     two_electron_record,
 )
 
@@ -127,19 +130,6 @@ class TableReport:
         return not self.failures and self.max_delta <= self.tolerance
 
 
-@lru_cache(maxsize=512)
-def _cached_ion(gamma: float, gamma_d: float, k: int, m: int, order: int, pade, precision: str):
-    d = DotParams(gamma=gamma, gamma_d=gamma_d)
-    return ion_record(d, StateLabel(k, m), order=order, pade=pade, precision=precision)
-
-
-@lru_cache(maxsize=512)
-def _cached_rm(gamma: float, gamma_d: float, k: int, m: int, K: int, M: int, order: int, pade, precision: str):
-    d = DotParams(gamma=gamma, gamma_d=gamma_d)
-    lvl = TwoElectronLevel(rm=StateLabel(k, m), cm_k=K, cm_m=M)
-    return two_electron_record(d, lvl, order=order, pade=pade, precision=precision)
-
-
 def _safe(fn, label: str, d: DotParams, reference: float) -> Cell:
     try:
         rec = fn()
@@ -177,15 +167,21 @@ def compute_table(
     precision: str = "auto",
     oracle: bool = False,
 ) -> TableReport:
-    """Compute every cell of one golden table and diff against the reference."""
+    """Compute every cell of one golden table and diff against the reference.
+
+    Repeated radial problems (a state at +m and -m, a relative-motion state
+    under several center-of-mass states) are solved once, by the radial memo
+    of quantum_dot.
+    """
     golden = load_golden(table_id)
+    opts = {"order": order, "pade": pade, "precision": precision}
     cells = []
     if table_id == 1:
         for row in golden:
             k, m, g = int(row["k"]), int(row["m"]), float(row["gamma"])
             d = DotParams(gamma=g, gamma_d=_T1_GAMMA_D)
             cell = _safe(
-                lambda: _cached_ion(g, _T1_GAMMA_D, k, m, order, pade, precision),
+                lambda: ion_record(d, StateLabel(k, m), **opts),
                 StateLabel(k, m).name,
                 d,
                 float(row["energy"]),
@@ -197,14 +193,12 @@ def compute_table(
         for row in golden:
             k, m, g_eff = int(row["k"]), int(row["m"]), float(row["Gamma"])
             d = DotParams(gamma=0.0, gamma_d=g_eff)
-
-            def ee_cell(k=k, m=m, g_eff=g_eff, d=d):
-                rec = _cached_rm(0.0, g_eff, k, m, 0, 0, order, pade, precision)
-                # strip the exact center-of-mass and free parts off the record
-                e_free = (2 * k + abs(m) + 1) * d.gamma_eff
-                return replace(rec, energy=rec.energy - cm_energy(d, 0, 0) - e_free)
-
-            cell = _safe(ee_cell, radial_name(k, m), d, float(row["energy"]))
+            cell = _safe(
+                lambda: _pair_interaction_record(StateLabel(k, m), d, **opts),
+                radial_name(k, m),
+                d,
+                float(row["energy"]),
+            )
             if oracle and cell.error is None:
                 delta = cross_check(StateLabel(k, m), d, "two_electron_rm")
                 cell = replace(cell, oracle_delta=delta)
@@ -218,8 +212,9 @@ def compute_table(
             else:
                 d = DotParams(gamma=float(row["gamma"]), gamma_d=_T5_GAMMA_D)
             label = f"{row['tag']}:({k},{m};{K},{M};{row['s']})"
+            lvl = TwoElectronLevel(rm=StateLabel(k, m), cm_k=K, cm_m=M)
             cell = _safe(
-                lambda: _cached_rm(d.gamma, d.gamma_d, k, m, K, M, order, pade, precision),
+                lambda: two_electron_record(d, lvl, **opts),
                 label,
                 d,
                 float(row["energy"]),
@@ -268,13 +263,16 @@ def _grid_points(grid: tuple[float, float, float]) -> list[float]:
     return pts
 
 
-def _ee_record(state: StateLabel, d: DotParams, **opts) -> SpectrumRecord:
+def _pair_interaction_record(state: StateLabel, d: DotParams, **opts) -> SpectrumRecord:
+    """Pair interaction energy of tables 2-3 and figure 5.
+
+    The two-electron record less its exact center-of-mass and free parts.
+    """
     rec = two_electron_record(d, TwoElectronLevel(rm=state, cm_k=0, cm_m=0), **opts)
-    e_free = (2 * state.k + abs(state.m) + 1) * d.gamma_eff + state.m * d.gamma
     return replace(
         rec,
         label=radial_name(state.k, state.m),
-        energy=rec.energy - cm_energy(d, 0, 0) - e_free,
+        energy=rec.energy - cm_energy(d, 0, 0) - rm_free_energy(d, state),
     )
 
 
@@ -308,55 +306,28 @@ def figure_curves(
             for g_eff in pts:
                 d = DotParams(gamma=0.0, gamma_d=g_eff)
                 try:
-                    rec = _ee_record(st, d, **opts)
+                    rec = _pair_interaction_record(st, d, **opts)
                     if oracle:
                         rec = replace(rec, oracle_delta=cross_check(st, d, "two_electron_rm"))
                     records.append(rec)
                 except PsletError as err:
-                    records.append(
-                        SpectrumRecord(
-                            label=radial_name(st.k, st.m),
-                            gamma=0.0,
-                            gamma_d=g_eff,
-                            gamma_eff=g_eff,
-                            energy=math.nan,
-                            leading_fraction=math.nan,
-                            pade_spread=math.inf,
-                            converged=False,
-                            error=str(err),
-                        )
-                    )
+                    records.append(failed_record(radial_name(st.k, st.m), d, err))
         return records, []
     pts = _grid_points(grid or DEFAULT_GAMMA_GRID)
     if fig_id in (1, 2, 3, 4):
         states = [StateLabel(k, m) for k, m in _FIG_ION_STATES[fig_id]]
-        evaluator = partial(_ion_eval, interaction=fig_id != 1, oracle=oracle, **opts)
+        interaction = fig_id != 1
         d0 = DotParams(gamma=pts[0], gamma_d=_T1_GAMMA_D)
-        return scan_spectrum(states, d0, pts, evaluator=evaluator, jobs=jobs)
-    levels = [
-        TwoElectronLevel(rm=StateLabel(k, m), cm_k=K, cm_m=M) for _, k, m, K, M in _T5_LEVELS
-    ]
-    evaluator = partial(_two_electron_eval, interaction=fig_id == 7, oracle=oracle, **opts)
-    d0 = DotParams(gamma=pts[0], gamma_d=_T5_GAMMA_D)
-    return scan_spectrum(levels, d0, pts, evaluator=evaluator, jobs=jobs)
-
-
-def _ion_eval(
-    state: StateLabel, d: DotParams, interaction: bool = True, oracle: bool = False, **opts
-) -> SpectrumRecord:
-    rec = ion_record(d, state, interaction=interaction, **opts)
-    if oracle and interaction:
-        rec = replace(rec, oracle_delta=cross_check(state, d, "ion"))
-    return rec
-
-
-def _two_electron_eval(
-    level: TwoElectronLevel, d: DotParams, interaction: bool = True, oracle: bool = False, **opts
-) -> SpectrumRecord:
-    rec = two_electron_record(d, level, interaction=interaction, **opts)
-    if oracle and interaction:
-        rec = replace(rec, oracle_delta=cross_check(level.rm, d, "two_electron_rm"))
-    return rec
+    else:
+        states = [
+            TwoElectronLevel(rm=StateLabel(k, m), cm_k=K, cm_m=M) for _, k, m, K, M in _T5_LEVELS
+        ]
+        interaction = fig_id == 7
+        d0 = DotParams(gamma=pts[0], gamma_d=_T5_GAMMA_D)
+    evaluator = partial(spectrum_record, interaction=interaction, **opts)
+    return scan_spectrum(
+        states, d0, pts, evaluator=evaluator, jobs=jobs, oracle=oracle and interaction
+    )
 
 
 def table4_levels() -> list[tuple[str, TwoElectronLevel]]:

@@ -75,8 +75,8 @@ def report5():
 
 
 def test_criterion_1_table1_reproduction():
-    tables._cached_ion.cache_clear()
-    tables._cached_rm.cache_clear()
+    from pslet import quantum_dot
+    quantum_dot.radial_solution.cache_clear()
     start = time.perf_counter()
     report = tables.compute_table(1)
     elapsed = time.perf_counter() - start

@@ -9,6 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from pslet import _dd, engine
 from pslet import (
     EnergyExpansion,
     HybridPotential,
@@ -379,6 +380,62 @@ class TestSolveState:
     def test_pade_needs_order(self):
         with pytest.raises(ValueError):
             solve_state(ION, S00, order=10, pade=(9, 10))
+
+    def test_double_solve_fits_each_ladder_member_once(self, monkeypatch):
+        # the resummed [9/10] value is the ladder's own, not a second fit
+        fits = []
+        real = engine.pade_fit
+
+        def counting(c, M, N):
+            fits.append((M, N))
+            return real(c, M, N)
+
+        monkeypatch.setattr(engine, "pade_fit", counting)
+        res = solve_state(ION, S00, precision="double")
+        assert len(fits) == 17
+        assert sorted(fits) == sorted(set(fits))
+        assert res.energy == resummed_energy(res.expansion, 9, 10)
+
+    def test_extended_solve_fits_each_ladder_member_once(self, monkeypatch):
+        fits = []
+        real = _dd.dd_pade_fit
+
+        def counting(c, M, N):
+            fits.append((M, N))
+            return real(c, M, N)
+
+        monkeypatch.setattr(_dd, "dd_pade_fit", counting)
+        res = solve_state(ION, S00, precision="extended")
+        assert len(fits) == 17
+        assert res.energy == res.staircase.member(9, 10)
+
+    def test_pade_off_the_ladder_is_fitted_itself(self):
+        res = solve_state(ION, S00, precision="double", pade=(5, 3))
+        assert res.staircase.member(5, 3) is None
+        assert res.energy == resummed_energy(res.expansion, 5, 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HybridPotential(math.nan, 1.0),
+        lambda: HybridPotential(math.inf, 1.0),
+        lambda: HybridPotential(1.0, math.nan),
+        lambda: HybridPotential(1.0, math.inf),
+        lambda: StateIndex(0, l_eff=math.inf),
+        lambda: StateIndex(0, l_eff=math.nan),
+        lambda: solve_state(ION, S00, stability_tol=math.nan),
+        lambda: solve_state(ION, S00, stability_tol=math.inf),
+        lambda: solve_state(ION, S00, stability_tol=-1e-5),
+    ],
+    ids=[
+        "a_osc-nan", "a_osc-inf", "c_coul-nan", "c_coul-inf", "l_eff-inf", "l_eff-nan",
+        "tol-nan", "tol-inf", "tol-negative",
+    ],
+)
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestWavefunction:

@@ -1,10 +1,12 @@
 """Dot Hamiltonians mapped onto the radial solver: closed forms, symmetry,
 interaction energies, orderings and crossings."""
 
+import dataclasses
 import math
 
 import pytest
 
+from pslet import quantum_dot
 from pslet import (
     DotParams,
     StateLabel,
@@ -314,3 +316,72 @@ class TestScanAndOrdering:
         parallel, _ = scan_spectrum(states, d0, grid, jobs=2)
         assert [r.energy for r in serial] == [r.energy for r in parallel]
         assert [r.label for r in serial] == [r.label for r in parallel]
+
+
+class TestRadialMemo:
+    """Each distinct radial problem is solved once; records stay bit for bit."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Cold memo; the list collects every solve_state call that misses it."""
+        calls = []
+        real = quantum_dot.solve_state
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        quantum_dot.radial_solution.cache_clear()
+        monkeypatch.setattr(quantum_dot, "solve_state", counting)
+        yield calls
+        quantum_dot.radial_solution.cache_clear()
+
+    def test_same_state_solved_once(self, solves):
+        d, st = DotParams(0.1, 0.2), StateLabel(1, -1)
+        first = quantum_dot.ion_record(d, st)
+        second = quantum_dot.ion_record(d, st)
+        assert len(solves) == 1
+        assert first == second
+
+    def test_plus_and_minus_m_share_a_solve(self, solves):
+        d = DotParams(0.3, 0.2)
+        up = ion_energy(d, StateLabel(0, 2))
+        down = ion_energy(d, StateLabel(0, -2))
+        assert len(solves) == 1
+        assert up - down == pytest.approx(4 * 0.3, abs=1e-12)
+
+    def test_same_gamma_eff_shares_a_solve(self, solves):
+        lvl = TwoElectronLevel(rm=StateLabel(0, 1), cm_k=0, cm_m=0)
+        a = quantum_dot.two_electron_record(DotParams(3.0, 4.0), lvl)
+        b = quantum_dot.two_electron_record(DotParams(0.0, 5.0), lvl)
+        assert len(solves) == 1
+        assert a.gamma_eff == b.gamma_eff == 5.0
+        assert a.pade_spread == b.pade_spread
+
+    def test_warm_record_equals_cold_record(self, solves):
+        d = DotParams(0.2, 0.2)
+        lvl = TwoElectronLevel(rm=StateLabel(1, -1), cm_k=0, cm_m=-1)
+        cold = quantum_dot.two_electron_record(d, lvl)
+        quantum_dot.radial_solution.cache_clear()
+        # warm the memo through another level with the same relative motion
+        # at another field with the same gamma_eff
+        g = d.gamma_eff
+        sibling = TwoElectronLevel(rm=StateLabel(1, 1), cm_k=1, cm_m=0)
+        quantum_dot.two_electron_record(DotParams(0.0, g), sibling)
+        warm = quantum_dot.two_electron_record(d, lvl)
+        assert len(solves) == 2
+        assert dataclasses.astuple(warm) == dataclasses.astuple(cold)
+
+    def test_failing_state_raises_its_own_error_on_every_call(self, solves):
+        d = DotParams(0.0, 0.2)
+        for _ in range(2):
+            with pytest.raises(PsletError, match="2p-"):
+                ion_energy(d, StateLabel(0, -1), order=99)
+        with pytest.raises(PsletError) as info:
+            ion_energy(d, StateLabel(0, 1), order=99)
+        assert "2p+" in str(info.value) and "2p-" not in str(info.value)
+        assert len(solves) == 3
+        assert quantum_dot.radial_solution.cache_info().currsize == 0
+
+    def test_memo_is_bounded(self):
+        assert quantum_dot.radial_solution.cache_info().maxsize == 4096

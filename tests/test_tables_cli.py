@@ -2,7 +2,7 @@
 
 import pytest
 
-from pslet import cli, tables
+from pslet import cli, oracle, tables
 
 
 class TestGoldenData:
@@ -196,6 +196,30 @@ class TestCli:
         header, row = out.read_text().splitlines()
         assert header.endswith(",oracle_delta")
         assert abs(float(row.split(",")[-1])) < 1e-3
+
+    def test_scan_oracle_runs_once_per_row(self, tmp_path, capsys, monkeypatch):
+        # the crossing bisection solves many more points than the grid has,
+        # but only the grid rows carry an oracle delta
+        fd_calls = []
+        real = oracle.solve_radial_fd
+
+        def counting(problem, k, *args, **kwargs):
+            fd_calls.append((problem.m, k))
+            return real(problem, k, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_radial_fd", counting)
+        out = tmp_path / "scan.csv"
+        code = cli.main(
+            ["scan", "--system", "two_electron", "--states", "0,0;0,-1",
+             "--gamma", "0.05:0.1:0.05", "--gamma-d", "0.2", "--oracle",
+             "--output", str(out)]
+        )
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        crossings = (tmp_path / "scan.crossings.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 and len(crossings) == 1
+        assert all(abs(float(row.split(",")[-1])) < 1e-3 for row in rows)
+        assert len(fd_calls) == len(rows)
 
     @pytest.mark.parametrize("gamma,gamma_d", [("nan", "0.2"), ("0", "inf")])
     def test_non_finite_field_is_usage_error(self, capsys, gamma, gamma_d):
