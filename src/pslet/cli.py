@@ -19,7 +19,6 @@ from .quantum_dot import (
     StateLabel,
     TwoElectronLevel,
     ion_record,
-    scan_spectrum,
     two_electron_record,
 )
 
@@ -176,17 +175,12 @@ def _parse_states(spec: str, system: str):
 
 
 def _cmd_scan(args) -> int:
-    from functools import partial
-
-    from .quantum_dot import spectrum_record
-
     states = _parse_states(args.states, args.system)
     pts = tables._grid_points(tables.parse_grid(args.gamma))
     d0 = DotParams(gamma=pts[0], gamma_d=args.gamma_d)
-    interaction = not args.no_interaction
-    evaluator = partial(spectrum_record, interaction=interaction, **_solver_opts(args))
-    records, crossings = scan_spectrum(
-        states, d0, pts, evaluator=evaluator, jobs=args.jobs, oracle=args.oracle and interaction
+    records, crossings = tables.scan_levels(
+        states, d0, pts, not args.no_interaction, jobs=args.jobs, oracle=args.oracle,
+        **_solver_opts(args),
     )
     sep = "\t" if args.format == "tsv" else ","
     out = args.output or Path(f"scan.{args.format}")

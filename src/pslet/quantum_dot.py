@@ -131,7 +131,6 @@ class RadialSolution:
     leading_fraction: float
     pade_spread: float
     converged: bool
-    precision: str
 
 
 @lru_cache(maxsize=4096)
@@ -165,7 +164,6 @@ def radial_solution(
         leading_fraction=res.leading_fraction,
         pade_spread=res.staircase.spread,
         converged=res.staircase.converged,
-        precision=res.precision,
     )
 
 
@@ -312,22 +310,15 @@ def two_electron_record(
     return _record_from_solve(lvl.name, d, 4.0 * res.energy + lvl.rm.m * d.gamma + cm, res)
 
 
-def spectrum_record(
-    state, d: DotParams, interaction: bool = True, oracle: bool = False, **opts
-) -> SpectrumRecord:
+def spectrum_record(state, d: DotParams, interaction: bool = True, **opts) -> SpectrumRecord:
     """Dispatch a state to the matching solver and package the result.
 
-    opts (order, pade, precision) go to the solver.  With oracle set (and
-    the interaction on), the record also carries the finite-difference
-    cross-check delta.
+    opts (order, pade, precision) go to the solver.  The record carries no
+    oracle delta; scan_spectrum(oracle=True) attaches one to grid records.
     """
     if isinstance(state, TwoElectronLevel):
-        rec = two_electron_record(d, state, interaction=interaction, **opts)
-    else:
-        rec = ion_record(d, state, interaction=interaction, **opts)
-    if oracle and interaction:
-        rec = replace(rec, oracle_delta=oracle_delta(state, d))
-    return rec
+        return two_electron_record(d, state, interaction=interaction, **opts)
+    return ion_record(d, state, interaction=interaction, **opts)
 
 
 def oracle_delta(state, d: DotParams) -> float:
@@ -373,7 +364,7 @@ def scan_spectrum(
     The bisection calls the evaluator alone, so the evaluator should not run
     the oracle.  With oracle set, each grid record instead gets its
     finite-difference cross-check delta right after it is solved; a failing
-    cross-check fails its grid point, as it does in spectrum_record.
+    cross-check fails its grid point.
     """
     gamma_grid = [float(g) for g in gamma_grid]
     if any(b <= a for a, b in zip(gamma_grid, gamma_grid[1:])):

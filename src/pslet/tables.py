@@ -324,6 +324,16 @@ def figure_curves(
         ]
         interaction = fig_id == 7
         d0 = DotParams(gamma=pts[0], gamma_d=_T5_GAMMA_D)
+    return scan_levels(states, d0, pts, interaction, jobs=jobs, oracle=oracle, **opts)
+
+
+def scan_levels(states, d0: DotParams, pts, interaction: bool, jobs: int = 1,
+                oracle: bool = False, **opts):
+    """scan_spectrum over spectrum records: (records, crossings).
+
+    opts (order, pade, precision) go to every solve.  The oracle delta is
+    only defined with the interaction on, so without it oracle is ignored.
+    """
     evaluator = partial(spectrum_record, interaction=interaction, **opts)
     return scan_spectrum(
         states, d0, pts, evaluator=evaluator, jobs=jobs, oracle=oracle and interaction

@@ -255,6 +255,13 @@ class TestHierarchy:
         with pytest.raises(HierarchyResidual, match="half-order 1"):
             solve_hierarchy(v, S00.k, 3, sp, leading_energy(ION, sp))
 
+    def test_overflowed_v_raises_residual_error(self):
+        # an overflowed coefficient leaves R and the scale both infinite, so
+        # the ratio test alone (inf <= tol * inf) would let it through
+        v, sp = _corrupted_v(order=3, delta=math.inf)
+        with pytest.raises(HierarchyResidual, match="residual inf at half-order 1"):
+            solve_hierarchy(v, S00.k, 3, sp, leading_energy(ION, sp))
+
     def test_residual_check_survives_optimized_mode(self):
         # under python -O every assert is stripped; the check must still fire
         script = textwrap.dedent(
@@ -286,13 +293,13 @@ class TestHierarchy:
         assert proc.returncode == 0, proc.stderr
 
 
-def _corrupted_v(order):
+def _corrupted_v(order, delta=0.1):
     """v^(0)..v^(2 order + 2) of the ion 1s state with an even x^2 term in the odd v^(1)."""
     q0 = locate_q0(ION, S00)
     sp = shift_params(ION, q0, S00)
     v = v_series(b_coefficients(ION, sp, 2 * order + 4), sp.beta, 2 * order + 2)
     c = v[1].coeffs.copy()
-    c[2] += 0.1
+    c[2] += delta
     v[1] = Polynomial(c, v[1].cap)
     return v, sp
 

@@ -3,6 +3,7 @@ interaction energies, orderings and crossings."""
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -383,5 +384,22 @@ class TestRadialMemo:
         assert len(solves) == 3
         assert quantum_dot.radial_solution.cache_info().currsize == 0
 
-    def test_memo_is_bounded(self):
-        assert quantum_dot.radial_solution.cache_info().maxsize == 4096
+    def test_memo_is_bounded(self, monkeypatch):
+        # a stand-in solver keeps the fill cheap; past the bound the memo
+        # evicts instead of growing
+        result = SimpleNamespace(
+            energy=1.0,
+            leading_fraction=1.0,
+            staircase=SimpleNamespace(spread=0.0, converged=True),
+        )
+        monkeypatch.setattr(quantum_dot, "solve_state", lambda *args, **kwargs: result)
+        quantum_dot.radial_solution.cache_clear()
+        try:
+            bound = quantum_dot.radial_solution.cache_info().maxsize
+            for i in range(bound + 10):
+                quantum_dot.radial_solution("ion", True, 1.0 + i, 0, 0, 19, (9, 9), "auto")
+            info = quantum_dot.radial_solution.cache_info()
+            assert info.currsize == bound
+            assert info.misses == bound + 10
+        finally:
+            quantum_dot.radial_solution.cache_clear()
