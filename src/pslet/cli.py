@@ -13,12 +13,12 @@ from pathlib import Path
 from . import tables
 from .engine import DEFAULT_ORDER, DEFAULT_PADE
 from .errors import PsletError
-from .oracle import cross_check
 from .quantum_dot import (
     DotParams,
     StateLabel,
     TwoElectronLevel,
     ion_record,
+    oracle_delta,
     two_electron_record,
 )
 
@@ -99,20 +99,17 @@ def _cmd_solve(args) -> int:
     d = DotParams(gamma=args.gamma, gamma_d=args.gamma_d)
     coulomb = not args.no_coulomb
     if args.system == "ion":
-        st = StateLabel(args.k, args.m)
-        rec = ion_record(d, st, coulomb=coulomb, **_solver_opts(args))
-        oracle_system = "ion"
+        state = StateLabel(args.k, args.m)
+        rec = ion_record(d, state, coulomb=coulomb, **_solver_opts(args))
     else:
-        lvl = TwoElectronLevel(rm=StateLabel(args.k, args.m), cm_k=args.K, cm_m=args.M)
-        rec = two_electron_record(d, lvl, coulomb=coulomb, **_solver_opts(args))
-        oracle_system = "two_electron_rm"
+        state = TwoElectronLevel(rm=StateLabel(args.k, args.m), cm_k=args.K, cm_m=args.M)
+        rec = two_electron_record(d, state, coulomb=coulomb, **_solver_opts(args))
     line = (
         f"{rec.label} energy={rec.energy:.6f} leading_fraction={rec.leading_fraction:.6f} "
         f"pade_spread={rec.pade_spread:.3e}"
     )
     if args.oracle and coulomb:
-        delta = cross_check(StateLabel(args.k, args.m), d, oracle_system)
-        line += f" oracle_delta={delta:.6f}"
+        line += f" oracle_delta={oracle_delta(state, d, rec.energy):.6f}"
     line += f" converged={'yes' if rec.converged else 'no'}"
     print(line)
     return EXIT_OK if rec.converged else EXIT_TOLERANCE

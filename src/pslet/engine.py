@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -135,15 +136,14 @@ class EnergyExpansion:
 class HierarchyState:
     """Coefficients produced by the order-by-order matching.
 
-    d_table[m, j] multiplies x**(2m-1) in the odd log-derivative piece of
-    half-order j; row m = 0 is identically zero.  w_polys[j] and f_polys[j]
-    are the log-derivative and prefactor polynomials of half-order j.
+    w_polys[j] and f_polys[j] are the log-derivative and prefactor
+    polynomials of half-order j; W_j has only odd powers at even j and only
+    even powers at odd j.
     """
 
     k: int
     order: int
     omega: float
-    d_table: np.ndarray
     w_polys: tuple = field(repr=False, default=())
     f_polys: tuple = field(repr=False, default=())
 
@@ -356,22 +356,30 @@ def v_series(b: np.ndarray, beta: float, n_max: int) -> list[Polynomial]:
     """
     if len(b) < n_max + 3:
         raise ValueError(f"need B up to index {n_max + 2}, got {len(b) - 1}")
-    cap = n_max + 2
+    return [Polynomial(c, n_max + 2) for c in _v_polys(b, beta, n_max, _F64Backend())]
+
+
+def _v_polys(b, beta, n_max: int, backend) -> list:
+    """v^(0)..v^(n_max) (see v_series) as backend polynomials, from backend scalars."""
+    be = backend
+    one = be.scalar(1.0)
+    tb1 = be.scalar(2.0) * beta + one
+    bb = beta * (beta + one) * be.scalar(0.5)
     out = []
     for n in range(n_max + 1):
-        c = np.zeros(n + 3)
+        c = be.poly_zeros(n + 3)
         if n == 0:
-            c[2] = b[2]
-            c[0] = (2.0 * beta + 1.0) / 2.0
+            be.set_(c, 2, b[2])
+            be.set_(c, 0, tb1 * be.scalar(0.5))
         elif n == 1:
-            c[3] = b[3]
-            c[1] = -(2.0 * beta + 1.0)
+            be.set_(c, 3, b[3])
+            be.set_(c, 1, -tb1)
         else:
-            sign = (-1.0) ** n
-            c[n + 2] = b[n + 2]
-            c[n] = sign * (2.0 * beta + 1.0) * (n + 1) / 2.0
-            c[n - 2] += sign * beta * (beta + 1.0) / 2.0 * (n - 1)
-        out.append(Polynomial(c, cap))
+            sign = be.scalar((-1.0) ** n)
+            be.set_(c, n + 2, b[n + 2])
+            be.set_(c, n, sign * tb1 * be.scalar((n + 1) / 2.0))
+            be.set_(c, n - 2, be.get(c, n - 2) + sign * bb * be.scalar(n - 1))
+        out.append(c)
     return out
 
 
@@ -696,22 +704,12 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
 
 
 def _tables_from_polys(W, F, k, order, backend) -> HierarchyState:
-    be = backend
-    J = 2 * order + 2
-    d_table = np.zeros((J + 2, J + 1))
-    w_float = tuple(be.poly_to_float(w) for w in W)
-    f_float = tuple(be.poly_to_float(f) for f in F)
-    omega = -w_float[0][1]
-    for j in range(0, J + 1, 2):
-        wj = w_float[j]
-        for m in range(1, j + 2):
-            if 2 * m - 1 < len(wj):
-                d_table[m, j] = wj[2 * m - 1]
+    w_float = tuple(backend.poly_to_float(w) for w in W)
+    f_float = tuple(backend.poly_to_float(f) for f in F)
     return HierarchyState(
         k=k,
         order=order,
-        omega=omega,
-        d_table=d_table,
+        omega=-w_float[0][1],
         w_polys=w_float,
         f_polys=f_float,
     )
@@ -755,7 +753,7 @@ def resum(e: EnergyExpansion, M: int = DEFAULT_PADE[0], N: int = DEFAULT_PADE[1]
     """lbar^2 leading coefficient plus the [M/N] Pade value at 1/lbar.
 
     Propagates SingularPadeSystem / PoleProximity; callers that need a value
-    regardless should walk down the order ladder (see resummed_energy).
+    regardless should use resummed_energy, which falls back down the ladder.
     """
     if len(e.corrections) < M + N + 1:
         raise ValueError(f"[{M}/{N}] needs {M + N + 1} corrections, have {len(e.corrections)}")
@@ -766,53 +764,72 @@ def resum(e: EnergyExpansion, M: int = DEFAULT_PADE[0], N: int = DEFAULT_PADE[1]
 def resummed_energy(
     e: EnergyExpansion, M: int = DEFAULT_PADE[0], N: int = DEFAULT_PADE[1]
 ) -> float:
-    """resum with the documented fallback: walk the order ladder downward.
+    """The [M/N] energy of the expansion, falling back down its order ladder.
 
-    If the requested [M/N] fit fails or sits on a pole, earlier ladder
-    members are tried from the largest down; the plain truncated sum is the
-    final fallback (it is the [order/0] member and always exists).
+    Evaluates the whole ladder (pade_stability) and applies the rule that
+    solve_state applies in either precision; see _ladder_energy.
     """
-    try:
-        return resum(e, M, N)
-    except (SingularPadeSystem, PoleProximity):
-        pass
-    for Mi, Ni in reversed(staircase_orders()):
-        if (Mi, Ni) == (M, N) or Mi + Ni >= M + N or Mi + Ni + 1 > len(e.corrections):
-            continue
-        try:
-            return resum(e, Mi, Ni)
-        except (SingularPadeSystem, PoleProximity):
-            continue
-    return e.truncated_sum()
+    if len(e.corrections) < M + N + 1:
+        raise ValueError(f"[{M}/{N}] needs {M + N + 1} corrections, have {len(e.corrections)}")
+    return _ladder_energy(pade_stability(e), M, N, partial(resum, e), e)
 
 
 def pade_stability(e: EnergyExpansion, tol: float = STABILITY_TOL) -> StaircaseResult:
-    """Evaluate the Pade order ladder and measure its late-member stability.
+    """Evaluate the double-precision Pade order ladder of the expansion."""
+    return _ladder(e.corrections, e.leading_term, partial(resum, e), tol)
 
-    Members whose fit fails or whose denominator sits on a pole are recorded
-    as missing.  The spread is max - min over the last five available
-    members (fewer if the ladder is shorter); spread <= tol is the
-    convergence signal used to accept a state.
+
+def _ladder(corrections: np.ndarray, lead: float, fit_eval, tol: float) -> StaircaseResult:
+    """The Pade order ladder of one series and its late-member stability.
+
+    corrections holds the series in double precision and lead its leading
+    term; fit_eval(M, N) returns the leading term plus the [M/N] Pade value
+    at 1/lbar, fitted in the precision of the solve.  Members whose fit
+    fails or whose denominator sits on a pole are recorded as missing.  The
+    spread is max - min over the last five available members (fewer if the
+    ladder is shorter); spread <= tol is the convergence signal used to
+    accept a state.
     """
     orders = staircase_orders()
-    if _series_is_trivial(e.corrections, e.leading_term):
-        values = [e.leading_term] * len(orders)
+    if _series_is_trivial(corrections, lead):
+        values = [lead] * len(orders)
         return StaircaseResult(orders=orders, values=values, spread=0.0, converged=True)
-    values: list[float | None] = []
-    for M, N in orders:
-        if M + N + 1 > len(e.corrections):
-            values.append(None)
-            continue
-        try:
-            values.append(resum(e, M, N))
-        except (SingularPadeSystem, PoleProximity):
-            values.append(None)
+    values = [
+        _fit_or_none(fit_eval, M, N) if M + N + 1 <= len(corrections) else None
+        for M, N in orders
+    ]
     tail = [v for v in values if v is not None][-5:]
     spread = (max(tail) - min(tail)) if tail else math.inf
     return StaircaseResult(orders=orders, values=values, spread=spread, converged=spread <= tol)
 
 
-def _series_is_trivial(corrections, leading_term: float) -> bool:
+def _fit_or_none(fit_eval, M: int, N: int) -> float | None:
+    try:
+        return fit_eval(M, N)
+    except (SingularPadeSystem, PoleProximity):
+        return None
+
+
+def _ladder_energy(stair: StaircaseResult, M: int, N: int, fit_eval, e: EnergyExpansion) -> float:
+    """The resummed [M/N] energy, by one rule for both precisions.
+
+    The ladder's own [M/N] value; when (M, N) is off the ladder, one fit of
+    it.  If that fit failed, the highest lower ladder member that exists;
+    if none exists, the plain truncated sum of the expansion.
+    """
+    if (M, N) in stair.orders:
+        energy = stair.member(M, N)
+    else:
+        energy = _fit_or_none(fit_eval, M, N)
+    if energy is not None:
+        return energy
+    lower = [
+        v for (Mi, Ni), v in zip(stair.orders, stair.values) if Mi + Ni < M + N and v is not None
+    ]
+    return lower[-1] if lower else e.truncated_sum()
+
+
+def _series_is_trivial(corrections: np.ndarray, leading_term: float) -> bool:
     """True when every correction is negligible against the leading term.
 
     The expansion is exact for the pure oscillator: all corrections vanish,
@@ -821,8 +838,8 @@ def _series_is_trivial(corrections, leading_term: float) -> bool:
     """
     if len(corrections) == 0:
         return True
-    scale = max(1.0, abs(float(leading_term)))
-    return float(np.max(np.abs(np.asarray(corrections, dtype=float)))) <= 1e-13 * scale
+    scale = max(1.0, abs(leading_term))
+    return float(np.max(np.abs(corrections))) <= 1e-13 * scale
 
 
 # ----------------------------------------------------------------------
@@ -849,10 +866,17 @@ def _dd_shift_and_b(p: PotentialModel, s: StateIndex, q0_seed: float, n_b: int):
         omega = (three + q * v2 / v1).sqrt()
         return (q * q * q * v1).sqrt() - (DD(s.l_eff) + half + (DD(s.k) + half) * omega)
 
+    # four Newton steps with a double-precision derivative; each gains about
+    # sixteen digits, so the fourth must already sit at dd rounding level
     q = DD(q0_seed)
     for _ in range(4):
-        dg = _root_derivative(p, float(q), s)
-        q = q - gfun(q) / DD(dg)
+        step = gfun(q) / DD(_root_derivative(p, float(q), s))
+        q = q - step
+    if not abs(float(step)) <= 1e-28 * float(q):
+        raise NoRootInDomain(
+            f"dd origin polish did not converge: last Newton step {float(step):.3e} "
+            f"at q0 = {float(q):.6g}"
+        )
     v1 = p.derivative_dd(q, 1)
     v2 = p.derivative_dd(q, 2)
     omega = (three + q * v2 / v1).sqrt()
@@ -872,64 +896,28 @@ def _dd_shift_and_b(p: PotentialModel, s: StateIndex, q0_seed: float, n_b: int):
     return q, omega, beta, lbar, b, em2
 
 
-def _solve_extended(p: PotentialModel, s: StateIndex, order: int, q0_seed: float):
+def _solve_extended(p: PotentialModel, s: StateIndex, order: int, q0_seed: float, tol: float):
+    """The dd solve: expansion, shift, hierarchy, dd ladder and its fit callable."""
     J = 2 * order + 2
     q, omega, beta, lbar, b, em2 = _dd_shift_and_b(p, s, q0_seed, J + 4)
     be = _DDBackend()
-    tb1 = DD(2.0) * beta + DD(1.0)
-    bb = beta * (beta + DD(1.0)) * DD(0.5)
-    vpolys = []
-    for n in range(J + 1):
-        poly = DDPoly.zeros(n + 3)
-        if n == 0:
-            poly.set(2, b[2])
-            poly.set(0, tb1 * DD(0.5))
-        elif n == 1:
-            poly.set(3, b[3])
-            poly.set(1, -tb1)
-        else:
-            sign = DD((-1.0) ** n)
-            poly.set(n + 2, b[n + 2])
-            poly.set(n, sign * tb1 * DD((n + 1) / 2.0))
-            poly.set(n - 2, poly.get(n - 2) + sign * bb * DD(float(n - 1)))
-        vpolys.append(poly)
-    corr_dd, W, F = _hierarchy_core(vpolys, s.k, order, omega, q, be)
+    corr_dd, W, F = _hierarchy_core(_v_polys(b, beta, J, be), s.k, order, omega, q, be)
+    expansion = EnergyExpansion(
+        leading_coeff=float(em2),
+        corrections=np.array([float(c) for c in corr_dd]),
+        lbar=float(lbar),
+        order=order,
+    )
     shift = ShiftParams(q0=float(q), omega=float(omega), beta=float(beta), lbar=float(lbar))
-    hierarchy = _tables_from_polys(W, F, s.k, order, be)
-    return corr_dd, lbar, em2, shift, hierarchy
-
-
-def _dd_staircase(corr_dd, lbar: DD, em2: DD, M: int, N: int, tol: float):
-    """Order ladder, resummed value and spread, all in dd arithmetic."""
     lead = lbar * lbar * em2
     t = DD(1.0) / lbar
-    orders = staircase_orders()
-    if _series_is_trivial([float(c) for c in corr_dd], float(lead)):
-        values = [float(lead)] * len(orders)
-        stair = StaircaseResult(orders=orders, values=values, spread=0.0, converged=True)
-        return stair, float(lead)
-    values: list[float | None] = []
-    for Mi, Ni in orders:
-        if Mi + Ni + 1 > len(corr_dd):
-            values.append(None)
-            continue
-        try:
-            num, den = _dd.dd_pade_fit(corr_dd[: Mi + Ni + 1], Mi, Ni)
-            values.append(float(lead + _dd.dd_pade_eval(num, den, t)))
-        except (SingularPadeSystem, PoleProximity):
-            values.append(None)
-    tail = [v for v in values if v is not None][-5:]
-    spread = (max(tail) - min(tail)) if tail else math.inf
-    stair = StaircaseResult(orders=orders, values=values, spread=spread, converged=spread <= tol)
-    if (M, N) in orders:
-        # the ladder already fitted [M/N]; a failed fit would fail again
-        return stair, stair.member(M, N)
-    try:
+
+    def fit_eval(M: int, N: int) -> float:
         num, den = _dd.dd_pade_fit(corr_dd[: M + N + 1], M, N)
-        energy = float(lead + _dd.dd_pade_eval(num, den, t))
-    except (SingularPadeSystem, PoleProximity):
-        energy = None
-    return stair, energy
+        return float(lead + _dd.dd_pade_eval(num, den, t))
+
+    stair = _ladder(expansion.corrections, float(lead), fit_eval, tol)
+    return expansion, shift, _tables_from_polys(W, F, s.k, order, be), stair, fit_eval
 
 
 def solve_state(
@@ -945,7 +933,8 @@ def solve_state(
     precision "double" and "extended" force the backend; "auto" solves in
     double precision and re-solves in double-double whenever the Pade order
     ladder fails its stability tolerance, which is where double-precision
-    coefficient noise (amplified by the ill-conditioned fit) shows up.
+    coefficient noise (amplified by the ill-conditioned fit) shows up.  The
+    energy is the [M/N] value of the final ladder (see _ladder_energy).
     """
     if precision not in ("auto", "double", "extended"):
         raise ValueError(f"unknown precision {precision!r}")
@@ -958,45 +947,24 @@ def solve_state(
         raise ValueError(f"[{M}/{N}] needs order >= {M + N}, got {order}")
 
     q0 = locate_q0(p, s)
-    if precision in ("auto", "double"):
+    path = "double"
+    if precision != "extended":
         sp = shift_params(p, q0, s)
         b = b_coefficients(p, sp, 2 * order + 4)
         v = v_series(b, sp.beta, 2 * order + 2)
         expansion, hierarchy = solve_hierarchy(v, s.k, order, sp, leading_energy(p, sp))
         stair = pade_stability(expansion, tol=stability_tol)
-        if stair.converged or precision == "double":
-            # reuse the ladder's [M/N] value; a trivial series fitted no member
-            energy = None
-            if not _series_is_trivial(expansion.corrections, expansion.leading_term):
-                energy = stair.member(M, N)
-            if energy is None:
-                energy = resummed_energy(expansion, M, N)
-            return SolveResult(
-                energy=energy,
-                expansion=expansion,
-                shift=sp,
-                hierarchy=hierarchy,
-                staircase=stair,
-                precision="double",
-            )
-
-    corr_dd, lbar_dd, em2_dd, sp, hierarchy = _solve_extended(p, s, order, q0)
-    stair, energy = _dd_staircase(corr_dd, lbar_dd, em2_dd, M, N, stability_tol)
-    expansion = EnergyExpansion(
-        leading_coeff=float(em2_dd),
-        corrections=np.array([float(c) for c in corr_dd]),
-        lbar=float(lbar_dd),
-        order=order,
-    )
-    if energy is None:
-        energy = resummed_energy(expansion, M, N)
+        fit_eval = partial(resum, expansion)
+    if precision == "extended" or (precision == "auto" and not stair.converged):
+        expansion, sp, hierarchy, stair, fit_eval = _solve_extended(p, s, order, q0, stability_tol)
+        path = "extended"
     return SolveResult(
-        energy=energy,
+        energy=_ladder_energy(stair, M, N, fit_eval, expansion),
         expansion=expansion,
         shift=sp,
         hierarchy=hierarchy,
         staircase=stair,
-        precision="extended",
+        precision=path,
     )
 
 

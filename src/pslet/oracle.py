@@ -134,26 +134,33 @@ def solve_radial_fd(problem: RadialProblem, k: int, return_vector: bool = False)
     return extrapolated
 
 
-def cross_check(st, d, system: str) -> float:
-    """|E_pslet - E_oracle| in Ry* for one state of one dot configuration.
+def _fd_energy(st, d, system: str) -> float:
+    """Finite-difference energy in Ry*, mapped like ion_energy or rm_energy.
 
     system is "ion" (one electron plus impurity) or "two_electron_rm" (the
     relative-motion part of the interacting pair).
     """
-    from . import quantum_dot  # local import to keep module layering acyclic
     from .potentials import HybridPotential
 
     g = d.gamma_eff
     if system == "ion":
-        e_pslet = quantum_dot.ion_energy(d, st)
-        w = HybridPotential(a_osc=g * g / 4.0, c_coul=2.0)
-        problem = RadialProblem.auto_sized(st.m, w, st.k)
-        e_oracle = solve_radial_fd(problem, st.k) + st.m * d.gamma
+        w, scale = HybridPotential(a_osc=g * g / 4.0, c_coul=2.0), 1.0
     elif system == "two_electron_rm":
-        e_pslet = quantum_dot.rm_energy(d, st)
-        w = HybridPotential(a_osc=g * g / 16.0, c_coul=1.0)
-        problem = RadialProblem.auto_sized(st.m, w, st.k)
-        e_oracle = 2.0 * solve_radial_fd(problem, st.k) + st.m * d.gamma
+        w, scale = HybridPotential(a_osc=g * g / 16.0, c_coul=1.0), 2.0
     else:
         raise ValueError(f"unknown system {system!r}")
-    return abs(e_pslet - e_oracle)
+    problem = RadialProblem.auto_sized(st.m, w, st.k)
+    return scale * solve_radial_fd(problem, st.k) + st.m * d.gamma
+
+
+def cross_check(st, d, system: str) -> float:
+    """|E_pslet - E_oracle| in Ry* for one state solved at the default settings.
+
+    system is as in _fd_energy.  A caller that reports an energy of its own
+    compares it with the oracle through quantum_dot.oracle_delta instead.
+    """
+    from . import quantum_dot  # local import to keep module layering acyclic
+
+    e_oracle = _fd_energy(st, d, system)
+    solve = quantum_dot.ion_energy if system == "ion" else quantum_dot.rm_energy
+    return abs(solve(d, st) - e_oracle)

@@ -189,9 +189,14 @@ def ion_energy(d: DotParams, st: StateLabel, **opts) -> float:
     return 2.0 * _radial_solve(d, st, "ion", **opts).energy + st.m * d.gamma
 
 
+def _oscillator_level(d: DotParams, k: int, m: int) -> float:
+    """(2k + |m| + 1) G + m gamma: one particle in the dot without interaction."""
+    return (2 * k + abs(m) + 1) * d.gamma_eff + m * d.gamma
+
+
 def ion_free_energy(d: DotParams, st: StateLabel) -> float:
     """Closed form without the impurity: (2k + |m| + 1) G + m gamma."""
-    return (2 * st.k + abs(st.m) + 1) * d.gamma_eff + st.m * d.gamma
+    return _oscillator_level(d, st.k, st.m)
 
 
 def ion_interaction(d: DotParams, st: StateLabel, **opts) -> float:
@@ -206,7 +211,7 @@ def rm_energy(d: DotParams, st: StateLabel, **opts) -> float:
 
 def rm_free_energy(d: DotParams, st: StateLabel) -> float:
     """Relative motion without the Coulomb repulsion (same closed form)."""
-    return (2 * st.k + abs(st.m) + 1) * d.gamma_eff + st.m * d.gamma
+    return _oscillator_level(d, st.k, st.m)
 
 
 def ee_interaction(d: DotParams, st: StateLabel, **opts) -> float:
@@ -218,7 +223,7 @@ def cm_energy(d: DotParams, K: int, M: int) -> float:
     """Center-of-mass oscillator: (2K + |M| + 1) G + M gamma, exact."""
     if K < 0:
         raise ValueError("K must be non-negative")
-    return (2 * K + abs(M) + 1) * d.gamma_eff + M * d.gamma
+    return _oscillator_level(d, K, M)
 
 
 def total_energy(d: DotParams, k: int, m: int, K: int, M: int, **opts) -> TwoElectronLevel:
@@ -321,13 +326,19 @@ def spectrum_record(state, d: DotParams, interaction: bool = True, **opts) -> Sp
     return ion_record(d, state, interaction=interaction, **opts)
 
 
-def oracle_delta(state, d: DotParams) -> float:
-    """Finite-difference cross-check delta of one impurity or two-electron state."""
-    from .oracle import cross_check
+def oracle_delta(state, d: DotParams, energy: float) -> float:
+    """|energy - E_FD| for the energy a record of this state reports.
+
+    An impurity state reports its ion energy, a two-electron level its
+    relative-motion energy plus the exact center-of-mass energy.
+    """
+    from .oracle import _fd_energy
 
     if isinstance(state, TwoElectronLevel):
-        return cross_check(state.rm, d, "two_electron_rm")
-    return cross_check(state, d, "ion")
+        e_fd = _fd_energy(state.rm, d, "two_electron_rm") + cm_energy(d, state.cm_k, state.cm_m)
+    else:
+        e_fd = _fd_energy(state, d, "ion")
+    return abs(energy - e_fd)
 
 
 @dataclass(frozen=True)
@@ -429,7 +440,7 @@ def _scan_one(args):
     try:
         rec = evaluator(state, d)
         if oracle:
-            rec = replace(rec, oracle_delta=oracle_delta(state, d))
+            rec = replace(rec, oracle_delta=oracle_delta(state, d, rec.energy))
         return rec
     except PsletError as err:
         return failed_record(_state_label(state), d, err)

@@ -18,7 +18,6 @@ from importlib import resources
 
 from .engine import DEFAULT_ORDER, DEFAULT_PADE
 from .errors import PsletError
-from .oracle import cross_check
 from .quantum_dot import (
     DotParams,
     SpectrumRecord,
@@ -27,6 +26,7 @@ from .quantum_dot import (
     cm_energy,
     failed_record,
     ion_record,
+    oracle_delta,
     rm_free_energy,
     scan_spectrum,
     spectrum_record,
@@ -173,58 +173,31 @@ def compute_table(
     under several center-of-mass states) are solved once, by the radial memo
     of quantum_dot.
     """
-    golden = load_golden(table_id)
     opts = {"order": order, "pade": pade, "precision": precision}
     cells = []
-    if table_id == 1:
-        for row in golden:
-            k, m, g = int(row["k"]), int(row["m"]), float(row["gamma"])
-            d = DotParams(gamma=g, gamma_d=_T1_GAMMA_D)
-            cell = _safe(
-                lambda: ion_record(d, StateLabel(k, m), **opts),
-                StateLabel(k, m).name,
-                d,
-                float(row["energy"]),
-            )
-            if oracle and cell.error is None:
-                cell = replace(cell, oracle_delta=cross_check(StateLabel(k, m), d, "ion"))
-            cells.append(cell)
-    elif table_id in (2, 3):
-        for row in golden:
-            k, m, g_eff = int(row["k"]), int(row["m"]), float(row["Gamma"])
-            d = DotParams(gamma=0.0, gamma_d=g_eff)
-            cell = _safe(
-                lambda: _pair_interaction_record(StateLabel(k, m), d, **opts),
-                radial_name(k, m),
-                d,
-                float(row["energy"]),
-            )
-            if oracle and cell.error is None:
-                delta = cross_check(StateLabel(k, m), d, "two_electron_rm")
-                cell = replace(cell, oracle_delta=delta)
-            cells.append(cell)
-    elif table_id in (4, 5):
-        for row in golden:
-            k, m = int(row["k"]), int(row["m"])
+    for row in load_golden(table_id):
+        st = StateLabel(int(row["k"]), int(row["m"]))
+        if table_id == 1:
+            d = DotParams(gamma=float(row["gamma"]), gamma_d=_T1_GAMMA_D)
+            label, fn = st.name, partial(ion_record, d, st, **opts)
+            delta = partial(oracle_delta, st, d)
+        elif table_id in (2, 3):
+            d = DotParams(gamma=0.0, gamma_d=float(row["Gamma"]))
+            label, fn = radial_name(st.k, st.m), partial(_pair_interaction_record, st, d, **opts)
+            delta = partial(_pair_oracle_delta, st, d)
+        else:
             K, M = int(row["K"]), int(row["M"])
             if table_id == 4:
                 d = DotParams(gamma=0.0, gamma_d=float(row["gamma_d"]))
             else:
                 d = DotParams(gamma=float(row["gamma"]), gamma_d=_T5_GAMMA_D)
-            label = f"{row['tag']}:({k},{m};{K},{M};{row['s']})"
-            lvl = TwoElectronLevel(rm=StateLabel(k, m), cm_k=K, cm_m=M)
-            cell = _safe(
-                lambda: two_electron_record(d, lvl, **opts),
-                label,
-                d,
-                float(row["energy"]),
-            )
-            if oracle and cell.error is None:
-                delta = cross_check(StateLabel(k, m), d, "two_electron_rm")
-                cell = replace(cell, oracle_delta=delta)
-            cells.append(cell)
-    else:
-        raise ValueError(f"table id must be one of {TABLE_IDS}")
+            label = f"{row['tag']}:({st.k},{st.m};{K},{M};{row['s']})"
+            lvl = TwoElectronLevel(rm=st, cm_k=K, cm_m=M)
+            fn, delta = partial(two_electron_record, d, lvl, **opts), partial(oracle_delta, lvl, d)
+        cell = _safe(fn, label, d, float(row["energy"]))
+        if oracle and cell.error is None:
+            cell = replace(cell, oracle_delta=delta(cell.value))
+        cells.append(cell)
     return TableReport(table_id=table_id, cells=cells, tolerance=tolerance)
 
 
@@ -276,6 +249,12 @@ def _pair_interaction_record(state: StateLabel, d: DotParams, **opts) -> Spectru
     )
 
 
+def _pair_oracle_delta(state: StateLabel, d: DotParams, energy: float) -> float:
+    """oracle_delta of a pair interaction energy, its exact parts added back."""
+    level = TwoElectronLevel(rm=state, cm_k=0, cm_m=0)
+    return oracle_delta(level, d, energy + cm_energy(d, 0, 0) + rm_free_energy(d, state))
+
+
 def figure_curves(
     fig_id: int,
     grid=None,
@@ -308,7 +287,7 @@ def figure_curves(
                 try:
                     rec = _pair_interaction_record(st, d, **opts)
                     if oracle:
-                        rec = replace(rec, oracle_delta=cross_check(st, d, "two_electron_rm"))
+                        rec = replace(rec, oracle_delta=_pair_oracle_delta(st, d, rec.energy))
                     records.append(rec)
                 except PsletError as err:
                     records.append(failed_record(radial_name(st.k, st.m), d, err))

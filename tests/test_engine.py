@@ -225,9 +225,10 @@ class TestHierarchy:
 
     def test_odd_log_derivative_rows_vanish(self):
         sp, e, h = _solve_pieces(ION, S00)
-        assert np.all(h.d_table[0, :] == 0.0)
-        # odd half-orders carry no odd-parity piece
-        assert np.max(np.abs(h.d_table[:, 1::2])) == 0.0
+        for j, w in enumerate(h.w_polys):
+            # odd half-orders carry no odd-parity piece, even ones no even-parity piece
+            assert np.all(w[j % 2 :: 2] == 0.0), j
+            assert np.any(w[1 - j % 2 :: 2] != 0.0), j
 
     def test_prefactor_is_monic(self):
         p = HybridPotential(a_osc=0.9**2 / 8.0, c_coul=1.0)
@@ -420,6 +421,44 @@ class TestSolveState:
         res = solve_state(ION, S00, precision="double", pade=(5, 3))
         assert res.staircase.member(5, 3) is None
         assert res.energy == resummed_energy(res.expansion, 5, 3)
+
+    @staticmethod
+    def _count_double_fits(monkeypatch):
+        fits = []
+        real = engine.pade_fit
+        monkeypatch.setattr(
+            engine, "pade_fit", lambda c, M, N: fits.append((M, N)) or real(c, M, N)
+        )
+        return fits
+
+    def test_failed_double_member_falls_to_the_next_ladder_member(self, monkeypatch):
+        # the [9/10] fit fails here; the energy is the ladder's [9/9] value,
+        # read off the ladder, not fitted a second time
+        fits = self._count_double_fits(monkeypatch)
+        p = HybridPotential(a_osc=0.05**2 / 8.0, c_coul=1.0)
+        res = solve_state(p, StateIndex.from_azimuthal(1, 0), precision="double")
+        assert res.staircase.member(9, 10) is None
+        assert len(fits) == 17
+        assert res.energy == res.staircase.member(9, 9)
+
+    def test_failed_dd_member_falls_to_the_dd_ladder(self, monkeypatch):
+        # a dd solve whose own [9/10] fit fails takes the dd [9/9] member;
+        # it never refits the rounded corrections in double precision
+        fits = self._count_double_fits(monkeypatch)
+        p = HybridPotential(a_osc=0.0881**2 / 32.0, c_coul=0.5)
+        res = solve_state(p, StateIndex.from_azimuthal(3, 0), precision="extended")
+        assert res.staircase.member(9, 10) is None
+        assert res.energy == res.staircase.member(9, 9)
+        assert fits == []
+
+    def test_dd_origin_polish_must_converge(self, monkeypatch):
+        # a derivative eight times too steep leaves the fourth dd Newton step
+        # near 1e-17 q instead of at dd rounding level
+        q0 = locate_q0(ION, S00)
+        real = engine._root_derivative
+        monkeypatch.setattr(engine, "_root_derivative", lambda p, q, s: 8.0 * real(p, q, s))
+        with pytest.raises(NoRootInDomain, match="did not converge"):
+            engine._dd_shift_and_b(ION, S00, q0, 10)
 
 
 @pytest.mark.parametrize(

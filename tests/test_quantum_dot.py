@@ -144,6 +144,13 @@ class TestIonEnergies:
         assert got == pytest.approx(ion_free_energy(d, st), abs=1e-10)
         assert got == pytest.approx(0.547214, abs=1e-6)
 
+    def test_ion_4s_oracle_miss_is_flagged(self):
+        # the [9/10] value misses the finite-difference oracle by 1.5e-3 here
+        # ([9/9] is within 2e-6); the ladder spread of 8e-4 already says so
+        rec = quantum_dot.ion_record(DotParams(0.0, 0.179876), StateLabel(3, 0))
+        assert not rec.converged
+        assert rec.pade_spread > 5e-5
+
     def test_error_annotated_with_label(self):
         d = DotParams(0.0, 0.2)
         with pytest.raises(PsletError, match="2p-"):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pslet import cli, oracle, tables
+from pslet import DotParams, StateLabel, cli, oracle, tables
 
 
 class TestGoldenData:
@@ -127,6 +127,21 @@ class TestCli:
         assert code == 0
         energy = float(out.split("energy=")[1].split()[0])
         assert energy == pytest.approx(0.3062, abs=1e-3)
+
+    def test_solve_oracle_checks_the_reported_energy(self, capsys):
+        # with --order/--pade the printed energy is not the default solve's;
+        # the delta compares the finite-difference value with the printed one
+        st, d = StateLabel(1, 0), DotParams(0.1, 0.2)
+        cli.main(
+            ["solve", "--system", "ion", "--k", "1", "--m", "0", "--gamma", "0.1",
+             "--gamma-d", "0.2", "--order", "8", "--pade", "4", "4", "--oracle"]
+        )
+        out = capsys.readouterr().out
+        energy = float(out.split("energy=")[1].split()[0])
+        delta = float(out.split("oracle_delta=")[1].split()[0])
+        assert energy == pytest.approx(1.286276, abs=1e-6)
+        assert delta == pytest.approx(abs(energy - oracle._fd_energy(st, d, "ion")), abs=1e-6)
+        assert delta > 1.5e-4
 
     def test_solve_without_coulomb(self, capsys):
         code = cli.main(
