@@ -13,34 +13,15 @@ Typical use::
     d = DotParams(gamma=0.0, gamma_d=0.2)
     e = ion_energy(d, StateLabel(k=0, m=0))   # 0.8162 Ry*
 
-The `pslet` command-line tool exposes single solves, golden-table
-reproduction, figure data and field scans.
+The root exports the dot-level API and the radial solver's entry points;
+the layers beneath (origin search, hierarchy, Pade ladder) are importable
+from their modules, pslet.engine, pslet.series and pslet.oracle.  The
+`pslet` command-line tool exposes single solves, golden-table reproduction,
+figure data and field scans.
 """
 
-from .engine import (
-    DEFAULT_ORDER,
-    DEFAULT_PADE,
-    ORDER_CAP,
-    STABILITY_TOL,
-    EnergyExpansion,
-    HierarchyState,
-    ShiftParams,
-    SolveResult,
-    StaircaseResult,
-    StateIndex,
-    b_coefficients,
-    leading_energy,
-    locate_q0,
-    pade_stability,
-    resum,
-    resummed_energy,
-    shift_params,
-    solve_hierarchy,
-    solve_state,
-    subleading_coefficient,
-    v_series,
-    wavefunction_eval,
-)
+from . import tables
+from .engine import StateIndex, solve_state, wavefunction_eval
 from .errors import (
     DomainTooSmall,
     HierarchyResidual,
@@ -55,52 +36,29 @@ from .errors import (
     SingularPadeSystem,
     ZeroPivot,
 )
-from .oracle import RadialProblem, cross_check, solve_radial_fd, sturm_count
-from .potentials import HybridPotential, PotentialModel, effective_potential, hybrid_derivative
+from .oracle import RadialProblem, solve_radial_fd
+from .potentials import HybridPotential
 from .quantum_dot import (
-    Crossing,
     DotParams,
-    SpectrumRecord,
     StateLabel,
     TwoElectronLevel,
-    cm_energy,
     ee_interaction,
     ion_energy,
     ion_free_energy,
     ion_interaction,
-    ion_record,
     landau_cluster,
     level_order,
-    rm_energy,
-    rm_free_energy,
     scan_spectrum,
     spectrum_record,
-    spin_of_m,
     total_energy,
-    two_electron_record,
-)
-from .series import (
-    PadeApproximant,
-    Polynomial,
-    pade_eval,
-    pade_fit,
-    poly_combine,
-    staircase_orders,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "DEFAULT_ORDER",
-    "DEFAULT_PADE",
-    "ORDER_CAP",
-    "STABILITY_TOL",
-    "Crossing",
     "DomainTooSmall",
-    "HierarchyResidual",
     "DotParams",
-    "EnergyExpansion",
-    "HierarchyState",
+    "HierarchyResidual",
     "HybridPotential",
     "NoRootInDomain",
     "NonIntegralCluster",
@@ -108,55 +66,25 @@ __all__ = [
     "NotConverged",
     "OmegaDomainError",
     "OrderOverflow",
-    "PadeApproximant",
     "PoleProximity",
-    "Polynomial",
-    "PotentialModel",
     "PsletError",
     "RadialProblem",
-    "ShiftParams",
     "SingularPadeSystem",
-    "SolveResult",
-    "SpectrumRecord",
-    "StaircaseResult",
     "StateIndex",
     "StateLabel",
     "TwoElectronLevel",
     "ZeroPivot",
-    "b_coefficients",
-    "cm_energy",
-    "cross_check",
     "ee_interaction",
-    "effective_potential",
-    "hybrid_derivative",
     "ion_energy",
     "ion_free_energy",
     "ion_interaction",
-    "ion_record",
     "landau_cluster",
-    "leading_energy",
     "level_order",
-    "locate_q0",
-    "pade_eval",
-    "pade_fit",
-    "pade_stability",
-    "poly_combine",
-    "resum",
-    "resummed_energy",
-    "rm_energy",
-    "rm_free_energy",
     "scan_spectrum",
-    "shift_params",
-    "solve_hierarchy",
     "solve_radial_fd",
     "solve_state",
     "spectrum_record",
-    "spin_of_m",
-    "staircase_orders",
-    "sturm_count",
-    "subleading_coefficient",
+    "tables",
     "total_energy",
-    "two_electron_record",
-    "v_series",
     "wavefunction_eval",
 ]

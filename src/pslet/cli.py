@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--gamma", type=float, required=True)
     p_solve.add_argument("--gamma-d", type=float, required=True)
     p_solve.add_argument("--no-coulomb", action="store_true",
-                         help="switch the Coulomb term off (closed-form check)")
+                         help="use the closed interaction-free forms")
     common(p_solve)
 
     p_table = sub.add_parser("table", help="reproduce a golden table")
@@ -97,18 +97,18 @@ def _solver_opts(args) -> dict:
 
 def _cmd_solve(args) -> int:
     d = DotParams(gamma=args.gamma, gamma_d=args.gamma_d)
-    coulomb = not args.no_coulomb
+    interaction = not args.no_coulomb
     if args.system == "ion":
         state = StateLabel(args.k, args.m)
-        rec = ion_record(d, state, coulomb=coulomb, **_solver_opts(args))
+        rec = ion_record(d, state, interaction=interaction, **_solver_opts(args))
     else:
         state = TwoElectronLevel(rm=StateLabel(args.k, args.m), cm_k=args.K, cm_m=args.M)
-        rec = two_electron_record(d, state, coulomb=coulomb, **_solver_opts(args))
+        rec = two_electron_record(d, state, interaction=interaction, **_solver_opts(args))
     line = (
         f"{rec.label} energy={rec.energy:.6f} leading_fraction={rec.leading_fraction:.6f} "
         f"pade_spread={rec.pade_spread:.3e}"
     )
-    if args.oracle and coulomb:
+    if args.oracle and interaction:
         line += f" oracle_delta={oracle_delta(state, d, rec.energy):.6f}"
     line += f" converged={'yes' if rec.converged else 'no'}"
     print(line)

@@ -14,11 +14,14 @@ log-derivative corrections plus one energy coefficient; odd half-orders
 carry the even-parity corrections.  The divergent correction series is then
 resummed with a Pade approximant in 1/lbar.
 
-Everything runs in double precision by default.  The series coefficients
-are accurate to ~1e-13 relative there, but the Pade fit of a factorially
-growing series can amplify that noise by ~1e10, so states whose order
-ladder is unstable in double precision are re-solved in double-double
-arithmetic ("auto" escalation).
+Everything runs in double precision by default.  The hierarchy sums
+heavily cancelling terms, so its rounding error grows with the order: the
+double-precision E^(19) is off by 1.0e-2 relative for relative motion with
+k = 0, |m| = 1, Gamma = 2, and by 7.3e-5 for the ion 1s state at
+Gamma = 0.2, measured against double-double.  States whose order ladder is
+unstable in double precision are therefore re-solved in double-double
+arithmetic ("auto" escalation); the escalation guards against the
+hierarchy's rounding error, not against the Pade fit.
 """
 
 from __future__ import annotations
@@ -35,14 +38,15 @@ from ._dd import DD, DDPoly
 from .errors import (
     HierarchyResidual,
     NoRootInDomain,
+    NonPositiveRadius,
     OmegaDomainError,
     OrderOverflow,
     PoleProximity,
     SingularPadeSystem,
     ZeroPivot,
 )
-from .potentials import PotentialModel
-from .series import Polynomial, pade_eval, pade_fit, staircase_orders
+from .potentials import HybridPotential
+from .series import pade_eval, pade_fit, staircase_orders
 
 # Highest correction order E^(n) the hierarchy will produce.
 ORDER_CAP = 30
@@ -56,6 +60,9 @@ DEFAULT_PADE = (9, 10)
 
 # Engine-unit stability demanded of the last five order-ladder members.
 STABILITY_TOL = 5e-5
+
+# Log-spaced points on which locate_q0 looks for a sign change.
+_N_SCAN = 512
 
 
 @dataclass(frozen=True)
@@ -81,11 +88,6 @@ class StateIndex:
     def from_azimuthal(cls, k: int, m: int) -> "StateIndex":
         return cls(k=k, l_eff=abs(m) - 0.5)
 
-    @property
-    def centrifugal_factor(self) -> float:
-        """l_eff (l_eff + 1), the coefficient of 1/(2 q^2)."""
-        return self.l_eff * (self.l_eff + 1.0)
-
 
 @dataclass(frozen=True)
 class ShiftParams:
@@ -100,10 +102,6 @@ class ShiftParams:
     def q_scale(self) -> float:
         """lbar**2, the constant that scales the potential term."""
         return self.lbar * self.lbar
-
-    @property
-    def expansion_parameter(self) -> float:
-        return 1.0 / self.lbar
 
 
 @dataclass(frozen=True)
@@ -157,10 +155,6 @@ class StaircaseResult:
     spread: float
     converged: bool
 
-    @property
-    def available(self) -> list:
-        return [v for v in self.values if v is not None]
-
     def member(self, M: int, N: int) -> float | None:
         """The ladder's own [M/N] value; None when (M, N) is off the ladder or its fit failed."""
         try:
@@ -189,11 +183,11 @@ class SolveResult:
 # expansion origin and shift geometry
 # ----------------------------------------------------------------------
 
-def _omega_sq(p: PotentialModel, q: float) -> float:
+def _omega_sq(p: HybridPotential, q: float) -> float:
     return 3.0 + q * p.derivative(q, 2) / p.derivative(q, 1)
 
 
-def _root_function(p: PotentialModel, q: float, s: StateIndex) -> float:
+def _root_function(p: HybridPotential, q: float, s: StateIndex) -> float:
     """sqrt(q^3 V') - [l_eff + 1/2 + (k + 1/2) Omega(q)], increasing in q."""
     vp = p.derivative(q, 1)
     if vp <= 0.0:
@@ -204,7 +198,7 @@ def _root_function(p: PotentialModel, q: float, s: StateIndex) -> float:
     return math.sqrt(q**3 * vp) - (s.l_eff + 0.5 + (s.k + 0.5) * math.sqrt(om2))
 
 
-def _root_derivative(p: PotentialModel, q: float, s: StateIndex) -> float:
+def _root_derivative(p: HybridPotential, q: float, s: StateIndex) -> float:
     v1 = p.derivative(q, 1)
     v2 = p.derivative(q, 2)
     v3 = p.derivative(q, 3)
@@ -214,18 +208,17 @@ def _root_derivative(p: PotentialModel, q: float, s: StateIndex) -> float:
     return d_sqrt - (s.k + 0.5) * d_omega
 
 
-def _curvature_ok(p: PotentialModel, q: float) -> bool:
+def _curvature_ok(p: HybridPotential, q: float) -> bool:
     """Second minimization condition: d2/dq2 of the leading term is positive."""
     q_scale = q**3 * p.derivative(q, 1)
     return 3.0 / q**4 + p.derivative(q, 2) / q_scale > 0.0
 
 
 def locate_q0(
-    p: PotentialModel,
+    p: HybridPotential,
     s: StateIndex,
     q_lo: float | None = None,
     q_hi: float | None = None,
-    n_scan: int = 512,
 ) -> float:
     """Find the expansion origin: the radius minimizing the leading energy term.
 
@@ -234,21 +227,17 @@ def locate_q0(
     When several roots exist the smallest one with positive curvature of the
     leading term is returned.
     """
-    # oscillator stiffness from the large-q curvature (V'' -> 2 a_osc there)
-    a_osc = getattr(p, "a_osc", None)
-    a2 = 2.0 * a_osc if a_osc is not None else p.derivative(1e3, 2)
+    a2 = 2.0 * p.a_osc
     osc_len = (a2 / 2.0) ** -0.25 if a2 > 0.0 else 1.0
     if q_lo is None:
-        # for a repulsive-core hybrid the frequency diverges at 2 a q^3 = c
-        coul = getattr(p, "c_coul", 0.0)
-        if coul > 0.0 and a2 > 0.0:
+        if p.c_coul > 0.0 and a2 > 0.0:
             # the frequency diverges at 2 a_osc q^3 = c_coul; stay just above
-            q_lo = 1.01 * (coul / a2) ** (1.0 / 3.0)
+            q_lo = 1.01 * (p.c_coul / a2) ** (1.0 / 3.0)
         else:
             q_lo = 1e-8 * osc_len
     if q_hi is None:
         q_hi = 1e3 * osc_len
-    grid = np.geomspace(q_lo, q_hi, n_scan)
+    grid = np.geomspace(q_lo, q_hi, _N_SCAN)
     vals = np.array([_root_function(p, q, s) for q in grid])
     finite = np.isfinite(vals)
     if not finite.any():
@@ -257,7 +246,7 @@ def locate_q0(
         )
     brackets = [
         (grid[i], grid[i + 1])
-        for i in range(n_scan - 1)
+        for i in range(_N_SCAN - 1)
         if finite[i] and finite[i + 1] and vals[i] < 0.0 <= vals[i + 1]
     ]
     if not brackets:
@@ -277,7 +266,7 @@ def locate_q0(
     )
 
 
-def _polish_root(p: PotentialModel, s: StateIndex, lo: float, hi: float) -> float:
+def _polish_root(p: HybridPotential, s: StateIndex, lo: float, hi: float) -> float:
     """Newton iteration kept inside the bracket by bisection fallback.
 
     Polished to full machine convergence, not merely |g| small: the
@@ -307,7 +296,7 @@ def _polish_root(p: PotentialModel, s: StateIndex, lo: float, hi: float) -> floa
     return q
 
 
-def shift_params(p: PotentialModel, q0: float, s: StateIndex) -> ShiftParams:
+def shift_params(p: HybridPotential, q0: float, s: StateIndex) -> ShiftParams:
     """Frequency, shift and shifted angular momentum at the expansion origin."""
     om2 = _omega_sq(p, q0)
     if om2 <= 0.0:
@@ -325,12 +314,12 @@ def subleading_coefficient(sp: ShiftParams, k: int) -> float:
     return ((2.0 * sp.beta + 1.0) / 2.0 + (k + 0.5) * sp.omega) / sp.q0**2
 
 
-def leading_energy(p: PotentialModel, sp: ShiftParams) -> float:
+def leading_energy(p: HybridPotential, sp: ShiftParams) -> float:
     """Coefficient of lbar^2 in the energy: 1/(2 q0^2) + V(q0)/lbar^2."""
     return 0.5 / sp.q0**2 + p.value(sp.q0) / sp.q_scale
 
 
-def b_coefficients(p: PotentialModel, sp: ShiftParams, n_max: int) -> np.ndarray:
+def b_coefficients(p: HybridPotential, sp: ShiftParams, n_max: int) -> np.ndarray:
     """Taylor coefficients B_n of the scaled effective potential about q0.
 
     Returns an array b with b[n] = B_n for 1 <= n <= n_max (b[0] unused).
@@ -347,16 +336,17 @@ def b_coefficients(p: PotentialModel, sp: ShiftParams, n_max: int) -> np.ndarray
     return b
 
 
-def v_series(b: np.ndarray, beta: float, n_max: int) -> list[Polynomial]:
+def v_series(b: np.ndarray, beta: float, n_max: int) -> list[np.ndarray]:
     """Perturbation polynomials v^(0)..v^(n_max) of the oscillator expansion.
 
     v^(0) = B_2 x^2 + (2 beta + 1)/2,
     v^(1) = -(2 beta + 1) x + B_3 x^3, and for n >= 2
     v^(n) = B_{n+2} x^{n+2} + (-1)^n (2b+1)(n+1)/2 x^n + (-1)^n b(b+1)(n-1)/2 x^{n-2}.
+    Each is a coefficient array, constant term first.
     """
     if len(b) < n_max + 3:
         raise ValueError(f"need B up to index {n_max + 2}, got {len(b) - 1}")
-    return [Polynomial(c, n_max + 2) for c in _v_polys(b, beta, n_max, _F64Backend())]
+    return _v_polys(b, beta, n_max, _F64Backend())
 
 
 def _v_polys(b, beta, n_max: int, backend) -> list:
@@ -716,7 +706,7 @@ def _tables_from_polys(W, F, k, order, backend) -> HierarchyState:
 
 
 def solve_hierarchy(
-    v: list[Polynomial],
+    v: list[np.ndarray],
     k: int,
     order: int,
     shift: ShiftParams,
@@ -724,9 +714,9 @@ def solve_hierarchy(
 ) -> tuple[EnergyExpansion, HierarchyState]:
     """Solve the matching hierarchy in double precision.
 
-    v must cover half-orders 0..2*order+2 (as produced by v_series with
-    n_max = 2*order+2).  Returns the correction ladder E^(0)..E^(order) and
-    the full coefficient tables.
+    v holds the coefficient arrays of half-orders 0..2*order+2 (as produced
+    by v_series with n_max = 2*order+2).  Returns the correction ladder
+    E^(0)..E^(order) and the full coefficient tables.
     """
     if order > ORDER_CAP or order < 0:
         raise OrderOverflow(f"order {order} outside supported range 0..{ORDER_CAP}")
@@ -734,7 +724,7 @@ def solve_hierarchy(
     if len(v) < J + 1:
         raise ValueError(f"need v^(0)..v^({J}), got {len(v)} polynomials")
     be = _F64Backend()
-    vpolys = [np.asarray(p.coeffs, dtype=float) for p in v]
+    vpolys = [np.asarray(c, dtype=float) for c in v]
     corr, W, F = _hierarchy_core(vpolys, k, order, shift.omega, shift.q0, be)
     expansion = EnergyExpansion(
         leading_coeff=leading_coeff,
@@ -752,8 +742,8 @@ def solve_hierarchy(
 def resum(e: EnergyExpansion, M: int = DEFAULT_PADE[0], N: int = DEFAULT_PADE[1]) -> float:
     """lbar^2 leading coefficient plus the [M/N] Pade value at 1/lbar.
 
-    Propagates SingularPadeSystem / PoleProximity; callers that need a value
-    regardless should use resummed_energy, which falls back down the ladder.
+    Propagates SingularPadeSystem / PoleProximity; solve_state falls back
+    down the order ladder instead (see _ladder_energy).
     """
     if len(e.corrections) < M + N + 1:
         raise ValueError(f"[{M}/{N}] needs {M + N + 1} corrections, have {len(e.corrections)}")
@@ -761,25 +751,12 @@ def resum(e: EnergyExpansion, M: int = DEFAULT_PADE[0], N: int = DEFAULT_PADE[1]
     return e.leading_term + pade_eval(approximant, 1.0 / e.lbar)
 
 
-def resummed_energy(
-    e: EnergyExpansion, M: int = DEFAULT_PADE[0], N: int = DEFAULT_PADE[1]
-) -> float:
-    """The [M/N] energy of the expansion, falling back down its order ladder.
-
-    Evaluates the whole ladder (pade_stability) and applies the rule that
-    solve_state applies in either precision; see _ladder_energy.
-    """
-    if len(e.corrections) < M + N + 1:
-        raise ValueError(f"[{M}/{N}] needs {M + N + 1} corrections, have {len(e.corrections)}")
-    return _ladder_energy(pade_stability(e), M, N, partial(resum, e), e)
-
-
-def pade_stability(e: EnergyExpansion, tol: float = STABILITY_TOL) -> StaircaseResult:
+def pade_stability(e: EnergyExpansion) -> StaircaseResult:
     """Evaluate the double-precision Pade order ladder of the expansion."""
-    return _ladder(e.corrections, e.leading_term, partial(resum, e), tol)
+    return _ladder(e.corrections, e.leading_term, partial(resum, e))
 
 
-def _ladder(corrections: np.ndarray, lead: float, fit_eval, tol: float) -> StaircaseResult:
+def _ladder(corrections: np.ndarray, lead: float, fit_eval) -> StaircaseResult:
     """The Pade order ladder of one series and its late-member stability.
 
     corrections holds the series in double precision and lead its leading
@@ -787,8 +764,8 @@ def _ladder(corrections: np.ndarray, lead: float, fit_eval, tol: float) -> Stair
     at 1/lbar, fitted in the precision of the solve.  Members whose fit
     fails or whose denominator sits on a pole are recorded as missing.  The
     spread is max - min over the last five available members (fewer if the
-    ladder is shorter); spread <= tol is the convergence signal used to
-    accept a state.
+    ladder is shorter); spread <= STABILITY_TOL is the convergence signal
+    used to accept a state.
     """
     orders = staircase_orders()
     if _series_is_trivial(corrections, lead):
@@ -800,7 +777,9 @@ def _ladder(corrections: np.ndarray, lead: float, fit_eval, tol: float) -> Stair
     ]
     tail = [v for v in values if v is not None][-5:]
     spread = (max(tail) - min(tail)) if tail else math.inf
-    return StaircaseResult(orders=orders, values=values, spread=spread, converged=spread <= tol)
+    return StaircaseResult(
+        orders=orders, values=values, spread=spread, converged=spread <= STABILITY_TOL
+    )
 
 
 def _fit_or_none(fit_eval, M: int, N: int) -> float | None:
@@ -846,17 +825,12 @@ def _series_is_trivial(corrections: np.ndarray, leading_term: float) -> bool:
 # extended-precision path and the orchestrating solver
 # ----------------------------------------------------------------------
 
-def _dd_shift_and_b(p: PotentialModel, s: StateIndex, q0_seed: float, n_b: int):
+def _dd_shift_and_b(p: HybridPotential, s: StateIndex, q0_seed: float, n_b: int):
     """Polish the origin and rebuild the shift geometry and B_n in dd.
 
-    Only the oscillator-plus-Coulomb family is supported here: the Taylor
-    coefficients beyond second order are generated from its closed form.
+    The Taylor coefficients beyond second order come from the closed form
+    of the hybrid potential.
     """
-    if not all(hasattr(p, name) for name in ("derivative_dd", "a_osc", "c_coul")):
-        raise TypeError(
-            "extended precision supports only potentials of the "
-            "oscillator-plus-Coulomb family (need derivative_dd/a_osc/c_coul)"
-        )
     half = DD(0.5)
     three = DD(3.0)
 
@@ -885,8 +859,8 @@ def _dd_shift_and_b(p: PotentialModel, s: StateIndex, q0_seed: float, n_b: int):
     Q = lbar * lbar
     b: list[DD] = [DD(0.0)] * (n_b + 1)
     q4 = q * q * q * q
-    coul = DD(getattr(p, "c_coul", 0.0))
-    a_osc = DD(getattr(p, "a_osc", 0.0))
+    coul = DD(p.c_coul)
+    a_osc = DD(p.a_osc)
     b[1] = DD(-1.0) + (DD(2.0) * a_osc * q4 - coul * q) / Q
     b[2] = DD(1.5) + (a_osc * q4 + coul * q) / Q
     cq = coul * q / Q
@@ -896,7 +870,7 @@ def _dd_shift_and_b(p: PotentialModel, s: StateIndex, q0_seed: float, n_b: int):
     return q, omega, beta, lbar, b, em2
 
 
-def _solve_extended(p: PotentialModel, s: StateIndex, order: int, q0_seed: float, tol: float):
+def _solve_extended(p: HybridPotential, s: StateIndex, order: int, q0_seed: float):
     """The dd solve: expansion, shift, hierarchy, dd ladder and its fit callable."""
     J = 2 * order + 2
     q, omega, beta, lbar, b, em2 = _dd_shift_and_b(p, s, q0_seed, J + 4)
@@ -916,17 +890,16 @@ def _solve_extended(p: PotentialModel, s: StateIndex, order: int, q0_seed: float
         num, den = _dd.dd_pade_fit(corr_dd[: M + N + 1], M, N)
         return float(lead + _dd.dd_pade_eval(num, den, t))
 
-    stair = _ladder(expansion.corrections, float(lead), fit_eval, tol)
+    stair = _ladder(expansion.corrections, float(lead), fit_eval)
     return expansion, shift, _tables_from_polys(W, F, s.k, order, be), stair, fit_eval
 
 
 def solve_state(
-    p: PotentialModel,
+    p: HybridPotential,
     s: StateIndex,
     order: int = DEFAULT_ORDER,
     pade: tuple[int, int] = DEFAULT_PADE,
     precision: str = "auto",
-    stability_tol: float = STABILITY_TOL,
 ) -> SolveResult:
     """Full pipeline for one radial state in engine units.
 
@@ -938,11 +911,11 @@ def solve_state(
     """
     if precision not in ("auto", "double", "extended"):
         raise ValueError(f"unknown precision {precision!r}")
-    if not (math.isfinite(stability_tol) and stability_tol >= 0.0):
-        raise ValueError(f"stability_tol must be finite and non-negative, got {stability_tol}")
     if order > ORDER_CAP or order < 0:
         raise OrderOverflow(f"order {order} outside supported range 0..{ORDER_CAP}")
     M, N = pade
+    if M < 0 or N < 0:
+        raise ValueError(f"Pade degrees must be non-negative, got [{M}/{N}]")
     if M + N + 1 > order + 1:
         raise ValueError(f"[{M}/{N}] needs order >= {M + N}, got {order}")
 
@@ -953,10 +926,10 @@ def solve_state(
         b = b_coefficients(p, sp, 2 * order + 4)
         v = v_series(b, sp.beta, 2 * order + 2)
         expansion, hierarchy = solve_hierarchy(v, s.k, order, sp, leading_energy(p, sp))
-        stair = pade_stability(expansion, tol=stability_tol)
+        stair = pade_stability(expansion)
         fit_eval = partial(resum, expansion)
     if precision == "extended" or (precision == "auto" and not stair.converged):
-        expansion, sp, hierarchy, stair, fit_eval = _solve_extended(p, s, order, q0, stability_tol)
+        expansion, sp, hierarchy, stair, fit_eval = _solve_extended(p, s, order, q0)
         path = "extended"
     return SolveResult(
         energy=_ladder_energy(stair, M, N, fit_eval, expansion),
@@ -987,8 +960,6 @@ def wavefunction_eval(
     """
     q = np.asarray(q_grid, dtype=float)
     if np.any(q <= 0.0):
-        from .errors import NonPositiveRadius
-
         raise NonPositiveRadius("wavefunction grid must be strictly positive")
     x = math.sqrt(sp.lbar) * (q - sp.q0) / sp.q0
     if np.any(np.abs(x) > x_max):
@@ -1002,8 +973,8 @@ def wavefunction_eval(
     scale = 1.0
     # f_polys[0] already carries the monic x**k head of the prefactor
     for w, f in zip(h.w_polys, h.f_polys):
-        u_int = Polynomial(w, cap=len(w)).antiderivative()
-        exponent += scale * u_int(x)
+        u_int = np.concatenate(([0.0], w / np.arange(1, len(w) + 1)))
+        exponent += scale * np.polynomial.polynomial.polyval(x, u_int)
         prefactor += scale * np.polynomial.polynomial.polyval(x, f)
         scale *= rt
     return prefactor * np.exp(exponent)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import DomainTooSmall, NotConverged
-from .potentials import PotentialModel
+from .potentials import HybridPotential
 
 TAIL_LIMIT = 1e-6          # max relative eigenvector amplitude at q = L
 RICHARDSON_TOL = 1e-4      # relative agreement demanded between grids
@@ -35,7 +35,7 @@ class RadialProblem:
     """Full-scale radial problem on (0, L] with n_points staggered points."""
 
     m: int
-    W: PotentialModel
+    W: HybridPotential
     L: float
     n_points: int
 
@@ -46,9 +46,9 @@ class RadialProblem:
             raise ValueError(f"need at least {MIN_POINTS} grid points")
 
     @classmethod
-    def auto_sized(cls, m: int, W: PotentialModel, k: int) -> "RadialProblem":
+    def auto_sized(cls, m: int, W: HybridPotential, k: int) -> "RadialProblem":
         """Domain from the oscillator tail of W; holds ~8 turning radii."""
-        omega_eff = 2.0 * math.sqrt(getattr(W, "a_osc", None) or W.derivative(1e3, 2) / 2.0)
+        omega_eff = 2.0 * math.sqrt(W.a_osc or W.derivative(1e3, 2) / 2.0)
         L = 8.0 * math.sqrt((2 * k + abs(m) + 3) / omega_eff)
         n = max(MIN_POINTS, int(24.0 * L))
         return cls(m=m, W=W, L=L, n_points=n)
@@ -140,8 +140,6 @@ def _fd_energy(st, d, system: str) -> float:
     system is "ion" (one electron plus impurity) or "two_electron_rm" (the
     relative-motion part of the interacting pair).
     """
-    from .potentials import HybridPotential
-
     g = d.gamma_eff
     if system == "ion":
         w, scale = HybridPotential(a_osc=g * g / 4.0, c_coul=2.0), 1.0

@@ -1,31 +1,16 @@
-"""Radial potential models with closed-form derivatives.
+"""The radial potential of both dot systems, with closed-form derivatives.
 
 Lengths are measured in effective Bohr radii a*, energies in effective
-Rydberg Ry*.  Only the oscillator-plus-Coulomb hybrid family is shipped;
-the PotentialModel protocol leaves room for other confining potentials.
+Rydberg Ry*.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 from ._dd import DD
 from .errors import NonPositiveRadius
-
-
-@runtime_checkable
-class PotentialModel(Protocol):
-    """Contract for a radial potential V(q) with exact n-th derivatives."""
-
-    def value(self, q: float) -> float:
-        """V(q) in Ry* at radius q > 0 (in a*)."""
-        ...
-
-    def derivative(self, q: float, n: int) -> float:
-        """Exact n-th derivative of V at q; derivative(q, 0) == value(q)."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -76,18 +61,3 @@ class HybridPotential:
             return DD(2.0 * self.a_osc) + DD(2.0 * self.c_coul) / (q * q * q)
         raise ValueError("dd derivatives above order 2 are handled analytically")
 
-
-def hybrid_derivative(p: HybridPotential, q: float, n: int) -> float:
-    """Functional form of HybridPotential.derivative."""
-    return p.derivative(q, n)
-
-
-def effective_potential(m: int, potential: PotentialModel, q: float) -> float:
-    """(m^2 - 1/4)/q^2 + V(q): the core felt by the reduced radial function.
-
-    The first term is attractive for m = 0 and repulsive for |m| >= 1, which
-    is what splits the field dependence of s states from the rest.
-    """
-    if q <= 0.0:
-        raise NonPositiveRadius(f"radius must be positive, got {q}")
-    return (m * m - 0.25) / (q * q) + potential.value(q)

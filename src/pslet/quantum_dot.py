@@ -36,6 +36,9 @@ from .potentials import HybridPotential
 # spectroscopic letters for |m| = 0, 1, 2, ... (j is skipped by convention)
 _LETTERS = "spdfghiklmnoqrtuvwxyz"
 
+# scan_spectrum refines each crossing to a gamma interval this narrow.
+CROSSING_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class DotParams:
@@ -136,7 +139,6 @@ class RadialSolution:
 @lru_cache(maxsize=4096)
 def radial_solution(
     system: str,
-    coulomb: bool,
     gamma_eff: float,
     k: int,
     abs_m: int,
@@ -152,9 +154,9 @@ def radial_solution(
     arrays.  A solve that raises is not cached: every call raises afresh.
     """
     if system == "ion":
-        pot = HybridPotential(a_osc=gamma_eff * gamma_eff / 8.0, c_coul=1.0 if coulomb else 0.0)
+        pot = HybridPotential(a_osc=gamma_eff * gamma_eff / 8.0, c_coul=1.0)
     elif system == "rm":
-        pot = HybridPotential(a_osc=gamma_eff * gamma_eff / 32.0, c_coul=0.5 if coulomb else 0.0)
+        pot = HybridPotential(a_osc=gamma_eff * gamma_eff / 32.0, c_coul=0.5)
     else:
         raise ValueError(f"unknown system {system!r}")
     state = StateIndex.from_azimuthal(k, abs_m)
@@ -171,15 +173,12 @@ def _radial_solve(
     d: DotParams,
     st: StateLabel,
     system: str,
-    coulomb: bool = True,
     order: int = DEFAULT_ORDER,
     pade: tuple[int, int] = DEFAULT_PADE,
     precision: str = "auto",
 ) -> RadialSolution:
     try:
-        return radial_solution(
-            system, coulomb, d.gamma_eff, st.k, abs(st.m), order, tuple(pade), precision
-        )
+        return radial_solution(system, d.gamma_eff, st.k, abs(st.m), order, tuple(pade), precision)
     except PsletError as err:
         raise _annotate(err, f"{system} state {st.name} (k={st.k}, m={st.m})") from None
 
@@ -351,16 +350,11 @@ class Crossing:
     gamma_hi: float
 
 
-def _state_label(state) -> str:
-    return state.name
-
-
 def scan_spectrum(
     states,
     d0: DotParams,
     gamma_grid,
     evaluator=None,
-    refine_tol: float = 1e-4,
     jobs: int = 1,
     oracle: bool = False,
 ):
@@ -370,7 +364,7 @@ def scan_spectrum(
     then gamma; per-point solver failures become records with NaN energy and
     the error message attached, and the scan continues.  Every adjacent-grid
     sign change of an energy difference is refined by bisection to a gamma
-    interval no wider than refine_tol.
+    interval no wider than CROSSING_TOL.
 
     The bisection calls the evaluator alone, so the evaluator should not run
     the oracle.  With oracle set, each grid record instead gets its
@@ -412,7 +406,7 @@ def scan_spectrum(
                 if not (np.isfinite(fa) and np.isfinite(fb)) or fa == 0.0 or fa * fb >= 0.0:
                     continue
                 lo, hi, flo = gamma_grid[j], gamma_grid[j + 1], fa
-                while hi - lo > refine_tol:
+                while hi - lo > CROSSING_TOL:
                     mid = 0.5 * (lo + hi)
                     fm = diff_at(ia, ib, mid)
                     if not math.isfinite(fm):
@@ -426,8 +420,8 @@ def scan_spectrum(
                         hi = mid
                 crossings.append(
                     Crossing(
-                        state_a=_state_label(states[ia]),
-                        state_b=_state_label(states[ib]),
+                        state_a=states[ia].name,
+                        state_b=states[ib].name,
                         gamma_lo=lo,
                         gamma_hi=hi,
                     )
@@ -443,7 +437,7 @@ def _scan_one(args):
             rec = replace(rec, oracle_delta=oracle_delta(state, d, rec.energy))
         return rec
     except PsletError as err:
-        return failed_record(_state_label(state), d, err)
+        return failed_record(state.name, d, err)
 
 
 def level_order(d: DotParams, levels, **opts):

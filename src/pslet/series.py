@@ -1,9 +1,4 @@
-"""Truncated polynomial arithmetic and Pade resummation.
-
-Everything here works on plain double precision.  Polynomials are stored
-densely, constant term first, and every operation truncates exactly at the
-requested cap: coefficient j of a product depends only on input coefficients
-of degree <= j, so truncation commutes with arithmetic.
+"""Pade resummation of a power series in plain double precision.
 
 The Pade fitter solves the usual Toeplitz system for the denominator by
 dense LU with partial pivoting.  Physical correction series can grow close
@@ -28,81 +23,6 @@ CONDITION_LIMIT = 1e12
 
 # |den(t)| below this fraction of sum_i |den_i t^i| counts as sitting on a pole.
 POLE_TOLERANCE = 1e-8
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense real polynomial truncated at a fixed maximum degree.
-
-    coeffs[j] is the coefficient of x**j; len(coeffs) <= cap + 1 always.
-    """
-
-    coeffs: np.ndarray
-    cap: int
-
-    def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if arr.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        if len(arr) > self.cap + 1:
-            arr = arr[: self.cap + 1]
-        object.__setattr__(self, "coeffs", arr)
-
-    @classmethod
-    def zero(cls, cap: int) -> "Polynomial":
-        return cls(np.zeros(1), cap)
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient: float, cap: int) -> "Polynomial":
-        if degree > cap:
-            return cls.zero(cap)
-        c = np.zeros(degree + 1)
-        c[degree] = coefficient
-        return cls(c, cap)
-
-    @property
-    def degree(self) -> int:
-        nz = np.nonzero(self.coeffs)[0]
-        return int(nz[-1]) if len(nz) else 0
-
-    def coefficient(self, j: int) -> float:
-        return float(self.coeffs[j]) if j < len(self.coeffs) else 0.0
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return poly_combine(self, other, "add", min(self.cap, other.cap))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return poly_combine(self, other, "mul", min(self.cap, other.cap))
-
-    def scaled(self, factor: float) -> "Polynomial":
-        return Polynomial(self.coeffs * factor, self.cap)
-
-    def derivative(self) -> "Polynomial":
-        if len(self.coeffs) == 1:
-            return Polynomial.zero(self.cap)
-        return Polynomial(self.coeffs[1:] * np.arange(1, len(self.coeffs)), self.cap)
-
-    def antiderivative(self) -> "Polynomial":
-        """Termwise antiderivative with zero constant term (cap grows by one)."""
-        out = np.concatenate(([0.0], self.coeffs / np.arange(1, len(self.coeffs) + 1)))
-        return Polynomial(out, self.cap + 1)
-
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
-
-
-def poly_combine(a: Polynomial, b: Polynomial, op: str, cap: int) -> Polynomial:
-    """Exact truncated sum or product of two polynomials."""
-    if op == "add":
-        n = max(len(a.coeffs), len(b.coeffs))
-        out = np.zeros(n)
-        out[: len(a.coeffs)] += a.coeffs
-        out[: len(b.coeffs)] += b.coeffs
-        return Polynomial(out[: cap + 1], cap)
-    if op == "mul":
-        out = np.convolve(a.coeffs, b.coeffs)
-        return Polynomial(out[: cap + 1], cap)
-    raise ValueError(f"unknown op {op!r}; expected 'add' or 'mul'")
 
 
 @dataclass(frozen=True)
@@ -205,20 +125,10 @@ def pade_eval(p: PadeApproximant, t: float) -> float:
     return num_val / den_val
 
 
-def staircase_orders(M_stop: int = 9, N_stop: int = 10) -> list[tuple[int, int]]:
-    """The Pade order ladder (1,2), (2,2), (2,3), ... up to (M_stop, N_stop).
-
-    The stop point must itself lie on the ladder, i.e. N_stop must equal
-    M_stop or M_stop + 1.
-    """
-    if N_stop not in (M_stop, M_stop + 1) or M_stop < 1:
-        raise ValueError(f"({M_stop}, {N_stop}) is not on the order ladder")
+def staircase_orders() -> list[tuple[int, int]]:
+    """The Pade order ladder (1,2), (2,2), (2,3), ... up to (9,10)."""
     orders = [(1, 2)]
-    M, N = 1, 2
-    while (M, N) != (M_stop, N_stop):
-        if M < N:
-            M += 1
-        else:
-            N += 1
-        orders.append((M, N))
+    while orders[-1] != (9, 10):
+        M, N = orders[-1]
+        orders.append((M + 1, N) if M < N else (M, N + 1))
     return orders

@@ -222,6 +222,8 @@ def parse_grid(spec: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ValueError(f"grid must look like lo:hi:step, got {spec!r}")
     lo, hi, step = (float(p) for p in parts)
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ValueError(f"bad grid {spec!r}: lo, hi and step must be finite")
     if step <= 0.0 or hi < lo:
         raise ValueError(f"bad grid {spec!r}: need hi >= lo and step > 0")
     return lo, hi, step
@@ -324,14 +326,6 @@ def table4_levels() -> list[tuple[str, TwoElectronLevel]]:
     return [
         (tag, TwoElectronLevel(rm=StateLabel(k, m), cm_k=K, cm_m=M))
         for tag, k, m, K, M in _T4_LEVELS
-    ]
-
-
-def table5_levels() -> list[tuple[str, TwoElectronLevel]]:
-    """The eleven tagged levels of table 5 as (tag, level) pairs."""
-    return [
-        (tag, TwoElectronLevel(rm=StateLabel(k, m), cm_k=K, cm_m=M))
-        for tag, k, m, K, M in _T5_LEVELS
     ]
 
 

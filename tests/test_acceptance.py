@@ -28,20 +28,21 @@ from pslet import (
     StateIndex,
     StateLabel,
     TwoElectronLevel,
-    b_coefficients,
-    cross_check,
     ee_interaction,
     ion_energy,
-    locate_q0,
-    scan_spectrum,
-    shift_params,
-    solve_state,
-    subleading_coefficient,
-    leading_energy,
     level_order,
+    scan_spectrum,
+    solve_state,
     tables,
 )
-from pslet.oracle import _kth_eigenpair
+from pslet.engine import (
+    b_coefficients,
+    leading_energy,
+    locate_q0,
+    shift_params,
+    subleading_coefficient,
+)
+from pslet.oracle import _kth_eigenpair, cross_check
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

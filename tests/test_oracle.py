@@ -10,13 +10,12 @@ from pslet import (
     RadialProblem,
     StateIndex,
     StateLabel,
-    cross_check,
     solve_radial_fd,
     solve_state,
-    sturm_count,
     wavefunction_eval,
 )
 from pslet.errors import DomainTooSmall
+from pslet.oracle import cross_check, sturm_count
 
 
 def oscillator_problem(g_eff, m, k):

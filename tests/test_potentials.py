@@ -5,21 +5,21 @@ import pytest
 
 from pslet._dd import DD
 from pslet.errors import NonPositiveRadius
-from pslet.potentials import HybridPotential, effective_potential, hybrid_derivative
+from pslet.potentials import HybridPotential
 
 
 class TestHybridDerivative:
     def test_value(self):
         p = HybridPotential(a_osc=0.5, c_coul=2.0)
-        assert hybrid_derivative(p, 1.0, 0) == pytest.approx(2.5)
+        assert p.derivative(1.0, 0) == pytest.approx(2.5)
 
     def test_second_derivative(self):
         p = HybridPotential(a_osc=0.5, c_coul=2.0)
-        assert hybrid_derivative(p, 1.0, 2) == pytest.approx(5.0)
+        assert p.derivative(1.0, 2) == pytest.approx(5.0)
 
     def test_third_derivative(self):
         p = HybridPotential(a_osc=0.005, c_coul=1.0)
-        assert hybrid_derivative(p, 2.0, 3) == pytest.approx(-0.375)
+        assert p.derivative(2.0, 3) == pytest.approx(-0.375)
 
     def test_derivative_zero_is_value(self):
         p = HybridPotential(a_osc=0.3, c_coul=0.7)
@@ -61,21 +61,3 @@ class TestHybridDerivative:
                 got = float(p.derivative_dd(DD(q), n))
                 assert got == pytest.approx(p.derivative(q, n), rel=1e-15)
 
-
-class TestEffectivePotential:
-    def test_attractive_core_for_s_states(self):
-        none = HybridPotential(a_osc=0.0, c_coul=0.0)
-        assert effective_potential(0, none, 2.0) == pytest.approx(-1.0 / 16.0)
-
-    def test_repulsive_core_otherwise(self):
-        none = HybridPotential(a_osc=0.0, c_coul=0.0)
-        assert effective_potential(1, none, 1.0) == pytest.approx(0.75)
-
-    def test_sum_with_potential(self):
-        p = HybridPotential(a_osc=0.5, c_coul=2.0)
-        assert effective_potential(2, p, 1.0) == pytest.approx(6.25)
-
-    def test_radius_guard(self):
-        p = HybridPotential(a_osc=0.5, c_coul=2.0)
-        with pytest.raises(NonPositiveRadius):
-            effective_potential(0, p, 0.0)

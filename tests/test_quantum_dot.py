@@ -8,7 +8,10 @@ from types import SimpleNamespace
 import pytest
 
 from pslet import quantum_dot
-from pslet import (
+from pslet.engine import StateIndex, solve_state
+from pslet.errors import NonIntegralCluster, PsletError
+from pslet.potentials import HybridPotential
+from pslet.quantum_dot import (
     DotParams,
     StateLabel,
     TwoElectronLevel,
@@ -25,10 +28,6 @@ from pslet import (
     spin_of_m,
     total_energy,
 )
-from pslet.engine import solve_state
-from pslet.engine import StateIndex
-from pslet.errors import NonIntegralCluster, PsletError
-from pslet.potentials import HybridPotential
 
 
 class TestDotParams:
@@ -138,9 +137,11 @@ class TestIonEnergies:
             assert ion_interaction(d, StateLabel(k, m)) > 0.0
 
     def test_coulomb_off_reproduces_closed_form(self):
+        # the ion's radial problem without its Coulomb term: E = 2 eps + m gamma
         d = DotParams(0.1, 0.2)
         st = StateLabel(0, 1)
-        got = ion_energy(d, st, coulomb=False)
+        pot = HybridPotential(a_osc=d.gamma_eff**2 / 8.0, c_coul=0.0)
+        got = 2.0 * solve_state(pot, StateIndex.from_azimuthal(st.k, st.m)).energy + st.m * d.gamma
         assert got == pytest.approx(ion_free_energy(d, st), abs=1e-10)
         assert got == pytest.approx(0.547214, abs=1e-6)
 
@@ -168,10 +169,24 @@ class TestTwoElectron:
             2.3196, abs=1e-3
         )
 
+    @pytest.mark.parametrize("abs_m", range(4))
+    def test_quasi_exact_anchor(self, abs_m):
+        # Taut, PRA 48, 3561 (1993): at gamma = 0, k = 0 and
+        # Gamma = 2/(2|m|+1) the relative motion has the exact energy
+        # 2(|m|+2)/(2|m|+1).  E_rm = 4 eps, so 4 x the record's (radial)
+        # pade_spread is the ladder spread in Ry*.
+        d = DotParams(0.0, 2.0 / (2 * abs_m + 1))
+        st = StateLabel(0, abs_m)
+        exact = 2.0 * (abs_m + 2) / (2 * abs_m + 1)
+        rec = quantum_dot.two_electron_record(d, TwoElectronLevel(rm=st, cm_k=0, cm_m=0))
+        assert abs(rm_energy(d, st) - exact) <= 4.0 * rec.pade_spread
+
     def test_rm_coulomb_off_exact(self):
         d = DotParams(0.2, 0.3)
+        pot = HybridPotential(a_osc=d.gamma_eff**2 / 32.0, c_coul=0.0)
         for k, m in [(0, 0), (1, -2), (2, 1)]:
-            got = rm_energy(d, StateLabel(k, m), coulomb=False)
+            # relative motion without the repulsion: E = 4 eps + m gamma
+            got = 4.0 * solve_state(pot, StateIndex.from_azimuthal(k, m)).energy + m * d.gamma
             expect = (2 * k + abs(m) + 1) * d.gamma_eff + m * d.gamma
             assert got == pytest.approx(expect, abs=1e-9)
 
@@ -404,7 +419,7 @@ class TestRadialMemo:
         try:
             bound = quantum_dot.radial_solution.cache_info().maxsize
             for i in range(bound + 10):
-                quantum_dot.radial_solution("ion", True, 1.0 + i, 0, 0, 19, (9, 9), "auto")
+                quantum_dot.radial_solution("ion", 1.0 + i, 0, 0, 19, (9, 9), "auto")
             info = quantum_dot.radial_solution.cache_info()
             assert info.currsize == bound
             assert info.misses == bound + 10

@@ -243,6 +243,21 @@ class TestCli:
         assert code == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0:inf:0.01", "0:nan:0.01"])
+    def test_non_finite_grid_is_usage_error(self, tmp_path, capsys, grid):
+        code = cli.main(["figure", "7", "--gamma", grid, "--output", str(tmp_path / "f.csv")])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pade", [["-1", "5"], ["5", "-1"]])
+    def test_negative_pade_degree_is_usage_error(self, capsys, pade):
+        code = cli.main(["solve", "--system", "ion", "--k", "0", "--m", "0", "--gamma", "0",
+                         "--gamma-d", "0.2", "--pade", *pade])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "usage error" in captured.err
+        assert "energy=" not in captured.out
+
     def test_figure_writes_files_deterministically(self, tmp_path):
         out = tmp_path / "fig1.csv"
         code = cli.main(
