@@ -143,9 +143,6 @@ class DDPoly:
     def __len__(self) -> int:
         return len(self.hi)
 
-    def copy(self) -> "DDPoly":
-        return DDPoly(self.hi.copy(), self.lo.copy())
-
     def get(self, j: int) -> DD:
         return DD(self.hi[j], self.lo[j]) if j < len(self.hi) else DD(0.0)
 

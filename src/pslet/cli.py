@@ -35,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, files=True, jobs=True):
+        """The solver flags, plus the output-file flags and --jobs where they are read."""
         p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                        help=f"correction order of the expansion (default {DEFAULT_ORDER})")
         p.add_argument("--pade", type=int, nargs=2, default=list(DEFAULT_PADE),
@@ -43,9 +44,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", choices=("auto", "double", "extended"), default="auto")
         p.add_argument("--oracle", action="store_true",
                        help="append the finite-difference cross-check delta")
-        p.add_argument("--output", type=Path, default=None, help="output file path")
-        p.add_argument("--format", choices=("csv", "tsv"), default="csv")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        if files:
+            p.add_argument("--output", type=Path, default=None, help="output file path")
+            p.add_argument("--format", choices=("csv", "tsv"), default="csv")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     p_solve = sub.add_parser("solve", help="solve a single state")
     p_solve.add_argument("--system", choices=("ion", "two_electron"), required=True)
@@ -57,12 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--gamma-d", type=float, required=True)
     p_solve.add_argument("--no-coulomb", action="store_true",
                          help="use the closed interaction-free forms")
-    common(p_solve)
+    common(p_solve, files=False, jobs=False)
 
     p_table = sub.add_parser("table", help="reproduce a golden table")
     p_table.add_argument("id", type=int, choices=tables.TABLE_IDS)
     p_table.add_argument("--tolerance", type=float, default=1e-3)
-    common(p_table)
+    common(p_table, jobs=False)
 
     p_fig = sub.add_parser("figure", help="emit the data behind a figure")
     p_fig.add_argument("id", type=int, choices=tables.FIGURE_IDS)
@@ -131,6 +134,21 @@ def _cmd_table(args) -> int:
     return EXIT_OK if report.max_delta <= args.tolerance else EXIT_TOLERANCE
 
 
+def _write_curves(args, stem: str, what: str, records, crossings) -> int:
+    """Write scan or figure records and their crossings sidecar; exit 3 on failed points."""
+    sep = "\t" if args.format == "tsv" else ","
+    out = args.output or Path(f"{stem}.{args.format}")
+    _write(out, tables.records_csv(records, oracle=args.oracle, sep=sep))
+    sidecar = out.with_name(out.stem + ".crossings" + out.suffix)
+    _write(sidecar, tables.crossings_csv(crossings, sep=sep))
+    print(f"{what}: {len(records)} rows -> {out}, {len(crossings)} crossings -> {sidecar}")
+    n_fail = sum(1 for r in records if r.error is not None)
+    if n_fail:
+        print(f"  {n_fail} points failed to solve")
+        return EXIT_TOLERANCE
+    return EXIT_OK
+
+
 def _cmd_figure(args) -> int:
     grid = None
     if args.id == 5 and args.Gamma:
@@ -140,17 +158,7 @@ def _cmd_figure(args) -> int:
     records, crossings = tables.figure_curves(
         args.id, grid=grid, jobs=args.jobs, oracle=args.oracle, **_solver_opts(args)
     )
-    sep = "\t" if args.format == "tsv" else ","
-    out = args.output or Path(f"figure{args.id}.{args.format}")
-    _write(out, tables.records_csv(records, oracle=args.oracle, sep=sep))
-    sidecar = out.with_name(out.stem + ".crossings" + out.suffix)
-    _write(sidecar, tables.crossings_csv(crossings, sep=sep))
-    n_fail = sum(1 for r in records if r.error is not None)
-    print(f"figure {args.id}: {len(records)} rows -> {out}, {len(crossings)} crossings -> {sidecar}")
-    if n_fail:
-        print(f"  {n_fail} points failed to solve")
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return _write_curves(args, f"figure{args.id}", f"figure {args.id}", records, crossings)
 
 
 def _parse_states(spec: str, system: str):
@@ -179,13 +187,7 @@ def _cmd_scan(args) -> int:
         states, d0, pts, not args.no_interaction, jobs=args.jobs, oracle=args.oracle,
         **_solver_opts(args),
     )
-    sep = "\t" if args.format == "tsv" else ","
-    out = args.output or Path(f"scan.{args.format}")
-    _write(out, tables.records_csv(records, oracle=args.oracle, sep=sep))
-    sidecar = out.with_name(out.stem + ".crossings" + out.suffix)
-    _write(sidecar, tables.crossings_csv(crossings, sep=sep))
-    print(f"scan: {len(records)} rows -> {out}, {len(crossings)} crossings -> {sidecar}")
-    return EXIT_OK
+    return _write_curves(args, "scan", "scan", records, crossings)
 
 
 def main(argv=None) -> int:

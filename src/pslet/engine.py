@@ -123,11 +123,10 @@ class EnergyExpansion:
     def leading_term(self) -> float:
         return self.lbar * self.lbar * self.leading_coeff
 
-    def truncated_sum(self, order: int | None = None) -> float:
+    def truncated_sum(self) -> float:
         """Plain partial sum of the series (no resummation)."""
-        n = len(self.corrections) if order is None else order + 1
         t = 1.0 / self.lbar
-        return self.leading_term + math.fsum(c * t**i for i, c in enumerate(self.corrections[:n]))
+        return self.leading_term + math.fsum(c * t**i for i, c in enumerate(self.corrections))
 
 
 @dataclass(frozen=True)
@@ -139,9 +138,6 @@ class HierarchyState:
     even powers at odd j.
     """
 
-    k: int
-    order: int
-    omega: float
     w_polys: tuple = field(repr=False, default=())
     f_polys: tuple = field(repr=False, default=())
 
@@ -380,7 +376,6 @@ def _v_polys(b, beta, n_max: int, backend) -> list:
 class _F64Backend:
     """Plain numpy arrays and floats."""
 
-    name = "double"
     residual_tol = 1e-7
 
     @staticmethod
@@ -390,10 +385,6 @@ class _F64Backend:
     @staticmethod
     def to_float(z) -> float:
         return float(z)
-
-    @staticmethod
-    def sqrt(z: float) -> float:
-        return math.sqrt(z)
 
     @staticmethod
     def poly_zeros(n: int) -> np.ndarray:
@@ -467,7 +458,6 @@ class _F64Backend:
 class _DDBackend:
     """Double-double pairs of numpy arrays; scalars are DD instances."""
 
-    name = "extended"
     residual_tol = 1e-23
 
     @staticmethod
@@ -477,10 +467,6 @@ class _DDBackend:
     @staticmethod
     def to_float(z: DD) -> float:
         return float(z)
-
-    @staticmethod
-    def sqrt(z: DD) -> DD:
-        return z.sqrt()
 
     @staticmethod
     def poly_zeros(n: int) -> DDPoly:
@@ -693,15 +679,10 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     return corrections, W, F
 
 
-def _tables_from_polys(W, F, k, order, backend) -> HierarchyState:
-    w_float = tuple(backend.poly_to_float(w) for w in W)
-    f_float = tuple(backend.poly_to_float(f) for f in F)
+def _tables_from_polys(W, F, backend) -> HierarchyState:
     return HierarchyState(
-        k=k,
-        order=order,
-        omega=-w_float[0][1],
-        w_polys=w_float,
-        f_polys=f_float,
+        w_polys=tuple(backend.poly_to_float(w) for w in W),
+        f_polys=tuple(backend.poly_to_float(f) for f in F),
     )
 
 
@@ -732,7 +713,7 @@ def solve_hierarchy(
         lbar=shift.lbar,
         order=order,
     )
-    return expansion, _tables_from_polys(W, F, k, order, be)
+    return expansion, _tables_from_polys(W, F, be)
 
 
 # ----------------------------------------------------------------------
@@ -891,7 +872,7 @@ def _solve_extended(p: HybridPotential, s: StateIndex, order: int, q0_seed: floa
         return float(lead + _dd.dd_pade_eval(num, den, t))
 
     stair = _ladder(expansion.corrections, float(lead), fit_eval)
-    return expansion, shift, _tables_from_polys(W, F, s.k, order, be), stair, fit_eval
+    return expansion, shift, _tables_from_polys(W, F, be), stair, fit_eval
 
 
 def solve_state(
@@ -911,7 +892,9 @@ def solve_state(
     """
     if precision not in ("auto", "double", "extended"):
         raise ValueError(f"unknown precision {precision!r}")
-    if order > ORDER_CAP or order < 0:
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
+    if order > ORDER_CAP:
         raise OrderOverflow(f"order {order} outside supported range 0..{ORDER_CAP}")
     M, N = pade
     if M < 0 or N < 0:

@@ -1,18 +1,21 @@
 """Parabolic quantum-dot spectra in a perpendicular magnetic field.
 
-Two systems map onto the radial solver:
+Two systems map onto one half-scaled radial problem, V(q) = (G^2/div) q^2
++ c/q with G^2 = gamma^2 + gamma_d^2, and one energy rule, E = f eps +
+m gamma; _SYSTEMS holds (div, c, f) for each:
 
-* one electron with a negatively charged ion impurity, whose half-scaled
-  radial equation carries V(q) = (G^2/8) q^2 + 1/q with G^2 = gamma^2 +
-  gamma_d^2 and energy E = 2 eps + m gamma;
-* the relative motion of two interacting electrons, with V(r) =
-  (G^2/32) r^2 + 1/(2 r) and E = 4 eps + m gamma, while the center of mass
-  is an exact oscillator.
+* "ion": one electron with a negatively charged ion impurity, (8, 1, 2);
+* "rm": the relative motion of two interacting electrons, (32, 1/2, 4),
+  while the center of mass is an exact oscillator.
 
 Energies are in effective Rydberg Ry*, the magnetic measure gamma is half
 the cyclotron energy in Ry*, and gamma_d fixes the parabolic confinement.
 The Zeeman term m*gamma is the only place gamma enters beyond G, so the
 radial eigenvalue depends on (k, |m|, G) alone.
+
+Every output row of a table, figure or scan follows one row rule,
+spectrum_row: solve the state, attach its oracle delta if asked, and turn a
+PsletError from either step into a failed record.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -38,6 +41,9 @@ _LETTERS = "spdfghiklmnoqrtuvwxyz"
 
 # scan_spectrum refines each crossing to a gamma interval this narrow.
 CROSSING_TOL = 1e-4
+
+# system -> (Gamma^2 divisor, Coulomb strength, energy factor)
+_SYSTEMS = {"ion": (8.0, 1.0, 2.0), "rm": (32.0, 0.5, 4.0)}
 
 
 @dataclass(frozen=True)
@@ -153,12 +159,10 @@ def radial_solution(
     An entry keeps a few floats, not the SolveResult with its coefficient
     arrays.  A solve that raises is not cached: every call raises afresh.
     """
-    if system == "ion":
-        pot = HybridPotential(a_osc=gamma_eff * gamma_eff / 8.0, c_coul=1.0)
-    elif system == "rm":
-        pot = HybridPotential(a_osc=gamma_eff * gamma_eff / 32.0, c_coul=0.5)
-    else:
+    if system not in _SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
+    divisor, c_coul, _ = _SYSTEMS[system]
+    pot = HybridPotential(a_osc=gamma_eff * gamma_eff / divisor, c_coul=c_coul)
     state = StateIndex.from_azimuthal(k, abs_m)
     res = solve_state(pot, state, order=order, pade=pade, precision=precision)
     return RadialSolution(
@@ -169,23 +173,39 @@ def radial_solution(
     )
 
 
-def _radial_solve(
+# diagnostics of a closed-form level and of a point that failed to solve
+_EXACT = RadialSolution(energy=math.nan, leading_fraction=1.0, pade_spread=0.0, converged=True)
+_FAILED = RadialSolution(
+    energy=math.nan, leading_fraction=math.nan, pade_spread=math.inf, converged=False
+)
+
+
+def _level(
     d: DotParams,
     st: StateLabel,
     system: str,
+    interaction: bool = True,
     order: int = DEFAULT_ORDER,
     pade: tuple[int, int] = DEFAULT_PADE,
     precision: str = "auto",
-) -> RadialSolution:
+) -> tuple[float, RadialSolution]:
+    """(E, radial solution) of one state, E = factor * eps + m gamma.
+
+    Without the interaction E is the closed-form oscillator level and the
+    solution is _EXACT.
+    """
+    if not interaction:
+        return ion_free_energy(d, st), _EXACT
     try:
-        return radial_solution(system, d.gamma_eff, st.k, abs(st.m), order, tuple(pade), precision)
+        res = radial_solution(system, d.gamma_eff, st.k, abs(st.m), order, tuple(pade), precision)
     except PsletError as err:
         raise _annotate(err, f"{system} state {st.name} (k={st.k}, m={st.m})") from None
+    return _SYSTEMS[system][2] * res.energy + st.m * d.gamma, res
 
 
 def ion_energy(d: DotParams, st: StateLabel, **opts) -> float:
     """Energy of one electron with the ion impurity, E = 2 eps + m gamma."""
-    return 2.0 * _radial_solve(d, st, "ion", **opts).energy + st.m * d.gamma
+    return _level(d, st, "ion", **opts)[0]
 
 
 def _oscillator_level(d: DotParams, k: int, m: int) -> float:
@@ -194,7 +214,10 @@ def _oscillator_level(d: DotParams, k: int, m: int) -> float:
 
 
 def ion_free_energy(d: DotParams, st: StateLabel) -> float:
-    """Closed form without the impurity: (2k + |m| + 1) G + m gamma."""
+    """Closed form without the impurity: (2k + |m| + 1) G + m gamma.
+
+    The relative motion without the Coulomb repulsion has the same level.
+    """
     return _oscillator_level(d, st.k, st.m)
 
 
@@ -205,17 +228,12 @@ def ion_interaction(d: DotParams, st: StateLabel, **opts) -> float:
 
 def rm_energy(d: DotParams, st: StateLabel, **opts) -> float:
     """Relative-motion energy of the interacting pair, E = 4 eps + m gamma."""
-    return 4.0 * _radial_solve(d, st, "rm", **opts).energy + st.m * d.gamma
-
-
-def rm_free_energy(d: DotParams, st: StateLabel) -> float:
-    """Relative motion without the Coulomb repulsion (same closed form)."""
-    return _oscillator_level(d, st.k, st.m)
+    return _level(d, st, "rm", **opts)[0]
 
 
 def ee_interaction(d: DotParams, st: StateLabel, **opts) -> float:
     """Electron-electron interaction energy; depends on G only (m gamma cancels)."""
-    return rm_energy(d, st, **opts) - rm_free_energy(d, st)
+    return rm_energy(d, st, **opts) - ion_free_energy(d, st)
 
 
 def cm_energy(d: DotParams, K: int, M: int) -> float:
@@ -247,9 +265,10 @@ def landau_cluster(kp: int, mp: int) -> tuple[int, int]:
 # records, scans, crossings, orderings
 # ----------------------------------------------------------------------
 
-def _record_from_solve(
-    label: str, d: DotParams, energy: float, res: RadialSolution
+def _record(
+    label: str, d: DotParams, energy: float, res: RadialSolution, error: str | None = None
 ) -> SpectrumRecord:
+    """Solved, closed-form (_EXACT) and failed (_FAILED) records alike."""
     return SpectrumRecord(
         label=label,
         gamma=d.gamma,
@@ -259,39 +278,14 @@ def _record_from_solve(
         leading_fraction=res.leading_fraction,
         pade_spread=res.pade_spread,
         converged=res.converged,
-    )
-
-
-def failed_record(label: str, d: DotParams, err: PsletError) -> SpectrumRecord:
-    """The record of a point that failed to solve: NaN energy, error attached."""
-    return SpectrumRecord(
-        label=label,
-        gamma=d.gamma,
-        gamma_d=d.gamma_d,
-        gamma_eff=d.gamma_eff,
-        energy=math.nan,
-        leading_fraction=math.nan,
-        pade_spread=math.inf,
-        converged=False,
-        error=str(err),
+        error=error,
     )
 
 
 def ion_record(d: DotParams, st: StateLabel, interaction: bool = True, **opts) -> SpectrumRecord:
     """Solve one impurity state and package it with diagnostics."""
-    if not interaction:
-        return SpectrumRecord(
-            label=st.name,
-            gamma=d.gamma,
-            gamma_d=d.gamma_d,
-            gamma_eff=d.gamma_eff,
-            energy=ion_free_energy(d, st),
-            leading_fraction=1.0,
-            pade_spread=0.0,
-            converged=True,
-        )
-    res = _radial_solve(d, st, "ion", **opts)
-    return _record_from_solve(st.name, d, 2.0 * res.energy + st.m * d.gamma, res)
+    energy, res = _level(d, st, "ion", interaction, **opts)
+    return _record(st.name, d, energy, res)
 
 
 def two_electron_record(
@@ -299,19 +293,8 @@ def two_electron_record(
 ) -> SpectrumRecord:
     """Solve one two-electron level and package it with diagnostics."""
     cm = cm_energy(d, lvl.cm_k, lvl.cm_m)
-    if not interaction:
-        return SpectrumRecord(
-            label=lvl.name,
-            gamma=d.gamma,
-            gamma_d=d.gamma_d,
-            gamma_eff=d.gamma_eff,
-            energy=rm_free_energy(d, lvl.rm) + cm,
-            leading_fraction=1.0,
-            pade_spread=0.0,
-            converged=True,
-        )
-    res = _radial_solve(d, lvl.rm, "rm", **opts)
-    return _record_from_solve(lvl.name, d, 4.0 * res.energy + lvl.rm.m * d.gamma + cm, res)
+    energy, res = _level(d, lvl.rm, "rm", interaction, **opts)
+    return _record(lvl.name, d, energy + cm, res)
 
 
 def spectrum_record(state, d: DotParams, interaction: bool = True, **opts) -> SpectrumRecord:
@@ -340,6 +323,27 @@ def oracle_delta(state, d: DotParams, energy: float) -> float:
     return abs(energy - e_fd)
 
 
+def spectrum_row(
+    state, d: DotParams, evaluator=spectrum_record, oracle: bool = False,
+    delta=oracle_delta, label: str | None = None,
+) -> SpectrumRecord:
+    """The row rule of every table, figure and scan.
+
+    evaluator(state, d) solves the row; with oracle set, delta(state, d,
+    energy) is attached as its oracle delta.  A PsletError from either step
+    makes the row a failed record: NaN energy, the error message attached.
+    The row is labelled label, by default the state's name.
+    """
+    label = state.name if label is None else label
+    try:
+        rec = evaluator(state, d)
+        return replace(
+            rec, label=label, oracle_delta=delta(state, d, rec.energy) if oracle else None
+        )
+    except PsletError as err:
+        return _record(label, d, math.nan, _FAILED, str(err))
+
+
 @dataclass(frozen=True)
 class Crossing:
     """A sign change of E_a - E_b refined to a gamma interval."""
@@ -361,8 +365,8 @@ def scan_spectrum(
     """Evaluate every state across a magnetic-field grid and locate crossings.
 
     Returns (records, crossings).  records is a flat list ordered by state
-    then gamma; per-point solver failures become records with NaN energy and
-    the error message attached, and the scan continues.  Every adjacent-grid
+    then gamma, one spectrum_row per point, so a point that fails to solve
+    becomes a failed record and the scan continues.  Every adjacent-grid
     sign change of an energy difference is refined by bisection to a gamma
     interval no wider than CROSSING_TOL.
 
@@ -374,16 +378,18 @@ def scan_spectrum(
     gamma_grid = [float(g) for g in gamma_grid]
     if any(b <= a for a, b in zip(gamma_grid, gamma_grid[1:])):
         raise ValueError("gamma grid must be strictly increasing")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     evaluator = evaluator or spectrum_record
 
-    tasks = [
-        (evaluator, state, replace(d0, gamma=g), oracle) for state in states for g in gamma_grid
-    ]
+    row = partial(spectrum_row, evaluator=evaluator, oracle=oracle)
+    row_states = [state for state in states for _ in gamma_grid]
+    row_params = [replace(d0, gamma=g) for _ in states for g in gamma_grid]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_scan_one, tasks, chunksize=4))
+            records = list(pool.map(row, row_states, row_params, chunksize=4))
     else:
-        records = [_scan_one(task) for task in tasks]
+        records = list(map(row, row_states, row_params))
 
     n_g = len(gamma_grid)
     energies = {}
@@ -427,17 +433,6 @@ def scan_spectrum(
                     )
                 )
     return records, crossings
-
-
-def _scan_one(args):
-    evaluator, state, d, oracle = args
-    try:
-        rec = evaluator(state, d)
-        if oracle:
-            rec = replace(rec, oracle_delta=oracle_delta(state, d, rec.energy))
-        return rec
-    except PsletError as err:
-        return failed_record(state.name, d, err)
 
 
 def level_order(d: DotParams, levels, **opts):

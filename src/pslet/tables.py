@@ -1,10 +1,14 @@
 """Reproduction of the golden tables and figure data sets.
 
 Golden values ship as CSV resources under pslet/data with provenance notes
-in their comment headers.  Table reproduction computes every cell, compares
+in their comment headers.  They are also the state lists: figure 1 plots
+the states of table 1, figure 5 those of tables 2-3, figures 6-7 the levels
+of table 5, and table4_levels() gives those of table 4, each in the order
+of first appearance.  Table reproduction computes every cell, compares
 against the golden file, and reports the worst absolute deviation; figure
 commands emit the underlying curves of the published plots as CSV rows plus
-a sidecar listing detected level crossings.
+a sidecar listing detected level crossings.  Table cells and figure points
+follow quantum_dot's row rule, spectrum_row.
 """
 
 from __future__ import annotations
@@ -17,56 +21,25 @@ from functools import partial
 from importlib import resources
 
 from .engine import DEFAULT_ORDER, DEFAULT_PADE
-from .errors import PsletError
 from .quantum_dot import (
     DotParams,
     SpectrumRecord,
     StateLabel,
     TwoElectronLevel,
     cm_energy,
-    failed_record,
-    ion_record,
+    ion_free_energy,
     oracle_delta,
-    rm_free_energy,
     scan_spectrum,
     spectrum_record,
+    spectrum_row,
     two_electron_record,
 )
 
 TABLE_IDS = (1, 2, 3, 4, 5)
 FIGURE_IDS = (1, 2, 3, 4, 5, 6, 7)
 
-# table 1 block A carries gamma 0..0.4, block B 0..0.2
-_T1_BLOCK_A = [(0, 0), (0, -1), (0, -2), (0, -3), (0, 1), (0, 2), (0, 3), (1, 0), (1, -1), (1, -2)]
-_T1_BLOCK_B = [(1, 1), (2, 0), (2, -1), (2, -2), (2, -3)]
-_T1_GAMMAS_A = (0.0, 0.1, 0.2, 0.3, 0.4)
-_T1_GAMMAS_B = (0.0, 0.05, 0.1, 0.15, 0.2)
-_T1_GAMMA_D = 0.2
-
-_T23_STATES = [
-    (0, 0), (1, 0), (2, 0), (3, 0),
-    (0, 1), (1, 1), (2, 1),
-    (0, 2), (1, 2), (2, 2),
-    (0, 3), (0, 4),
-]
-_T2_GAMMAS = (0.05, 0.1, 0.2, 0.4)
-_T3_GAMMAS = (1.0, 2.5, 4.0, 5.0)
-
-_T4_LEVELS = [
-    ("a", 0, 0, 0, 0), ("b", 0, 1, 0, 0), ("c", 0, 0, 0, 1), ("d", 0, 2, 0, 0),
-    ("e", 0, 1, 0, 1), ("f", 1, 0, 0, 0), ("g", 0, 0, 1, 0), ("h", 0, 3, 0, 0),
-    ("i", 0, 2, 0, 1), ("j", 1, 1, 0, 0), ("k", 0, 1, 1, 0), ("l", 1, 0, 0, 1),
-    ("m", 0, 0, 1, 1), ("n", 0, 4, 0, 0), ("o", 1, 2, 0, 0), ("p", 0, 2, 1, 0),
-]
-_T4_GAMMA_DS = (1.0, 0.4, 0.2, 0.05)
-
-_T5_LEVELS = [
-    ("A", 0, 0, 0, 0), ("B", 0, -1, 0, 0), ("C", 0, 0, 0, -1), ("D", 0, -2, 0, 0),
-    ("E", 0, -1, 0, -1), ("F", 0, -3, 0, 0), ("G", 1, 0, 0, 0), ("H", 1, -1, 0, 0),
-    ("I", 1, 0, 0, -1), ("J", 1, -2, 0, 0), ("K", 1, -1, 0, -1),
-]
-_T5_GAMMAS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4)
-_T5_GAMMA_D = 0.2
+# gamma_d of table 1 and table 5, and of the field scans of figures 1-4 and 6-7
+_GAMMA_D = 0.2
 
 
 def radial_name(k: int, m: int) -> str:
@@ -83,21 +56,28 @@ def load_golden(table_id: int) -> list[dict]:
     return list(csv.DictReader(io.StringIO("\n".join(lines))))
 
 
+def _row_state(row: dict):
+    """The state of one golden row: a StateLabel, or (tag, level) in tables 4-5."""
+    st = StateLabel(int(row["k"]), int(row["m"]))
+    if "K" not in row:
+        return st
+    return row["tag"], TwoElectronLevel(rm=st, cm_k=int(row["K"]), cm_m=int(row["M"]))
+
+
+def golden_states(table_id: int) -> list:
+    """The distinct states of one golden table, in the order they first appear."""
+    return list(dict.fromkeys(_row_state(row) for row in load_golden(table_id)))
+
+
 @dataclass(frozen=True)
-class Cell:
+class Cell(SpectrumRecord):
     """One computed table cell next to its golden value."""
 
-    label: str
-    gamma: float
-    gamma_d: float
-    gamma_eff: float
-    value: float
-    reference: float
-    leading_fraction: float
-    pade_spread: float
-    converged: bool
-    oracle_delta: float | None = None
-    error: str | None = None
+    reference: float = math.nan
+
+    @property
+    def value(self) -> float:
+        return self.energy
 
     @property
     def delta(self) -> float:
@@ -130,33 +110,10 @@ class TableReport:
         return not self.failures and self.max_delta <= self.tolerance
 
 
-def _safe(fn, label: str, d: DotParams, reference: float) -> Cell:
-    try:
-        rec = fn()
-        return Cell(
-            label=label,
-            gamma=d.gamma,
-            gamma_d=d.gamma_d,
-            gamma_eff=d.gamma_eff,
-            value=rec.energy,
-            reference=reference,
-            leading_fraction=rec.leading_fraction,
-            pade_spread=rec.pade_spread,
-            converged=rec.converged,
-        )
-    except PsletError as err:
-        return Cell(
-            label=label,
-            gamma=d.gamma,
-            gamma_d=d.gamma_d,
-            gamma_eff=d.gamma_eff,
-            value=math.nan,
-            reference=reference,
-            leading_fraction=math.nan,
-            pade_spread=math.inf,
-            converged=False,
-            error=str(err),
-        )
+def _row_params(row: dict) -> DotParams:
+    """The dot of one golden row: its gamma (else 0) and its gamma_d or Gamma (else 0.2)."""
+    gamma_d = row.get("gamma_d", row.get("Gamma", _GAMMA_D))
+    return DotParams(gamma=float(row.get("gamma", 0.0)), gamma_d=float(gamma_d))
 
 
 def compute_table(
@@ -171,33 +128,25 @@ def compute_table(
 
     Repeated radial problems (a state at +m and -m, a relative-motion state
     under several center-of-mass states) are solved once, by the radial memo
-    of quantum_dot.
+    of quantum_dot.  A cell whose solve or oracle cross-check fails is a
+    failed cell, and the report does not pass.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     opts = {"order": order, "pade": pade, "precision": precision}
+    evaluator = partial(spectrum_record, **opts)
     cells = []
     for row in load_golden(table_id):
-        st = StateLabel(int(row["k"]), int(row["m"]))
-        if table_id == 1:
-            d = DotParams(gamma=float(row["gamma"]), gamma_d=_T1_GAMMA_D)
-            label, fn = st.name, partial(ion_record, d, st, **opts)
-            delta = partial(oracle_delta, st, d)
-        elif table_id in (2, 3):
-            d = DotParams(gamma=0.0, gamma_d=float(row["Gamma"]))
-            label, fn = radial_name(st.k, st.m), partial(_pair_interaction_record, st, d, **opts)
-            delta = partial(_pair_oracle_delta, st, d)
+        state, d = _row_state(row), _row_params(row)
+        if table_id in (2, 3):
+            rec = _pair_row(state, d, oracle, opts)
         else:
-            K, M = int(row["K"]), int(row["M"])
-            if table_id == 4:
-                d = DotParams(gamma=0.0, gamma_d=float(row["gamma_d"]))
-            else:
-                d = DotParams(gamma=float(row["gamma"]), gamma_d=_T5_GAMMA_D)
-            label = f"{row['tag']}:({st.k},{st.m};{K},{M};{row['s']})"
-            lvl = TwoElectronLevel(rm=st, cm_k=K, cm_m=M)
-            fn, delta = partial(two_electron_record, d, lvl, **opts), partial(oracle_delta, lvl, d)
-        cell = _safe(fn, label, d, float(row["energy"]))
-        if oracle and cell.error is None:
-            cell = replace(cell, oracle_delta=delta(cell.value))
-        cells.append(cell)
+            label = None
+            if table_id in (4, 5):
+                tag, state = state
+                label = f"{tag}:{state.name}"
+            rec = spectrum_row(state, d, evaluator, oracle, label=label)
+        cells.append(Cell(**vars(rec), reference=float(row["energy"])))
     return TableReport(table_id=table_id, cells=cells, tolerance=tolerance)
 
 
@@ -205,8 +154,8 @@ def compute_table(
 # figures
 # ----------------------------------------------------------------------
 
+# figure 1 plots the states of table 1; figures 2-4 plot subsets of them
 _FIG_ION_STATES = {
-    1: _T1_BLOCK_A + _T1_BLOCK_B,
     2: [(0, 0), (0, -1), (0, -2), (0, -3)],
     3: [(1, 0), (0, 2), (0, 3), (1, -1), (0, 1), (1, -2)],
     4: [(2, 0), (1, 1), (2, -1), (2, -2), (2, -3)],
@@ -239,22 +188,23 @@ def _grid_points(grid: tuple[float, float, float]) -> list[float]:
 
 
 def _pair_interaction_record(state: StateLabel, d: DotParams, **opts) -> SpectrumRecord:
-    """Pair interaction energy of tables 2-3 and figure 5.
-
-    The two-electron record less its exact center-of-mass and free parts.
-    """
+    """The two-electron record less its exact center-of-mass and free parts."""
     rec = two_electron_record(d, TwoElectronLevel(rm=state, cm_k=0, cm_m=0), **opts)
-    return replace(
-        rec,
-        label=radial_name(state.k, state.m),
-        energy=rec.energy - cm_energy(d, 0, 0) - rm_free_energy(d, state),
-    )
+    return replace(rec, energy=rec.energy - cm_energy(d, 0, 0) - ion_free_energy(d, state))
 
 
 def _pair_oracle_delta(state: StateLabel, d: DotParams, energy: float) -> float:
     """oracle_delta of a pair interaction energy, its exact parts added back."""
     level = TwoElectronLevel(rm=state, cm_k=0, cm_m=0)
-    return oracle_delta(level, d, energy + cm_energy(d, 0, 0) + rm_free_energy(d, state))
+    return oracle_delta(level, d, energy + cm_energy(d, 0, 0) + ion_free_energy(d, state))
+
+
+def _pair_row(state: StateLabel, d: DotParams, oracle: bool, opts: dict) -> SpectrumRecord:
+    """The pair interaction energy row of tables 2-3 and figure 5."""
+    return spectrum_row(
+        state, d, partial(_pair_interaction_record, **opts), oracle,
+        delta=_pair_oracle_delta, label=radial_name(state.k, state.m),
+    )
 
 
 def figure_curves(
@@ -281,30 +231,20 @@ def figure_curves(
     opts = {"order": order, "pade": pade, "precision": precision}
     if fig_id == 5:
         pts = _grid_points(grid or DEFAULT_GAMMA_EFF_GRID)
-        states = [StateLabel(k, m) for k, m in _T23_STATES]
-        records = []
-        for st in states:
-            for g_eff in pts:
-                d = DotParams(gamma=0.0, gamma_d=g_eff)
-                try:
-                    rec = _pair_interaction_record(st, d, **opts)
-                    if oracle:
-                        rec = replace(rec, oracle_delta=_pair_oracle_delta(st, d, rec.energy))
-                    records.append(rec)
-                except PsletError as err:
-                    records.append(failed_record(radial_name(st.k, st.m), d, err))
+        records = [
+            _pair_row(st, DotParams(gamma=0.0, gamma_d=g_eff), oracle, opts)
+            for st in golden_states(2)
+            for g_eff in pts
+        ]
         return records, []
     pts = _grid_points(grid or DEFAULT_GAMMA_GRID)
-    if fig_id in (1, 2, 3, 4):
-        states = [StateLabel(k, m) for k, m in _FIG_ION_STATES[fig_id]]
-        interaction = fig_id != 1
-        d0 = DotParams(gamma=pts[0], gamma_d=_T1_GAMMA_D)
+    if fig_id == 1:
+        states, interaction = golden_states(1), False
+    elif fig_id in (2, 3, 4):
+        states, interaction = [StateLabel(k, m) for k, m in _FIG_ION_STATES[fig_id]], True
     else:
-        states = [
-            TwoElectronLevel(rm=StateLabel(k, m), cm_k=K, cm_m=M) for _, k, m, K, M in _T5_LEVELS
-        ]
-        interaction = fig_id == 7
-        d0 = DotParams(gamma=pts[0], gamma_d=_T5_GAMMA_D)
+        states, interaction = [lvl for _, lvl in golden_states(5)], fig_id == 7
+    d0 = DotParams(gamma=pts[0], gamma_d=_GAMMA_D)
     return scan_levels(states, d0, pts, interaction, jobs=jobs, oracle=oracle, **opts)
 
 
@@ -323,10 +263,7 @@ def scan_levels(states, d0: DotParams, pts, interaction: bool, jobs: int = 1,
 
 def table4_levels() -> list[tuple[str, TwoElectronLevel]]:
     """The sixteen tagged levels of table 4 as (tag, level) pairs."""
-    return [
-        (tag, TwoElectronLevel(rm=StateLabel(k, m), cm_k=K, cm_m=M))
-        for tag, k, m, K, M in _T4_LEVELS
-    ]
+    return golden_states(4)
 
 
 # ----------------------------------------------------------------------

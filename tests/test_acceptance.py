@@ -27,7 +27,6 @@ from pslet import (
     RadialProblem,
     StateIndex,
     StateLabel,
-    TwoElectronLevel,
     ee_interaction,
     ion_energy,
     level_order,
@@ -103,8 +102,8 @@ def test_criterion_2_tables23_reproduction(report2, report3):
         c for c in report3.cells if c.label == "2p" and abs(c.gamma_eff - 4.0) < 1e-12
     ][0]
     oracle_worst = 0.0
-    for k, m in tables._T23_STATES:
-        delta = cross_check(StateLabel(k, m), DotParams(0.0, 0.4), "two_electron_rm")
+    for st in tables.golden_states(2):
+        delta = cross_check(st, DotParams(0.0, 0.4), "two_electron_rm")
         oracle_worst = max(oracle_worst, delta)
     ok = (
         worst_weak <= 5e-4
@@ -142,10 +141,7 @@ def test_criterion_3_table4_reproduction(report4):
 
 def test_criterion_4_table5_and_crossings(report5):
     assert not report5.failures
-    levels = {
-        tag: TwoElectronLevel(rm=StateLabel(k, m), cm_k=K, cm_m=M)
-        for tag, k, m, K, M in tables._T5_LEVELS
-    }
+    levels = dict(tables.golden_states(5))
     d0 = DotParams(gamma=0.0, gamma_d=0.2)
     _, crossings = scan_spectrum(
         [levels["A"], levels["B"], levels["D"]], d0, [0.0, 0.05, 0.1, 0.2]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pslet import DotParams, StateLabel, cli, oracle, tables
+from pslet import DotParams, NotConverged, StateLabel, cli, oracle, tables
 
 
 class TestGoldenData:
@@ -46,7 +46,7 @@ class TestFigures:
         by_label = {}
         for r in records:
             by_label.setdefault(r.label, []).append(r.energy)
-        for (k, m) in tables._FIG_ION_STATES[1]:
+        for (k, m) in ((st.k, st.m) for st in tables.golden_states(1)):
             from pslet import StateLabel
 
             curve = by_label[StateLabel(k, m).name]
@@ -257,6 +257,74 @@ class TestCli:
         assert code == 1
         assert "usage error" in captured.err
         assert "energy=" not in captured.out
+
+    def test_scan_failed_points_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        code = cli.main(
+            ["scan", "--system", "ion", "--states", "0,0", "--gamma", "0:0.1:0.1",
+             "--gamma-d", "0.2", "--order", "99", "--output", str(out)]
+        )
+        assert code == 3
+        assert "2 points failed to solve" in capsys.readouterr().out
+        assert [row.split(",")[4] for row in out.read_text().splitlines()[1:]] == ["nan", "nan"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--system", "ion", "--k", "0", "--m", "0", "--gamma", "0",
+             "--gamma-d", "0.2", *flag]
+            for flag in (["--output", "x.csv"], ["--format", "tsv"], ["--jobs", "2"])
+        ] + [["table", "1", "--jobs", "2"]],
+        ids=["solve-output", "solve-format", "solve-jobs", "table-jobs"],
+    )
+    def test_unread_flags_are_rejected(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "4", "--tolerance", "nan"],
+            ["table", "4", "--tolerance=-1e-3"],
+            ["solve", "--system", "ion", "--k", "0", "--m", "0", "--gamma", "0",
+             "--gamma-d", "0.2", "--order", "-1"],
+            ["scan", "--system", "ion", "--states", "0,0", "--gamma", "0:0.1:0.1",
+             "--gamma-d", "0.2", "--jobs", "0"],
+            ["scan", "--system", "ion", "--states", "0,0", "--gamma", "0:0.1:0.1",
+             "--gamma-d", "0.2", "--jobs", "-3"],
+        ],
+        ids=["tolerance-nan", "tolerance-negative", "order-negative", "jobs-zero", "jobs-negative"],
+    )
+    def test_bad_settings_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_table_oracle_failure_fails_its_cells(self, tmp_path, monkeypatch, capsys):
+        real = oracle.solve_radial_fd
+
+        def failing_for_5g(problem, k, *args, **kwargs):
+            if problem.m == 4:
+                raise NotConverged("forced failure")
+            return real(problem, k, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_radial_fd", failing_for_5g)
+        report = tables.compute_table(2, oracle=True)
+        failed = report.failures
+        assert [c.label for c in failed] == ["5g"] * 4
+        assert all("forced failure" in c.error and c.oracle_delta is None for c in failed)
+        assert all(c.oracle_delta is not None for c in report.cells if c.label != "5g")
+        assert not report.passed
+
+        out = tmp_path / "t2.csv"
+        assert cli.main(["table", "2", "--oracle", "--output", str(out)]) == 3
+        assert "FAILED 5g" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 49
 
     def test_figure_writes_files_deterministically(self, tmp_path):
         out = tmp_path / "fig1.csv"
