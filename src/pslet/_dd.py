@@ -48,15 +48,53 @@ def dd_mul(ah, al, bh, bl):
 
 
 def dd_div(ah, al, bh, bl):
+    # a plain 0.0 broadcasts like zeros_like and keeps scalar work in Python floats
     q1 = ah / bh
-    th, tl = dd_mul(q1, np.zeros_like(q1), bh, bl)
+    th, tl = dd_mul(q1, 0.0, bh, bl)
     rh, rl = dd_add(ah, al, -th, -tl)
     q2 = rh / bh
-    th, tl = dd_mul(q2, np.zeros_like(q2), bh, bl)
+    th, tl = dd_mul(q2, 0.0, bh, bl)
     rh, rl = dd_add(rh, rl, -th, -tl)
     q3 = rh / bh
     h, l = two_sum(q1, q2)
     return two_sum(h, l + q3)
+
+
+def dd_axpy(hi: list, lo: list, terms, zh: float, zl: float, sign: float = 1.0) -> None:
+    """In place on Python floats: (hi[i], lo[i]) += sign * (a * z) for each (i, ah, al).
+
+    The operation sequence of dd_mul(ah, al, zh, zl) followed by dd_add,
+    written out for scalars, so each touched coefficient gets the bits of
+    DDPoly.add(infl.scale(z), sign).  A coefficient of infl that is an exact
+    dd zero is left out of terms: its scaled value is an exact zero too, and
+    adding one to a normalized pair returns the pair unchanged.
+    """
+    t = _SPLIT * zh
+    bhi = t - (t - zh)
+    blo = zh - bhi
+    for i, ah, al in terms:
+        # dd_mul: two_prod(ah, zh), then two_sum(p, e + (ah * zl + al * zh))
+        p = ah * zh
+        t = _SPLIT * ah
+        ahi = t - (t - ah)
+        alo = ah - ahi
+        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        x = e + (ah * zl + al * zh)
+        ph = p + x
+        bb = ph - p
+        pl = (p - (ph - bb)) + (x - bb)
+        ph = sign * ph
+        pl = sign * pl
+        # dd_add: two_sum(hi, ph), then two_sum(s, sl + (lo + pl))
+        a = hi[i]
+        s = a + ph
+        bb = s - a
+        sl = (a - (s - bb)) + (ph - bb)
+        x = sl + (lo[i] + pl)
+        h = s + x
+        bb = h - s
+        lo[i] = (s - (h - bb)) + (x - bb)
+        hi[i] = h
 
 
 class DD:
@@ -123,7 +161,11 @@ class DD:
 
 
 class DDPoly:
-    """Dense polynomial with double-double coefficients, constant term first."""
+    """Dense polynomial with double-double coefficients, constant term first.
+
+    hi and lo are numpy arrays; the hierarchy's elimination form holds
+    Python lists instead, read only through len, get and dd_axpy.
+    """
 
     __slots__ = ("hi", "lo")
 

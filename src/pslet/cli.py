@@ -101,6 +101,8 @@ def _solver_opts(args) -> dict:
 def _cmd_solve(args) -> int:
     d = DotParams(gamma=args.gamma, gamma_d=args.gamma_d)
     interaction = not args.no_coulomb
+    if args.oracle and not interaction:
+        raise ValueError("--oracle needs the interaction")
     if args.system == "ion":
         state = StateLabel(args.k, args.m)
         rec = ion_record(d, state, interaction=interaction, **_solver_opts(args))
@@ -111,7 +113,7 @@ def _cmd_solve(args) -> int:
         f"{rec.label} energy={rec.energy:.6f} leading_fraction={rec.leading_fraction:.6f} "
         f"pade_spread={rec.pade_spread:.3e}"
     )
-    if args.oracle and interaction:
+    if args.oracle:
         line += f" oracle_delta={oracle_delta(state, d, rec.energy):.6f}"
     line += f" converged={'yes' if rec.converged else 'no'}"
     print(line)

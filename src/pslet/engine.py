@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from . import _dd
-from ._dd import DD, DDPoly
+from ._dd import DD, DDPoly, dd_add, dd_mul
 from .errors import (
     HierarchyResidual,
     NoRootInDomain,
@@ -392,15 +392,54 @@ class _F64Backend:
 
     @staticmethod
     def poly_add(a, b, sign=1.0):
-        n = max(len(a), len(b))
-        out = np.zeros(n)
-        out[: len(a)] += a
-        out[: len(b)] += sign * b
+        """a + sign * b, the shorter operand padded with zeros.
+
+        With no zero buffer to add into, a -0.0 of an operand stays -0.0;
+        the hierarchy's sums that can hold one are read only by np.convolve,
+        whose sums start from +0.0 (see _hierarchy_core).
+        """
+        if len(a) >= len(b):
+            out = a.copy()
+            out[: len(b)] += sign * b
+        else:
+            out = sign * b
+            out[: len(a)] += a
         return out
 
     @staticmethod
     def poly_mul(a, b, cap):
         return np.convolve(a, b)[: cap + 1]
+
+    # The batched kernels below each stand for a plain sequential sum, named
+    # in their docstrings, and give its bits: every sum keeps its term order.
+
+    @staticmethod
+    def pair_products(W, j, cap):
+        """[poly_mul(W[i], W[j - i], cap) for i = 1..j//2]."""
+        return [np.convolve(W[i], W[j - i])[: cap + 1] for i in range(1, j // 2 + 1)]
+
+    @staticmethod
+    def ordered_sum(rows):
+        """The plain sum 0.0 + row_1 + row_2 + ..., each row zero-padded.
+
+        That is acc = poly_zeros(1), then acc = acc + row for each row in
+        order, with every sum started from +0.0 as a zero buffer does.
+        np.cumsum adds the rows of the stack one after another, from its
+        leading +0.0 row; np.sum and np.add.reduce may pair them up instead.
+        """
+        n = max([1] + [len(r) for r in rows])
+        stack = np.zeros((len(rows) + 1, n))
+        for i, r in enumerate(rows, 1):
+            stack[i, : len(r)] = r
+        return np.cumsum(stack, axis=0)[-1]
+
+    @staticmethod
+    def product_sum(R, terms, cap):
+        """The ordered_sum of R and sign * poly_mul(a, b, cap) for each (a, b, sign) of terms."""
+        if not terms:
+            return R
+        rows = [R] + [sign * np.convolve(a, b)[: cap + 1] for a, b, sign in terms]
+        return _F64Backend.ordered_sum(rows)
 
     @staticmethod
     def poly_scale(a, z):
@@ -504,23 +543,142 @@ class _DDBackend:
     def poly_to_float(a: DDPoly) -> np.ndarray:
         return a.to_float()
 
-    # the elimination updates stay full-length DDPoly operations
+    # The batched kernels below each stand for a plain sequential sum, named
+    # in their docstrings, and give its bits.  They run the same dd_mul and
+    # dd_add on stacked rows and keep the order of every sum.  Where a row is
+    # zero-padded, the padding adds an exact dd zero, which returns a
+    # normalized pair unchanged; no sum here yields a negative zero to spoil
+    # that, because each starts from +0.0.
 
     @staticmethod
-    def sparse(a: DDPoly) -> DDPoly:
-        return a
+    def pair_products(W: list, j: int, cap: int) -> list:
+        """[W[i].mul(W[j - i], cap) for i = 1..j//2], for the hierarchy's W.
+
+        W_i has 2i + 2 coefficients and only the powers of parity i + 1, so
+        each operand is packed to that parity and every product to parity j.
+        DDPoly.mul walks the rows s of its shorter operand W_i in ascending
+        order; here step u takes row s = p_i + 2u of every W_i at once, with
+        one dd_mul and one dd_add over the stack.  A W_i with no row u adds
+        nothing from step u on, and an exact zero row adds an exact zero.
+        """
+        pairs = range(1, j // 2 + 1)
+        n_pair = len(pairs)
+        lb = j  # packed length of the longest W_{j-i}, at i = 1
+        ah = np.zeros((n_pair, n_pair + 1))
+        al = np.zeros((n_pair, n_pair + 1))
+        bh = np.zeros((n_pair, lb))
+        bl = np.zeros((n_pair, lb))
+        for r, i in enumerate(pairs):
+            a, b = W[i], W[j - i]
+            pa, pb = (i + 1) % 2, (j - i + 1) % 2
+            ah[r, : i + 1], al[r, : i + 1] = a.hi[pa::2], a.lo[pa::2]
+            bh[r, : j - i + 1], bl[r, : j - i + 1] = b.hi[pb::2], b.lo[pb::2]
+        # packed column w of row i is power p_i + p_{j-i} + 2w of the product
+        ch = np.zeros((n_pair, n_pair + lb))
+        cl = np.zeros((n_pair, n_pair + lb))
+        for u in range(n_pair + 1):
+            rows = slice(max(u - 1, 0), n_pair)  # the W_i with i >= u have a row u
+            ph, pl = dd_mul(ah[rows, u, None], al[rows, u, None], bh[rows], bl[rows])
+            cols = slice(u, u + lb)
+            ch[rows, cols], cl[rows, cols] = dd_add(ch[rows, cols], cl[rows, cols], ph, pl)
+        out_h = np.zeros((n_pair, 2 * j + 3))
+        out_l = np.zeros((n_pair, 2 * j + 3))
+        for p_i in (0, 1):  # the rows of odd i, then of even i
+            off = p_i + (j - p_i) % 2  # p_i + p_{j-i}
+            sel = slice(p_i, n_pair, 2)
+            out_h[sel, off : off + 2 * j + 1 : 2] = ch[sel, : j + 1]
+            out_l[sel, off : off + 2 * j + 1 : 2] = cl[sel, : j + 1]
+        n = min(cap + 1, 2 * j + 3)
+        return [DDPoly(h[:n], l[:n]) for h, l in zip(out_h, out_l)]
+
+    @staticmethod
+    def ordered_sum(rows: list) -> DDPoly:
+        """acc = DDPoly.zeros(1); then acc = acc.add(row) for each row, in order."""
+        n = max([1] + [len(r) for r in rows])
+        h = np.zeros(n)
+        l = np.zeros(n)
+        for r in rows:
+            if len(r) == n:
+                h, l = dd_add(h, l, r.hi, r.lo)
+            else:
+                h[: len(r)], l[: len(r)] = dd_add(h[: len(r)], l[: len(r)], r.hi, r.lo)
+        return DDPoly(h, l)
+
+    @staticmethod
+    def product_sum(R: DDPoly, terms: list, cap: int) -> DDPoly:
+        """R = R.add(a.mul(b, cap), sign) for each (a, b, sign) of terms, in order.
+
+        a.mul(b) walks the nonzero rows m of its shorter operand in ascending
+        order and adds a[m] * b, shifted by m, into a zero product.  Here one
+        dd_mul forms every such row of every term, the r-th nonzero rows of
+        all terms go into their products with one dd_add, and the products
+        go into R one after another.  For k <= 3 each F_i and F_i' has at
+        most two nonzero coefficients, so each product takes two rows.
+        """
+        if not terms:
+            return R
+        pairs = [(a, b, s) if len(a) <= len(b) else (b, a, s) for a, b, s in terms]
+        n_t = len(pairs)
+        la = max(len(a) for a, _, _ in pairs)
+        lb = max(len(b) for _, b, _ in pairs)
+        ah = np.zeros((n_t, la))
+        al = np.zeros((n_t, la))
+        bh = np.zeros((n_t, lb))
+        bl = np.zeros((n_t, lb))
+        for t, (a, b, _) in enumerate(pairs):
+            ah[t, : a.hi.size], al[t, : a.hi.size] = a.hi, a.lo
+            bh[t, : b.hi.size], bl[t, : b.hi.size] = b.hi, b.lo
+        live = (ah != 0.0) | (al != 0.0)
+        rank = np.cumsum(live, axis=1) - 1
+        t_row, m_row = np.nonzero(live)  # term by term, ascending m
+        rank = rank[t_row, m_row]
+        ph, pl = dd_mul(ah[t_row, m_row, None], al[t_row, m_row, None], bh[t_row], bl[t_row])
+        lengths = [min(cap + 1, len(a) + len(b) - 1) for a, b, _ in pairs]
+        n = max([len(R)] + lengths)
+        width = max(n, la - 1 + lb)
+        ch = np.zeros((n_t, width))
+        cl = np.zeros((n_t, width))
+        cols = m_row[:, None] + np.arange(lb)
+        for rk in range(1 + max(rank, default=-1)):
+            sel = rank == rk
+            sh = np.zeros_like(ch)
+            sl = np.zeros_like(cl)
+            sh[t_row[sel, None], cols[sel]] = ph[sel]
+            sl[t_row[sel, None], cols[sel]] = pl[sel]
+            ch, cl = dd_add(ch, cl, sh, sl)
+        # a product ends at its length (cap cuts it there); R.add pads it with zeros
+        sign = np.array([s for _, _, s in pairs])[:, None]
+        ch, cl = sign * ch, sign * cl
+        cut = np.arange(width) >= np.array(lengths)[:, None]
+        ch[cut] = 0.0
+        cl[cut] = 0.0
+        h = np.zeros(width)
+        l = np.zeros(width)
+        h[: len(R)], l[: len(R)] = R.hi, R.lo
+        for t in range(n_t):
+            h, l = dd_add(h, l, ch[t], cl[t])
+        return DDPoly(h[:n], l[:n])
+
+    # Each elimination update runs on Python-float copies of R's hi and lo
+    # over the nonzero coefficients of the influence (_dd.dd_axpy), and R
+    # goes back to numpy once per half-order, as in _F64Backend.
+
+    @staticmethod
+    def sparse(a: DDPoly) -> list:
+        return [(i, h, l) for i, (h, l) in enumerate(zip(a.hi.tolist(), a.lo.tolist())) if h or l]
 
     @staticmethod
     def work(a: DDPoly) -> DDPoly:
-        return a
+        return DDPoly(a.hi.tolist(), a.lo.tolist())
 
     @staticmethod
-    def axpy(r: DDPoly, infl: DDPoly, z: DD, sign=1.0) -> DDPoly:
-        return r.add(infl.scale(z), sign)
+    def axpy(r: DDPoly, infl: list, z: DD, sign=1.0) -> DDPoly:
+        _dd.dd_axpy(r.hi, r.lo, infl, z.hi, z.lo, sign)
+        return r
 
     @staticmethod
     def unwork(r: DDPoly) -> DDPoly:
-        return r
+        return DDPoly(np.array(r.hi), np.array(r.lo))
 
 
 def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
@@ -535,12 +693,25 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     solve: the influence polynomial of each power, the derivative of each
     solved F_i and the mirrored products W_i W_{j-i}.  Products with an F_i
     that has no unknowns (every i >= 1 for k = 0, even i for k = 1) are
-    skipped, and T_j is only built where such a product reads it.  The
-    backend performs each elimination update (axpy) on its own form of R,
-    which for double precision touches only the nonzero coefficients of
-    the influence.  Each of these must keep the arithmetic of every term
-    and the order of every sum: tests/test_corrections_pin.py checks the
-    results bit for bit.
+    skipped, and T_j is only built where such a product reads it.
+
+    The known part of each half-order takes a few backend calls over
+    stacked operands: pair_products forms every W_i W_{j-i}, ordered_sum
+    adds them up, and product_sum adds every F_i T_{j-i} - F_i' W_{j-i} to
+    R.  Each elimination update (axpy) runs on the backend's own form of R
+    and touches only the nonzero coefficients of the influence.  All of it
+    gives the bits of the plain loop of poly_add / poly_mul calls, resting
+    on three facts (tests/test_batched_kernels.py):
+
+    1. every sum keeps its term order (np.cumsum adds rows one by one);
+    2. adding an exact zero, double or dd, to a value that holds no
+       negative zero returns it unchanged, so zero padding and skipped
+       coefficients change nothing; R and every sum here start from +0.0;
+    3. np.convolve starts its sums from +0.0, so the negative zeros that
+       _F64Backend.poly_add keeps without a zero buffer never reach R.
+
+    tests/test_corrections_pin.py and tests/test_hierarchy_pin.py check
+    the results bit for bit.
     """
     be = backend
     J = 2 * order + 2
@@ -610,16 +781,15 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         # (longer operand first) and DDPoly.mul (loop over the shorter one)
         # then compute the product in one fixed operand order.  Each product
         # is formed once and added at i and j-i, summing over i = 1..j-1.
-        ww = [None] + [be.poly_mul(W[i], W[j - i], cap) for i in range(1, j // 2 + 1)]
-        acc = be.poly_zeros(1)
-        for i in range(1, j):
-            acc = be.poly_add(acc, ww[min(i, j - i)])
+        ww = be.pair_products(W, j, cap)
+        acc = be.ordered_sum([ww[min(i, j - i) - 1] for i in range(1, j)])
         t_known = be.poly_add(be.poly_scale(acc, minus_half), vpolys[j])
         R = be.poly_mul(F[0], t_known, cap)
+        terms = []
         for i in range(1, j):
             if has_f[i]:
-                R = be.poly_add(R, be.poly_mul(F[i], T[j - i], cap))
-                R = be.poly_add(R, be.poly_mul(Fp[i], W[j - i], cap), -1.0)
+                terms += [(F[i], T[j - i], 1.0), (Fp[i], W[j - i], -1.0)]
+        R = be.product_sum(R, terms, cap)
         scale = max(be.max_abs(R), 1.0)
 
         # odd-parity unknowns at even half-orders, even-parity at odd ones;

@@ -10,8 +10,12 @@ come from bisection with Sturm counting (LAPACK's selected-index driver),
 are verified against our own Sturm counts, and are Richardson-extrapolated
 from two grids, h and h/2, for an O(h^4) estimate.
 
-This solver shares nothing with the shifted-expansion pipeline; it is the
-3-4 digit sanity reference, matching the precision of the tabulated data.
+This solver shares nothing with the shifted-expansion pipeline.  Measured
+in engine units, it errs by 3e-11 to 1.8e-10 at Taut's exact points
+(|m| = 0..3), and quadrupling its grid moves it by at most 5e-8 on the 23
+hardest states checked (Gamma up to 5, k = 3, |m| = 4; the ion 4s state at
+Gamma 0.05-0.2).  Its gates (RICHARDSON_TOL, the callers' 1e-3 checks) are
+far looser than that precision.
 """
 
 from __future__ import annotations

@@ -223,13 +223,16 @@ def figure_curves(
     interaction energy over the combined confinement; figures 6 and 7 scan
     the two-electron levels of table 5 without and with the pair interaction.
     With oracle set, every interacting point also carries its
-    finite-difference cross-check delta.  order, pade and precision go to
-    every solve.
+    finite-difference cross-check delta; figures 1 and 6 have none, so
+    oracle is a usage error there.  jobs workers share each field scan;
+    figure 5 runs serially.  order, pade and precision go to every solve.
     """
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"figure id must be one of {FIGURE_IDS}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     opts = {"order": order, "pade": pade, "precision": precision}
-    if fig_id == 5:
+    if fig_id == 5:  # serial: jobs does not apply
         pts = _grid_points(grid or DEFAULT_GAMMA_EFF_GRID)
         records = [
             _pair_row(st, DotParams(gamma=0.0, gamma_d=g_eff), oracle, opts)
@@ -253,12 +256,13 @@ def scan_levels(states, d0: DotParams, pts, interaction: bool, jobs: int = 1,
     """scan_spectrum over spectrum records: (records, crossings).
 
     opts (order, pade, precision) go to every solve.  The oracle delta is
-    only defined with the interaction on, so without it oracle is ignored.
+    only defined with the interaction on, so oracle without it is a usage
+    error.
     """
+    if oracle and not interaction:
+        raise ValueError("--oracle needs the interaction")
     evaluator = partial(spectrum_record, interaction=interaction, **opts)
-    return scan_spectrum(
-        states, d0, pts, evaluator=evaluator, jobs=jobs, oracle=oracle and interaction
-    )
+    return scan_spectrum(states, d0, pts, evaluator=evaluator, jobs=jobs, oracle=oracle)
 
 
 def table4_levels() -> list[tuple[str, TwoElectronLevel]]:

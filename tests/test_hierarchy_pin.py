@@ -1,0 +1,29 @@
+"""The whole correction hierarchy pinned bit for bit in both precisions.
+
+data/hierarchy_pin.json holds, for the states and precisions of
+corrections_pin.json, one SHA-256 over the float.hex of the energy, every
+Pade ladder value, E^(0)..E^(19) and every coefficient of the W and F
+tables (tools/hexsweep.py, solve_digest).  A change to the arithmetic of
+the hierarchy that leaves the corrections alone still changes these.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from hexsweep import solve, solve_digest  # noqa: E402
+
+PIN = json.loads((Path(__file__).parent / "data" / "hierarchy_pin.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "row", PIN, ids=[f"{r['system']}-k{r['k']}-m{r['m']}-G{r['Gamma']}-{r['precision']}" for r in PIN]
+)
+def test_hierarchy_bit_identical(row):
+    res = solve(row["system"], row["Gamma"], row["k"], row["m"], row["precision"])
+    assert res.precision == row["precision"]
+    assert solve_digest(res) == row["sha256"]

@@ -294,14 +294,37 @@ class TestCli:
              "--gamma-d", "0.2", "--jobs", "0"],
             ["scan", "--system", "ion", "--states", "0,0", "--gamma", "0:0.1:0.1",
              "--gamma-d", "0.2", "--jobs", "-3"],
+            ["figure", "5", "--Gamma", "0.5:1:0.5", "--jobs", "0"],
         ],
-        ids=["tolerance-nan", "tolerance-negative", "order-negative", "jobs-zero", "jobs-negative"],
+        ids=["tolerance-nan", "tolerance-negative", "order-negative", "jobs-zero", "jobs-negative",
+             "figure5-jobs-zero"],
     )
     def test_bad_settings_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert "usage error" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--system", "ion", "--k", "0", "--m", "1", "--gamma", "0.1",
+             "--gamma-d", "0.2", "--no-coulomb", "--oracle"],
+            ["scan", "--system", "two_electron", "--states", "0,0;0,-1", "--gamma", "0:0.1:0.05",
+             "--gamma-d", "0.2", "--no-interaction", "--oracle"],
+            ["figure", "1", "--gamma", "0:0.1:0.1", "--oracle"],
+        ],
+        ids=["solve", "scan", "figure1"],
+    )
+    def test_oracle_without_interaction_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # the oracle delta exists only for the interacting problem; without it
+        # the delta column would be empty in every row
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "--oracle needs the interaction" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 

@@ -1,0 +1,103 @@
+"""Bit-level fingerprints of a fixed sweep of radial solves.
+
+Each solve is reduced to one SHA-256 over the float.hex of everything the
+engine computes for it: the resummed energy, the corrections E^(0)..E^(n),
+every Pade ladder value, and every coefficient of the W and F tables of the
+correction hierarchy.  float.hex keeps the sign of zero, so two builds give
+equal digests only when they agree bit for bit.
+
+The sweep is 240 solves: both systems, Gamma 0.05, 0.2, 0.7, 2 and 5,
+k 0-3, |m| 0, 1 and 3, precision "double" and "extended".
+
+    PYTHONPATH=src python tools/hexsweep.py sweep.txt
+    python tools/hexsweep.py --compare parent.txt change.txt
+
+The second form lists the solves whose digests differ and exits 1 if any
+do.  Run the first form on two checkouts to list the values a change to the
+arithmetic moves.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import sys
+from pathlib import Path
+
+SYSTEMS = ("ion", "rm")
+GAMMAS = (0.05, 0.2, 0.7, 2.0, 5.0)
+KS = (0, 1, 2, 3)
+MS = (0, 1, 3)
+PRECISIONS = ("double", "extended")
+
+
+def solve_hexes(res) -> list[str]:
+    """float.hex of every number one SolveResult carries, in a fixed order."""
+    out = [float(res.energy).hex()]
+    out += [float(c).hex() for c in res.expansion.corrections]
+    out += ["None" if v is None else float(v).hex() for v in res.staircase.values]
+    for poly in res.hierarchy.w_polys + res.hierarchy.f_polys:
+        out += [float(c).hex() for c in poly]
+    return out
+
+
+def solve_digest(res) -> str:
+    return hashlib.sha256("\n".join(solve_hexes(res)).encode()).hexdigest()
+
+
+def solve(system: str, gamma: float, k: int, m: int, precision: str):
+    """One radial solve on the potential quantum_dot maps (system, Gamma) to."""
+    from pslet import HybridPotential, StateIndex, solve_state
+    from pslet.quantum_dot import _SYSTEMS
+
+    divisor, c_coul, _ = _SYSTEMS[system]
+    pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
+    return solve_state(pot, StateIndex.from_azimuthal(k, m), precision=precision)
+
+
+def sweep_lines():
+    from pslet.errors import PsletError
+
+    for system, gamma, k, m, precision in itertools.product(SYSTEMS, GAMMAS, KS, MS, PRECISIONS):
+        key = f"{system} G={gamma!r} k={k} m={m} {precision}"
+        try:
+            yield f"{key} {solve_digest(solve(system, gamma, k, m, precision))}"
+        except PsletError as err:  # a failed solve is a fingerprint too
+            yield f"{key} error:{type(err).__name__}"
+
+
+def _read(path: Path) -> dict[str, str]:
+    rows = {}
+    for line in path.read_text().splitlines():
+        key, _, digest = line.rpartition(" ")
+        rows[key] = digest
+    return rows
+
+
+def compare(a: Path, b: Path) -> int:
+    ra, rb = _read(a), _read(b)
+    differ = [key for key in ra if ra[key] != rb.get(key)]
+    differ += [key for key in rb if key not in ra]
+    for key in differ:
+        print(f"differs: {key}")
+    print(f"{len(differ)} of {len(ra.keys() | rb.keys())} solves differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", type=Path, help="write one digest line per solve here")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="list the solves whose digests differ between two sweep files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("give an output file or --compare A B")
+    args.out.write_text("".join(line + "\n" for line in sweep_lines()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
