@@ -480,6 +480,27 @@ class _F64Backend:
         return [(i, v) for i, v in enumerate(a.tolist()) if v != 0.0]
 
     @staticmethod
+    def influences(f0, f0p, omega, n: int) -> list:
+        """[(sparse(c_t), max_abs(c_t)) for t < n] for the influences c_t.
+
+        c_t is poly_add(poly_mul(f0, Omega x^(t+1) - (t/2) x^(t-1), cap),
+        poly_mul(f0p, x^t, cap), -1.0) in the plain loop; here it is Omega f0
+        shifted by t + 1, plus -(t/2) f0 shifted by t - 1, less f0p shifted
+        by t, with the same bits (see _hierarchy_core).  Only nonzero
+        coefficients are kept, so the sign of a zero does not matter.
+        """
+        rows = np.zeros((n, n + len(f0) + 1))
+        t = np.arange(n)[:, None]
+        rows[t, t + 1 + np.arange(len(f0))] = f0 * omega
+        rows[t[1:], t[1:] - 1 + np.arange(len(f0))] += (t[1:] / -2.0) * f0
+        rows[t, t + np.arange(len(f0p))] -= f0p
+        out = [[] for _ in range(n)]
+        r, c = np.nonzero(rows)
+        for ri, ci, v in zip(r.tolist(), c.tolist(), rows[r, c].tolist()):
+            out[ri].append((ci, v))
+        return list(zip(out, np.max(np.abs(rows), axis=1).tolist()))
+
+    @staticmethod
     def work(a) -> list:
         return a.tolist()
 
@@ -668,6 +689,33 @@ class _DDBackend:
         return [(i, h, l) for i, (h, l) in enumerate(zip(a.hi.tolist(), a.lo.tolist())) if h or l]
 
     @staticmethod
+    def influences(f0: DDPoly, f0p: DDPoly, omega: DD, n: int) -> list:
+        """[(sparse(c_t), max_abs(c_t)) for t < n], as in _F64Backend.influences.
+
+        The products are the dd_mul of f0 with Omega and with -(t/2), as
+        DDPoly.mul forms them (dd_mul is symmetric in its operands), and
+        each coefficient takes the dd_add of at most two of them and then of
+        -f0p, as the plain loop does.
+        """
+        rows_h = np.zeros((n, n + len(f0) + 1))
+        rows_l = np.zeros_like(rows_h)
+        t = np.arange(n)[:, None]
+        at = (t, t + 1 + np.arange(len(f0)))
+        rows_h[at], rows_l[at] = dd_mul(f0.hi, f0.lo, omega.hi, omega.lo)
+        at = (t[1:], t[1:] - 1 + np.arange(len(f0)))
+        bh, bl = dd_mul(f0.hi, f0.lo, t[1:] / -2.0, 0.0)
+        rows_h[at], rows_l[at] = dd_add(rows_h[at], rows_l[at], bh, bl)
+        at = (t, t + np.arange(len(f0p)))
+        rows_h[at], rows_l[at] = dd_add(rows_h[at], rows_l[at], -f0p.hi, -f0p.lo)
+        out = [[] for _ in range(n)]
+        r, c = np.nonzero((rows_h != 0.0) | (rows_l != 0.0))
+        for ri, ci, h, l in zip(
+            r.tolist(), c.tolist(), rows_h[r, c].tolist(), rows_l[r, c].tolist()
+        ):
+            out[ri].append((ci, h, l))
+        return list(zip(out, np.max(np.abs(rows_h), axis=1).tolist()))
+
+    @staticmethod
     def work(a: DDPoly) -> DDPoly:
         return DDPoly(a.hi.tolist(), a.lo.tolist())
 
@@ -710,6 +758,12 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     3. np.convolve starts its sums from +0.0, so the negative zeros that
        _F64Backend.poly_add keeps without a zero buffer never reach R.
 
+    The influences are built in closed form from shifted copies of F_0 and
+    F_0': F_0 holds the powers of one parity and F_0' the other, so each
+    coefficient of F_0 (Omega x^(t+1) - (t/2) x^(t-1)) sums at most two
+    nonzero products, which rounds the same in either order, and the F_0'
+    term is taken from it afterwards, as in the plain loop.
+
     tests/test_corrections_pin.py and tests/test_hierarchy_pin.py check
     the results bit for bit.
     """
@@ -749,17 +803,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     # influence of the unknown W coefficient at power t <= 2J+1 on the
     # residual, F_0 (Omega x^(t+1) - (t/2) x^(t-1)) - F_0' x^t, with its max_abs;
     # the influences are kept in the backend's elimination form
-    influence = []
-    for t in range(2 * J + 2):
-        tmp = be.poly_zeros(t + 2)
-        be.set_(tmp, t + 1, omega_s)
-        if t >= 1:
-            be.set_(tmp, t - 1, be.scalar(-t / 2.0))
-        infl = be.poly_mul(F[0], tmp, cap)
-        xt = be.poly_zeros(t + 1)
-        be.set_(xt, t, be.scalar(1.0))
-        infl = be.poly_add(infl, be.poly_mul(f0p, xt, cap), -1.0)
-        influence.append((be.sparse(infl), be.max_abs(infl)))
+    influence = be.influences(F[0], f0p, omega_s, 2 * J + 2)
     f0_sparse = be.sparse(F[0])
 
     # influence of the unknown F coefficient at power p < k: pivot and poly

@@ -21,6 +21,7 @@ PsletError from either step into a failed record.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -39,8 +40,17 @@ from .potentials import HybridPotential
 # spectroscopic letters for |m| = 0, 1, 2, ... (j is skipped by convention)
 _LETTERS = "spdfghiklmnoqrtuvwxyz"
 
-# scan_spectrum refines each crossing to a gamma interval this narrow.
+# scan_spectrum refines each crossing to a leaf of the bisection of its grid
+# cell: halvings mid = 0.5 * (lo + hi) while hi - lo > CROSSING_TOL.
 CROSSING_TOL = 1e-4
+
+# A grid cell is no crossing when the level difference at both of its ends
+# is within 8 ulps of the larger level energy there: exactly degenerate
+# levels that round apart differ by that noise alone.
+DEGENERATE_RTOL = 8 * sys.float_info.epsilon
+
+# rounds of predicted leaves tried before a crossing falls back to bisection
+_LEAF_ROUNDS = 3
 
 # system -> (Gamma^2 divisor, Coulomb strength, energy factor)
 _SYSTEMS = {"ion": (8.0, 1.0, 2.0), "rm": (32.0, 0.5, 4.0)}
@@ -354,6 +364,102 @@ class Crossing:
     gamma_hi: float
 
 
+def _bisect(f, lo: float, hi: float, flo: float) -> tuple[float, float]:
+    """Bisect the sign change of f on [lo, hi] down to width CROSSING_TOL.
+
+    flo = f(lo).  A non-finite f(mid) keeps the interval reached so far, and
+    an exact zero returns (mid, mid).
+    """
+    while hi - lo > CROSSING_TOL:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if not math.isfinite(fm):
+            break  # keep the unrefined interval
+        if fm == 0.0:
+            return mid, mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _leaf(lo: float, hi: float, root_left_of) -> tuple[float, float]:
+    """The leaf of _bisect's tree on [lo, hi] that root_left_of(mid) steers to."""
+    while hi - lo > CROSSING_TOL:
+        mid = 0.5 * (lo + hi)
+        if root_left_of(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _interpolant(xs, ys):
+    """The polynomial through the points (xs, ys), in Lagrange form."""
+
+    def p(x: float) -> float:
+        total = 0.0
+        for i, (xi, yi) in enumerate(zip(xs, ys)):
+            for m, xm in enumerate(xs):
+                if m != i:
+                    yi *= (x - xm) / (xi - xm)
+            total += yi
+        return total
+
+    return p
+
+
+def _crossing_leaf(f, grid, diffs, j: int) -> tuple[float, float]:
+    """_bisect(f, grid[j], grid[j + 1], diffs[j]) from a predicted leaf.
+
+    diffs holds f at every grid point (NaN where a point failed), with a
+    sign change in cell j.  The first prediction is the root of the
+    polynomial through the finite diffs at points j - 1 .. j + 2: walking
+    bisection's tree by its sign reaches the leaf that holds its root, with
+    no call of f.  f at the leaf's two ends (a grid end reuses its diff)
+    either straddles the sign change, and the leaf is the answer, or
+    narrows the bracket, and the next prediction is the regula falsi root
+    on it.  After _LEAF_ROUNDS predictions, or at once on a non-finite or
+    zero f, the plain bisection runs; each value of f is computed once.
+
+    The bits are bisection's: with one sign change in the cell, the sign of
+    f at each midpoint sends bisection towards the root, so it ends in the
+    leaf that straddles the sign change, and the walk computes that leaf's
+    ends with bisection's own arithmetic.  The one exception is a midpoint
+    that bisection visits and the search skips, should f fail there: it
+    would have stopped bisection short.
+    """
+    lo, hi = grid[j], grid[j + 1]
+    known = {lo: diffs[j], hi: diffs[j + 1]}
+    blo, bhi = lo, hi  # the bracket, nodes of the tree on [lo, hi]
+
+    def cached(g: float) -> float:
+        if g not in known:
+            known[g] = f(g)
+        return known[g]
+
+    positive_left = diffs[j] > 0.0
+    near = [i for i in range(j - 1, j + 3) if 0 <= i < len(grid) and math.isfinite(diffs[i])]
+    model = _interpolant([grid[i] for i in near], [diffs[i] for i in near])
+    for _ in range(_LEAF_ROUNDS):
+        a, b = _leaf(lo, hi, lambda g: (model(g) > 0.0) != positive_left)
+        fa, fb = cached(a), cached(b)
+        if not (math.isfinite(fa) and math.isfinite(fb)) or fa == 0.0 or fb == 0.0:
+            break
+        left_a, left_b = (fa > 0.0) == positive_left, (fb > 0.0) == positive_left
+        if left_a != left_b:
+            if left_a:
+                return a, b
+            break  # the sign changes back inside the leaf
+        if left_a:
+            blo = b
+        else:
+            bhi = a
+        model = _interpolant([blo, bhi], [known[blo], known[bhi]])
+    return _bisect(cached, lo, hi, diffs[j])
+
+
 def scan_spectrum(
     states,
     d0: DotParams,
@@ -367,11 +473,16 @@ def scan_spectrum(
     Returns (records, crossings).  records is a flat list ordered by state
     then gamma, one spectrum_row per point, so a point that fails to solve
     becomes a failed record and the scan continues.  Every adjacent-grid
-    sign change of an energy difference is refined by bisection to a gamma
-    interval no wider than CROSSING_TOL.
+    sign change of an energy difference is refined to the gamma interval,
+    no wider than CROSSING_TOL, that bisection of the grid cell ends in.
+    _crossing_leaf finds that leaf of the bisection from a predicted root
+    and checks it with the level difference at its two ends, which takes
+    about two evaluations where bisection takes seven halvings of a 0.01
+    cell.  A sign change between levels that agree to DEGENERATE_RTOL at
+    both ends of the cell is rounding noise and no crossing.
 
-    The bisection calls the evaluator alone, so the evaluator should not run
-    the oracle.  With oracle set, each grid record instead gets its
+    The crossing search calls the evaluator alone, so the evaluator should
+    not run the oracle.  With oracle set, each grid record instead gets its
     finite-difference cross-check delta right after it is solved; a failing
     cross-check fails its grid point.
     """
@@ -392,9 +503,7 @@ def scan_spectrum(
         records = list(map(row, row_states, row_params))
 
     n_g = len(gamma_grid)
-    energies = {}
-    for i, state in enumerate(states):
-        energies[i] = [records[i * n_g + j].energy for j in range(n_g)]
+    energies = [[records[i * n_g + j].energy for j in range(n_g)] for i in range(len(states))]
 
     def diff_at(ia: int, ib: int, g: float) -> float:
         d = replace(d0, gamma=g)
@@ -406,24 +515,18 @@ def scan_spectrum(
     crossings = []
     for ia in range(len(states)):
         for ib in range(ia + 1, len(states)):
+            ea, eb = energies[ia], energies[ib]
+            diffs = [a - b for a, b in zip(ea, eb)]
             for j in range(n_g - 1):
-                fa = energies[ia][j] - energies[ib][j]
-                fb = energies[ia][j + 1] - energies[ib][j + 1]
+                fa, fb = diffs[j], diffs[j + 1]
                 if not (np.isfinite(fa) and np.isfinite(fb)) or fa == 0.0 or fa * fb >= 0.0:
                     continue
-                lo, hi, flo = gamma_grid[j], gamma_grid[j + 1], fa
-                while hi - lo > CROSSING_TOL:
-                    mid = 0.5 * (lo + hi)
-                    fm = diff_at(ia, ib, mid)
-                    if not math.isfinite(fm):
-                        break  # keep the unrefined interval
-                    if fm == 0.0:
-                        lo = hi = mid
-                        break
-                    if (fm > 0.0) == (flo > 0.0):
-                        lo, flo = mid, fm
-                    else:
-                        hi = mid
+                if all(
+                    abs(diffs[i]) <= DEGENERATE_RTOL * max(abs(ea[i]), abs(eb[i]))
+                    for i in (j, j + 1)
+                ):
+                    continue  # rounding noise between degenerate levels
+                lo, hi = _crossing_leaf(partial(diff_at, ia, ib), gamma_grid, diffs, j)
                 crossings.append(
                     Crossing(
                         state_a=states[ia].name,

@@ -1,7 +1,7 @@
 """The hierarchy's batched kernels against the sequential sums they stand for.
 
 Each backend kernel of engine._hierarchy_core (pair_products, ordered_sum,
-product_sum, and the dd elimination update _dd.dd_axpy) replaces a loop of
+product_sum, influences, and the dd elimination update _dd.dd_axpy) replaces a loop of
 poly_add / poly_mul / DDPoly.add / DDPoly.mul calls and must give its bits,
 the sign of every zero included.  The references below are those loops,
 with the double-precision poly_add in its zero-buffer form.  Inputs are
@@ -216,3 +216,50 @@ def test_dd_axpy_is_ddpoly_add_of_the_scaled_influence():
         hi, lo = R.hi.tolist(), R.lo.tolist()
         dd_axpy(hi, lo, _DDBackend.sparse(infl), z.hi, z.lo, sign)
         assert _bits(hi + lo) == _dd_bits(ref)
+
+
+# ----------------------------------------------------------------------
+# influence polynomials, both backends
+# ----------------------------------------------------------------------
+
+def _prefactor(be, k: int, omega):
+    """F_0 and F_0' as _hierarchy_core builds them."""
+    f0 = be.poly_zeros(k + 1)
+    be.set_(f0, k, be.scalar(1.0))
+    for p in range(k - 2, -1, -2):
+        val = be.scalar((p + 1) * (p + 2) / 2.0) * be.get(f0, p + 2) / (omega * be.scalar(p - k))
+        be.set_(f0, p, val)
+    return f0, be.poly_diff(f0)
+
+
+def _plain_influences(be, f0, f0p, omega, n: int, cap: int) -> list:
+    """The product-and-sum loop that built each influence polynomial."""
+    out = []
+    for t in range(n):
+        tmp = be.poly_zeros(t + 2)
+        be.set_(tmp, t + 1, omega)
+        if t >= 1:
+            be.set_(tmp, t - 1, be.scalar(-t / 2.0))
+        infl = be.poly_mul(f0, tmp, cap)
+        xt = be.poly_zeros(t + 1)
+        be.set_(xt, t, be.scalar(1.0))
+        infl = be.poly_add(infl, be.poly_mul(f0p, xt, cap), -1.0)
+        out.append((be.sparse(infl), be.max_abs(infl)))
+    return out
+
+
+def _influence_bits(infl: list) -> list:
+    return [([(e[0], *_bits(e[1:])) for e in sparse], float(m).hex()) for sparse, m in infl]
+
+
+@pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_influences_are_the_plain_loop(be, k):
+    J = 40  # order 19
+    for _ in range(20):
+        w = float(_RNG.uniform(1.5, 5.0))
+        omega = w if be is _F64Backend else DD(*two_sum(w, float(_RNG.normal()) * 1e-17 * w))
+        f0, f0p = _prefactor(be, k, omega)
+        got = be.influences(f0, f0p, omega, 2 * J + 2)
+        ref = _plain_influences(be, f0, f0p, omega, 2 * J + 2, k + 2 * J + 4)
+        assert _influence_bits(got) == _influence_bits(ref)

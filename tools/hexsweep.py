@@ -1,4 +1,4 @@
-"""Bit-level fingerprints of a fixed sweep of radial solves.
+"""Bit-level fingerprints of a fixed sweep of radial solves, or of the figures.
 
 Each solve is reduced to one SHA-256 over the float.hex of everything the
 engine computes for it: the resummed energy, the corrections E^(0)..E^(n),
@@ -9,12 +9,18 @@ equal digests only when they agree bit for bit.
 The sweep is 240 solves: both systems, Gamma 0.05, 0.2, 0.7, 2 and 5,
 k 0-3, |m| 0, 1 and 3, precision "double" and "extended".
 
+With --figures the file instead holds one line per row and per crossing of
+figures 1-7 on their default grids: the float.hex of the row's energy,
+leading_fraction and pade_spread, and of the crossing's gamma_lo and
+gamma_hi.  The CSVs print six decimals, so they cannot show bit identity.
+
     PYTHONPATH=src python tools/hexsweep.py sweep.txt
+    PYTHONPATH=src python tools/hexsweep.py --figures figures.txt
     python tools/hexsweep.py --compare parent.txt change.txt
 
-The second form lists the solves whose digests differ and exits 1 if any
-do.  Run the first form on two checkouts to list the values a change to the
-arithmetic moves.
+The last form lists the entries that differ or that only one file has, and
+exits 1 if there are any.  Run the first or second form on two checkouts to
+list the values a change moves.
 """
 
 from __future__ import annotations
@@ -67,6 +73,22 @@ def sweep_lines():
             yield f"{key} error:{type(err).__name__}"
 
 
+def figure_lines():
+    from pslet import tables
+
+    for fig_id in tables.FIGURE_IDS:
+        records, crossings = tables.figure_curves(fig_id)
+        for i, r in enumerate(records):
+            values = (r.energy, r.leading_fraction, r.pade_spread)
+            yield f"figure {fig_id} row {i} {r.label} " + ",".join(float(v).hex() for v in values)
+        seen = {}
+        for c in crossings:
+            pair = (c.state_a, c.state_b)
+            n = seen[pair] = seen.get(pair, -1) + 1
+            key = f"figure {fig_id} crossing {c.state_a} x {c.state_b} #{n}"
+            yield f"{key} {c.gamma_lo.hex()},{c.gamma_hi.hex()}"
+
+
 def _read(path: Path) -> dict[str, str]:
     rows = {}
     for line in path.read_text().splitlines():
@@ -80,22 +102,26 @@ def compare(a: Path, b: Path) -> int:
     differ = [key for key in ra if ra[key] != rb.get(key)]
     differ += [key for key in rb if key not in ra]
     for key in differ:
-        print(f"differs: {key}")
-    print(f"{len(differ)} of {len(ra.keys() | rb.keys())} solves differ")
+        where = "" if key in ra and key in rb else f" (only in {a if key in ra else b})"
+        print(f"differs: {key}{where}")
+    print(f"{len(differ)} of {len(ra.keys() | rb.keys())} entries differ")
     return 1 if differ else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", nargs="?", type=Path, help="write one digest line per solve here")
+    parser.add_argument("--figures", action="store_true",
+                        help="fingerprint the rows and crossings of figures 1-7 instead")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
-                        help="list the solves whose digests differ between two sweep files")
+                        help="list the entries that differ between two fingerprint files")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
     if args.out is None:
         parser.error("give an output file or --compare A B")
-    args.out.write_text("".join(line + "\n" for line in sweep_lines()))
+    lines = figure_lines() if args.figures else sweep_lines()
+    args.out.write_text("".join(line + "\n" for line in lines))
     return 0
 
 
