@@ -64,6 +64,9 @@ STABILITY_TOL = 5e-5
 # Log-spaced points on which locate_q0 looks for a sign change.
 _N_SCAN = 512
 
+# Relative nearness to zero at which the array scan re-runs a point in scalars.
+_RECHECK = 1e-9
+
 
 @dataclass(frozen=True)
 class StateIndex:
@@ -221,7 +224,10 @@ def locate_q0(
     Scans a log-spaced grid for a sign change of the combined origin/shift
     condition, then polishes the bracket with safeguarded Newton iteration.
     When several roots exist the smallest one with positive curvature of the
-    leading term is returned.
+    leading term is returned.  The scan is evaluated as arrays, with the
+    scalar _root_function re-run wherever that could decide a bracket
+    differently (see _scan_values), so the brackets, and the polished root,
+    are those of a scalar scan.
     """
     a2 = 2.0 * p.a_osc
     osc_len = (a2 / 2.0) ** -0.25 if a2 > 0.0 else 1.0
@@ -234,17 +240,14 @@ def locate_q0(
     if q_hi is None:
         q_hi = 1e3 * osc_len
     grid = np.geomspace(q_lo, q_hi, _N_SCAN)
-    vals = np.array([_root_function(p, q, s) for q in grid])
+    vals = _scan_values(p, grid, s)
     finite = np.isfinite(vals)
     if not finite.any():
         raise OmegaDomainError(
             f"oscillator frequency is not real anywhere in [{q_lo:.3e}, {q_hi:.3e}]"
         )
-    brackets = [
-        (grid[i], grid[i + 1])
-        for i in range(_N_SCAN - 1)
-        if finite[i] and finite[i + 1] and vals[i] < 0.0 <= vals[i + 1]
-    ]
+    rising = finite[:-1] & finite[1:] & (vals[:-1] < 0.0) & (vals[1:] >= 0.0)
+    brackets = [(grid[i], grid[i + 1]) for i in np.flatnonzero(rising)]
     if not brackets:
         raise NoRootInDomain(
             f"no sign change of the origin condition in [{q_lo:.3e}, {q_hi:.3e}]",
@@ -260,6 +263,43 @@ def locate_q0(
         q_lo=q_lo,
         q_hi=q_hi,
     )
+
+
+def _scan_values(p: HybridPotential, grid: np.ndarray, s: StateIndex) -> np.ndarray:
+    """_root_function on every grid point, as arrays, with the scalar's signs.
+
+    The array formulas are the scalar ones, but numpy's power may round
+    q**3 differently from the scalar pow by an ulp, which moves V'', Omega^2
+    and g by a few ulps of their terms.  Only the sign and the finiteness of
+    each value decide a bracket, and such a move can flip them only where
+    the value nearly cancels.  So every point where V', Omega^2 or g is
+    within a relative _RECHECK of zero (against the sum of its terms'
+    magnitudes), or is not finite, is evaluated again by _root_function,
+    and so are its two neighbours.
+    """
+    a2, c = 2.0 * p.a_osc, p.c_coul
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        osc, coul = a2 * grid, c / grid**2
+        v1 = osc - coul
+        cube = grid**3
+        ratio = grid * (a2 + 2.0 * c / cube) / v1
+        om2 = 3.0 + ratio
+        root = np.sqrt(cube * v1)
+        rhs = s.l_eff + 0.5 + (s.k + 0.5) * np.sqrt(om2)
+        vals = root - rhs
+        vals[(v1 <= 0.0) | (om2 <= 0.0)] = np.nan
+        near = (
+            ~np.isfinite(vals)
+            | (np.abs(v1) <= _RECHECK * (np.abs(osc) + np.abs(coul)))
+            | (np.abs(om2) <= _RECHECK * (3.0 + np.abs(ratio)))
+            | (np.abs(vals) <= _RECHECK * (root + np.abs(rhs)))
+        )
+    centre = near.copy()
+    near[1:] |= centre[:-1]
+    near[:-1] |= centre[1:]
+    for i in np.flatnonzero(near):
+        vals[i] = _root_function(p, grid[i], s)
+    return vals
 
 
 def _polish_root(p: HybridPotential, s: StateIndex, lo: float, hi: float) -> float:
@@ -429,8 +469,11 @@ class _F64Backend:
         """
         n = max([1] + [len(r) for r in rows])
         stack = np.zeros((len(rows) + 1, n))
-        for i, r in enumerate(rows, 1):
-            stack[i, : len(r)] = r
+        if rows and all(len(r) == n for r in rows):
+            stack[1:] = rows
+        else:
+            for i, r in enumerate(rows, 1):
+                stack[i, : len(r)] = r
         return np.cumsum(stack, axis=0)[-1]
 
     @staticmethod
@@ -741,7 +784,10 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     solve: the influence polynomial of each power, the derivative of each
     solved F_i and the mirrored products W_i W_{j-i}.  Products with an F_i
     that has no unknowns (every i >= 1 for k = 0, even i for k = 1) are
-    skipped, and T_j is only built where such a product reads it.
+    skipped, and T_j is only built where such a product reads it.  So is
+    F_i' W_{j-i} where F_i's only unknown sits at power 0, so that F_i' is
+    identically zero: every such term at k = 1, and those of even i at
+    k = 2.
 
     The known part of each half-order takes a few backend calls over
     stacked operands: pair_products forms every W_i W_{j-i}, ordered_sum
@@ -756,7 +802,11 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
        negative zero returns it unchanged, so zero padding and skipped
        coefficients change nothing; R and every sum here start from +0.0;
     3. np.convolve starts its sums from +0.0, so the negative zeros that
-       _F64Backend.poly_add keeps without a zero buffer never reach R.
+       _F64Backend.poly_add keeps without a zero buffer never reach R;
+    4. a skipped F_i' W_{j-i} row was an exact (signed) zero: every operand
+       is finite once the earlier half-orders have passed their residual
+       check, and R, which is longer than the row, holds no negative zero,
+       so by fact 2 leaving the row out changes no bit, nor R's length.
 
     The influences are built in closed form from shifted copies of F_0 and
     F_0': F_0 holds the powers of one parity and F_0' the other, so each
@@ -796,8 +846,10 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
 
     # F_i carries unknowns at the powers p < k of parity k + i; with none it
     # stays zero and its products would add exact zeros to R.  T_j is read
-    # only through F_i T_{j-i} with such a nonzero F_i.
+    # only through F_i T_{j-i} with such a nonzero F_i.  F_i' is zero too
+    # when F_i's only unknown sits at power 0 (k = 1, and even i at k = 2).
     has_f = [any(p % 2 == (k + i) % 2 for p in range(k)) for i in range(J + 1)]
+    has_fp = [any(p % 2 == (k + i) % 2 for p in range(1, k)) for i in range(J + 1)]
     need_t = any(has_f[1:])
 
     # influence of the unknown W coefficient at power t <= 2J+1 on the
@@ -832,7 +884,9 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         terms = []
         for i in range(1, j):
             if has_f[i]:
-                terms += [(F[i], T[j - i], 1.0), (Fp[i], W[j - i], -1.0)]
+                terms.append((F[i], T[j - i], 1.0))
+            if has_fp[i]:
+                terms.append((Fp[i], W[j - i], -1.0))
         R = be.product_sum(R, terms, cap)
         scale = max(be.max_abs(R), 1.0)
 
@@ -865,7 +919,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
             r = be.axpy(r, infl, z)
             be.set_(fj, p, z)
         F[j] = fj
-        if has_f[j]:
+        if has_fp[j]:
             Fp[j] = be.poly_diff(fj)
 
         # the check reads every coefficient of R; an overflow that leaves

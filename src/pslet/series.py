@@ -10,6 +10,7 @@ removes the geometric growth without changing a single bit of the input.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -66,30 +67,53 @@ def _growth_rate(c: np.ndarray) -> float:
     return float(2.0**e)
 
 
+@functools.lru_cache(maxsize=64)
+def _toeplitz_index(M: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, idx, inside) of the (M, N) denominator system, built once per (M, N).
+
+    Entry (r, s) of the system is c[idx[r, s]] where inside[r, s], else 0;
+    rows are the series indices of the right-hand side.  Read-only, since
+    every fit of that (M, N) shares them.
+    """
+    rows = np.arange(M + 1, M + N + 1)
+    raw = rows[:, None] - np.arange(1, N + 1)[None, :]
+    out = (rows, np.clip(raw, 0, None), raw >= 0)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def pade_fit(c, M: int, N: int) -> PadeApproximant:
     """Fit the (M, N) Pade approximant to the series coefficients c0..c_{M+N}.
 
-    Raises SingularPadeSystem when the denominator system is singular or so
-    ill-conditioned (after removing geometric coefficient growth) that the
-    result would carry no double-precision accuracy.
+    Raises SingularPadeSystem when a coefficient is not finite, or when the
+    denominator system is singular or so ill-conditioned (after removing
+    geometric coefficient growth) that the result would carry no
+    double-precision accuracy.
+
+    The condition number is s[0]/s[-1] of the singular values, the 2-norm
+    number np.linalg.cond computes (a zero s[-1] reads as infinite, as there),
+    and the numerator's fsum runs over Python floats: the same bits as the
+    numpy spelling, without its per-call overhead.
     """
     c = np.asarray(c, dtype=float)
     if len(c) != M + N + 1:
         raise ValueError(f"need exactly M+N+1 = {M + N + 1} coefficients, got {len(c)}")
+    if not np.all(np.isfinite(c)):
+        raise SingularPadeSystem(f"[{M}/{N}] series has a non-finite coefficient")
     if N == 0:
         return PadeApproximant(c.copy(), np.array([1.0]))
 
     rho = _growth_rate(c)
     cs = c / rho ** np.arange(len(c))
-    rows = np.arange(M + 1, M + N + 1)
-    cols = np.arange(1, N + 1)
-    idx = rows[:, None] - cols[None, :]
-    A = np.where(idx >= 0, cs[np.clip(idx, 0, None)], 0.0)
+    rows, idx, inside = _toeplitz_index(M, N)
+    A = np.where(inside, cs[idx], 0.0)
     rhs = -cs[rows]
     try:
-        cond = np.linalg.cond(A)
+        sv = np.linalg.svd(A, compute_uv=False).tolist()
     except np.linalg.LinAlgError:
-        cond = np.inf
+        sv = [math.nan]
+    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularPadeSystem(
             f"[{M}/{N}] denominator system condition {cond:.2e} exceeds {CONDITION_LIMIT:.0e}"
@@ -100,28 +124,41 @@ def pade_fit(c, M: int, N: int) -> PadeApproximant:
         raise SingularPadeSystem(f"[{M}/{N}] denominator system is singular") from err
     # q solves the system in the rescaled variable rho*t; undo the scaling
     den = np.concatenate(([1.0], q * rho ** np.arange(1, N + 1)))
+    dl, cl = den.tolist(), c.tolist()
     num = np.array(
-        [math.fsum(den[s] * c[i - s] for s in range(0, min(i, N) + 1)) for i in range(M + 1)]
+        [math.fsum([dl[j] * cl[i - j] for j in range(min(i, N) + 1)]) for i in range(M + 1)]
     )
     if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
         raise SingularPadeSystem(f"[{M}/{N}] fit produced non-finite coefficients")
     return PadeApproximant(num, den)
 
 
+def _horner(c: list, t: float) -> float:
+    """np.polynomial.polynomial.polyval(t, c) in Python floats, bit for bit.
+
+    The same start c[-1] + t*0 (which fixes the sign of a zero, and gives
+    nan at an infinite t) and the same order of the same operations.
+    """
+    v = c[-1] + t * 0.0
+    for a in c[-2::-1]:
+        v = a + v * t
+    return v
+
+
 def pade_eval(p: PadeApproximant, t: float) -> float:
-    """Evaluate num(t)/den(t) by Horner's rule.
+    """Evaluate num(t)/den(t) by Horner's rule in Python floats.
 
     Raises PoleProximity when den(t) is negligible against the natural scale
     sum_i |den_i t^i|, which signals a spurious pole at the evaluation point.
     """
     tpow = np.abs(p.den) * np.abs(t) ** np.arange(len(p.den))
     scale = float(np.sum(tpow))
-    den_val = float(np.polynomial.polynomial.polyval(t, p.den))
+    den_val = float(_horner(p.den.tolist(), t))
     if abs(den_val) < POLE_TOLERANCE * scale:
         raise PoleProximity(
             f"denominator {den_val:.3e} at t={t:.6g} is below {POLE_TOLERANCE:.0e} of scale {scale:.3e}"
         )
-    num_val = float(np.polynomial.polynomial.polyval(t, p.num))
+    num_val = float(_horner(p.num.tolist(), t))
     return num_val / den_val
 
 

@@ -263,3 +263,305 @@ def test_influences_are_the_plain_loop(be, k):
         got = be.influences(f0, f0p, omega, 2 * J + 2)
         ref = _plain_influences(be, f0, f0p, omega, 2 * J + 2, k + 2 * J + 4)
         assert _influence_bits(got) == _influence_bits(ref)
+
+
+# ----------------------------------------------------------------------
+# the F' skip of the hierarchy, both backends
+# ----------------------------------------------------------------------
+
+def _with_zero_fp_rows(base, k: int):
+    """base, with product_sum given back the rows F_i' W_{j-i} whose F_i' is zero.
+
+    _hierarchy_core leaves those rows out when F_i's only unknown sits at
+    power 0.  Here they go back in their old places, each with the F_i' that
+    poly_diff gives for such an F_i: its powers above 0 are all zero.  j and
+    W are taken from the pair_products call that opens each half-order.
+    """
+
+    class Backend(base):
+        seen = {}
+
+        @staticmethod
+        def pair_products(W, j, cap):
+            Backend.seen.update(W=W, j=j)
+            return base.pair_products(W, j, cap)
+
+        @staticmethod
+        def product_sum(R, terms, cap):
+            W, j = Backend.seen["W"], Backend.seen["j"]
+            full, given = [], iter(terms)
+            for i in range(1, j):
+                powers = [p for p in range(k) if p % 2 == (k + i) % 2]
+                if powers:
+                    full.append(next(given))  # F_i T_{j-i}
+                    if max(powers) > 0:
+                        full.append(next(given))  # F_i' W_{j-i}
+                    else:
+                        zero_fp = base.poly_diff(base.poly_zeros(max(k, 1)))
+                        full.append((zero_fp, W[j - i], -1.0))
+            assert next(given, None) is None
+            return base.product_sum(R, full, cap)
+
+    return Backend
+
+
+def _hierarchy_inputs(be, k: int, gamma: float, m: int, order: int):
+    """(vpolys, omega, q0) of one ion state, as solve_state hands them to the core."""
+    from pslet import engine
+    from pslet.potentials import HybridPotential
+
+    pot = HybridPotential(a_osc=gamma * gamma / 8.0, c_coul=1.0)
+    s = engine.StateIndex.from_azimuthal(k, m)
+    q0 = engine.locate_q0(pot, s)
+    J = 2 * order + 2
+    if be is _F64Backend:
+        sp = engine.shift_params(pot, q0, s)
+        b = engine.b_coefficients(pot, sp, J + 2)
+        return engine.v_series(b, sp.beta, J), sp.omega, sp.q0
+    q, omega, beta, _, b, _ = engine._dd_shift_and_b(pot, s, q0, J + 4)
+    return engine._v_polys(b, beta, J, be), omega, q
+
+
+def _core_bits(out, be) -> list:
+    corr, W, F = out
+    return [float(be.to_float(c)).hex() for c in corr] + [
+        _bits(be.poly_to_float(p)) for p in W + F
+    ]
+
+
+@pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_hierarchy_skips_only_zero_fp_rows(be, k):
+    from pslet.engine import _hierarchy_core
+
+    order = 19 if be is _F64Backend else 12
+    for gamma, m in [(0.3, 0), (2.0, 1)]:
+        v, omega, q0 = _hierarchy_inputs(be, k, gamma, m, order)
+        got = _hierarchy_core(v, k, order, omega, q0, be)
+        ref = _hierarchy_core(v, k, order, omega, q0, _with_zero_fp_rows(be, k))
+        assert _core_bits(got, be) == _core_bits(ref, be)
+
+
+# ----------------------------------------------------------------------
+# the origin scan as arrays
+# ----------------------------------------------------------------------
+
+def _scalar_scan(p, grid, s) -> np.ndarray:
+    """The scan as locate_q0 evaluated it point by point."""
+    from pslet.engine import _root_function
+
+    return np.array([_root_function(p, q, s) for q in grid])
+
+
+def _scalar_brackets(grid, vals) -> list:
+    """The scalar scan's bracket list, in its own loop."""
+    finite = np.isfinite(vals)
+    return [
+        (grid[i], grid[i + 1])
+        for i in range(len(grid) - 1)
+        if finite[i] and finite[i + 1] and vals[i] < 0.0 <= vals[i + 1]
+    ]
+
+
+def _scan_states(n: int):
+    """A seeded sweep: ion, relative motion and c = 0; Gamma 0.01-20; k 0-4; |m| 0-5."""
+    from pslet.engine import StateIndex
+    from pslet.potentials import HybridPotential
+
+    rng = np.random.default_rng(16)
+    for _ in range(n):
+        divisor, c = [(8.0, 1.0), (32.0, 0.5), (8.0, 0.0)][int(rng.integers(3))]
+        gamma = 0.01 * 2000.0 ** float(rng.random())
+        pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c)
+        yield pot, StateIndex.from_azimuthal(int(rng.integers(5)), int(rng.integers(6)))
+
+
+def test_array_scan_gives_the_scalar_brackets(monkeypatch):
+    from pslet import engine
+
+    grids = []
+    real = engine._scan_values
+    monkeypatch.setattr(engine, "_scan_values", lambda p, g, s: grids.append(g) or real(p, g, s))
+    for pot, s in _scan_states(300):
+        engine.locate_q0(pot, s)
+        grid = grids[-1]
+        got, ref = real(pot, grid, s), _scalar_scan(pot, grid, s)
+        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+        assert np.array_equal(got < 0.0, ref < 0.0)
+        assert _scalar_brackets(grid, got) == _scalar_brackets(grid, ref)
+
+
+def test_array_scan_signs_at_the_root():
+    # on points a few ulps around a polished root g sits at rounding level,
+    # where array and scalar rounding may disagree; the re-check decides
+    from pslet import engine
+
+    # (with numpy 2.4's AVX-512 power, 3 of these 160,400 points flip sign
+    # without it)
+    for pot, s in _scan_states(400):
+        q0 = engine.locate_q0(pot, s)
+        grid = q0 * (1.0 + np.arange(-200, 201) * np.finfo(float).eps)
+        got, ref = engine._scan_values(pot, grid, s), _scalar_scan(pot, grid, s)
+        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+        assert np.array_equal(got < 0.0, ref < 0.0)
+
+
+def test_array_scan_where_the_frequency_is_not_real():
+    # below 2 a q^3 = c, V' < 0 and the scalar scan returns nan; the
+    # bracket search must see the same finite region
+    from pslet import engine
+
+    for pot, s in _scan_states(60):
+        if pot.c_coul == 0.0:
+            continue
+        edge = (pot.c_coul / (2.0 * pot.a_osc)) ** (1.0 / 3.0)
+        grid = np.geomspace(0.2 * edge, 50.0 * edge, engine._N_SCAN)
+        grid = np.sort(np.concatenate((grid, edge * (1.0 + np.arange(-8, 9) * 2e-16))))
+        got, ref = engine._scan_values(pot, grid, s), _scalar_scan(pot, grid, s)
+        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+        assert np.array_equal(got < 0.0, ref < 0.0)
+
+
+def test_locate_q0_is_the_scalar_scans_root(monkeypatch):
+    from pslet import engine
+
+    states = list(_scan_states(120))
+    got = [engine.locate_q0(pot, s).hex() for pot, s in states]
+    monkeypatch.setattr(engine, "_scan_values", _scalar_scan)
+    assert got == [engine.locate_q0(pot, s).hex() for pot, s in states]
+
+
+# ----------------------------------------------------------------------
+# the Pade member against its numpy spelling
+# ----------------------------------------------------------------------
+
+def _numpy_pade_fit(c, M, N):
+    """series.pade_fit as it was written with np.linalg.cond and numpy scalars."""
+    import math
+
+    from pslet.errors import SingularPadeSystem
+    from pslet.series import CONDITION_LIMIT, PadeApproximant, _growth_rate
+
+    c = np.asarray(c, dtype=float)
+    if len(c) != M + N + 1:
+        raise ValueError(f"need exactly M+N+1 = {M + N + 1} coefficients, got {len(c)}")
+    if N == 0:
+        return PadeApproximant(c.copy(), np.array([1.0]))
+
+    rho = _growth_rate(c)
+    cs = c / rho ** np.arange(len(c))
+    rows = np.arange(M + 1, M + N + 1)
+    cols = np.arange(1, N + 1)
+    idx = rows[:, None] - cols[None, :]
+    A = np.where(idx >= 0, cs[np.clip(idx, 0, None)], 0.0)
+    rhs = -cs[rows]
+    try:
+        cond = np.linalg.cond(A)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise SingularPadeSystem(
+            f"[{M}/{N}] denominator system condition {cond:.2e} exceeds {CONDITION_LIMIT:.0e}"
+        )
+    try:
+        q = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as err:
+        raise SingularPadeSystem(f"[{M}/{N}] denominator system is singular") from err
+    den = np.concatenate(([1.0], q * rho ** np.arange(1, N + 1)))
+    num = np.array(
+        [math.fsum(den[s] * c[i - s] for s in range(0, min(i, N) + 1)) for i in range(M + 1)]
+    )
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+        raise SingularPadeSystem(f"[{M}/{N}] fit produced non-finite coefficients")
+    return PadeApproximant(num, den)
+
+
+def _numpy_pade_eval(p, t):
+    """series.pade_eval as it was written with np.polynomial.polynomial.polyval."""
+    from pslet.errors import PoleProximity
+    from pslet.series import POLE_TOLERANCE
+
+    tpow = np.abs(p.den) * np.abs(t) ** np.arange(len(p.den))
+    scale = float(np.sum(tpow))
+    den_val = float(np.polynomial.polynomial.polyval(t, p.den))
+    if abs(den_val) < POLE_TOLERANCE * scale:
+        raise PoleProximity(
+            f"denominator {den_val:.3e} at t={t:.6g} is below {POLE_TOLERANCE:.0e} of scale {scale:.3e}"
+        )
+    num_val = float(np.polynomial.polynomial.polyval(t, p.num))
+    return num_val / den_val
+
+
+def _outcome(fn, *args):
+    """(exception class and message) or the float.hex of what fn returns."""
+    from pslet.errors import PsletError
+
+    try:
+        out = fn(*args)
+    except PsletError as err:
+        return type(err).__name__, str(err)
+    if isinstance(out, float):
+        return out.hex()
+    return _bits(out.num), _bits(out.den)
+
+
+def _pade_inputs():
+    """(c, M, N, t): every ladder member of real solves, then random series."""
+    from pslet import engine
+    from pslet.potentials import HybridPotential
+    from pslet.series import staircase_orders
+
+    for gamma, k, m in [(0.2, 0, 0), (0.7, 1, 1), (2.0, 0, 0), (5.0, 3, 0), (0.05, 2, 3)]:
+        for c_coul, divisor in [(1.0, 8.0), (0.5, 32.0)]:
+            pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
+            res = engine.solve_state(pot, engine.StateIndex.from_azimuthal(k, m), precision="double")
+            c, t = res.expansion.corrections, 1.0 / res.expansion.lbar
+            for M, N in staircase_orders():
+                yield c[: M + N + 1], M, N, t
+    rng = np.random.default_rng(16)
+    for _ in range(600):
+        M, N = int(rng.integers(0, 10)), int(rng.integers(0, 11))
+        growth = 10.0 ** rng.uniform(-1.0, 1.5)
+        c = rng.normal(size=M + N + 1) * growth ** np.arange(M + N + 1)
+        c[rng.random(len(c)) < 0.1] = 0.0
+        t = float(rng.uniform(-1.0, 1.0)) / growth
+        yield c, M, N, t
+        try:
+            den = _numpy_pade_fit(c, M, N).den
+        except Exception:
+            continue
+        poles = np.roots(den[::-1]) if N else []
+        real = [float(z.real) for z in poles if z.imag == 0.0]
+        if real:  # on a pole: the eval is rejected by POLE_TOLERANCE
+            yield c, M, N, real[0]
+
+
+def test_pade_member_matches_its_numpy_spelling():
+    from pslet.series import pade_eval, pade_fit
+
+    seen = {}
+    for c, M, N, t in _pade_inputs():
+        fit = _outcome(pade_fit, c, M, N)
+        assert fit == _outcome(_numpy_pade_fit, c, M, N)
+        if isinstance(fit[0], str) and fit[0].endswith("System"):
+            seen["singular"] = seen.get("singular", 0) + 1
+            continue
+        p = pade_fit(c, M, N)
+        val = _outcome(pade_eval, p, t)
+        assert val == _outcome(_numpy_pade_eval, p, t)
+        key = "pole" if isinstance(val, tuple) else "value"
+        seen[key] = seen.get(key, 0) + 1
+    # every outcome is exercised: values, CONDITION_LIMIT and POLE_TOLERANCE rejections
+    assert min(seen.get(key, 0) for key in ("value", "singular", "pole")) >= 10, seen
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, 0.3, -0.3, 1e300, float("inf"), float("nan")])
+def test_horner_is_polyval(t):
+    from pslet.series import _horner
+
+    for _ in range(50):
+        c = _random_f64(int(_RNG.integers(1, 12)))
+        c[_RNG.random(len(c)) < 0.3] = -0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = float(np.polynomial.polynomial.polyval(t, c))
+        assert float(_horner(c.tolist(), t)).hex() == ref.hex()

@@ -211,3 +211,30 @@ class TestStaircase:
         assert len(orders) == 17
         for (m1, n1), (m2, n2) in zip(orders, orders[1:]):
             assert (m2 - m1, n2 - n1) in ((1, 0), (0, 1))
+
+
+class TestNonFiniteSeries:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", [0, 2, -1])
+    def test_fit_raises_the_typed_error(self, bad, where):
+        c = np.array([1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125])
+        c[where] = bad
+        for M, N in [(2, 3), (3, 2), (5, 0)]:
+            with pytest.raises(SingularPadeSystem):
+                pade_fit(c, M, N)
+
+    def test_ladder_records_the_member_as_missing(self):
+        import dataclasses
+
+        from pslet.engine import StateIndex, pade_stability, solve_state
+        from pslet.potentials import HybridPotential
+
+        pot = HybridPotential(a_osc=0.7**2 / 8.0, c_coul=1.0)
+        e = solve_state(pot, StateIndex.from_azimuthal(1, 1), precision="double").expansion
+        corrections = e.corrections.copy()
+        corrections[19] = math.inf
+        stair = pade_stability(dataclasses.replace(e, corrections=corrections))
+        # only [9/10] reads E^(19); every other member keeps its value
+        assert stair.orders[-1] == (9, 10) and stair.values[-1] is None
+        assert stair.values[:-1] == pade_stability(e).values[:-1]
+        assert None not in stair.values[:-1]

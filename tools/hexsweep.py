@@ -14,13 +14,20 @@ figures 1-7 on their default grids: the float.hex of the row's energy,
 leading_fraction and pade_spread, and of the crossing's gamma_lo and
 gamma_hi.  The CSVs print six decimals, so they cannot show bit identity.
 
+With --origins the file holds one line per state of a wider sweep of the
+expansion origin alone: the float.hex of q0, omega, beta and lbar from
+locate_q0 and shift_params.  That sweep is 1,080 states: the ion and
+relative-motion potentials and the pure oscillator (c = 0), 12 values of
+Gamma log-spaced over 0.01-20, k 0-4 and |m| 0-5.
+
     PYTHONPATH=src python tools/hexsweep.py sweep.txt
     PYTHONPATH=src python tools/hexsweep.py --figures figures.txt
+    PYTHONPATH=src python tools/hexsweep.py --origins origins.txt
     python tools/hexsweep.py --compare parent.txt change.txt
 
 The last form lists the entries that differ or that only one file has, and
-exits 1 if there are any.  Run the first or second form on two checkouts to
-list the values a change moves.
+exits 1 if there are any.  Run one of the first three forms on two
+checkouts to list the values a change moves.
 """
 
 from __future__ import annotations
@@ -36,6 +43,11 @@ GAMMAS = (0.05, 0.2, 0.7, 2.0, 5.0)
 KS = (0, 1, 2, 3)
 MS = (0, 1, 3)
 PRECISIONS = ("double", "extended")
+
+ORIGIN_SYSTEMS = ("ion", "rm", "oscillator")
+ORIGIN_GAMMAS = tuple(0.01 * (2000.0 ** (i / 11)) for i in range(12))
+ORIGIN_KS = range(5)
+ORIGIN_MS = range(6)
 
 
 def solve_hexes(res) -> list[str]:
@@ -89,6 +101,26 @@ def figure_lines():
             yield f"{key} {c.gamma_lo.hex()},{c.gamma_hi.hex()}"
 
 
+def origin_lines():
+    from pslet import HybridPotential, StateIndex
+    from pslet.engine import locate_q0, shift_params
+    from pslet.errors import PsletError
+    from pslet.quantum_dot import _SYSTEMS
+
+    for system, gamma, k, m in itertools.product(ORIGIN_SYSTEMS, ORIGIN_GAMMAS, ORIGIN_KS, ORIGIN_MS):
+        key = f"origin {system} G={gamma!r} k={k} m={m}"
+        divisor, c_coul, _ = _SYSTEMS["ion" if system == "oscillator" else system]
+        pot = HybridPotential(a_osc=gamma * gamma / divisor,
+                              c_coul=0.0 if system == "oscillator" else c_coul)
+        s = StateIndex.from_azimuthal(k, m)
+        try:
+            sp = shift_params(pot, locate_q0(pot, s), s)
+        except PsletError as err:
+            yield f"{key} error:{type(err).__name__}"
+            continue
+        yield f"{key} " + ",".join(float(v).hex() for v in (sp.q0, sp.omega, sp.beta, sp.lbar))
+
+
 def _read(path: Path) -> dict[str, str]:
     rows = {}
     for line in path.read_text().splitlines():
@@ -111,8 +143,11 @@ def compare(a: Path, b: Path) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", nargs="?", type=Path, help="write one digest line per solve here")
-    parser.add_argument("--figures", action="store_true",
-                        help="fingerprint the rows and crossings of figures 1-7 instead")
+    what = parser.add_mutually_exclusive_group()
+    what.add_argument("--figures", action="store_true",
+                      help="fingerprint the rows and crossings of figures 1-7 instead")
+    what.add_argument("--origins", action="store_true",
+                      help="fingerprint the expansion origin of a 1,080-state sweep instead")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
                         help="list the entries that differ between two fingerprint files")
     args = parser.parse_args(argv)
@@ -120,7 +155,7 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     if args.out is None:
         parser.error("give an output file or --compare A B")
-    lines = figure_lines() if args.figures else sweep_lines()
+    lines = figure_lines() if args.figures else origin_lines() if args.origins else sweep_lines()
     args.out.write_text("".join(line + "\n" for line in lines))
     return 0
 
