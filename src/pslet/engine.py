@@ -269,8 +269,8 @@ def _scan_values(p: HybridPotential, grid: np.ndarray, s: StateIndex) -> np.ndar
     """_root_function on every grid point, as arrays, with the scalar's signs.
 
     The array formulas are the scalar ones, but numpy's power may round
-    q**3 differently from the scalar pow by an ulp, which moves V'', Omega^2
-    and g by a few ulps of their terms.  Only the sign and the finiteness of
+    q**2 and q**3 an ulp away from the scalar pow, which moves V', V'',
+    Omega^2 and g by a few ulps of their terms.  Only the sign and the finiteness of
     each value decide a bracket, and such a move can flip them only where
     the value nearly cancels.  So every point where V', Omega^2 or g is
     within a relative _RECHECK of zero (against the sum of its terms'

@@ -11,13 +11,33 @@ The kernels rest on three facts, checked here directly: every sum keeps its
 term order; adding an exact zero (double or dd) to a value that holds no
 negative zero returns it unchanged; np.convolve starts its sums from +0.0,
 so it never returns a negative zero.
+
+The other shortcuts of a double solve are pinned the same way to the code
+they replace: the hierarchy without its identically-zero F_i' W_{j-i}
+rows, the origin scan as arrays against the scalar scan, and the double
+Pade fit and evaluation against their numpy spelling.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from pslet import engine
 from pslet._dd import DD, DDPoly, dd_add, dd_axpy, two_sum
-from pslet.engine import _DDBackend, _F64Backend
+from pslet.engine import _DDBackend, _F64Backend, _hierarchy_core, _root_function
+from pslet.errors import PoleProximity, PsletError, SingularPadeSystem
+from pslet.potentials import HybridPotential
+from pslet.series import (
+    CONDITION_LIMIT,
+    POLE_TOLERANCE,
+    PadeApproximant,
+    _growth_rate,
+    _horner,
+    pade_eval,
+    pade_fit,
+    staircase_orders,
+)
 
 _RNG = np.random.default_rng(7)
 
@@ -307,9 +327,6 @@ def _with_zero_fp_rows(base, k: int):
 
 def _hierarchy_inputs(be, k: int, gamma: float, m: int, order: int):
     """(vpolys, omega, q0) of one ion state, as solve_state hands them to the core."""
-    from pslet import engine
-    from pslet.potentials import HybridPotential
-
     pot = HybridPotential(a_osc=gamma * gamma / 8.0, c_coul=1.0)
     s = engine.StateIndex.from_azimuthal(k, m)
     q0 = engine.locate_q0(pot, s)
@@ -332,8 +349,6 @@ def _core_bits(out, be) -> list:
 @pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_hierarchy_skips_only_zero_fp_rows(be, k):
-    from pslet.engine import _hierarchy_core
-
     order = 19 if be is _F64Backend else 12
     for gamma, m in [(0.3, 0), (2.0, 1)]:
         v, omega, q0 = _hierarchy_inputs(be, k, gamma, m, order)
@@ -348,8 +363,6 @@ def test_hierarchy_skips_only_zero_fp_rows(be, k):
 
 def _scalar_scan(p, grid, s) -> np.ndarray:
     """The scan as locate_q0 evaluated it point by point."""
-    from pslet.engine import _root_function
-
     return np.array([_root_function(p, q, s) for q in grid])
 
 
@@ -365,20 +378,15 @@ def _scalar_brackets(grid, vals) -> list:
 
 def _scan_states(n: int):
     """A seeded sweep: ion, relative motion and c = 0; Gamma 0.01-20; k 0-4; |m| 0-5."""
-    from pslet.engine import StateIndex
-    from pslet.potentials import HybridPotential
-
     rng = np.random.default_rng(16)
     for _ in range(n):
         divisor, c = [(8.0, 1.0), (32.0, 0.5), (8.0, 0.0)][int(rng.integers(3))]
         gamma = 0.01 * 2000.0 ** float(rng.random())
         pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c)
-        yield pot, StateIndex.from_azimuthal(int(rng.integers(5)), int(rng.integers(6)))
+        yield pot, engine.StateIndex.from_azimuthal(int(rng.integers(5)), int(rng.integers(6)))
 
 
 def test_array_scan_gives_the_scalar_brackets(monkeypatch):
-    from pslet import engine
-
     grids = []
     real = engine._scan_values
     monkeypatch.setattr(engine, "_scan_values", lambda p, g, s: grids.append(g) or real(p, g, s))
@@ -394,8 +402,6 @@ def test_array_scan_gives_the_scalar_brackets(monkeypatch):
 def test_array_scan_signs_at_the_root():
     # on points a few ulps around a polished root g sits at rounding level,
     # where array and scalar rounding may disagree; the re-check decides
-    from pslet import engine
-
     # (with numpy 2.4's AVX-512 power, 3 of these 160,400 points flip sign
     # without it)
     for pot, s in _scan_states(400):
@@ -407,24 +413,27 @@ def test_array_scan_signs_at_the_root():
 
 
 def test_array_scan_where_the_frequency_is_not_real():
-    # below 2 a q^3 = c, V' < 0 and the scalar scan returns nan; the
-    # bracket search must see the same finite region
-    from pslet import engine
-
-    for pot, s in _scan_states(60):
-        if pot.c_coul == 0.0:
-            continue
-        edge = (pot.c_coul / (2.0 * pot.a_osc)) ** (1.0 / 3.0)
-        grid = np.geomspace(0.2 * edge, 50.0 * edge, engine._N_SCAN)
-        grid = np.sort(np.concatenate((grid, edge * (1.0 + np.arange(-8, 9) * 2e-16))))
+    # below 2 a q^3 = c, V' < 0 and the scalar scan returns nan; the bracket
+    # search must see the same finite region.  Within ulps of that edge the
+    # array and scalar V' may disagree in sign (with numpy 2.4's AVX-512
+    # power, at 1 of the 34,000 edge points below); the re-check decides.
+    s = engine.StateIndex.from_azimuthal(1, 1)
+    rng = np.random.default_rng(16)
+    for n in range(2000):
+        c, divisor = [(1.0, 8.0), (0.5, 32.0)][int(rng.integers(2))]
+        gamma = 0.01 * 2000.0 ** float(rng.random())
+        pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c)
+        edge = (c / (2.0 * pot.a_osc)) ** (1.0 / 3.0)
+        grid = edge * (1.0 + np.arange(-8, 9) * np.finfo(float).eps)
+        if n < 50:
+            grid = np.concatenate((np.geomspace(0.2 * edge, 0.99 * edge, 100), grid,
+                                   np.geomspace(1.01 * edge, 50.0 * edge, 400)))
         got, ref = engine._scan_values(pot, grid, s), _scalar_scan(pot, grid, s)
         assert np.array_equal(np.isfinite(got), np.isfinite(ref))
         assert np.array_equal(got < 0.0, ref < 0.0)
 
 
 def test_locate_q0_is_the_scalar_scans_root(monkeypatch):
-    from pslet import engine
-
     states = list(_scan_states(120))
     got = [engine.locate_q0(pot, s).hex() for pot, s in states]
     monkeypatch.setattr(engine, "_scan_values", _scalar_scan)
@@ -437,11 +446,6 @@ def test_locate_q0_is_the_scalar_scans_root(monkeypatch):
 
 def _numpy_pade_fit(c, M, N):
     """series.pade_fit as it was written with np.linalg.cond and numpy scalars."""
-    import math
-
-    from pslet.errors import SingularPadeSystem
-    from pslet.series import CONDITION_LIMIT, PadeApproximant, _growth_rate
-
     c = np.asarray(c, dtype=float)
     if len(c) != M + N + 1:
         raise ValueError(f"need exactly M+N+1 = {M + N + 1} coefficients, got {len(c)}")
@@ -478,9 +482,6 @@ def _numpy_pade_fit(c, M, N):
 
 def _numpy_pade_eval(p, t):
     """series.pade_eval as it was written with np.polynomial.polynomial.polyval."""
-    from pslet.errors import PoleProximity
-    from pslet.series import POLE_TOLERANCE
-
     tpow = np.abs(p.den) * np.abs(t) ** np.arange(len(p.den))
     scale = float(np.sum(tpow))
     den_val = float(np.polynomial.polynomial.polyval(t, p.den))
@@ -494,8 +495,6 @@ def _numpy_pade_eval(p, t):
 
 def _outcome(fn, *args):
     """(exception class and message) or the float.hex of what fn returns."""
-    from pslet.errors import PsletError
-
     try:
         out = fn(*args)
     except PsletError as err:
@@ -507,10 +506,6 @@ def _outcome(fn, *args):
 
 def _pade_inputs():
     """(c, M, N, t): every ladder member of real solves, then random series."""
-    from pslet import engine
-    from pslet.potentials import HybridPotential
-    from pslet.series import staircase_orders
-
     for gamma, k, m in [(0.2, 0, 0), (0.7, 1, 1), (2.0, 0, 0), (5.0, 3, 0), (0.05, 2, 3)]:
         for c_coul, divisor in [(1.0, 8.0), (0.5, 32.0)]:
             pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
@@ -528,7 +523,7 @@ def _pade_inputs():
         yield c, M, N, t
         try:
             den = _numpy_pade_fit(c, M, N).den
-        except Exception:
+        except PsletError:
             continue
         poles = np.roots(den[::-1]) if N else []
         real = [float(z.real) for z in poles if z.imag == 0.0]
@@ -537,8 +532,6 @@ def _pade_inputs():
 
 
 def test_pade_member_matches_its_numpy_spelling():
-    from pslet.series import pade_eval, pade_fit
-
     seen = {}
     for c, M, N, t in _pade_inputs():
         fit = _outcome(pade_fit, c, M, N)
@@ -557,8 +550,6 @@ def test_pade_member_matches_its_numpy_spelling():
 
 @pytest.mark.parametrize("t", [0.0, -0.0, 0.3, -0.3, 1e300, float("inf"), float("nan")])
 def test_horner_is_polyval(t):
-    from pslet.series import _horner
-
     for _ in range(50):
         c = _random_f64(int(_RNG.integers(1, 12)))
         c[_RNG.random(len(c)) < 0.3] = -0.0

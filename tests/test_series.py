@@ -1,5 +1,6 @@
 """Truncated polynomial arithmetic and Pade fitting against exact oracles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslet.engine import _F64Backend
+from pslet.engine import StateIndex, _F64Backend, pade_stability, solve_state
 from pslet.errors import PoleProximity, SingularPadeSystem
+from pslet.potentials import HybridPotential
 from pslet.series import PadeApproximant, pade_eval, pade_fit, staircase_orders
 
 
@@ -224,11 +226,6 @@ class TestNonFiniteSeries:
                 pade_fit(c, M, N)
 
     def test_ladder_records_the_member_as_missing(self):
-        import dataclasses
-
-        from pslet.engine import StateIndex, pade_stability, solve_state
-        from pslet.potentials import HybridPotential
-
         pot = HybridPotential(a_osc=0.7**2 / 8.0, c_coul=1.0)
         e = solve_state(pot, StateIndex.from_azimuthal(1, 1), precision="double").expansion
         corrections = e.corrections.copy()
