@@ -270,12 +270,12 @@ def _scan_values(p: HybridPotential, grid: np.ndarray, s: StateIndex) -> np.ndar
 
     The array formulas are the scalar ones, but numpy's power may round
     q**2 and q**3 an ulp away from the scalar pow, which moves V', V'',
-    Omega^2 and g by a few ulps of their terms.  Only the sign and the finiteness of
-    each value decide a bracket, and such a move can flip them only where
-    the value nearly cancels.  So every point where V', Omega^2 or g is
-    within a relative _RECHECK of zero (against the sum of its terms'
-    magnitudes), or is not finite, is evaluated again by _root_function,
-    and so are its two neighbours.
+    Omega^2 and g by a few ulps of their terms.  Only the sign and the
+    finiteness of each value decide a bracket, and such a move can flip
+    them only where the value nearly cancels.  So every point where V',
+    Omega^2 or g is within a relative _RECHECK of zero (against the sum of
+    its terms' magnitudes), or is not finite, is evaluated again by
+    _root_function, and so are its two neighbours.
     """
     a2, c = 2.0 * p.a_osc, p.c_coul
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

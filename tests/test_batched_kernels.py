@@ -509,7 +509,8 @@ def _pade_inputs():
     for gamma, k, m in [(0.2, 0, 0), (0.7, 1, 1), (2.0, 0, 0), (5.0, 3, 0), (0.05, 2, 3)]:
         for c_coul, divisor in [(1.0, 8.0), (0.5, 32.0)]:
             pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
-            res = engine.solve_state(pot, engine.StateIndex.from_azimuthal(k, m), precision="double")
+            s = engine.StateIndex.from_azimuthal(k, m)
+            res = engine.solve_state(pot, s, precision="double")
             c, t = res.expansion.corrections, 1.0 / res.expansion.lbar
             for M, N in staircase_orders():
                 yield c[: M + N + 1], M, N, t

@@ -107,7 +107,8 @@ def origin_lines():
     from pslet.errors import PsletError
     from pslet.quantum_dot import _SYSTEMS
 
-    for system, gamma, k, m in itertools.product(ORIGIN_SYSTEMS, ORIGIN_GAMMAS, ORIGIN_KS, ORIGIN_MS):
+    states = itertools.product(ORIGIN_SYSTEMS, ORIGIN_GAMMAS, ORIGIN_KS, ORIGIN_MS)
+    for system, gamma, k, m in states:
         key = f"origin {system} G={gamma!r} k={k} m={m}"
         divisor, c_coul, _ = _SYSTEMS["ion" if system == "oscillator" else system]
         pot = HybridPotential(a_osc=gamma * gamma / divisor,
