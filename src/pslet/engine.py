@@ -450,13 +450,17 @@ class _F64Backend:
     def poly_mul(a, b, cap):
         return np.convolve(a, b)[: cap + 1]
 
-    # The batched kernels below each stand for a plain sequential sum, named
-    # in their docstrings, and give its bits: every sum keeps its term order.
+    # The batched kernels below each stand for a plain loop, named in their
+    # docstrings, and give its bits: every sum keeps its term order.
 
     @staticmethod
-    def pair_products(W, j, cap):
-        """[poly_mul(W[i], W[j - i], cap) for i = 1..j//2]."""
-        return [np.convolve(W[i], W[j - i])[: cap + 1] for i in range(1, j // 2 + 1)]
+    def products(terms, cap):
+        """[sign * poly_mul(a, b, cap) for each (a, b, sign) of terms]."""
+        out = []
+        for a, b, sign in terms:
+            row = np.convolve(a, b)[: cap + 1]
+            out.append(row if sign == 1.0 else sign * row)
+        return out
 
     @staticmethod
     def ordered_sum(rows):
@@ -464,25 +468,11 @@ class _F64Backend:
 
         That is acc = poly_zeros(1), then acc = acc + row for each row in
         order, with every sum started from +0.0 as a zero buffer does.
-        np.cumsum adds the rows of the stack one after another, from its
-        leading +0.0 row; np.sum and np.add.reduce may pair them up instead.
         """
-        n = max([1] + [len(r) for r in rows])
-        stack = np.zeros((len(rows) + 1, n))
-        if rows and all(len(r) == n for r in rows):
-            stack[1:] = rows
-        else:
-            for i, r in enumerate(rows, 1):
-                stack[i, : len(r)] = r
-        return np.cumsum(stack, axis=0)[-1]
-
-    @staticmethod
-    def product_sum(R, terms, cap):
-        """The ordered_sum of R and sign * poly_mul(a, b, cap) for each (a, b, sign) of terms."""
-        if not terms:
-            return R
-        rows = [R] + [sign * np.convolve(a, b)[: cap + 1] for a, b, sign in terms]
-        return _F64Backend.ordered_sum(rows)
+        acc = np.zeros(max([1] + [len(r) for r in rows]))
+        for r in rows:
+            acc[: len(r)] += r
+        return acc
 
     @staticmethod
     def poly_scale(a, z):
@@ -607,53 +597,59 @@ class _DDBackend:
     def poly_to_float(a: DDPoly) -> np.ndarray:
         return a.to_float()
 
-    # The batched kernels below each stand for a plain sequential sum, named
-    # in their docstrings, and give its bits.  They run the same dd_mul and
-    # dd_add on stacked rows and keep the order of every sum.  Where a row is
+    # The batched kernels below each stand for a plain loop, named in their
+    # docstrings, and give its bits.  They run the same dd_mul and dd_add on
+    # stacked rows and keep the order of every sum.  Where a row is
     # zero-padded, the padding adds an exact dd zero, which returns a
     # normalized pair unchanged; no sum here yields a negative zero to spoil
     # that, because each starts from +0.0.
 
     @staticmethod
-    def pair_products(W: list, j: int, cap: int) -> list:
-        """[W[i].mul(W[j - i], cap) for i = 1..j//2], for the hierarchy's W.
+    def products(terms: list, cap: int) -> list:
+        """[a.mul(b, cap), times sign, for each (a, b, sign) of terms].
 
-        W_i has 2i + 2 coefficients and only the powers of parity i + 1, so
-        each operand is packed to that parity and every product to parity j.
-        DDPoly.mul walks the rows s of its shorter operand W_i in ascending
-        order; here step u takes row s = p_i + 2u of every W_i at once, with
-        one dd_mul and one dd_add over the stack.  A W_i with no row u adds
-        nothing from step u on, and an exact zero row adds an exact zero.
+        The sign multiplies hi and lo, as DDPoly.add(product, sign) does.
+        a.mul(b) walks the nonzero rows m of its shorter operand (the first
+        on a tie) in ascending order and adds a[m] * b, shifted by m, into a
+        zero product.  Here one dd_mul forms every such row of every term,
+        and the r-th nonzero rows of all terms, which add to distinct cells,
+        go into their products with one dd_add.  A row past the cap adds
+        only to columns that are cut.
         """
-        pairs = range(1, j // 2 + 1)
-        n_pair = len(pairs)
-        lb = j  # packed length of the longest W_{j-i}, at i = 1
-        ah = np.zeros((n_pair, n_pair + 1))
-        al = np.zeros((n_pair, n_pair + 1))
-        bh = np.zeros((n_pair, lb))
-        bl = np.zeros((n_pair, lb))
-        for r, i in enumerate(pairs):
-            a, b = W[i], W[j - i]
-            pa, pb = (i + 1) % 2, (j - i + 1) % 2
-            ah[r, : i + 1], al[r, : i + 1] = a.hi[pa::2], a.lo[pa::2]
-            bh[r, : j - i + 1], bl[r, : j - i + 1] = b.hi[pb::2], b.lo[pb::2]
-        # packed column w of row i is power p_i + p_{j-i} + 2w of the product
-        ch = np.zeros((n_pair, n_pair + lb))
-        cl = np.zeros((n_pair, n_pair + lb))
-        for u in range(n_pair + 1):
-            rows = slice(max(u - 1, 0), n_pair)  # the W_i with i >= u have a row u
-            ph, pl = dd_mul(ah[rows, u, None], al[rows, u, None], bh[rows], bl[rows])
-            cols = slice(u, u + lb)
-            ch[rows, cols], cl[rows, cols] = dd_add(ch[rows, cols], cl[rows, cols], ph, pl)
-        out_h = np.zeros((n_pair, 2 * j + 3))
-        out_l = np.zeros((n_pair, 2 * j + 3))
-        for p_i in (0, 1):  # the rows of odd i, then of even i
-            off = p_i + (j - p_i) % 2  # p_i + p_{j-i}
-            sel = slice(p_i, n_pair, 2)
-            out_h[sel, off : off + 2 * j + 1 : 2] = ch[sel, : j + 1]
-            out_l[sel, off : off + 2 * j + 1 : 2] = cl[sel, : j + 1]
-        n = min(cap + 1, 2 * j + 3)
-        return [DDPoly(h[:n], l[:n]) for h, l in zip(out_h, out_l)]
+        if not terms:
+            return []
+        pairs = [(a, b, s) if len(a) <= len(b) else (b, a, s) for a, b, s in terms]
+        la = max(len(a) for a, _, _ in pairs)
+        lb = max(len(b) for _, b, _ in pairs)
+        ah = np.zeros((len(pairs), la))
+        al = np.zeros_like(ah)
+        bh = np.zeros((len(pairs), lb))
+        bl = np.zeros_like(bh)
+        for t, (a, b, _) in enumerate(pairs):
+            ah[t, : len(a)], al[t, : len(a)] = a.hi, a.lo
+            bh[t, : len(b)], bl[t, : len(b)] = b.hi, b.lo
+        live = (ah != 0.0) | (al != 0.0)
+        t_row, m_row = np.nonzero(live)  # term by term, ascending m
+        rank = (np.cumsum(live, axis=1) - 1)[t_row, m_row]
+        by_rank = np.argsort(rank, kind="stable")
+        t_row, m_row = t_row[by_rank], m_row[by_rank]
+        ph, pl = dd_mul(ah[t_row, m_row, None], al[t_row, m_row, None], bh[t_row], bl[t_row])
+        # the flat index of every cell a row adds to; a rank adds to distinct cells
+        width = la + lb - 1
+        at = (t_row * width + m_row)[:, None] + np.arange(lb)
+        ch = np.zeros(len(pairs) * width)
+        cl = np.zeros_like(ch)
+        start = 0
+        for end in np.cumsum(np.bincount(rank)).tolist():
+            cells = at[start:end]
+            ch[cells], cl[cells] = dd_add(ch[cells], cl[cells], ph[start:end], pl[start:end])
+            start = end
+        out = []
+        for t, (a, b, sign) in enumerate(pairs):
+            n = min(cap + 1, len(a) + len(b) - 1)
+            row = slice(t * width, t * width + n)
+            out.append(DDPoly(sign * ch[row], sign * cl[row]))
+        return out
 
     @staticmethod
     def ordered_sum(rows: list) -> DDPoly:
@@ -667,61 +663,6 @@ class _DDBackend:
             else:
                 h[: len(r)], l[: len(r)] = dd_add(h[: len(r)], l[: len(r)], r.hi, r.lo)
         return DDPoly(h, l)
-
-    @staticmethod
-    def product_sum(R: DDPoly, terms: list, cap: int) -> DDPoly:
-        """R = R.add(a.mul(b, cap), sign) for each (a, b, sign) of terms, in order.
-
-        a.mul(b) walks the nonzero rows m of its shorter operand in ascending
-        order and adds a[m] * b, shifted by m, into a zero product.  Here one
-        dd_mul forms every such row of every term, the r-th nonzero rows of
-        all terms go into their products with one dd_add, and the products
-        go into R one after another.  For k <= 3 each F_i and F_i' has at
-        most two nonzero coefficients, so each product takes two rows.
-        """
-        if not terms:
-            return R
-        pairs = [(a, b, s) if len(a) <= len(b) else (b, a, s) for a, b, s in terms]
-        n_t = len(pairs)
-        la = max(len(a) for a, _, _ in pairs)
-        lb = max(len(b) for _, b, _ in pairs)
-        ah = np.zeros((n_t, la))
-        al = np.zeros((n_t, la))
-        bh = np.zeros((n_t, lb))
-        bl = np.zeros((n_t, lb))
-        for t, (a, b, _) in enumerate(pairs):
-            ah[t, : a.hi.size], al[t, : a.hi.size] = a.hi, a.lo
-            bh[t, : b.hi.size], bl[t, : b.hi.size] = b.hi, b.lo
-        live = (ah != 0.0) | (al != 0.0)
-        rank = np.cumsum(live, axis=1) - 1
-        t_row, m_row = np.nonzero(live)  # term by term, ascending m
-        rank = rank[t_row, m_row]
-        ph, pl = dd_mul(ah[t_row, m_row, None], al[t_row, m_row, None], bh[t_row], bl[t_row])
-        lengths = [min(cap + 1, len(a) + len(b) - 1) for a, b, _ in pairs]
-        n = max([len(R)] + lengths)
-        width = max(n, la - 1 + lb)
-        ch = np.zeros((n_t, width))
-        cl = np.zeros((n_t, width))
-        cols = m_row[:, None] + np.arange(lb)
-        for rk in range(1 + max(rank, default=-1)):
-            sel = rank == rk
-            sh = np.zeros_like(ch)
-            sl = np.zeros_like(cl)
-            sh[t_row[sel, None], cols[sel]] = ph[sel]
-            sl[t_row[sel, None], cols[sel]] = pl[sel]
-            ch, cl = dd_add(ch, cl, sh, sl)
-        # a product ends at its length (cap cuts it there); R.add pads it with zeros
-        sign = np.array([s for _, _, s in pairs])[:, None]
-        ch, cl = sign * ch, sign * cl
-        cut = np.arange(width) >= np.array(lengths)[:, None]
-        ch[cut] = 0.0
-        cl[cut] = 0.0
-        h = np.zeros(width)
-        l = np.zeros(width)
-        h[: len(R)], l[: len(R)] = R.hi, R.lo
-        for t in range(n_t):
-            h, l = dd_add(h, l, ch[t], cl[t])
-        return DDPoly(h[:n], l[:n])
 
     # Each elimination update runs on Python-float copies of R's hi and lo
     # over the nonzero coefficients of the influence (_dd.dd_axpy), and R
@@ -789,20 +730,25 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     identically zero: every such term at k = 1, and those of even i at
     k = 2.
 
-    The known part of each half-order takes a few backend calls over
-    stacked operands: pair_products forms every W_i W_{j-i}, ordered_sum
-    adds them up, and product_sum adds every F_i T_{j-i} - F_i' W_{j-i} to
-    R.  Each elimination update (axpy) runs on the backend's own form of R
-    and touches only the nonzero coefficients of the influence.  All of it
-    gives the bits of the plain loop of poly_add / poly_mul calls, resting
-    on three facts (tests/test_batched_kernels.py):
+    The known part of each half-order takes two kernels over stacked
+    operands: products forms every W_i W_{j-i} and ordered_sum adds them up;
+    then products forms F_0 T_known, every F_i T_{j-i} and every
+    -F_i' W_{j-i}, and ordered_sum adds those up into R.  Each elimination
+    update (axpy) runs on the backend's own form of R and touches only the
+    nonzero coefficients of the influence.  All of it gives the bits of the
+    plain loop of poly_add / poly_mul calls, resting on these facts
+    (tests/test_batched_kernels.py):
 
-    1. every sum keeps its term order (np.cumsum adds rows one by one);
+    1. every sum keeps its term order (ordered_sum adds rows one by one), and
+       every row of products is the np.convolve or DDPoly.mul it stands for;
     2. adding an exact zero, double or dd, to a value that holds no
        negative zero returns it unchanged, so zero padding and skipped
-       coefficients change nothing; R and every sum here start from +0.0;
-    3. np.convolve starts its sums from +0.0, so the negative zeros that
-       _F64Backend.poly_add keeps without a zero buffer never reach R;
+       coefficients change nothing; every sum here starts from +0.0;
+    3. np.convolve and DDPoly.mul start their sums from +0.0, so a product
+       holds no negative zero: the negative zeros that _F64Backend.poly_add
+       keeps without a zero buffer never reach R, and F_0 T_known, which
+       the plain loop takes as R's start, passes the +0.0 start of R's
+       ordered_sum unchanged (at k = 0 it is the only row);
     4. a skipped F_i' W_{j-i} row was an exact (signed) zero: every operand
        is finite once the earlier half-orders have passed their residual
        check, and R, which is longer than the row, holds no negative zero,
@@ -877,17 +823,16 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         # (longer operand first) and DDPoly.mul (loop over the shorter one)
         # then compute the product in one fixed operand order.  Each product
         # is formed once and added at i and j-i, summing over i = 1..j-1.
-        ww = be.pair_products(W, j, cap)
+        ww = be.products([(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)], cap)
         acc = be.ordered_sum([ww[min(i, j - i) - 1] for i in range(1, j)])
         t_known = be.poly_add(be.poly_scale(acc, minus_half), vpolys[j])
-        R = be.poly_mul(F[0], t_known, cap)
-        terms = []
+        terms = [(F[0], t_known, 1.0)]
         for i in range(1, j):
             if has_f[i]:
                 terms.append((F[i], T[j - i], 1.0))
             if has_fp[i]:
                 terms.append((Fp[i], W[j - i], -1.0))
-        R = be.product_sum(R, terms, cap)
+        R = be.ordered_sum(be.products(terms, cap))
         scale = max(be.max_abs(R), 1.0)
 
         # odd-parity unknowns at even half-orders, even-parity at odd ones;

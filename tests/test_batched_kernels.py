@@ -1,16 +1,19 @@
 """The hierarchy's batched kernels against the sequential sums they stand for.
 
-Each backend kernel of engine._hierarchy_core (pair_products, ordered_sum,
-product_sum, influences, and the dd elimination update _dd.dd_axpy) replaces a loop of
+Each backend kernel of engine._hierarchy_core (products, ordered_sum,
+influences, and the dd elimination update _dd.dd_axpy) replaces a loop of
 poly_add / poly_mul / DDPoly.add / DDPoly.mul calls and must give its bits,
 the sign of every zero included.  The references below are those loops,
 with the double-precision poly_add in its zero-buffer form.  Inputs are
-random stacks of unequal lengths with exact zeros and negative zeros.
+random stacks of unequal lengths with exact zeros and negative zeros.  The
+hierarchy forms its pair products W_i W_{j-i} and its residual R as the
+ordered_sum of products, and both are checked against the loop they replace.
 
-The kernels rest on three facts, checked here directly: every sum keeps its
-term order; adding an exact zero (double or dd) to a value that holds no
-negative zero returns it unchanged; np.convolve starts its sums from +0.0,
-so it never returns a negative zero.
+The kernels keep the term order of every sum and rest on two facts,
+checked here directly: adding an exact zero (double or dd) to a value that
+holds no negative zero returns it unchanged; np.convolve starts its sums
+from +0.0, so it never returns a negative zero.  Both backends offer the
+same methods, and only those the hierarchy calls.
 
 The other shortcuts of a double solve are pinned the same way to the code
 they replace: the hierarchy without its identically-zero F_i' W_{j-i}
@@ -18,7 +21,10 @@ rows, the origin scan as arrays against the scalar scan, and the double
 Pade fit and evaluation against their numpy spelling.
 """
 
+import ast
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -81,19 +87,8 @@ def _zero_buffer_add(a, b, sign=1.0):
 
 
 # ----------------------------------------------------------------------
-# the three facts
+# the two facts
 # ----------------------------------------------------------------------
-
-def test_cumsum_adds_rows_in_order():
-    # np.sum and np.add.reduce over axis 0 may pair rows up (here: one column)
-    for _ in range(200):
-        stack = np.zeros((int(_RNG.integers(9, 40)), 1))
-        stack[1:, 0] = _RNG.normal(size=len(stack) - 1) * 10.0 ** _RNG.integers(-8, 8, len(stack) - 1)
-        acc = 0.0
-        for v in stack[:, 0]:
-            acc += v
-        assert _bits(np.cumsum(stack, axis=0)[-1]) == _bits([acc])
-
 
 def test_exact_zero_leaves_a_normalized_pair_unchanged():
     p = _random_dd(500, zeros=False)
@@ -121,7 +116,8 @@ def test_convolve_never_returns_negative_zero():
 
 @pytest.mark.parametrize("max_len", [1, 30])
 def test_f64_ordered_sum_is_the_sequential_sum(max_len):
-    # one-coefficient rows make a one-column stack, which np.sum(axis=0) pairs up
+    # one-coefficient rows: a reduction over a stack of them (np.sum(axis=0))
+    # would pair rows up
     for _ in range(300):
         rows = [_random_f64(int(_RNG.integers(1, max_len + 1)))
                 for _ in range(int(_RNG.integers(0, 25)))]
@@ -132,24 +128,27 @@ def test_f64_ordered_sum_is_the_sequential_sum(max_len):
 
 
 def test_f64_product_sum_is_the_sequential_sum():
+    # R = poly_mul(F_0, T_known), then R = poly_add(R, poly_mul(a, b), sign)
+    # for each term; with no terms (k = 0) R is the lone product
     for _ in range(200):
         cap = int(_RNG.integers(3, 60))
-        R = _random_f64(int(_RNG.integers(1, 20)))
+        f0, t_known = _random_f64(int(_RNG.integers(1, 6))), _random_f64(int(_RNG.integers(1, 20)))
         terms = [
             (_random_f64(int(_RNG.integers(1, 6))), _random_f64(int(_RNG.integers(1, 40))),
              float(_RNG.choice([1.0, -1.0])))
             for _ in range(int(_RNG.integers(0, 12)))
         ]
-        ref = R
+        ref = _F64Backend.poly_mul(f0, t_known, cap)
         for a, b, sign in terms:
             ref = _zero_buffer_add(ref, _F64Backend.poly_mul(a, b, cap), sign)
-        assert _bits(_F64Backend.product_sum(R, terms, cap)) == _bits(ref)
+        got = _F64Backend.ordered_sum(_F64Backend.products([(f0, t_known, 1.0)] + terms, cap))
+        assert _bits(got) == _bits(ref)
 
 
 def test_f64_pair_products():
     W = [_random_f64(2 * i + 2) for i in range(12)]
     for j in range(1, 12):
-        got = _F64Backend.pair_products(W, j, 40)
+        got = _F64Backend.products([(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)], 40)
         ref = [_F64Backend.poly_mul(W[i], W[j - i], 40) for i in range(1, j // 2 + 1)]
         assert [_bits(g) for g in got] == [_bits(r) for r in ref]
 
@@ -186,7 +185,7 @@ def test_dd_pair_products_are_ddpoly_mul():
     for _ in range(5):
         W = _hierarchy_w(22)
         for j in range(1, 22):
-            got = _DDBackend.pair_products(W, j, 100)
+            got = _DDBackend.products([(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)], 100)
             ref = [W[i].mul(W[j - i], 100) for i in range(1, j // 2 + 1)]
             assert [_dd_bits(g) for g in got] == [_dd_bits(r) for r in ref]
 
@@ -200,24 +199,33 @@ def test_dd_ordered_sum_is_the_sequential_sum():
         assert _dd_bits(_DDBackend.ordered_sum(rows)) == _dd_bits(acc)
 
 
+def _few_nonzero_dd(n: int, max_nonzero: int) -> DDPoly:
+    """A random dd polynomial with at most max_nonzero nonzero coefficients."""
+    a = _random_dd(n)
+    live = np.flatnonzero(a.hi)
+    drop = live[max_nonzero:] if len(live) > max_nonzero else []
+    a.hi[drop], a.lo[drop] = 0.0, 0.0
+    return a
+
+
 @pytest.mark.parametrize("max_nonzero", [1, 2, 3])
 def test_dd_product_sum_is_the_sequential_sum(max_nonzero):
+    # R = F_0.mul(T_known), then R = R.add(a.mul(b), sign) for each term
     for _ in range(60):
         cap = int(_RNG.integers(3, 60))
-        R = _random_dd(int(_RNG.integers(1, 20)))
+        f0 = _few_nonzero_dd(int(_RNG.integers(1, 7)), max_nonzero)
+        t_known = _random_dd(int(_RNG.integers(1, 20)))
         terms = []
         for _ in range(int(_RNG.integers(0, 10))):
-            a = _random_dd(int(_RNG.integers(1, 7)))
-            live = np.flatnonzero(a.hi)
-            drop = live[max_nonzero:] if len(live) > max_nonzero else []
-            a.hi[drop], a.lo[drop] = 0.0, 0.0
+            a = _few_nonzero_dd(int(_RNG.integers(1, 7)), max_nonzero)
             b = _random_dd(int(_RNG.integers(1, 40)))
             pair = (a, b) if _RNG.random() < 0.8 else (b, a)
             terms.append((*pair, float(_RNG.choice([1.0, -1.0]))))
-        ref = R
+        ref = f0.mul(t_known, cap)
         for a, b, sign in terms:
             ref = ref.add(a.mul(b, cap), sign)
-        assert _dd_bits(_DDBackend.product_sum(R, terms, cap)) == _dd_bits(ref)
+        got = _DDBackend.ordered_sum(_DDBackend.products([(f0, t_known, 1.0)] + terms, cap))
+        assert _dd_bits(got) == _dd_bits(ref)
 
 
 def test_dd_axpy_is_ddpoly_add_of_the_scaled_influence():
@@ -236,6 +244,136 @@ def test_dd_axpy_is_ddpoly_add_of_the_scaled_influence():
         hi, lo = R.hi.tolist(), R.lo.tolist()
         dd_axpy(hi, lo, _DDBackend.sparse(infl), z.hi, z.lo, sign)
         assert _bits(hi + lo) == _dd_bits(ref)
+
+
+# ----------------------------------------------------------------------
+# products, both backends
+# ----------------------------------------------------------------------
+
+def _random_poly(be, n: int):
+    return _random_f64(n) if be is _F64Backend else _random_dd(n)
+
+
+def _put(p, at, values) -> None:
+    """p[at] = values, as exact dd pairs for a DDPoly."""
+    if isinstance(p, DDPoly):
+        p.hi[at], p.lo[at] = values, 0.0
+    else:
+        p[at] = values
+
+
+def _poly_bits(p) -> list:
+    return _dd_bits(p) if isinstance(p, DDPoly) else _bits(p)
+
+
+def _signed(p, sign: float):
+    """sign * p, both halves of a DDPoly scaled as DDPoly.add(p, sign) scales them."""
+    return DDPoly(sign * p.hi, sign * p.lo) if isinstance(p, DDPoly) else sign * p
+
+
+def _plain_add(acc, p, sign=1.0):
+    """acc + sign * p as the plain loop adds it: DDPoly.add, or into a zero buffer."""
+    return acc.add(p, sign) if isinstance(acc, DDPoly) else _zero_buffer_add(acc, p, sign)
+
+
+def _products_case(be, case: str):
+    """(terms, cap) for one edge of the kernel; the operands hold exact +-0 coefficients."""
+    def term(la: int, lb: int):
+        return _random_poly(be, la), _random_poly(be, lb), float(_RNG.choice([1.0, -1.0]))
+
+    if case == "equal_lengths":
+        return [term(12, 12) for _ in range(6)], 40
+    if case == "longer_first":
+        return [term(int(_RNG.integers(8, 30)), int(_RNG.integers(1, 8))) for _ in range(6)], 60
+    if case == "cap_below_a_row":  # rows m > cap are live: DDPoly.mul's jmax <= 0 break
+        a, b, sign = term(8, 10)
+        _put(a, slice(4, 8), _RNG.normal(size=4))
+        return [(a, b, sign)], 3
+    if case == "one_term":
+        return [term(int(_RNG.integers(1, 10)), int(_RNG.integers(1, 30)))], 50
+    if case == "negative_sign_zeros":  # the product's +0.0 columns 0-2 turn to -0.0
+        a, b, _ = term(5, 9)
+        _put(a, slice(0, 3), 0.0)
+        return [(a, b, -1.0), (b, a, -1.0)], 50
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
+@pytest.mark.parametrize(
+    "case", ["equal_lengths", "longer_first", "cap_below_a_row", "one_term", "negative_sign_zeros"]
+)
+def test_products_are_the_signed_poly_mul(be, case):
+    for _ in range(30):
+        terms, cap = _products_case(be, case)
+        got = be.products(terms, cap)
+        ref = [(be.poly_mul(a, b, cap), sign) for a, b, sign in terms]
+        assert [_poly_bits(g) for g in got] == [_poly_bits(_signed(r, sign)) for r, sign in ref]
+        acc = be.poly_zeros(1)
+        for r, sign in ref:
+            acc = _plain_add(acc, r, sign)
+        assert _poly_bits(be.ordered_sum(got)) == _poly_bits(acc)
+    if case == "negative_sign_zeros":
+        assert all(_poly_bits(g)[:3] == ["-0x0.0p+0"] * 3 for g in got)
+
+
+def test_dd_tie_keeps_the_first_operand():
+    # the two operand orders sum each coefficient in opposite orders
+    differ = 0
+    for _ in range(30):
+        a, b = _random_dd(12), _random_dd(12)
+        (got,) = _DDBackend.products([(a, b, 1.0)], 40)
+        assert _dd_bits(got) == _dd_bits(a.mul(b, 40))
+        differ += _dd_bits(got) != _dd_bits(b.mul(a, 40))
+    assert differ > 0
+
+
+@pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
+def test_pair_products_with_zero_parity_rows(be):
+    # W_i as the hierarchy shapes it, with half its parity's coefficients
+    # exact +-0 (all of W_1's)
+    for _ in range(5):
+        W = []
+        for i in range(16):
+            w = _random_poly(be, 2 * i + 2)
+            _put(w, slice(i % 2, None, 2), 0.0)
+            zero = np.flatnonzero(_RNG.random(i + 1) < (1.0 if i == 1 else 0.5))
+            _put(w, 2 * zero + (i + 1) % 2, np.where(_RNG.random(len(zero)) < 0.5, -0.0, 0.0))
+            W.append(w)
+        for j in range(1, 16):
+            pairs = [(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)]
+            ref = [be.poly_mul(a, b, 50) for a, b, _ in pairs]
+            assert [_poly_bits(g) for g in be.products(pairs, 50)] == [_poly_bits(r) for r in ref]
+
+
+@pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
+def test_no_products(be):
+    assert be.products([], 10) == []
+    assert _poly_bits(be.ordered_sum(be.products([], 10))) == _poly_bits(be.poly_zeros(1))
+
+
+def _backend_calls(fn) -> set:
+    """The attributes fn reads from its backend, spelled be.name or backend.name."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("be", "backend")
+    }
+
+
+def test_backends_offer_what_the_hierarchy_calls():
+    def public(cls):
+        return {name for name in dir(cls) if not name.startswith("_")}
+
+    callers = (_hierarchy_core, engine._v_polys, engine._tables_from_polys)
+    called = set().union(*(_backend_calls(fn) for fn in callers))
+    assert public(_F64Backend) == public(_DDBackend)
+    assert public(_F64Backend) == called, (
+        f"not called: {sorted(public(_F64Backend) - called)}, "
+        f"missing: {sorted(called - public(_F64Backend))}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -290,26 +428,27 @@ def test_influences_are_the_plain_loop(be, k):
 # ----------------------------------------------------------------------
 
 def _with_zero_fp_rows(base, k: int):
-    """base, with product_sum given back the rows F_i' W_{j-i} whose F_i' is zero.
+    """base, with products given back the rows F_i' W_{j-i} whose F_i' is zero.
 
     _hierarchy_core leaves those rows out when F_i's only unknown sits at
     power 0.  Here they go back in their old places, each with the F_i' that
-    poly_diff gives for such an F_i: its powers above 0 are all zero.  j and
-    W are taken from the pair_products call that opens each half-order.
+    poly_diff gives for such an F_i: its powers above 0 are all zero.  Each
+    half-order calls products twice: first for the pairs W_i W_{j-i}, from
+    which W_1..W_{j-1} and j are read (W_i has 2i + 2 coefficients), then
+    for the rows of R, F_0 T_known first.
     """
 
     class Backend(base):
-        seen = {}
+        W = None
 
         @staticmethod
-        def pair_products(W, j, cap):
-            Backend.seen.update(W=W, j=j)
-            return base.pair_products(W, j, cap)
-
-        @staticmethod
-        def product_sum(R, terms, cap):
-            W, j = Backend.seen["W"], Backend.seen["j"]
-            full, given = [], iter(terms)
+        def products(terms, cap):
+            if Backend.W is None:
+                Backend.W = {len(w) // 2 - 1: w for a, b, _ in terms for w in (a, b)}
+                return base.products(terms, cap)
+            W, Backend.W = Backend.W, None
+            j = max(W, default=0) + 1
+            full, given = [terms[0]], iter(terms[1:])
             for i in range(1, j):
                 powers = [p for p in range(k) if p % 2 == (k + i) % 2]
                 if powers:
@@ -320,7 +459,7 @@ def _with_zero_fp_rows(base, k: int):
                         zero_fp = base.poly_diff(base.poly_zeros(max(k, 1)))
                         full.append((zero_fp, W[j - i], -1.0))
             assert next(given, None) is None
-            return base.product_sum(R, full, cap)
+            return base.products(full, cap)
 
     return Backend
 

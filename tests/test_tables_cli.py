@@ -295,9 +295,12 @@ class TestCli:
             ["scan", "--system", "ion", "--states", "0,0", "--gamma", "0:0.1:0.1",
              "--gamma-d", "0.2", "--jobs", "-3"],
             ["figure", "5", "--Gamma", "0.5:1:0.5", "--jobs", "0"],
+            ["figure", "5", "--gamma", "0.5:1.0:0.5"],
+            ["figure", "2", "--Gamma", "0.5:1.0:0.5"],
+            ["figure", "2", "--gamma", ""],
         ],
         ids=["tolerance-nan", "tolerance-negative", "order-negative", "jobs-zero", "jobs-negative",
-             "figure5-jobs-zero"],
+             "figure5-jobs-zero", "figure5-gamma", "figure2-Gamma", "figure2-empty-gamma"],
     )
     def test_bad_settings_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)

@@ -6,8 +6,10 @@ every Pade ladder value, and every coefficient of the W and F tables of the
 correction hierarchy.  float.hex keeps the sign of zero, so two builds give
 equal digests only when they agree bit for bit.
 
-The sweep is 240 solves: both systems, Gamma 0.05, 0.2, 0.7, 2 and 5,
-k 0-3, |m| 0, 1 and 3, precision "double" and "extended".
+The sweep is 360 solves: both systems, Gamma 0.05, 0.2, 0.7, 2 and 5,
+k 0-5, |m| 0, 1 and 3, precision "double" and "extended".  From k = 4 on
+a prefactor (F_0 at k = 4, every F_i from k = 5) has three or more
+nonzero coefficients, so its products take three or more rows each.
 
 With --figures the file instead holds one line per row and per crossing of
 figures 1-7 on their default grids: the float.hex of the row's energy,
@@ -40,7 +42,7 @@ from pathlib import Path
 
 SYSTEMS = ("ion", "rm")
 GAMMAS = (0.05, 0.2, 0.7, 2.0, 5.0)
-KS = (0, 1, 2, 3)
+KS = range(6)
 MS = (0, 1, 3)
 PRECISIONS = ("double", "extended")
 
