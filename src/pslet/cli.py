@@ -54,8 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--system", choices=("ion", "two_electron"), required=True)
     p_solve.add_argument("--k", type=int, required=True)
     p_solve.add_argument("--m", type=int, required=True)
-    p_solve.add_argument("--K", type=int, default=0, help="center-of-mass radial index")
-    p_solve.add_argument("--M", type=int, default=0, help="center-of-mass azimuthal index")
+    p_solve.add_argument("--K", type=int, default=None,
+                         help="center-of-mass radial index (two_electron only; default 0)")
+    p_solve.add_argument("--M", type=int, default=None,
+                         help="center-of-mass azimuthal index (two_electron only; default 0)")
     p_solve.add_argument("--gamma", type=float, required=True)
     p_solve.add_argument("--gamma-d", type=float, required=True)
     p_solve.add_argument("--no-coulomb", action="store_true",
@@ -104,10 +106,12 @@ def _cmd_solve(args) -> int:
     if args.oracle and not interaction:
         raise ValueError("--oracle needs the interaction")
     if args.system == "ion":
+        if args.K is not None or args.M is not None:
+            raise ValueError("--K and --M index the two-electron center of mass, not the ion")
         state = StateLabel(args.k, args.m)
         rec = ion_record(d, state, interaction=interaction, **_solver_opts(args))
     else:
-        state = TwoElectronLevel(rm=StateLabel(args.k, args.m), cm_k=args.K, cm_m=args.M)
+        state = TwoElectronLevel(rm=StateLabel(args.k, args.m), cm_k=args.K or 0, cm_m=args.M or 0)
         rec = two_electron_record(d, state, interaction=interaction, **_solver_opts(args))
     line = (
         f"{rec.label} energy={rec.energy:.6f} leading_fraction={rec.leading_fraction:.6f} "

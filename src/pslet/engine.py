@@ -145,21 +145,44 @@ class HierarchyState:
     f_polys: tuple = field(repr=False, default=())
 
 
+# A ladder member that has not been fitted yet (see StaircaseResult).
+_UNFITTED = object()
+
+
 @dataclass(frozen=True)
 class StaircaseResult:
-    """The Pade order ladder evaluated at the physical expansion parameter."""
+    """The Pade order ladder evaluated at the physical expansion parameter.
+
+    fitted holds each member's value, None, or _UNFITTED.  A solve fits
+    only the members its spread reads (see _ladder); any other member is
+    fitted on first read, once, by fit(M, N), which returns the value or
+    None.  So values and member() give what fitting every member up front
+    gives.
+    """
 
     orders: list
-    values: list
     spread: float
     converged: bool
+    fitted: list = field(repr=False)
+    fit: object = field(repr=False, compare=False, default=None)
+
+    @property
+    def values(self) -> list:
+        """Each member's value; None where its fit failed or the series is too short."""
+        return [self._value(i) for i in range(len(self.orders))]
 
     def member(self, M: int, N: int) -> float | None:
         """The ladder's own [M/N] value; None when (M, N) is off the ladder or its fit failed."""
         try:
-            return self.values[self.orders.index((M, N))]
+            i = self.orders.index((M, N))
         except ValueError:
             return None
+        return self._value(i)
+
+    def _value(self, i: int) -> float | None:
+        if self.fitted[i] is _UNFITTED:
+            self.fitted[i] = self.fit(*self.orders[i])
+        return self.fitted[i]
 
 
 @dataclass(frozen=True)
@@ -454,25 +477,35 @@ class _F64Backend:
     # docstrings, and give its bits: every sum keeps its term order.
 
     @staticmethod
-    def products(terms, cap):
-        """[sign * poly_mul(a, b, cap) for each (a, b, sign) of terms]."""
-        out = []
-        for a, b, sign in terms:
-            row = np.convolve(a, b)[: cap + 1]
-            out.append(row if sign == 1.0 else sign * row)
-        return out
+    def product_sum(terms, cap, index):
+        """The plain sum 0.0 + p_index[0] + p_index[1] + ..., each row zero-padded.
 
-    @staticmethod
-    def ordered_sum(rows):
-        """The plain sum 0.0 + row_1 + row_2 + ..., each row zero-padded.
-
-        That is acc = poly_zeros(1), then acc = acc + row for each row in
-        order, with every sum started from +0.0 as a zero buffer does.
+        p_t is sign * poly_mul(a, b, cap) for the t-th (a, b, sign) of terms,
+        and index lists the products to add, in order, each as often as it
+        appears.  The plain loop is acc = poly_zeros(1), then acc = acc + p_t
+        for each t of index, with every sum started from +0.0 as a zero
+        buffer does.  Here every product goes into a row of one zero buffer
+        below a zero row, and np.cumsum adds the zero row and then the
+        indexed rows along axis 0, one after the other; when index takes
+        every term once in order, the buffer is summed as it stands.  A lone
+        row is 0.0 + p_t, which needs no buffer.
         """
-        acc = np.zeros(max([1] + [len(r) for r in rows]))
-        for r in rows:
-            acc[: len(r)] += r
-        return acc
+        if len(index) < 2:
+            if not index:
+                return np.zeros(1)
+            a, b, sign = terms[index[0]]
+            row = np.convolve(a, b)[: cap + 1]
+            return 0.0 + (row if sign == 1.0 else sign * row)
+        rows = np.zeros((len(terms) + 1, cap + 1))
+        lens = []
+        for t, (a, b, sign) in enumerate(terms):
+            row = np.convolve(a, b)[: cap + 1]
+            rows[t + 1, : len(row)] = row if sign == 1.0 else sign * row
+            lens.append(len(row))
+        if index != range(len(terms)):
+            rows = rows[[0, *[t + 1 for t in index]]]
+        width = max([lens[t] for t in index])
+        return np.cumsum(rows[:, :width], axis=0)[-1]
 
     @staticmethod
     def poly_scale(a, z):
@@ -502,8 +535,9 @@ class _F64Backend:
 
     # Elimination of one unknown adds z times its influence polynomial to the
     # residual R.  An influence has only a handful of nonzero coefficients,
-    # so the update runs on a Python-float copy of R over those alone, and
-    # R goes back to numpy once per half-order.  Each touched coefficient
+    # so the update runs on a Python-float copy of R over those alone
+    # (eliminate makes all W updates of a half-order in one call), and R
+    # goes back to numpy once per half-order.  Each touched coefficient
     # gets the same two roundings as the full-length numpy update.  An
     # untouched one would only have gained an exact zero, which changes
     # nothing: numpy sums start from +0.0, so R holds no negative zero.
@@ -542,6 +576,25 @@ class _F64Backend:
         for i, v in infl:
             r[i] += sign * (v * z)
         return r
+
+    @staticmethod
+    def eliminate(r: list, w, powers, influence: list, k: int, omega: float, scale: float) -> float:
+        """Solve the W unknowns at powers, in order, from r; return the new scale.
+
+        The plain loop: for each t, z = -get(r, k + t + 1) / omega,
+        scale = max(scale, abs(z) * max_abs(c_t)), r = axpy(r, c_t, z) and
+        set_(w, t, z), with (c_t, max_abs(c_t)) = influence[t].  r and w
+        change in place.  axpy's sign of 1.0 multiplies exactly, so it is
+        left out.
+        """
+        for t in powers:
+            infl, infl_max = influence[t]
+            z = -r[k + t + 1] / omega
+            scale = max(scale, abs(z) * infl_max)
+            for i, v in infl:
+                r[i] += v * z
+            w[t] = z
+        return scale
 
     @staticmethod
     def unwork(r: list) -> np.ndarray:
@@ -597,27 +650,28 @@ class _DDBackend:
     def poly_to_float(a: DDPoly) -> np.ndarray:
         return a.to_float()
 
-    # The batched kernels below each stand for a plain loop, named in their
-    # docstrings, and give its bits.  They run the same dd_mul and dd_add on
-    # stacked rows and keep the order of every sum.  Where a row is
+    # The batched kernel below stands for a plain loop, named in its
+    # docstring, and gives its bits.  It runs the same dd_mul and dd_add on
+    # stacked rows and keeps the order of every sum.  Where a row is
     # zero-padded, the padding adds an exact dd zero, which returns a
     # normalized pair unchanged; no sum here yields a negative zero to spoil
     # that, because each starts from +0.0.
 
     @staticmethod
-    def products(terms: list, cap: int) -> list:
-        """[a.mul(b, cap), times sign, for each (a, b, sign) of terms].
+    def product_sum(terms: list, cap: int, index) -> DDPoly:
+        """acc = DDPoly.zeros(1); then acc = acc.add(a.mul(b, cap), sign) for each term of index.
 
-        The sign multiplies hi and lo, as DDPoly.add(product, sign) does.
-        a.mul(b) walks the nonzero rows m of its shorter operand (the first
-        on a tie) in ascending order and adds a[m] * b, shifted by m, into a
-        zero product.  Here one dd_mul forms every such row of every term,
-        and the r-th nonzero rows of all terms, which add to distinct cells,
-        go into their products with one dd_add.  A row past the cap adds
-        only to columns that are cut.
+        index lists the terms (a, b, sign) to add, in order, each as often
+        as it appears.  a.mul(b) walks the nonzero rows m of its shorter
+        operand (the first on a tie) in ascending order and adds a[m] * b,
+        shifted by m, into a zero product.  Here one dd_mul forms every such
+        row of every term, and the r-th nonzero rows of all terms, which add
+        to distinct cells, go into their products with one dd_add.  A row
+        past the cap adds only to columns that are cut.  The sign multiplies
+        each product's hi and lo, as DDPoly.add does, before it is added.
         """
-        if not terms:
-            return []
+        if not index:
+            return DDPoly.zeros(1)
         pairs = [(a, b, s) if len(a) <= len(b) else (b, a, s) for a, b, s in terms]
         la = max(len(a) for a, _, _ in pairs)
         lb = max(len(b) for _, b, _ in pairs)
@@ -644,24 +698,15 @@ class _DDBackend:
             cells = at[start:end]
             ch[cells], cl[cells] = dd_add(ch[cells], cl[cells], ph[start:end], pl[start:end])
             start = end
-        out = []
-        for t, (a, b, sign) in enumerate(pairs):
-            n = min(cap + 1, len(a) + len(b) - 1)
-            row = slice(t * width, t * width + n)
-            out.append(DDPoly(sign * ch[row], sign * cl[row]))
-        return out
-
-    @staticmethod
-    def ordered_sum(rows: list) -> DDPoly:
-        """acc = DDPoly.zeros(1); then acc = acc.add(row) for each row, in order."""
-        n = max([1] + [len(r) for r in rows])
+        lens = [min(cap + 1, len(a) + len(b) - 1) for a, b, _ in pairs]
+        n = max(lens[t] for t in index)
         h = np.zeros(n)
         l = np.zeros(n)
-        for r in rows:
-            if len(r) == n:
-                h, l = dd_add(h, l, r.hi, r.lo)
-            else:
-                h[: len(r)], l[: len(r)] = dd_add(h[: len(r)], l[: len(r)], r.hi, r.lo)
+        for t in index:
+            sign = pairs[t][2]
+            row = slice(t * width, t * width + lens[t])
+            cut = slice(0, lens[t])
+            h[cut], l[cut] = dd_add(h[cut], l[cut], sign * ch[row], sign * cl[row])
         return DDPoly(h, l)
 
     # Each elimination update runs on Python-float copies of R's hi and lo
@@ -709,6 +754,18 @@ class _DDBackend:
         return r
 
     @staticmethod
+    def eliminate(r: DDPoly, w: DDPoly, powers, influence: list, k: int, omega: DD,
+                  scale: float) -> float:
+        """_F64Backend.eliminate's plain loop, in dd: r and w change in place."""
+        for t in powers:
+            infl, infl_max = influence[t]
+            z = -r.get(k + t + 1) / omega
+            scale = max(scale, abs(float(z)) * infl_max)
+            _dd.dd_axpy(r.hi, r.lo, infl, z.hi, z.lo)
+            w.set(t, z)
+        return scale
+
+    @staticmethod
     def unwork(r: DDPoly) -> DDPoly:
         return DDPoly(np.array(r.hi), np.array(r.lo))
 
@@ -730,17 +787,18 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     identically zero: every such term at k = 1, and those of even i at
     k = 2.
 
-    The known part of each half-order takes two kernels over stacked
-    operands: products forms every W_i W_{j-i} and ordered_sum adds them up;
-    then products forms F_0 T_known, every F_i T_{j-i} and every
-    -F_i' W_{j-i}, and ordered_sum adds those up into R.  Each elimination
-    update (axpy) runs on the backend's own form of R and touches only the
-    nonzero coefficients of the influence.  All of it gives the bits of the
-    plain loop of poly_add / poly_mul calls, resting on these facts
-    (tests/test_batched_kernels.py):
+    Each half-order makes two product_sum calls and one eliminate call.
+    The first product_sum forms every W_i W_{j-i} over stacked operands and
+    adds them up in the order i = 1..j-1; the second forms F_0 T_known,
+    every F_i T_{j-i} and every -F_i' W_{j-i}, and adds those up into R.
+    eliminate then solves the half-order's W unknowns one power at a time
+    on the backend's own form of R, each update touching only the nonzero
+    coefficients of the influence.  All of it gives the bits of the plain
+    loop of poly_add / poly_mul / get / axpy / set_ calls, resting on these
+    facts (tests/test_batched_kernels.py):
 
-    1. every sum keeps its term order (ordered_sum adds rows one by one), and
-       every row of products is the np.convolve or DDPoly.mul it stands for;
+    1. every sum keeps its term order (product_sum adds rows one by one),
+       and every row is the np.convolve or DDPoly.mul it stands for;
     2. adding an exact zero, double or dd, to a value that holds no
        negative zero returns it unchanged, so zero padding and skipped
        coefficients change nothing; every sum here starts from +0.0;
@@ -748,7 +806,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
        holds no negative zero: the negative zeros that _F64Backend.poly_add
        keeps without a zero buffer never reach R, and F_0 T_known, which
        the plain loop takes as R's start, passes the +0.0 start of R's
-       ordered_sum unchanged (at k = 0 it is the only row);
+       sum unchanged (at k = 0 it is the only row);
     4. a skipped F_i' W_{j-i} row was an exact (signed) zero: every operand
        is finite once the earlier half-orders have passed their residual
        check, and R, which is longer than the row, holds no negative zero,
@@ -823,8 +881,8 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         # (longer operand first) and DDPoly.mul (loop over the shorter one)
         # then compute the product in one fixed operand order.  Each product
         # is formed once and added at i and j-i, summing over i = 1..j-1.
-        ww = be.products([(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)], cap)
-        acc = be.ordered_sum([ww[min(i, j - i) - 1] for i in range(1, j)])
+        pairs = [(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)]
+        acc = be.product_sum(pairs, cap, [min(i, j - i) - 1 for i in range(1, j)])
         t_known = be.poly_add(be.poly_scale(acc, minus_half), vpolys[j])
         terms = [(F[0], t_known, 1.0)]
         for i in range(1, j):
@@ -832,7 +890,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
                 terms.append((F[i], T[j - i], 1.0))
             if has_fp[i]:
                 terms.append((Fp[i], W[j - i], -1.0))
-        R = be.ordered_sum(be.products(terms, cap))
+        R = be.product_sum(terms, cap, range(len(terms)))
         scale = max(be.max_abs(R), 1.0)
 
         # odd-parity unknowns at even half-orders, even-parity at odd ones;
@@ -840,12 +898,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         r = be.work(R)
         wj = be.poly_zeros(2 * j + 2)
         powers = range(2 * j + 1, -1, -2) if j % 2 == 0 else range(2 * j, -1, -2)
-        for t in powers:
-            infl, infl_max = influence[t]
-            z = -be.get(r, k + t + 1) / omega_s
-            scale = max(scale, abs(be.to_float(z)) * infl_max)
-            r = be.axpy(r, infl, z)
-            be.set_(wj, t, z)
+        scale = be.eliminate(r, wj, powers, influence, k, omega_s, scale)
         W[j] = wj
 
         if j % 2 == 0:
@@ -960,19 +1013,30 @@ def _ladder(corrections: np.ndarray, lead: float, fit_eval) -> StaircaseResult:
     spread is max - min over the last five available members (fewer if the
     ladder is shorter); spread <= STABILITY_TOL is the convergence signal
     used to accept a state.
+
+    Members are fitted from the top of the ladder down until five exist;
+    the rest are left to StaircaseResult to fit on first read.  The tail
+    keeps ladder order, so max and min see the values in the order of the
+    eager list [v for v in values if v is not None][-5:].
     """
     orders = staircase_orders()
     if _series_is_trivial(corrections, lead):
-        values = [lead] * len(orders)
-        return StaircaseResult(orders=orders, values=values, spread=0.0, converged=True)
-    values = [
-        _fit_or_none(fit_eval, M, N) if M + N + 1 <= len(corrections) else None
-        for M, N in orders
-    ]
-    tail = [v for v in values if v is not None][-5:]
+        return StaircaseResult(
+            orders=orders, spread=0.0, converged=True, fitted=[lead] * len(orders)
+        )
+    fitted = [_UNFITTED if M + N + 1 <= len(corrections) else None for M, N in orders]
+    fit = partial(_fit_or_none, fit_eval)
+    tail = []
+    for i in reversed(range(len(orders))):
+        if fitted[i] is _UNFITTED:
+            fitted[i] = fit(*orders[i])
+        if fitted[i] is not None:
+            tail.insert(0, fitted[i])
+            if len(tail) == 5:
+                break
     spread = (max(tail) - min(tail)) if tail else math.inf
     return StaircaseResult(
-        orders=orders, values=values, spread=spread, converged=spread <= STABILITY_TOL
+        orders=orders, spread=spread, converged=spread <= STABILITY_TOL, fitted=fitted, fit=fit
     )
 
 

@@ -1,13 +1,14 @@
 """The hierarchy's batched kernels against the sequential sums they stand for.
 
-Each backend kernel of engine._hierarchy_core (products, ordered_sum,
+Each backend kernel of engine._hierarchy_core (product_sum, eliminate,
 influences, and the dd elimination update _dd.dd_axpy) replaces a loop of
-poly_add / poly_mul / DDPoly.add / DDPoly.mul calls and must give its bits,
-the sign of every zero included.  The references below are those loops,
-with the double-precision poly_add in its zero-buffer form.  Inputs are
-random stacks of unequal lengths with exact zeros and negative zeros.  The
-hierarchy forms its pair products W_i W_{j-i} and its residual R as the
-ordered_sum of products, and both are checked against the loop they replace.
+poly_add / poly_mul / DDPoly.add / DDPoly.mul / get / axpy / set_ calls and
+must give its bits, the sign of every zero included.  The references below
+are those loops, with the double-precision poly_add in its zero-buffer
+form.  Inputs are random stacks of unequal lengths with exact zeros and
+negative zeros.  The hierarchy forms the sum of its pair products
+W_i W_{j-i} (each added at i and at j - i) and its residual R with one
+product_sum call each, and both are checked against the loop they replace.
 
 The kernels keep the term order of every sum and rest on two facts,
 checked here directly: adding an exact zero (double or dd) to a value that
@@ -15,16 +16,18 @@ holds no negative zero returns it unchanged; np.convolve starts its sums
 from +0.0, so it never returns a negative zero.  Both backends offer the
 same methods, and only those the hierarchy calls.
 
-The other shortcuts of a double solve are pinned the same way to the code
-they replace: the hierarchy without its identically-zero F_i' W_{j-i}
-rows, the origin scan as arrays against the scalar scan, and the double
-Pade fit and evaluation against their numpy spelling.
+The other shortcuts of a solve are pinned the same way to the code they
+replace: the hierarchy without its identically-zero F_i' W_{j-i} rows, the
+origin scan as arrays against the scalar scan, the double Pade fit and
+evaluation against their numpy spelling, and the top-down Pade ladder
+against the ladder that fitted every member up front.
 """
 
 import ast
 import inspect
 import math
 import textwrap
+from functools import partial
 
 import numpy as np
 import pytest
@@ -86,6 +89,16 @@ def _zero_buffer_add(a, b, sign=1.0):
     return out
 
 
+def _mirrored(j: int) -> list:
+    """The hierarchy's index into its pair products: W_i W_{j-i} for i = 1..j-1."""
+    return [min(i, j - i) - 1 for i in range(1, j)]
+
+
+def _random_index(n_terms: int, max_len: int) -> list:
+    """A random index list over n_terms terms, with repeats."""
+    return [int(t) for t in _RNG.integers(0, n_terms, size=int(_RNG.integers(0, max_len + 1)))]
+
+
 # ----------------------------------------------------------------------
 # the two facts
 # ----------------------------------------------------------------------
@@ -116,15 +129,19 @@ def test_convolve_never_returns_negative_zero():
 
 @pytest.mark.parametrize("max_len", [1, 30])
 def test_f64_ordered_sum_is_the_sequential_sum(max_len):
-    # one-coefficient rows: a reduction over a stack of them (np.sum(axis=0))
-    # would pair rows up
+    # product_sum's sum, over every term in order and over an index with
+    # repeats; one-coefficient rows: a reduction over a stack of them
+    # (np.sum(axis=0)) would pair rows up
     for _ in range(300):
-        rows = [_random_f64(int(_RNG.integers(1, max_len + 1)))
-                for _ in range(int(_RNG.integers(0, 25)))]
-        acc = np.zeros(1)
-        for r in rows:
-            acc = _zero_buffer_add(acc, r)
-        assert _bits(_F64Backend.ordered_sum(rows)) == _bits(acc)
+        terms = [(_random_f64(1), _random_f64(int(_RNG.integers(1, max_len + 1))),
+                  float(_RNG.choice([1.0, -1.0])))
+                 for _ in range(int(_RNG.integers(1, 25)))]
+        for index in (range(len(terms)), _random_index(len(terms), 40)):
+            acc = np.zeros(1)
+            for t in index:
+                a, b, sign = terms[t]
+                acc = _zero_buffer_add(acc, _F64Backend.poly_mul(a, b, 60), sign)
+            assert _bits(_F64Backend.product_sum(terms, 60, index)) == _bits(acc)
 
 
 def test_f64_product_sum_is_the_sequential_sum():
@@ -141,16 +158,23 @@ def test_f64_product_sum_is_the_sequential_sum():
         ref = _F64Backend.poly_mul(f0, t_known, cap)
         for a, b, sign in terms:
             ref = _zero_buffer_add(ref, _F64Backend.poly_mul(a, b, cap), sign)
-        got = _F64Backend.ordered_sum(_F64Backend.products([(f0, t_known, 1.0)] + terms, cap))
+        terms = [(f0, t_known, 1.0)] + terms
+        got = _F64Backend.product_sum(terms, cap, range(len(terms)))
         assert _bits(got) == _bits(ref)
 
 
 def test_f64_pair_products():
+    # the sum over the mirrored index, and each pair product on its own
     W = [_random_f64(2 * i + 2) for i in range(12)]
     for j in range(1, 12):
-        got = _F64Backend.products([(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)], 40)
-        ref = [_F64Backend.poly_mul(W[i], W[j - i], 40) for i in range(1, j // 2 + 1)]
-        assert [_bits(g) for g in got] == [_bits(r) for r in ref]
+        pairs = [(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)]
+        ref = np.zeros(1)
+        for i in range(1, j):
+            ref = _zero_buffer_add(ref, _F64Backend.poly_mul(W[i], W[j - i], 40))
+        assert _bits(_F64Backend.product_sum(pairs, 40, _mirrored(j))) == _bits(ref)
+        for t, (a, b, _) in enumerate(pairs):
+            one = _zero_buffer_add(np.zeros(1), _F64Backend.poly_mul(a, b, 40))
+            assert _bits(_F64Backend.product_sum(pairs, 40, [t])) == _bits(one)
 
 
 def test_f64_poly_add_without_zero_buffer():
@@ -182,21 +206,32 @@ def _hierarchy_w(n: int) -> list:
 
 
 def test_dd_pair_products_are_ddpoly_mul():
+    # the sum over the mirrored index, and each pair product on its own
     for _ in range(5):
         W = _hierarchy_w(22)
         for j in range(1, 22):
-            got = _DDBackend.products([(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)], 100)
-            ref = [W[i].mul(W[j - i], 100) for i in range(1, j // 2 + 1)]
-            assert [_dd_bits(g) for g in got] == [_dd_bits(r) for r in ref]
+            pairs = [(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)]
+            ref = DDPoly.zeros(1)
+            for i in range(1, j):
+                ref = ref.add(W[i].mul(W[j - i], 100))
+            assert _dd_bits(_DDBackend.product_sum(pairs, 100, _mirrored(j))) == _dd_bits(ref)
+            for t, (a, b, _) in enumerate(pairs):
+                one = DDPoly.zeros(1).add(a.mul(b, 100))
+                assert _dd_bits(_DDBackend.product_sum(pairs, 100, [t])) == _dd_bits(one)
 
 
 def test_dd_ordered_sum_is_the_sequential_sum():
+    # product_sum's sum, over every term in order and over an index with repeats
     for _ in range(100):
-        rows = [_random_dd(int(_RNG.integers(1, 30))) for _ in range(int(_RNG.integers(0, 20)))]
-        acc = DDPoly.zeros(1)
-        for r in rows:
-            acc = acc.add(r)
-        assert _dd_bits(_DDBackend.ordered_sum(rows)) == _dd_bits(acc)
+        terms = [(_few_nonzero_dd(int(_RNG.integers(1, 5)), 3),
+                  _random_dd(int(_RNG.integers(1, 30))), float(_RNG.choice([1.0, -1.0])))
+                 for _ in range(int(_RNG.integers(1, 20)))]
+        for index in (range(len(terms)), _random_index(len(terms), 30)):
+            acc = DDPoly.zeros(1)
+            for t in index:
+                a, b, sign = terms[t]
+                acc = acc.add(a.mul(b, 60), sign)
+            assert _dd_bits(_DDBackend.product_sum(terms, 60, index)) == _dd_bits(acc)
 
 
 def _few_nonzero_dd(n: int, max_nonzero: int) -> DDPoly:
@@ -224,7 +259,8 @@ def test_dd_product_sum_is_the_sequential_sum(max_nonzero):
         ref = f0.mul(t_known, cap)
         for a, b, sign in terms:
             ref = ref.add(a.mul(b, cap), sign)
-        got = _DDBackend.ordered_sum(_DDBackend.products([(f0, t_known, 1.0)] + terms, cap))
+        terms = [(f0, t_known, 1.0)] + terms
+        got = _DDBackend.product_sum(terms, cap, range(len(terms)))
         assert _dd_bits(got) == _dd_bits(ref)
 
 
@@ -247,7 +283,7 @@ def test_dd_axpy_is_ddpoly_add_of_the_scaled_influence():
 
 
 # ----------------------------------------------------------------------
-# products, both backends
+# product_sum, both backends
 # ----------------------------------------------------------------------
 
 def _random_poly(be, n: int):
@@ -298,22 +334,32 @@ def _products_case(be, case: str):
     raise ValueError(case)
 
 
+def _plain_sum(be, terms, cap, index):
+    """The plain loop product_sum stands for, from a +0.0 start."""
+    acc = be.poly_zeros(1)
+    for t in index:
+        a, b, sign = terms[t]
+        acc = _plain_add(acc, be.poly_mul(a, b, cap), sign)
+    return acc
+
+
 @pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
 @pytest.mark.parametrize(
     "case", ["equal_lengths", "longer_first", "cap_below_a_row", "one_term", "negative_sign_zeros"]
 )
 def test_products_are_the_signed_poly_mul(be, case):
+    # each term on its own, every term in order, and an index with repeats
     for _ in range(30):
         terms, cap = _products_case(be, case)
-        got = be.products(terms, cap)
-        ref = [(be.poly_mul(a, b, cap), sign) for a, b, sign in terms]
-        assert [_poly_bits(g) for g in got] == [_poly_bits(_signed(r, sign)) for r, sign in ref]
-        acc = be.poly_zeros(1)
-        for r, sign in ref:
-            acc = _plain_add(acc, r, sign)
-        assert _poly_bits(be.ordered_sum(got)) == _poly_bits(acc)
+        n = len(terms)
+        for index in [[t] for t in range(n)] + [range(n), _random_index(n, 12)]:
+            got = be.product_sum(terms, cap, index)
+            assert _poly_bits(got) == _poly_bits(_plain_sum(be, terms, cap, index))
     if case == "negative_sign_zeros":
-        assert all(_poly_bits(g)[:3] == ["-0x0.0p+0"] * 3 for g in got)
+        # the rows hold -0.0 there; the sum's +0.0 start turns them to +0.0
+        rows = [_signed(be.poly_mul(a, b, cap), sign) for a, b, sign in terms]
+        assert all(_poly_bits(r)[:3] == ["-0x0.0p+0"] * 3 for r in rows)
+        assert _poly_bits(be.product_sum(terms, cap, range(n)))[:3] == ["0x0.0p+0"] * 3
 
 
 def test_dd_tie_keeps_the_first_operand():
@@ -321,9 +367,9 @@ def test_dd_tie_keeps_the_first_operand():
     differ = 0
     for _ in range(30):
         a, b = _random_dd(12), _random_dd(12)
-        (got,) = _DDBackend.products([(a, b, 1.0)], 40)
-        assert _dd_bits(got) == _dd_bits(a.mul(b, 40))
-        differ += _dd_bits(got) != _dd_bits(b.mul(a, 40))
+        got = _DDBackend.product_sum([(a, b, 1.0)], 40, [0])
+        assert _dd_bits(got) == _dd_bits(DDPoly.zeros(1).add(a.mul(b, 40)))
+        differ += _dd_bits(got) != _dd_bits(DDPoly.zeros(1).add(b.mul(a, 40)))
     assert differ > 0
 
 
@@ -341,14 +387,18 @@ def test_pair_products_with_zero_parity_rows(be):
             W.append(w)
         for j in range(1, 16):
             pairs = [(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)]
-            ref = [be.poly_mul(a, b, 50) for a, b, _ in pairs]
-            assert [_poly_bits(g) for g in be.products(pairs, 50)] == [_poly_bits(r) for r in ref]
+            got = be.product_sum(pairs, 50, _mirrored(j))
+            assert _poly_bits(got) == _poly_bits(_plain_sum(be, pairs, 50, _mirrored(j)))
 
 
 @pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
 def test_no_products(be):
-    assert be.products([], 10) == []
-    assert _poly_bits(be.ordered_sum(be.products([], 10))) == _poly_bits(be.poly_zeros(1))
+    # half-order 1 has no pairs; an empty index adds nothing to the zero start
+    zero = _poly_bits(be.poly_zeros(1))
+    assert _poly_bits(be.product_sum([], 10, [])) == zero
+    assert _poly_bits(be.product_sum([], 10, range(0))) == zero
+    terms = [(_random_poly(be, 3), _random_poly(be, 5), 1.0)]
+    assert _poly_bits(be.product_sum(terms, 10, [])) == zero
 
 
 def _backend_calls(fn) -> set:
@@ -424,28 +474,70 @@ def test_influences_are_the_plain_loop(be, k):
 
 
 # ----------------------------------------------------------------------
+# eliminate, both backends
+# ----------------------------------------------------------------------
+
+def _plain_eliminate(be, r, w, powers, influence, k: int, omega, scale: float) -> float:
+    """The per-power get / axpy / set_ loop that eliminate stands for."""
+    for t in powers:
+        infl, infl_max = influence[t]
+        z = -be.get(r, k + t + 1) / omega
+        scale = max(scale, abs(be.to_float(z)) * infl_max)
+        r = be.axpy(r, infl, z)
+        be.set_(w, t, z)
+    return scale
+
+
+@pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_eliminate_is_the_per_power_loop(be, k):
+    # R as the hierarchy builds it, from sums that start at +0.0, at a
+    # random half-order j of both parities; the influences of a real F_0
+    J = 40  # order 19
+    n = k + 2 * J + 5
+    for _ in range(20):
+        w = float(_RNG.uniform(1.5, 5.0))
+        omega = w if be is _F64Backend else DD(*two_sum(w, float(_RNG.normal()) * 1e-17 * w))
+        f0, f0p = _prefactor(be, k, omega)
+        influence = be.influences(f0, f0p, omega, 2 * J + 2)
+        j = int(_RNG.integers(1, J + 1))
+        powers = range(2 * j + 1, -1, -2) if j % 2 == 0 else range(2 * j, -1, -2)
+        R = be.poly_zeros(n)
+        R = _plain_add(R, _random_poly(be, n))
+        scale = float(_RNG.choice([1.0, be.max_abs(R)]))
+        got_r, got_w = be.work(R), be.poly_zeros(2 * j + 2)
+        got = be.eliminate(got_r, got_w, powers, influence, k, omega, scale)
+        ref_r, ref_w = be.work(R), be.poly_zeros(2 * j + 2)
+        ref = _plain_eliminate(be, ref_r, ref_w, powers, influence, k, omega, scale)
+        assert _poly_bits(be.unwork(got_r)) == _poly_bits(be.unwork(ref_r))
+        assert _poly_bits(got_w) == _poly_bits(ref_w)
+        assert got.hex() == ref.hex()
+
+
+# ----------------------------------------------------------------------
 # the F' skip of the hierarchy, both backends
 # ----------------------------------------------------------------------
 
 def _with_zero_fp_rows(base, k: int):
-    """base, with products given back the rows F_i' W_{j-i} whose F_i' is zero.
+    """base, with product_sum given back the rows F_i' W_{j-i} whose F_i' is zero.
 
     _hierarchy_core leaves those rows out when F_i's only unknown sits at
     power 0.  Here they go back in their old places, each with the F_i' that
     poly_diff gives for such an F_i: its powers above 0 are all zero.  Each
-    half-order calls products twice: first for the pairs W_i W_{j-i}, from
-    which W_1..W_{j-1} and j are read (W_i has 2i + 2 coefficients), then
-    for the rows of R, F_0 T_known first.
+    half-order calls product_sum twice: first for the pairs W_i W_{j-i},
+    from which W_1..W_{j-1} and j are read (W_i has 2i + 2 coefficients),
+    then for the rows of R, F_0 T_known first, each added once in order.
     """
 
     class Backend(base):
         W = None
 
         @staticmethod
-        def products(terms, cap):
+        def product_sum(terms, cap, index):
             if Backend.W is None:
                 Backend.W = {len(w) // 2 - 1: w for a, b, _ in terms for w in (a, b)}
-                return base.products(terms, cap)
+                return base.product_sum(terms, cap, index)
+            assert index == range(len(terms))
             W, Backend.W = Backend.W, None
             j = max(W, default=0) + 1
             full, given = [terms[0]], iter(terms[1:])
@@ -459,7 +551,7 @@ def _with_zero_fp_rows(base, k: int):
                         zero_fp = base.poly_diff(base.poly_zeros(max(k, 1)))
                         full.append((zero_fp, W[j - i], -1.0))
             assert next(given, None) is None
-            return base.products(full, cap)
+            return base.product_sum(full, cap, range(len(full)))
 
     return Backend
 
@@ -696,3 +788,138 @@ def test_horner_is_polyval(t):
         with np.errstate(over="ignore", invalid="ignore"):
             ref = float(np.polynomial.polynomial.polyval(t, c))
         assert float(_horner(c.tolist(), t)).hex() == ref.hex()
+
+
+# ----------------------------------------------------------------------
+# the top-down Pade ladder against the eager one
+# ----------------------------------------------------------------------
+
+def _eager_ladder(corrections, lead, fit_eval):
+    """engine._ladder as it fitted every member up front: (orders, values, spread, converged)."""
+    orders = staircase_orders()
+    if engine._series_is_trivial(corrections, lead):
+        values = [lead] * len(orders)
+        return orders, values, 0.0, True
+    values = [
+        engine._fit_or_none(fit_eval, M, N) if M + N + 1 <= len(corrections) else None
+        for M, N in orders
+    ]
+    tail = [v for v in values if v is not None][-5:]
+    spread = (max(tail) - min(tail)) if tail else math.inf
+    return orders, values, spread, spread <= engine.STABILITY_TOL
+
+
+def _ladder_bits(orders, values, spread, converged) -> tuple:
+    return orders, [None if v is None else float(v).hex() for v in values], spread.hex(), converged
+
+
+class _Counted:
+    """fit_eval, recording the (M, N) of every call."""
+
+    def __init__(self, fit_eval):
+        self.fit_eval = fit_eval
+        self.calls = []
+
+    def __call__(self, M: int, N: int) -> float:
+        self.calls.append((M, N))
+        return self.fit_eval(M, N)
+
+
+def _check_ladder(corrections, lead, fit_eval) -> int:
+    """Compare engine._ladder with the eager ladder; return the fits the ladder made itself."""
+    orders, values, spread, converged = ref = _eager_ladder(corrections, lead, fit_eval)
+    fits = _Counted(fit_eval)
+    stair = engine._ladder(corrections, lead, fits)
+    made = len(fits.calls)
+    # the top-down walk fits down to the fifth member that exists, and no further
+    need, found = 0, 0
+    for (M, N), v in reversed(list(zip(orders, values))):
+        if found == 5:
+            break
+        if M + N + 1 <= len(corrections):  # longer members are None unfitted
+            need, found = need + 1, found + (v is not None)
+    if engine._series_is_trivial(corrections, lead):
+        need = 0
+    assert made == need
+    assert (stair.spread.hex(), stair.converged) == (spread.hex(), converged)
+    assert _ladder_bits(stair.orders, stair.values, stair.spread, stair.converged) == (
+        _ladder_bits(*ref)
+    )
+    assert len(fits.calls) == len(set(fits.calls))
+    before = len(fits.calls)
+    assert _ladder_bits(stair.orders, stair.values, stair.spread, stair.converged) == (
+        _ladder_bits(*ref)
+    )
+    assert len(fits.calls) == before  # a second read fits nothing
+    # member() fits one member on first read, off the ladder none
+    fits = _Counted(fit_eval)
+    stair = engine._ladder(corrections, lead, fits)
+    for (M, N), v in zip(orders, values):
+        before = len(fits.calls)
+        got = stair.member(M, N)
+        assert (None if got is None else got.hex()) == (None if v is None else v.hex())
+        assert len(fits.calls) - before <= 1
+    for M, N in [(5, 3), (0, 0), (10, 10)]:
+        assert stair.member(M, N) is None
+    assert len(fits.calls) == len(set(fits.calls))
+    return made
+
+
+def _real_ladders():
+    """(corrections, lead, fit_eval) of real solves in both precisions, failing members too."""
+    cases = [(1.0, 8.0, 0.5, 0, 0), (1.0, 8.0, 0.05, 1, 0), (0.5, 32.0, 2.0, 0, 1),
+             (0.5, 32.0, 0.0881, 3, 0), (1.0, 8.0, 5.0, 2, 3)]
+    for c_coul, divisor, gamma, k, m in cases:
+        pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
+        s = engine.StateIndex.from_azimuthal(k, m)
+        e = engine.solve_state(pot, s, precision="double").expansion
+        yield e.corrections, e.leading_term, partial(engine.resum, e)
+        e, _, _, _, fit_eval = engine._solve_extended(pot, s, 19, engine.locate_q0(pot, s))
+        yield e.corrections, e.leading_term, fit_eval
+
+
+def test_top_down_ladder_is_the_eager_ladder_on_real_solves():
+    made = [_check_ladder(*case) for case in _real_ladders()]
+    assert max(made) > 5  # a top member fails in some of them
+
+
+def _synthetic_fit(values, failures):
+    """A fit_eval that returns values[i] for the i-th ladder member or raises failures[i]."""
+    orders = staircase_orders()
+
+    def fit_eval(M: int, N: int) -> float:
+        i = orders.index((M, N))
+        if failures[i] is not None:
+            raise failures[i](f"[{M}/{N}] forced")
+        return values[i]
+
+    return fit_eval
+
+
+def test_top_down_ladder_is_the_eager_ladder_on_random_ladders():
+    # random values with inf, -inf and nan among them (max and min depend on
+    # the order of the tail then), random failures up to every member, and
+    # series of every length up to order 19 (short ones leave members None)
+    rng = np.random.default_rng(18)
+    seen = {"more_than_five": 0, "all_fail": 0, "non_finite": 0, "short": 0, "trivial": 0}
+    for n in range(400):
+        values = 1.0 + rng.normal(size=17) * 10.0 ** rng.uniform(-9, 0)
+        bad = rng.random(17) < rng.uniform(0.0, 0.3)
+        values[bad] = rng.choice([math.inf, -math.inf, math.nan], size=int(bad.sum()))
+        p_fail = 1.0 if n % 10 == 0 else rng.uniform(0.0, 0.8)
+        failures = [
+            (SingularPadeSystem if rng.random() < 0.5 else PoleProximity)
+            if rng.random() < p_fail else None
+            for _ in range(17)
+        ]
+        length = int(rng.integers(0, 21)) if n % 4 == 0 else 20
+        corrections = rng.normal(size=length) * (0.0 if n % 25 == 0 else 1.0)
+        made = _check_ladder(corrections, 1.0, _synthetic_fit(list(values), failures))
+        got = [v for v in _eager_ladder(corrections, 1.0, _synthetic_fit(values, failures))[1]
+               if v is not None]
+        seen["more_than_five"] += made > 5
+        seen["all_fail"] += length >= 4 and n % 25 != 0 and not got
+        seen["non_finite"] += not all(math.isfinite(v) for v in got[-5:])
+        seen["short"] += 0 < length < 20
+        seen["trivial"] += n % 25 == 0
+    assert min(seen.values()) >= 5, seen

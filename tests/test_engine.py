@@ -393,8 +393,20 @@ class TestSolveState:
         with pytest.raises(ValueError, match="non-negative"):
             solve_state(ION, S00, pade=pade)
 
+    @staticmethod
+    def _assert_fits_top_down(res, fits):
+        # the solve fits the five top members its spread reads, and the
+        # resummed [9/10] value is the ladder's own, not a second fit;
+        # reading the ladder fits the other twelve, and a second read none
+        assert fits == [(9, 10), (9, 9), (8, 9), (8, 8), (7, 8)]
+        assert res.energy == res.staircase.member(9, 10)
+        assert None not in res.staircase.values
+        assert len(fits) == 17
+        assert sorted(fits) == sorted(set(fits))
+        assert len(res.staircase.values) == 17
+        assert len(fits) == 17
+
     def test_double_solve_fits_each_ladder_member_once(self, monkeypatch):
-        # the resummed [9/10] value is the ladder's own, not a second fit
         fits = []
         real = engine.pade_fit
 
@@ -404,9 +416,7 @@ class TestSolveState:
 
         monkeypatch.setattr(engine, "pade_fit", counting)
         res = solve_state(ION, S00, precision="double")
-        assert len(fits) == 17
-        assert sorted(fits) == sorted(set(fits))
-        assert res.energy == res.staircase.member(9, 10)
+        self._assert_fits_top_down(res, fits)
 
     def test_extended_solve_fits_each_ladder_member_once(self, monkeypatch):
         fits = []
@@ -418,8 +428,7 @@ class TestSolveState:
 
         monkeypatch.setattr(_dd, "dd_pade_fit", counting)
         res = solve_state(ION, S00, precision="extended")
-        assert len(fits) == 17
-        assert res.energy == res.staircase.member(9, 10)
+        self._assert_fits_top_down(res, fits)
 
     def test_pade_off_the_ladder_is_fitted_itself(self):
         res = solve_state(ION, S00, precision="double", pade=(5, 3))

@@ -298,9 +298,14 @@ class TestCli:
             ["figure", "5", "--gamma", "0.5:1.0:0.5"],
             ["figure", "2", "--Gamma", "0.5:1.0:0.5"],
             ["figure", "2", "--gamma", ""],
+            ["solve", "--system", "ion", "--k", "0", "--m", "0", "--gamma", "0.1",
+             "--gamma-d", "0.2", "--K", "2", "--M", "1"],
+            ["solve", "--system", "ion", "--k", "0", "--m", "0", "--gamma", "0.1",
+             "--gamma-d", "0.2", "--M", "0"],
         ],
         ids=["tolerance-nan", "tolerance-negative", "order-negative", "jobs-zero", "jobs-negative",
-             "figure5-jobs-zero", "figure5-gamma", "figure2-Gamma", "figure2-empty-gamma"],
+             "figure5-jobs-zero", "figure5-gamma", "figure2-Gamma", "figure2-empty-gamma",
+             "ion-K-M", "ion-M-zero"],
     )
     def test_bad_settings_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
