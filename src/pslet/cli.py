@@ -1,5 +1,9 @@
 """Command-line front end: single solves, golden tables, figure data, scans.
 
+Every command solves in engine.solve_state's one configuration: order 19,
+the top [9/10] member of the Pade ladder, and double-double arithmetic only
+where the double ladder does not converge.  No flag changes it.
+
 Exit codes: 0 success, 1 usage error, 2 solver error, 3 tolerance or
 convergence failure.
 """
@@ -11,7 +15,6 @@ import sys
 from pathlib import Path
 
 from . import tables
-from .engine import DEFAULT_ORDER, DEFAULT_PADE
 from .errors import PsletError
 from .quantum_dot import (
     DotParams,
@@ -36,12 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, files=True, jobs=True):
-        """The solver flags, plus the output-file flags and --jobs where they are read."""
-        p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                       help=f"correction order of the expansion (default {DEFAULT_ORDER})")
-        p.add_argument("--pade", type=int, nargs=2, default=list(DEFAULT_PADE),
-                       metavar=("M", "N"), help="Pade degrees (default 9 10)")
-        p.add_argument("--precision", choices=("auto", "double", "extended"), default="auto")
+        """--oracle, plus the output-file flags and --jobs where they are read."""
         p.add_argument("--oracle", action="store_true",
                        help="append the finite-difference cross-check delta")
         if files:
@@ -95,11 +93,6 @@ def _write(path: Path | None, text: str) -> None:
         path.write_text(text, newline="")
 
 
-def _solver_opts(args) -> dict:
-    """The --order, --pade and --precision settings as record keyword arguments."""
-    return {"order": args.order, "pade": tuple(args.pade), "precision": args.precision}
-
-
 def _cmd_solve(args) -> int:
     d = DotParams(gamma=args.gamma, gamma_d=args.gamma_d)
     interaction = not args.no_coulomb
@@ -109,10 +102,10 @@ def _cmd_solve(args) -> int:
         if args.K is not None or args.M is not None:
             raise ValueError("--K and --M index the two-electron center of mass, not the ion")
         state = StateLabel(args.k, args.m)
-        rec = ion_record(d, state, interaction=interaction, **_solver_opts(args))
+        rec = ion_record(d, state, interaction=interaction)
     else:
         state = TwoElectronLevel(rm=StateLabel(args.k, args.m), cm_k=args.K or 0, cm_m=args.M or 0)
-        rec = two_electron_record(d, state, interaction=interaction, **_solver_opts(args))
+        rec = two_electron_record(d, state, interaction=interaction)
     line = (
         f"{rec.label} energy={rec.energy:.6f} leading_fraction={rec.leading_fraction:.6f} "
         f"pade_spread={rec.pade_spread:.3e}"
@@ -129,7 +122,6 @@ def _cmd_table(args) -> int:
         args.id,
         tolerance=args.tolerance,
         oracle=args.oracle,
-        **_solver_opts(args),
     )
     sep = "\t" if args.format == "tsv" else ","
     out = args.output or Path(f"table{args.id}.{args.format}")
@@ -161,7 +153,7 @@ def _cmd_figure(args) -> int:
     spec = getattr(args, read)
     grid = None if spec is None else tables.parse_grid(spec)
     records, crossings = tables.figure_curves(
-        args.id, grid=grid, jobs=args.jobs, oracle=args.oracle, **_solver_opts(args)
+        args.id, grid=grid, jobs=args.jobs, oracle=args.oracle
     )
     return _write_curves(args, f"figure{args.id}", f"figure {args.id}", records, crossings)
 
@@ -190,7 +182,6 @@ def _cmd_scan(args) -> int:
     d0 = DotParams(gamma=pts[0], gamma_d=args.gamma_d)
     records, crossings = tables.scan_levels(
         states, d0, pts, not args.no_interaction, jobs=args.jobs, oracle=args.oracle,
-        **_solver_opts(args),
     )
     return _write_curves(args, "scan", "scan", records, crossings)
 

@@ -14,14 +14,16 @@ log-derivative corrections plus one energy coefficient; odd half-orders
 carry the even-parity corrections.  The divergent correction series is then
 resummed with a Pade approximant in 1/lbar.
 
-Everything runs in double precision by default.  The hierarchy sums
-heavily cancelling terms, so its rounding error grows with the order: the
-double-precision E^(19) is off by 1.0e-2 relative for relative motion with
-k = 0, |m| = 1, Gamma = 2, and by 7.3e-5 for the ion 1s state at
-Gamma = 0.2, measured against double-double.  States whose order ladder is
-unstable in double precision are therefore re-solved in double-double
-arithmetic ("auto" escalation); the escalation guards against the
-hierarchy's rounding error, not against the Pade fit.
+There is one solver configuration: solve_state(p, s) expands to order
+DEFAULT_ORDER = 19 and takes the top member [9/10] of the Pade order ladder
+(see _ladder_energy).  It runs in double precision first.  The hierarchy
+sums heavily cancelling terms, so its rounding error grows with the order:
+the double-precision E^(19) is off by 1.0e-2 relative for relative motion
+with k = 0, |m| = 1, Gamma = 2, and by 7.3e-5 for the ion 1s state at
+Gamma = 0.2, measured against double-double.  A state whose double ladder
+does not converge is therefore re-solved in double-double arithmetic; the
+escalation guards against the hierarchy's rounding error, not against the
+Pade fit.  That observed convergence is the only choice of path.
 """
 
 from __future__ import annotations
@@ -51,11 +53,11 @@ from .series import pade_eval, pade_fit, staircase_orders
 # Highest correction order E^(n) the hierarchy will produce.
 ORDER_CAP = 30
 
-# Default correction order: one past the 19-coefficient series so the
-# [9/10] member of the order ladder is fully determined.
+# Correction order of every solve: one past the 19-coefficient series so
+# the [9/10] member of the order ladder is fully determined.
 DEFAULT_ORDER = 19
 
-# Default Pade degrees (numerator, denominator) for the resummation.
+# resum's default Pade degrees (numerator, denominator): the ladder's top member.
 DEFAULT_PADE = (9, 10)
 
 # Engine-unit stability demanded of the last five order-ladder members.
@@ -117,7 +119,6 @@ class EnergyExpansion:
     leading_coeff: float
     corrections: np.ndarray
     lbar: float
-    order: int
 
     def __post_init__(self):
         object.__setattr__(self, "corrections", np.asarray(self.corrections, dtype=float))
@@ -187,7 +188,11 @@ class StaircaseResult:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """One fully solved radial state in engine units."""
+    """One fully solved radial state in engine units.
+
+    precision names the arithmetic path it was solved on, "double" or
+    "extended" (double-double).
+    """
 
     energy: float
     expansion: EnergyExpansion
@@ -236,12 +241,7 @@ def _curvature_ok(p: HybridPotential, q: float) -> bool:
     return 3.0 / q**4 + p.derivative(q, 2) / q_scale > 0.0
 
 
-def locate_q0(
-    p: HybridPotential,
-    s: StateIndex,
-    q_lo: float | None = None,
-    q_hi: float | None = None,
-) -> float:
+def locate_q0(p: HybridPotential, s: StateIndex) -> float:
     """Find the expansion origin: the radius minimizing the leading energy term.
 
     Scans a log-spaced grid for a sign change of the combined origin/shift
@@ -254,14 +254,12 @@ def locate_q0(
     """
     a2 = 2.0 * p.a_osc
     osc_len = (a2 / 2.0) ** -0.25 if a2 > 0.0 else 1.0
-    if q_lo is None:
-        if p.c_coul > 0.0 and a2 > 0.0:
-            # the frequency diverges at 2 a_osc q^3 = c_coul; stay just above
-            q_lo = 1.01 * (p.c_coul / a2) ** (1.0 / 3.0)
-        else:
-            q_lo = 1e-8 * osc_len
-    if q_hi is None:
-        q_hi = 1e3 * osc_len
+    if p.c_coul > 0.0 and a2 > 0.0:
+        # the frequency diverges at 2 a_osc q^3 = c_coul; stay just above
+        q_lo = 1.01 * (p.c_coul / a2) ** (1.0 / 3.0)
+    else:
+        q_lo = 1e-8 * osc_len
+    q_hi = 1e3 * osc_len
     grid = np.geomspace(q_lo, q_hi, _N_SCAN)
     vals = _scan_values(p, grid, s)
     finite = np.isfinite(vals)
@@ -272,20 +270,12 @@ def locate_q0(
     rising = finite[:-1] & finite[1:] & (vals[:-1] < 0.0) & (vals[1:] >= 0.0)
     brackets = [(grid[i], grid[i + 1]) for i in np.flatnonzero(rising)]
     if not brackets:
-        raise NoRootInDomain(
-            f"no sign change of the origin condition in [{q_lo:.3e}, {q_hi:.3e}]",
-            q_lo=q_lo,
-            q_hi=q_hi,
-        )
+        raise NoRootInDomain(f"no sign change of the origin condition in [{q_lo:.3e}, {q_hi:.3e}]")
     for lo, hi in brackets:
         root = _polish_root(p, s, lo, hi)
         if _curvature_ok(p, root):
             return root
-    raise NoRootInDomain(
-        f"roots found in [{q_lo:.3e}, {q_hi:.3e}] but none is a minimum",
-        q_lo=q_lo,
-        q_hi=q_hi,
-    )
+    raise NoRootInDomain(f"roots found in [{q_lo:.3e}, {q_hi:.3e}] but none is a minimum")
 
 
 def _scan_values(p: HybridPotential, grid: np.ndarray, s: StateIndex) -> np.ndarray:
@@ -977,7 +967,6 @@ def solve_hierarchy(
         leading_coeff=leading_coeff,
         corrections=np.array(corr),
         lbar=shift.lbar,
-        order=order,
     )
     return expansion, _tables_from_polys(W, F, be)
 
@@ -989,8 +978,9 @@ def solve_hierarchy(
 def resum(e: EnergyExpansion, M: int = DEFAULT_PADE[0], N: int = DEFAULT_PADE[1]) -> float:
     """lbar^2 leading coefficient plus the [M/N] Pade value at 1/lbar.
 
-    Propagates SingularPadeSystem / PoleProximity; solve_state falls back
-    down the order ladder instead (see _ladder_energy).
+    Any [M/N] the corrections determine, in double precision.  Propagates
+    SingularPadeSystem / PoleProximity; solve_state falls back down the
+    order ladder instead (see _ladder_energy).
     """
     if len(e.corrections) < M + N + 1:
         raise ValueError(f"[{M}/{N}] needs {M + N + 1} corrections, have {len(e.corrections)}")
@@ -1047,23 +1037,20 @@ def _fit_or_none(fit_eval, M: int, N: int) -> float | None:
         return None
 
 
-def _ladder_energy(stair: StaircaseResult, M: int, N: int, fit_eval, e: EnergyExpansion) -> float:
-    """The resummed [M/N] energy, by one rule for both precisions.
+def _ladder_energy(stair: StaircaseResult, e: EnergyExpansion) -> float:
+    """The resummed energy, by one rule for both precisions.
 
-    The ladder's own [M/N] value; when (M, N) is off the ladder, one fit of
-    it.  If that fit failed, the highest lower ladder member that exists;
-    if none exists, the plain truncated sum of the expansion.
+    The ladder's top member, [9/10]; if its fit failed, the highest member
+    below it that exists; if none exists, the plain truncated sum of the
+    expansion.  The walk reads member() from the top down, so it fits no
+    member the spread did not already fit: the first member that exists is
+    the top one of the last five the spread is taken over.
     """
-    if (M, N) in stair.orders:
+    for M, N in reversed(stair.orders):
         energy = stair.member(M, N)
-    else:
-        energy = _fit_or_none(fit_eval, M, N)
-    if energy is not None:
-        return energy
-    lower = [
-        v for (Mi, Ni), v in zip(stair.orders, stair.values) if Mi + Ni < M + N and v is not None
-    ]
-    return lower[-1] if lower else e.truncated_sum()
+        if energy is not None:
+            return energy
+    return e.truncated_sum()
 
 
 def _series_is_trivial(corrections: np.ndarray, leading_term: float) -> bool:
@@ -1128,17 +1115,16 @@ def _dd_shift_and_b(p: HybridPotential, s: StateIndex, q0_seed: float, n_b: int)
     return q, omega, beta, lbar, b, em2
 
 
-def _solve_extended(p: HybridPotential, s: StateIndex, order: int, q0_seed: float):
-    """The dd solve: expansion, shift, hierarchy, dd ladder and its fit callable."""
-    J = 2 * order + 2
+def _solve_extended(p: HybridPotential, s: StateIndex, q0_seed: float):
+    """The dd solve: expansion, shift, hierarchy and dd ladder."""
+    J = 2 * DEFAULT_ORDER + 2
     q, omega, beta, lbar, b, em2 = _dd_shift_and_b(p, s, q0_seed, J + 4)
     be = _DDBackend()
-    corr_dd, W, F = _hierarchy_core(_v_polys(b, beta, J, be), s.k, order, omega, q, be)
+    corr_dd, W, F = _hierarchy_core(_v_polys(b, beta, J, be), s.k, DEFAULT_ORDER, omega, q, be)
     expansion = EnergyExpansion(
         leading_coeff=float(em2),
         corrections=np.array([float(c) for c in corr_dd]),
         lbar=float(lbar),
-        order=order,
     )
     shift = ShiftParams(q0=float(q), omega=float(omega), beta=float(beta), lbar=float(lbar))
     lead = lbar * lbar * em2
@@ -1149,50 +1135,41 @@ def _solve_extended(p: HybridPotential, s: StateIndex, order: int, q0_seed: floa
         return float(lead + _dd.dd_pade_eval(num, den, t))
 
     stair = _ladder(expansion.corrections, float(lead), fit_eval)
-    return expansion, shift, _tables_from_polys(W, F, be), stair, fit_eval
+    return expansion, shift, _tables_from_polys(W, F, be), stair
 
 
-def solve_state(
-    p: HybridPotential,
-    s: StateIndex,
-    order: int = DEFAULT_ORDER,
-    pade: tuple[int, int] = DEFAULT_PADE,
-    precision: str = "auto",
-) -> SolveResult:
+def solve_state(p: HybridPotential, s: StateIndex) -> SolveResult:
     """Full pipeline for one radial state in engine units.
 
-    precision "double" and "extended" force the backend; "auto" solves in
-    double precision and re-solves in double-double whenever the Pade order
-    ladder fails its stability tolerance, which is where double-precision
-    coefficient noise (amplified by the ill-conditioned fit) shows up.  The
-    energy is the [M/N] value of the final ladder (see _ladder_energy).
+    Solves in double precision and re-solves in double-double whenever the
+    Pade order ladder fails its stability tolerance, which is where
+    double-precision coefficient noise (amplified by the ill-conditioned
+    fit) shows up.  The energy is the top member of the final ladder (see
+    _ladder_energy).
     """
-    if precision not in ("auto", "double", "extended"):
-        raise ValueError(f"unknown precision {precision!r}")
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-    if order > ORDER_CAP:
-        raise OrderOverflow(f"order {order} outside supported range 0..{ORDER_CAP}")
-    M, N = pade
-    if M < 0 or N < 0:
-        raise ValueError(f"Pade degrees must be non-negative, got [{M}/{N}]")
-    if M + N + 1 > order + 1:
-        raise ValueError(f"[{M}/{N}] needs order >= {M + N}, got {order}")
-
     q0 = locate_q0(p, s)
-    path = "double"
-    if precision != "extended":
+    res = _solve_path("double", p, s, q0)
+    if not res.staircase.converged:
+        res = _solve_path("extended", p, s, q0)
+    return res
+
+
+def _solve_path(path: str, p: HybridPotential, s: StateIndex, q0: float) -> SolveResult:
+    """One arithmetic path of solve_state, "double" or "extended", from the origin q0.
+
+    solve_state chooses the path from the convergence of the double ladder;
+    the tests and tools/hexsweep.py call this to run either path alone.
+    """
+    if path == "double":
         sp = shift_params(p, q0, s)
-        b = b_coefficients(p, sp, 2 * order + 4)
-        v = v_series(b, sp.beta, 2 * order + 2)
-        expansion, hierarchy = solve_hierarchy(v, s.k, order, sp, leading_energy(p, sp))
+        b = b_coefficients(p, sp, 2 * DEFAULT_ORDER + 4)
+        v = v_series(b, sp.beta, 2 * DEFAULT_ORDER + 2)
+        expansion, hierarchy = solve_hierarchy(v, s.k, DEFAULT_ORDER, sp, leading_energy(p, sp))
         stair = pade_stability(expansion)
-        fit_eval = partial(resum, expansion)
-    if precision == "extended" or (precision == "auto" and not stair.converged):
-        expansion, sp, hierarchy, stair, fit_eval = _solve_extended(p, s, order, q0)
-        path = "extended"
+    else:
+        expansion, sp, hierarchy, stair = _solve_extended(p, s, q0)
     return SolveResult(
-        energy=_ladder_energy(stair, M, N, fit_eval, expansion),
+        energy=_ladder_energy(stair, expansion),
         expansion=expansion,
         shift=sp,
         hierarchy=hierarchy,

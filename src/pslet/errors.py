@@ -20,11 +20,6 @@ class NonPositiveRadius(PsletError):
 class NoRootInDomain(PsletError):
     """No expansion origin was found in the scanned radial interval."""
 
-    def __init__(self, message: str, q_lo: float | None = None, q_hi: float | None = None):
-        super().__init__(message)
-        self.q_lo = q_lo
-        self.q_hi = q_hi
-
 
 class OmegaDomainError(PsletError):
     """The squared oscillator frequency 3 + q V''/V' is not positive."""

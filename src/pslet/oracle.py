@@ -154,15 +154,3 @@ def _fd_energy(st, d, system: str) -> float:
     problem = RadialProblem.auto_sized(st.m, w, st.k)
     return scale * solve_radial_fd(problem, st.k) + st.m * d.gamma
 
-
-def cross_check(st, d, system: str) -> float:
-    """|E_pslet - E_oracle| in Ry* for one state solved at the default settings.
-
-    system is as in _fd_energy.  A caller that reports an energy of its own
-    compares it with the oracle through quantum_dot.oracle_delta instead.
-    """
-    from . import quantum_dot  # local import to keep module layering acyclic
-
-    e_oracle = _fd_energy(st, d, system)
-    solve = quantum_dot.ion_energy if system == "ion" else quantum_dot.rm_energy
-    return abs(solve(d, st) - e_oracle)

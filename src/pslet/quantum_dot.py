@@ -13,9 +13,11 @@ the cyclotron energy in Ry*, and gamma_d fixes the parabolic confinement.
 The Zeeman term m*gamma is the only place gamma enters beyond G, so the
 radial eigenvalue depends on (k, |m|, G) alone.
 
-Every output row of a table, figure or scan follows one row rule,
-spectrum_row: solve the state, attach its oracle delta if asked, and turn a
-PsletError from either step into a failed record.
+Every level is solved by engine.solve_state, which has one configuration,
+so a radial solve depends on (system, G, k, |m|) alone and is memoised on
+exactly that.  Every output row of a table, figure or scan follows one row
+rule, spectrum_row: solve the state, attach its oracle delta if asked, and
+turn a PsletError from either step into a failed record.
 """
 
 from __future__ import annotations
@@ -28,12 +30,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .engine import (
-    DEFAULT_ORDER,
-    DEFAULT_PADE,
-    StateIndex,
-    solve_state,
-)
+from .engine import StateIndex, solve_state
 from .errors import NonIntegralCluster, PsletError
 from .potentials import HybridPotential
 
@@ -158,11 +155,8 @@ def radial_solution(
     gamma_eff: float,
     k: int,
     abs_m: int,
-    order: int,
-    pade: tuple[int, int],
-    precision: str,
 ) -> RadialSolution:
-    """Memoised radial solve, keyed on exactly the inputs solve_state receives.
+    """Memoised radial solve, keyed on the radial problem (system, G, k, |m|).
 
     States with +m and -m, and all (gamma, gamma_d) with one gamma_eff, share
     an entry, so each distinct radial problem is solved once per process.
@@ -174,7 +168,7 @@ def radial_solution(
     divisor, c_coul, _ = _SYSTEMS[system]
     pot = HybridPotential(a_osc=gamma_eff * gamma_eff / divisor, c_coul=c_coul)
     state = StateIndex.from_azimuthal(k, abs_m)
-    res = solve_state(pot, state, order=order, pade=pade, precision=precision)
+    res = solve_state(pot, state)
     return RadialSolution(
         energy=res.energy,
         leading_fraction=res.leading_fraction,
@@ -195,9 +189,6 @@ def _level(
     st: StateLabel,
     system: str,
     interaction: bool = True,
-    order: int = DEFAULT_ORDER,
-    pade: tuple[int, int] = DEFAULT_PADE,
-    precision: str = "auto",
 ) -> tuple[float, RadialSolution]:
     """(E, radial solution) of one state, E = factor * eps + m gamma.
 
@@ -207,15 +198,15 @@ def _level(
     if not interaction:
         return ion_free_energy(d, st), _EXACT
     try:
-        res = radial_solution(system, d.gamma_eff, st.k, abs(st.m), order, tuple(pade), precision)
+        res = radial_solution(system, d.gamma_eff, st.k, abs(st.m))
     except PsletError as err:
         raise _annotate(err, f"{system} state {st.name} (k={st.k}, m={st.m})") from None
     return _SYSTEMS[system][2] * res.energy + st.m * d.gamma, res
 
 
-def ion_energy(d: DotParams, st: StateLabel, **opts) -> float:
+def ion_energy(d: DotParams, st: StateLabel) -> float:
     """Energy of one electron with the ion impurity, E = 2 eps + m gamma."""
-    return _level(d, st, "ion", **opts)[0]
+    return _level(d, st, "ion")[0]
 
 
 def _oscillator_level(d: DotParams, k: int, m: int) -> float:
@@ -231,19 +222,19 @@ def ion_free_energy(d: DotParams, st: StateLabel) -> float:
     return _oscillator_level(d, st.k, st.m)
 
 
-def ion_interaction(d: DotParams, st: StateLabel, **opts) -> float:
+def ion_interaction(d: DotParams, st: StateLabel) -> float:
     """Energy shift caused by the impurity."""
-    return ion_energy(d, st, **opts) - ion_free_energy(d, st)
+    return ion_energy(d, st) - ion_free_energy(d, st)
 
 
-def rm_energy(d: DotParams, st: StateLabel, **opts) -> float:
+def rm_energy(d: DotParams, st: StateLabel) -> float:
     """Relative-motion energy of the interacting pair, E = 4 eps + m gamma."""
-    return _level(d, st, "rm", **opts)[0]
+    return _level(d, st, "rm")[0]
 
 
-def ee_interaction(d: DotParams, st: StateLabel, **opts) -> float:
+def ee_interaction(d: DotParams, st: StateLabel) -> float:
     """Electron-electron interaction energy; depends on G only (m gamma cancels)."""
-    return rm_energy(d, st, **opts) - ion_free_energy(d, st)
+    return rm_energy(d, st) - ion_free_energy(d, st)
 
 
 def cm_energy(d: DotParams, K: int, M: int) -> float:
@@ -253,10 +244,10 @@ def cm_energy(d: DotParams, K: int, M: int) -> float:
     return _oscillator_level(d, K, M)
 
 
-def total_energy(d: DotParams, k: int, m: int, K: int, M: int, **opts) -> TwoElectronLevel:
+def total_energy(d: DotParams, k: int, m: int, K: int, M: int) -> TwoElectronLevel:
     """Total two-electron level: relative motion plus center of mass."""
     rm = StateLabel(k, m)
-    e = rm_energy(d, rm, **opts) + cm_energy(d, K, M)
+    e = rm_energy(d, rm) + cm_energy(d, K, M)
     return TwoElectronLevel(rm=rm, cm_k=K, cm_m=M, energy=e)
 
 
@@ -292,30 +283,30 @@ def _record(
     )
 
 
-def ion_record(d: DotParams, st: StateLabel, interaction: bool = True, **opts) -> SpectrumRecord:
+def ion_record(d: DotParams, st: StateLabel, interaction: bool = True) -> SpectrumRecord:
     """Solve one impurity state and package it with diagnostics."""
-    energy, res = _level(d, st, "ion", interaction, **opts)
+    energy, res = _level(d, st, "ion", interaction)
     return _record(st.name, d, energy, res)
 
 
 def two_electron_record(
-    d: DotParams, lvl: TwoElectronLevel, interaction: bool = True, **opts
+    d: DotParams, lvl: TwoElectronLevel, interaction: bool = True
 ) -> SpectrumRecord:
     """Solve one two-electron level and package it with diagnostics."""
     cm = cm_energy(d, lvl.cm_k, lvl.cm_m)
-    energy, res = _level(d, lvl.rm, "rm", interaction, **opts)
+    energy, res = _level(d, lvl.rm, "rm", interaction)
     return _record(lvl.name, d, energy + cm, res)
 
 
-def spectrum_record(state, d: DotParams, interaction: bool = True, **opts) -> SpectrumRecord:
+def spectrum_record(state, d: DotParams, interaction: bool = True) -> SpectrumRecord:
     """Dispatch a state to the matching solver and package the result.
 
-    opts (order, pade, precision) go to the solver.  The record carries no
-    oracle delta; scan_spectrum(oracle=True) attaches one to grid records.
+    The record carries no oracle delta; scan_spectrum(oracle=True) attaches
+    one to grid records.
     """
     if isinstance(state, TwoElectronLevel):
-        return two_electron_record(d, state, interaction=interaction, **opts)
-    return ion_record(d, state, interaction=interaction, **opts)
+        return two_electron_record(d, state, interaction=interaction)
+    return ion_record(d, state, interaction=interaction)
 
 
 def oracle_delta(state, d: DotParams, energy: float) -> float:
@@ -538,7 +529,7 @@ def scan_spectrum(
     return records, crossings
 
 
-def level_order(d: DotParams, levels, **opts):
+def level_order(d: DotParams, levels):
     """Sort tagged two-electron levels by energy at one dot configuration.
 
     levels is a sequence of (tag, TwoElectronLevel); returns a list of
@@ -547,7 +538,7 @@ def level_order(d: DotParams, levels, **opts):
     """
     solved = []
     for tag, lvl in levels:
-        filled = total_energy(d, lvl.rm.k, lvl.rm.m, lvl.cm_k, lvl.cm_m, **opts)
+        filled = total_energy(d, lvl.rm.k, lvl.rm.m, lvl.cm_k, lvl.cm_m)
         solved.append((tag, filled))
     def sort_key(item):
         tag, lvl = item

@@ -8,7 +8,9 @@ of first appearance.  Table reproduction computes every cell, compares
 against the golden file, and reports the worst absolute deviation; figure
 commands emit the underlying curves of the published plots as CSV rows plus
 a sidecar listing detected level crossings.  Table cells and figure points
-follow quantum_dot's row rule, spectrum_row.
+follow quantum_dot's row rule, spectrum_row, and each is solved in the one
+configuration of engine.solve_state: the paper's [9/10] resummation of the
+order-19 series.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 from importlib import resources
 
-from .engine import DEFAULT_ORDER, DEFAULT_PADE
 from .quantum_dot import (
     DotParams,
     SpectrumRecord,
@@ -119,9 +120,6 @@ def _row_params(row: dict) -> DotParams:
 def compute_table(
     table_id: int,
     tolerance: float = 1e-3,
-    order: int = DEFAULT_ORDER,
-    pade: tuple[int, int] = DEFAULT_PADE,
-    precision: str = "auto",
     oracle: bool = False,
 ) -> TableReport:
     """Compute every cell of one golden table and diff against the reference.
@@ -133,19 +131,17 @@ def compute_table(
     """
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
-    opts = {"order": order, "pade": pade, "precision": precision}
-    evaluator = partial(spectrum_record, **opts)
     cells = []
     for row in load_golden(table_id):
         state, d = _row_state(row), _row_params(row)
         if table_id in (2, 3):
-            rec = _pair_row(state, d, oracle, opts)
+            rec = _pair_row(state, d, oracle)
         else:
             label = None
             if table_id in (4, 5):
                 tag, state = state
                 label = f"{tag}:{state.name}"
-            rec = spectrum_row(state, d, evaluator, oracle, label=label)
+            rec = spectrum_row(state, d, oracle=oracle, label=label)
         cells.append(Cell(**vars(rec), reference=float(row["energy"])))
     return TableReport(table_id=table_id, cells=cells, tolerance=tolerance)
 
@@ -187,9 +183,9 @@ def _grid_points(grid: tuple[float, float, float]) -> list[float]:
     return pts
 
 
-def _pair_interaction_record(state: StateLabel, d: DotParams, **opts) -> SpectrumRecord:
+def _pair_interaction_record(state: StateLabel, d: DotParams) -> SpectrumRecord:
     """The two-electron record less its exact center-of-mass and free parts."""
-    rec = two_electron_record(d, TwoElectronLevel(rm=state, cm_k=0, cm_m=0), **opts)
+    rec = two_electron_record(d, TwoElectronLevel(rm=state, cm_k=0, cm_m=0))
     return replace(rec, energy=rec.energy - cm_energy(d, 0, 0) - ion_free_energy(d, state))
 
 
@@ -199,10 +195,10 @@ def _pair_oracle_delta(state: StateLabel, d: DotParams, energy: float) -> float:
     return oracle_delta(level, d, energy + cm_energy(d, 0, 0) + ion_free_energy(d, state))
 
 
-def _pair_row(state: StateLabel, d: DotParams, oracle: bool, opts: dict) -> SpectrumRecord:
+def _pair_row(state: StateLabel, d: DotParams, oracle: bool) -> SpectrumRecord:
     """The pair interaction energy row of tables 2-3 and figure 5."""
     return spectrum_row(
-        state, d, partial(_pair_interaction_record, **opts), oracle,
+        state, d, _pair_interaction_record, oracle,
         delta=_pair_oracle_delta, label=radial_name(state.k, state.m),
     )
 
@@ -212,9 +208,6 @@ def figure_curves(
     grid=None,
     jobs: int = 1,
     oracle: bool = False,
-    order: int = DEFAULT_ORDER,
-    pade: tuple[int, int] = DEFAULT_PADE,
-    precision: str = "auto",
 ):
     """Curves behind one published figure: (records, crossings).
 
@@ -225,17 +218,16 @@ def figure_curves(
     With oracle set, every interacting point also carries its
     finite-difference cross-check delta; figures 1 and 6 have none, so
     oracle is a usage error there.  jobs workers share each field scan;
-    figure 5 runs serially.  order, pade and precision go to every solve.
+    figure 5 runs serially.
     """
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"figure id must be one of {FIGURE_IDS}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    opts = {"order": order, "pade": pade, "precision": precision}
     if fig_id == 5:  # serial: jobs does not apply
         pts = _grid_points(grid or DEFAULT_GAMMA_EFF_GRID)
         records = [
-            _pair_row(st, DotParams(gamma=0.0, gamma_d=g_eff), oracle, opts)
+            _pair_row(st, DotParams(gamma=0.0, gamma_d=g_eff), oracle)
             for st in golden_states(2)
             for g_eff in pts
         ]
@@ -248,20 +240,19 @@ def figure_curves(
     else:
         states, interaction = [lvl for _, lvl in golden_states(5)], fig_id == 7
     d0 = DotParams(gamma=pts[0], gamma_d=_GAMMA_D)
-    return scan_levels(states, d0, pts, interaction, jobs=jobs, oracle=oracle, **opts)
+    return scan_levels(states, d0, pts, interaction, jobs=jobs, oracle=oracle)
 
 
 def scan_levels(states, d0: DotParams, pts, interaction: bool, jobs: int = 1,
-                oracle: bool = False, **opts):
+                oracle: bool = False):
     """scan_spectrum over spectrum records: (records, crossings).
 
-    opts (order, pade, precision) go to every solve.  The oracle delta is
-    only defined with the interaction on, so oracle without it is a usage
-    error.
+    The oracle delta is only defined with the interaction on, so oracle
+    without it is a usage error.
     """
     if oracle and not interaction:
         raise ValueError("--oracle needs the interaction")
-    evaluator = partial(spectrum_record, interaction=interaction, **opts)
+    evaluator = partial(spectrum_record, interaction=interaction)
     return scan_spectrum(states, d0, pts, evaluator=evaluator, jobs=jobs, oracle=oracle)
 
 

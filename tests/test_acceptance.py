@@ -27,11 +27,13 @@ from pslet import (
     RadialProblem,
     StateIndex,
     StateLabel,
+    TwoElectronLevel,
     ee_interaction,
     ion_energy,
     level_order,
     scan_spectrum,
     solve_state,
+    spectrum_record,
     tables,
 )
 from pslet.engine import (
@@ -41,7 +43,14 @@ from pslet.engine import (
     shift_params,
     subleading_coefficient,
 )
-from pslet.oracle import _kth_eigenpair, cross_check
+from pslet.oracle import _kth_eigenpair
+from pslet.quantum_dot import oracle_delta
+
+
+def _oracle_delta(st, d, system: str) -> float:
+    """oracle_delta of the energy a record of st reports, as an ion or a pair state."""
+    state = st if system == "ion" else TwoElectronLevel(rm=st, cm_k=0, cm_m=0)
+    return oracle_delta(state, d, spectrum_record(state, d).energy)
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -103,7 +112,7 @@ def test_criterion_2_tables23_reproduction(report2, report3):
     ][0]
     oracle_worst = 0.0
     for st in tables.golden_states(2):
-        delta = cross_check(st, DotParams(0.0, 0.4), "two_electron_rm")
+        delta = _oracle_delta(st, DotParams(0.0, 0.4), "two_electron_rm")
         oracle_worst = max(oracle_worst, delta)
     ok = (
         worst_weak <= 5e-4
@@ -247,7 +256,7 @@ def test_criterion_6_oracle_equivalence():
     worst = 0.0
     worst_state = None
     for system, k, m, gamma, gamma_d in _ORACLE_SAMPLE:
-        delta = cross_check(StateLabel(k, m), DotParams(gamma, gamma_d), system)
+        delta = _oracle_delta(StateLabel(k, m), DotParams(gamma, gamma_d), system)
         if delta > worst:
             worst, worst_state = delta, (system, k, m, gamma, gamma_d)
 

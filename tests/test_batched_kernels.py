@@ -741,7 +741,7 @@ def _pade_inputs():
         for c_coul, divisor in [(1.0, 8.0), (0.5, 32.0)]:
             pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
             s = engine.StateIndex.from_azimuthal(k, m)
-            res = engine.solve_state(pot, s, precision="double")
+            res = engine._solve_path("double", pot, s, engine.locate_q0(pot, s))
             c, t = res.expansion.corrections, 1.0 / res.expansion.lbar
             for M, N in staircase_orders():
                 yield c[: M + N + 1], M, N, t
@@ -872,10 +872,12 @@ def _real_ladders():
     for c_coul, divisor, gamma, k, m in cases:
         pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
         s = engine.StateIndex.from_azimuthal(k, m)
-        e = engine.solve_state(pot, s, precision="double").expansion
+        q0 = engine.locate_q0(pot, s)
+        e = engine._solve_path("double", pot, s, q0).expansion
         yield e.corrections, e.leading_term, partial(engine.resum, e)
-        e, _, _, _, fit_eval = engine._solve_extended(pot, s, 19, engine.locate_q0(pot, s))
-        yield e.corrections, e.leading_term, fit_eval
+        res = engine._solve_path("extended", pot, s, q0)
+        # the dd ladder's own fit: the dd value, or None where the fit fails
+        yield res.expansion.corrections, res.expansion.leading_term, res.staircase.fit
 
 
 def test_top_down_ladder_is_the_eager_ladder_on_real_solves():

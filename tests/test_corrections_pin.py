@@ -2,8 +2,10 @@
 
 data/corrections_pin.json holds float.hex of E^(0)..E^(19) for a fixed set
 of ion and relative-motion states (k 0-3, |m| 0-2, several Gamma), each
-solved with precision "double" and "extended".  A change to the arithmetic
-of the correction hierarchy, however small, changes some of these bits.
+solved on both arithmetic paths of the engine, "double" and "extended"
+(engine._solve_path; the "precision" field names the path).  A change to
+the arithmetic of the correction hierarchy, however small, changes some of
+these bits.
 """
 
 import json
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from pslet import HybridPotential, StateIndex, solve_state
+from pslet import HybridPotential, StateIndex
+from pslet.engine import _solve_path, locate_q0
 
 PIN = json.loads((Path(__file__).parent / "data" / "corrections_pin.json").read_text())
 
@@ -26,6 +29,6 @@ def test_corrections_bit_identical(row):
     divisor, coulomb = SYSTEMS[row["system"]]
     pot = HybridPotential(a_osc=row["Gamma"] ** 2 / divisor, c_coul=coulomb)
     state = StateIndex.from_azimuthal(row["k"], row["m"])
-    res = solve_state(pot, state, precision=row["precision"])
+    res = _solve_path(row["precision"], pot, state, locate_q0(pot, state))
     assert res.precision == row["precision"]
     assert [float(c).hex() for c in res.expansion.corrections] == row["corrections"]

@@ -1,5 +1,6 @@
 """Shift geometry, hierarchy, and resummation against independent oracles."""
 
+import inspect
 import math
 import os
 import subprocess
@@ -93,12 +94,10 @@ class TestLocateQ0:
         assert abs(lhs - sp.lbar) <= 1e-9 * sp.lbar
 
     def test_no_root_reports_interval(self):
+        # the origin of l_eff = 1e7 lies near 3e3, past the scan's 1e3 oscillator lengths
         p = HybridPotential(a_osc=0.5, c_coul=0.0)
-        s = StateIndex(k=0, l_eff=0.0)
-        with pytest.raises(NoRootInDomain) as err:
-            locate_q0(p, s, q_lo=50.0, q_hi=100.0)
-        assert err.value.q_lo == 50.0
-        assert err.value.q_hi == 100.0
+        with pytest.raises(NoRootInDomain, match=r"in \[1\.189e-08, 1\.189e\+03\]"):
+            locate_q0(p, StateIndex(k=0, l_eff=1e7))
 
     def test_unbound_potential_has_no_frequency_domain(self):
         # pure repulsive Coulomb: V' < 0 everywhere, no expansion origin
@@ -239,8 +238,10 @@ class TestHierarchy:
         assert 2.0 * resum(e) == pytest.approx(0.8162, abs=1e-3)
 
     def test_order_cap(self):
+        sp, _, _ = _solve_pieces(ION, S00, order=3)
+        v = v_series(b_coefficients(ION, sp, 2 * 31 + 4), sp.beta, 2 * 31 + 2)
         with pytest.raises(OrderOverflow):
-            solve_state(ION, S00, order=31)
+            solve_hierarchy(v, S00.k, 31, sp, leading_energy(ION, sp))
 
     def test_insufficient_v_rejected(self):
         sp, _, _ = _solve_pieces(ION, S00, order=3)
@@ -305,7 +306,7 @@ def _corrupted_v(order, delta=0.1):
 
 class TestResummation:
     def test_zero_corrections_return_leading(self):
-        e = EnergyExpansion(leading_coeff=0.25, corrections=np.zeros(20), lbar=2.0, order=19)
+        e = EnergyExpansion(leading_coeff=0.25, corrections=np.zeros(20), lbar=2.0)
         assert pade_stability(e).member(9, 10) == pytest.approx(1.0, abs=0.0)
 
     def test_plain_sum_equals_pade_on_exact_series(self):
@@ -314,13 +315,13 @@ class TestResummation:
         assert resum(e, 19, 0) == pytest.approx(pade_stability(e).member(9, 10), abs=1e-10)
 
     def test_needs_enough_corrections(self):
-        e = EnergyExpansion(leading_coeff=0.25, corrections=np.ones(5), lbar=2.0, order=4)
+        e = EnergyExpansion(leading_coeff=0.25, corrections=np.ones(5), lbar=2.0)
         with pytest.raises(ValueError):
             resum(e, 9, 10)
 
     def test_stability_flags_divergent_toy(self):
         corr = np.array([math.factorial(n) * 1.5**n for n in range(20)])
-        e = EnergyExpansion(leading_coeff=1.0, corrections=corr, lbar=1.0, order=19)
+        e = EnergyExpansion(leading_coeff=1.0, corrections=corr, lbar=1.0)
         stair = pade_stability(e)
         assert not stair.converged
         assert stair.spread > 1e-2
@@ -339,7 +340,16 @@ class TestResummation:
         assert stair.spread <= 5e-5
 
 
+def _path(path, p, s):
+    """The solve of one arithmetic path, "double" or "extended", whatever solve_state takes."""
+    return engine._solve_path(path, p, s, locate_q0(p, s))
+
+
 class TestSolveState:
+    def test_takes_a_state_and_nothing_else(self):
+        assert list(inspect.signature(solve_state).parameters) == ["p", "s"]
+        assert list(inspect.signature(locate_q0).parameters) == ["p", "s"]
+
     def test_deterministic(self):
         a = solve_state(ION, S00)
         b = solve_state(ION, S00)
@@ -349,8 +359,8 @@ class TestSolveState:
     def test_double_and_extended_agree(self):
         # energies may differ by the double-precision fit noise, which is
         # exactly what the measured ladder spread bounds
-        a = solve_state(ION, S00, precision="double")
-        b = solve_state(ION, S00, precision="extended")
+        a = _path("double", ION, S00)
+        b = _path("extended", ION, S00)
         assert abs(a.energy - b.energy) <= max(a.staircase.spread, 1e-12)
 
     def test_double_coefficients_track_extended_on_growing_series(self):
@@ -360,8 +370,8 @@ class TestSolveState:
         # covered by the ladder-spread bound above instead
         p = HybridPotential(a_osc=0.2**2 / 32.0, c_coul=0.5)
         s = StateIndex.from_azimuthal(2, 0)
-        a = solve_state(p, s, precision="double")
-        b = solve_state(p, s, precision="extended")
+        a = _path("double", p, s)
+        b = _path("extended", p, s)
         rel = np.abs(a.expansion.corrections - b.expansion.corrections) / np.abs(
             b.expansion.corrections
         )
@@ -378,20 +388,6 @@ class TestSolveState:
     def test_leading_fraction_dominates(self):
         res = solve_state(ION, S00)
         assert res.leading_fraction > 0.9
-
-    def test_invalid_precision(self):
-        with pytest.raises(ValueError):
-            solve_state(ION, S00, precision="quad")
-
-    def test_pade_needs_order(self):
-        with pytest.raises(ValueError):
-            solve_state(ION, S00, order=10, pade=(9, 10))
-
-    @pytest.mark.parametrize("pade", [(-1, 5), (5, -1)])
-    def test_negative_pade_degrees_rejected(self, pade):
-        # a negative degree must not slip through to a lower ladder member
-        with pytest.raises(ValueError, match="non-negative"):
-            solve_state(ION, S00, pade=pade)
 
     @staticmethod
     def _assert_fits_top_down(res, fits):
@@ -415,7 +411,7 @@ class TestSolveState:
             return real(c, M, N)
 
         monkeypatch.setattr(engine, "pade_fit", counting)
-        res = solve_state(ION, S00, precision="double")
+        res = _path("double", ION, S00)
         self._assert_fits_top_down(res, fits)
 
     def test_extended_solve_fits_each_ladder_member_once(self, monkeypatch):
@@ -427,13 +423,8 @@ class TestSolveState:
             return real(c, M, N)
 
         monkeypatch.setattr(_dd, "dd_pade_fit", counting)
-        res = solve_state(ION, S00, precision="extended")
+        res = _path("extended", ION, S00)
         self._assert_fits_top_down(res, fits)
-
-    def test_pade_off_the_ladder_is_fitted_itself(self):
-        res = solve_state(ION, S00, precision="double", pade=(5, 3))
-        assert res.staircase.member(5, 3) is None
-        assert res.energy == resum(res.expansion, 5, 3)
 
     @staticmethod
     def _count_double_fits(monkeypatch):
@@ -445,13 +436,16 @@ class TestSolveState:
         return fits
 
     def test_failed_double_member_falls_to_the_next_ladder_member(self, monkeypatch):
-        # the [9/10] fit fails here; the energy is the ladder's [9/9] value,
-        # read off the ladder, not fitted a second time
+        # the [9/10] fit fails here and the solve stays in double; the energy
+        # is the ladder's [9/9] value, read off the ladder, not fitted a
+        # second time, and the walk down fits no member below the spread's
         fits = self._count_double_fits(monkeypatch)
         p = HybridPotential(a_osc=0.05**2 / 8.0, c_coul=1.0)
-        res = solve_state(p, StateIndex.from_azimuthal(1, 0), precision="double")
+        res = solve_state(p, StateIndex.from_azimuthal(1, 0))
+        assert res.precision == "double"
+        assert fits == [(9, 10), (9, 9), (8, 9), (8, 8), (7, 8), (7, 7)]
+        assert len(fits) == len(set(fits))
         assert res.staircase.member(9, 10) is None
-        assert len(fits) == 17
         assert res.energy == res.staircase.member(9, 9)
 
     def test_failed_dd_member_falls_to_the_dd_ladder(self, monkeypatch):
@@ -459,10 +453,31 @@ class TestSolveState:
         # it never refits the rounded corrections in double precision
         fits = self._count_double_fits(monkeypatch)
         p = HybridPotential(a_osc=0.0881**2 / 32.0, c_coul=0.5)
-        res = solve_state(p, StateIndex.from_azimuthal(3, 0), precision="extended")
+        res = _path("extended", p, StateIndex.from_azimuthal(3, 0))
         assert res.staircase.member(9, 10) is None
         assert res.energy == res.staircase.member(9, 9)
         assert fits == []
+
+    @pytest.mark.parametrize(
+        "a_osc,c_coul,k,m",
+        [
+            (0.2**2 / 8.0, 1.0, 0, 0),
+            (0.05**2 / 8.0, 1.0, 1, 0),  # double [9/10] fails
+            (0.0881**2 / 32.0, 0.5, 3, 0),  # dd [9/10] fails
+            (0.1**2 / 32.0, 0.5, 3, 0),  # escalates
+            (2.0**2 / 32.0, 0.5, 0, 1),
+        ],
+        ids=["ion-1s", "ion-2s-G0.05", "rm-4s-G0.0881", "rm-4s-G0.1", "rm-2p-G2"],
+    )
+    def test_energy_is_the_top_of_the_spread_window(self, a_osc, c_coul, k, m):
+        # the certificate speaks for the energy: the energy is the top member
+        # of the last five the spread is taken over, on either path
+        p = HybridPotential(a_osc=a_osc, c_coul=c_coul)
+        s = StateIndex.from_azimuthal(k, m)
+        for res in (solve_state(p, s), _path("double", p, s), _path("extended", p, s)):
+            window = [v for v in res.staircase.values if v is not None][-5:]
+            assert res.energy == window[-1]
+            assert res.staircase.spread == max(window) - min(window)
 
     def test_dd_origin_polish_must_converge(self, monkeypatch):
         # a derivative eight times too steep leaves the fourth dd Newton step

@@ -1,6 +1,6 @@
 """The whole correction hierarchy pinned bit for bit in both precisions.
 
-data/hierarchy_pin.json holds, for the states and precisions of
+data/hierarchy_pin.json holds, for the states and arithmetic paths of
 corrections_pin.json, one SHA-256 over the float.hex of the energy, every
 Pade ladder value, E^(0)..E^(19) and every coefficient of the W and F
 tables (tools/hexsweep.py, solve_digest).  A change to the arithmetic of

@@ -10,12 +10,16 @@ from pslet import (
     RadialProblem,
     StateIndex,
     StateLabel,
+    TwoElectronLevel,
+    ion_energy,
     solve_radial_fd,
     solve_state,
+    spectrum_record,
     wavefunction_eval,
 )
 from pslet.errors import DomainTooSmall
-from pslet.oracle import cross_check, sturm_count
+from pslet.oracle import _fd_energy, sturm_count
+from pslet.quantum_dot import oracle_delta
 
 
 def oscillator_problem(g_eff, m, k):
@@ -104,12 +108,12 @@ class TestGuards:
 
 class TestCrossCheck:
     def test_ion_ground_state(self):
-        delta = cross_check(StateLabel(0, 0), DotParams(0.0, 0.2), "ion")
-        assert delta <= 1e-3
+        st, d = StateLabel(0, 0), DotParams(0.0, 0.2)
+        assert oracle_delta(st, d, ion_energy(d, st)) <= 1e-3
 
     def test_relative_motion_high_state(self):
-        delta = cross_check(StateLabel(0, 4), DotParams(0.0, 5.0), "two_electron_rm")
-        assert delta <= 1e-3
+        lvl, d = TwoElectronLevel(rm=StateLabel(0, 4), cm_k=0, cm_m=0), DotParams(0.0, 5.0)
+        assert oracle_delta(lvl, d, spectrum_record(lvl, d).energy) <= 1e-3
 
     def test_oscillator_limit_agrees_tightly(self):
         # both solvers are exact without the Coulomb term
@@ -121,7 +125,7 @@ class TestCrossCheck:
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
-            cross_check(StateLabel(0, 0), DotParams(0.0, 0.2), "three_electron")
+            _fd_energy(StateLabel(0, 0), DotParams(0.0, 0.2), "three_electron")
 
 
 class TestWavefunctionAgainstEigenvector:

@@ -152,10 +152,10 @@ class TestIonEnergies:
         assert not rec.converged
         assert rec.pade_spread > 5e-5
 
-    def test_error_annotated_with_label(self):
+    def test_error_annotated_with_label(self, failing_solver):
         d = DotParams(0.0, 0.2)
-        with pytest.raises(PsletError, match="2p-"):
-            ion_energy(d, StateLabel(0, -1), order=99)
+        with pytest.raises(PsletError, match="2p-.*forced failure"):
+            ion_energy(d, StateLabel(0, -1))
 
 
 class TestTwoElectron:
@@ -395,15 +395,15 @@ class TestRadialMemo:
         assert len(solves) == 2
         assert dataclasses.astuple(warm) == dataclasses.astuple(cold)
 
-    def test_failing_state_raises_its_own_error_on_every_call(self, solves):
+    def test_failing_state_raises_its_own_error_on_every_call(self, failing_solver):
         d = DotParams(0.0, 0.2)
         for _ in range(2):
             with pytest.raises(PsletError, match="2p-"):
-                ion_energy(d, StateLabel(0, -1), order=99)
+                ion_energy(d, StateLabel(0, -1))
         with pytest.raises(PsletError) as info:
-            ion_energy(d, StateLabel(0, 1), order=99)
+            ion_energy(d, StateLabel(0, 1))
         assert "2p+" in str(info.value) and "2p-" not in str(info.value)
-        assert len(solves) == 3
+        assert len(failing_solver) == 3
         assert quantum_dot.radial_solution.cache_info().currsize == 0
 
     def test_memo_is_bounded(self, monkeypatch):
@@ -419,7 +419,7 @@ class TestRadialMemo:
         try:
             bound = quantum_dot.radial_solution.cache_info().maxsize
             for i in range(bound + 10):
-                quantum_dot.radial_solution("ion", 1.0 + i, 0, 0, 19, (9, 9), "auto")
+                quantum_dot.radial_solution("ion", 1.0 + i, 0, 0)
             info = quantum_dot.radial_solution.cache_info()
             assert info.currsize == bound
             assert info.misses == bound + 10

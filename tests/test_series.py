@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslet.engine import StateIndex, _F64Backend, pade_stability, solve_state
+from pslet.engine import StateIndex, _F64Backend, _solve_path, locate_q0, pade_stability
 from pslet.errors import PoleProximity, SingularPadeSystem
 from pslet.potentials import HybridPotential
 from pslet.series import PadeApproximant, pade_eval, pade_fit, staircase_orders
@@ -227,7 +227,8 @@ class TestNonFiniteSeries:
 
     def test_ladder_records_the_member_as_missing(self):
         pot = HybridPotential(a_osc=0.7**2 / 8.0, c_coul=1.0)
-        e = solve_state(pot, StateIndex.from_azimuthal(1, 1), precision="double").expansion
+        s = StateIndex.from_azimuthal(1, 1)
+        e = _solve_path("double", pot, s, locate_q0(pot, s)).expansion
         corrections = e.corrections.copy()
         corrections[19] = math.inf
         stair = pade_stability(dataclasses.replace(e, corrections=corrections))

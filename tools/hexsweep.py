@@ -7,7 +7,9 @@ correction hierarchy.  float.hex keeps the sign of zero, so two builds give
 equal digests only when they agree bit for bit.
 
 The sweep is 360 solves: both systems, Gamma 0.05, 0.2, 0.7, 2 and 5,
-k 0-5, |m| 0, 1 and 3, precision "double" and "extended".  From k = 4 on
+k 0-5, |m| 0, 1 and 3, each run on both arithmetic paths of the engine,
+"double" and "extended" (engine._solve_path), whichever one solve_state
+would take; each key ends in its path's name.  From k = 4 on
 a prefactor (F_0 at k = 4, every F_i from k = 5) has three or more
 nonzero coefficients, so its products take three or more rows each.
 
@@ -44,7 +46,7 @@ SYSTEMS = ("ion", "rm")
 GAMMAS = (0.05, 0.2, 0.7, 2.0, 5.0)
 KS = range(6)
 MS = (0, 1, 3)
-PRECISIONS = ("double", "extended")
+PATHS = ("double", "extended")
 
 ORIGIN_SYSTEMS = ("ion", "rm", "oscillator")
 ORIGIN_GAMMAS = tuple(0.01 * (2000.0 ** (i / 11)) for i in range(12))
@@ -66,23 +68,28 @@ def solve_digest(res) -> str:
     return hashlib.sha256("\n".join(solve_hexes(res)).encode()).hexdigest()
 
 
-def solve(system: str, gamma: float, k: int, m: int, precision: str):
-    """One radial solve on the potential quantum_dot maps (system, Gamma) to."""
-    from pslet import HybridPotential, StateIndex, solve_state
+def solve(system: str, gamma: float, k: int, m: int, path: str):
+    """One radial solve, on the arithmetic path "double" or "extended".
+
+    The potential is the one quantum_dot maps (system, Gamma) to.
+    """
+    from pslet import HybridPotential, StateIndex
+    from pslet.engine import _solve_path, locate_q0
     from pslet.quantum_dot import _SYSTEMS
 
     divisor, c_coul, _ = _SYSTEMS[system]
     pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
-    return solve_state(pot, StateIndex.from_azimuthal(k, m), precision=precision)
+    s = StateIndex.from_azimuthal(k, m)
+    return _solve_path(path, pot, s, locate_q0(pot, s))
 
 
 def sweep_lines():
     from pslet.errors import PsletError
 
-    for system, gamma, k, m, precision in itertools.product(SYSTEMS, GAMMAS, KS, MS, PRECISIONS):
-        key = f"{system} G={gamma!r} k={k} m={m} {precision}"
+    for system, gamma, k, m, path in itertools.product(SYSTEMS, GAMMAS, KS, MS, PATHS):
+        key = f"{system} G={gamma!r} k={k} m={m} {path}"
         try:
-            yield f"{key} {solve_digest(solve(system, gamma, k, m, precision))}"
+            yield f"{key} {solve_digest(solve(system, gamma, k, m, path))}"
         except PsletError as err:  # a failed solve is a fingerprint too
             yield f"{key} error:{type(err).__name__}"
 
