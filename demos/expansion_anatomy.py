@@ -62,7 +62,7 @@ print("=== wavefunction reconstruction ===")
 _, q_grid, u_ref = solve_radial_fd(problem, 0, return_vector=True)
 x = np.sqrt(sp.lbar) * (q_grid - sp.q0) / sp.q0
 center = np.abs(x) <= 2.0
-psi = np.abs(wavefunction_eval(res.hierarchy, sp, q_grid[center], x_max=2.5))
+psi = np.abs(wavefunction_eval(pot, state, q_grid[center], x_max=2.5))
 ref = np.abs(u_ref[center])
 gap = np.max(np.abs(psi / psi.max() - ref / ref.max()))
 print(f"max |expansion - finite differences| on the trust region: {gap:.3f}")

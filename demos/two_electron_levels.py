@@ -9,8 +9,7 @@ ground state between singlet and triplet.
 Run:  python demos/two_electron_levels.py
 """
 
-from pslet import DotParams, StateLabel, TwoElectronLevel, ee_interaction, level_order, scan_spectrum, total_energy
-from pslet.tables import table4_levels
+from pslet import DotParams, StateLabel, TwoElectronLevel, ee_interaction, level_order, scan_spectrum, tables, total_energy
 
 print("=== pair interaction energy vs confinement ===")
 print("E_ee depends only on the combined measure Gamma = sqrt(g^2 + g_d^2):")
@@ -27,7 +26,7 @@ print("=== quantum size effect at zero field ===")
 print("shrinking the dot (raising gamma_d) reorders the sixteen lowest levels:")
 for gamma_d in (1.0, 0.2, 0.05):
     d = DotParams(gamma=0.0, gamma_d=gamma_d)
-    ordered = level_order(d, table4_levels())
+    ordered = level_order(d, tables.golden_states(4))
     tags = "".join(tag for tag, _ in ordered)
     print(f"  gamma_d={gamma_d:4.2f}:  {tags}")
 print("(watch pairs like e/h and n/k swap as the dot shrinks)")

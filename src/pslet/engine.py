@@ -24,6 +24,10 @@ Gamma = 0.2, measured against double-double.  A state whose double ladder
 does not converge is therefore re-solved in double-double arithmetic; the
 escalation guards against the hierarchy's rounding error, not against the
 Pade fit.  That observed convergence is the only choice of path.
+
+A solve returns the eigenvalue and its certificate (SolveResult).  The W
+and F tables of its hierarchy are read at run time only by
+wavefunction_eval, which gets them from _hierarchy_tables.
 """
 
 from __future__ import annotations
@@ -133,19 +137,6 @@ class EnergyExpansion:
         return self.leading_term + math.fsum(c * t**i for i, c in enumerate(self.corrections))
 
 
-@dataclass(frozen=True)
-class HierarchyState:
-    """Coefficients produced by the order-by-order matching.
-
-    w_polys[j] and f_polys[j] are the log-derivative and prefactor
-    polynomials of half-order j; W_j has only odd powers at even j and only
-    even powers at odd j.
-    """
-
-    w_polys: tuple = field(repr=False, default=())
-    f_polys: tuple = field(repr=False, default=())
-
-
 # A ladder member that has not been fitted yet (see StaircaseResult).
 _UNFITTED = object()
 
@@ -197,7 +188,6 @@ class SolveResult:
     energy: float
     expansion: EnergyExpansion
     shift: ShiftParams
-    hierarchy: HierarchyState
     staircase: StaircaseResult
     precision: str
 
@@ -935,25 +925,20 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     return corrections, W, F
 
 
-def _tables_from_polys(W, F, backend) -> HierarchyState:
-    return HierarchyState(
-        w_polys=tuple(backend.poly_to_float(w) for w in W),
-        f_polys=tuple(backend.poly_to_float(f) for f in F),
-    )
-
-
 def solve_hierarchy(
     v: list[np.ndarray],
     k: int,
     order: int,
     shift: ShiftParams,
     leading_coeff: float,
-) -> tuple[EnergyExpansion, HierarchyState]:
+) -> tuple[EnergyExpansion, list, list]:
     """Solve the matching hierarchy in double precision.
 
     v holds the coefficient arrays of half-orders 0..2*order+2 (as produced
     by v_series with n_max = 2*order+2).  Returns the correction ladder
-    E^(0)..E^(order) and the full coefficient tables.
+    E^(0)..E^(order) and the tables W and F: W[j] and F[j] are the
+    log-derivative and prefactor polynomials of half-order j, W_j with only
+    odd powers at even j and only even powers at odd j.
     """
     if order > ORDER_CAP or order < 0:
         raise OrderOverflow(f"order {order} outside supported range 0..{ORDER_CAP}")
@@ -968,7 +953,7 @@ def solve_hierarchy(
         corrections=np.array(corr),
         lbar=shift.lbar,
     )
-    return expansion, _tables_from_polys(W, F, be)
+    return expansion, W, F
 
 
 # ----------------------------------------------------------------------
@@ -1115,29 +1100,6 @@ def _dd_shift_and_b(p: HybridPotential, s: StateIndex, q0_seed: float, n_b: int)
     return q, omega, beta, lbar, b, em2
 
 
-def _solve_extended(p: HybridPotential, s: StateIndex, q0_seed: float):
-    """The dd solve: expansion, shift, hierarchy and dd ladder."""
-    J = 2 * DEFAULT_ORDER + 2
-    q, omega, beta, lbar, b, em2 = _dd_shift_and_b(p, s, q0_seed, J + 4)
-    be = _DDBackend()
-    corr_dd, W, F = _hierarchy_core(_v_polys(b, beta, J, be), s.k, DEFAULT_ORDER, omega, q, be)
-    expansion = EnergyExpansion(
-        leading_coeff=float(em2),
-        corrections=np.array([float(c) for c in corr_dd]),
-        lbar=float(lbar),
-    )
-    shift = ShiftParams(q0=float(q), omega=float(omega), beta=float(beta), lbar=float(lbar))
-    lead = lbar * lbar * em2
-    t = DD(1.0) / lbar
-
-    def fit_eval(M: int, N: int) -> float:
-        num, den = _dd.dd_pade_fit(corr_dd[: M + N + 1], M, N)
-        return float(lead + _dd.dd_pade_eval(num, den, t))
-
-    stair = _ladder(expansion.corrections, float(lead), fit_eval)
-    return expansion, shift, _tables_from_polys(W, F, be), stair
-
-
 def solve_state(p: HybridPotential, s: StateIndex) -> SolveResult:
     """Full pipeline for one radial state in engine units.
 
@@ -1147,35 +1109,70 @@ def solve_state(p: HybridPotential, s: StateIndex) -> SolveResult:
     fit) shows up.  The energy is the top member of the final ladder (see
     _ladder_energy).
     """
-    q0 = locate_q0(p, s)
-    res = _solve_path("double", p, s, q0)
-    if not res.staircase.converged:
-        res = _solve_path("extended", p, s, q0)
-    return res
+    return _solve(p, s)[0]
 
 
 def _solve_path(path: str, p: HybridPotential, s: StateIndex, q0: float) -> SolveResult:
-    """One arithmetic path of solve_state, "double" or "extended", from the origin q0.
+    """solve_state's "double" or "extended" path alone, from the origin q0."""
+    return _solve(p, s, path, q0)[0]
 
-    solve_state chooses the path from the convergence of the double ladder;
-    the tests and tools/hexsweep.py call this to run either path alone.
+
+def _hierarchy_tables(p: HybridPotential, s: StateIndex, path: str | None = None):
+    """(SolveResult, W, F) of one state, W and F as float arrays (see solve_hierarchy).
+
+    On the path solve_state takes when path is None (wavefunction_eval), else
+    on path alone, "double" or "extended" (tools/hexsweep.py).
     """
+    res, W, F = _solve(p, s, path)
+    be = _DDBackend if res.precision == "extended" else _F64Backend
+    return res, [be.poly_to_float(w) for w in W], [be.poly_to_float(f) for f in F]
+
+
+def _solve(p: HybridPotential, s: StateIndex, path: str | None = None, q0: float | None = None):
+    """(SolveResult, W, F) on path from the origin q0 (None: locate it).
+
+    path None is solve_state's choice: "double", then "extended" (double-
+    double) when the double ladder does not converge.  W and F stay in the
+    path's arithmetic, numpy arrays or DDPolys.
+    """
+    if q0 is None:
+        q0 = locate_q0(p, s)
+    if path is None:
+        out = _solve(p, s, "double", q0)
+        return out if out[0].staircase.converged else _solve(p, s, "extended", q0)
     if path == "double":
         sp = shift_params(p, q0, s)
         b = b_coefficients(p, sp, 2 * DEFAULT_ORDER + 4)
         v = v_series(b, sp.beta, 2 * DEFAULT_ORDER + 2)
-        expansion, hierarchy = solve_hierarchy(v, s.k, DEFAULT_ORDER, sp, leading_energy(p, sp))
+        expansion, W, F = solve_hierarchy(v, s.k, DEFAULT_ORDER, sp, leading_energy(p, sp))
         stair = pade_stability(expansion)
     else:
-        expansion, sp, hierarchy, stair = _solve_extended(p, s, q0)
-    return SolveResult(
+        J = 2 * DEFAULT_ORDER + 2
+        q, omega, beta, lbar, b, em2 = _dd_shift_and_b(p, s, q0, J + 4)
+        be = _DDBackend()
+        corr_dd, W, F = _hierarchy_core(_v_polys(b, beta, J, be), s.k, DEFAULT_ORDER, omega, q, be)
+        expansion = EnergyExpansion(
+            leading_coeff=float(em2),
+            corrections=np.array([float(c) for c in corr_dd]),
+            lbar=float(lbar),
+        )
+        sp = ShiftParams(q0=float(q), omega=float(omega), beta=float(beta), lbar=float(lbar))
+        lead = lbar * lbar * em2
+        t = DD(1.0) / lbar
+
+        def fit_eval(M: int, N: int) -> float:
+            num, den = _dd.dd_pade_fit(corr_dd[: M + N + 1], M, N)
+            return float(lead + _dd.dd_pade_eval(num, den, t))
+
+        stair = _ladder(expansion.corrections, float(lead), fit_eval)
+    res = SolveResult(
         energy=_ladder_energy(stair, expansion),
         expansion=expansion,
         shift=sp,
-        hierarchy=hierarchy,
         staircase=stair,
         precision=path,
     )
+    return res, W, F
 
 
 # ----------------------------------------------------------------------
@@ -1183,21 +1180,26 @@ def _solve_path(path: str, p: HybridPotential, s: StateIndex, q0: float) -> Solv
 # ----------------------------------------------------------------------
 
 def wavefunction_eval(
-    h: HierarchyState,
-    sp: ShiftParams,
+    p: HybridPotential,
+    s: StateIndex,
     q_grid,
     x_max: float = 3.0,
 ) -> np.ndarray:
-    """Unnormalized psi(q) = F(x) exp(U(x)) from the solved hierarchy.
+    """Unnormalized psi(q) = F(x) exp(U(x)) from the W and F of solve_state's path.
 
     U is the termwise antiderivative of the matched log-derivative series
     (each piece is polynomial, so the integral is exact).  Outside the trust
     region |x| > x_max the truncated exponent is unreliable; a warning is
-    emitted and the values are still returned.
+    emitted and the values are still returned.  A non-finite radius or
+    x_max, or x_max <= 0, is a ValueError.
     """
     q = np.asarray(q_grid, dtype=float)
+    if not (np.all(np.isfinite(q)) and math.isfinite(x_max) and x_max > 0.0):
+        raise ValueError(f"need a finite grid and a finite x_max > 0, got x_max = {x_max}")
     if np.any(q <= 0.0):
         raise NonPositiveRadius("wavefunction grid must be strictly positive")
+    res, W, F = _hierarchy_tables(p, s)
+    sp = res.shift
     x = math.sqrt(sp.lbar) * (q - sp.q0) / sp.q0
     if np.any(np.abs(x) > x_max):
         warnings.warn(
@@ -1208,8 +1210,8 @@ def wavefunction_eval(
     exponent = np.zeros_like(x)
     prefactor = np.zeros_like(x)
     scale = 1.0
-    # f_polys[0] already carries the monic x**k head of the prefactor
-    for w, f in zip(h.w_polys, h.f_polys):
+    # F[0] already carries the monic x**k head of the prefactor
+    for w, f in zip(W, F):
         u_int = np.concatenate(([0.0], w / np.arange(1, len(w) + 1)))
         exponent += scale * np.polynomial.polynomial.polyval(x, u_int)
         prefactor += scale * np.polynomial.polynomial.polyval(x, f)

@@ -44,8 +44,8 @@ class RadialProblem:
     n_points: int
 
     def __post_init__(self):
-        if self.L <= 0.0:
-            raise ValueError("domain length must be positive")
+        if not (math.isfinite(self.L) and self.L > 0.0):
+            raise ValueError(f"domain length must be finite and positive, got {self.L}")
         if self.n_points < MIN_POINTS:
             raise ValueError(f"need at least {MIN_POINTS} grid points")
 

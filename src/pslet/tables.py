@@ -3,14 +3,14 @@
 Golden values ship as CSV resources under pslet/data with provenance notes
 in their comment headers.  They are also the state lists: figure 1 plots
 the states of table 1, figure 5 those of tables 2-3, figures 6-7 the levels
-of table 5, and table4_levels() gives those of table 4, each in the order
-of first appearance.  Table reproduction computes every cell, compares
-against the golden file, and reports the worst absolute deviation; figure
-commands emit the underlying curves of the published plots as CSV rows plus
-a sidecar listing detected level crossings.  Table cells and figure points
-follow quantum_dot's row rule, spectrum_row, and each is solved in the one
-configuration of engine.solve_state: the paper's [9/10] resummation of the
-order-19 series.
+of table 5, and golden_states(4) gives the tagged levels of table 4, each
+in the order of first appearance.  Table reproduction computes every cell,
+compares against the golden file, and reports the worst absolute
+deviation; figure commands emit the underlying curves of the published
+plots as CSV rows plus a sidecar listing detected level crossings.  Table
+cells and figure points follow quantum_dot's row rule, spectrum_row, and
+each is solved in the one configuration of engine.solve_state: the
+paper's [9/10] resummation of the order-19 series.
 """
 
 from __future__ import annotations
@@ -254,11 +254,6 @@ def scan_levels(states, d0: DotParams, pts, interaction: bool, jobs: int = 1,
         raise ValueError("--oracle needs the interaction")
     evaluator = partial(spectrum_record, interaction=interaction)
     return scan_spectrum(states, d0, pts, evaluator=evaluator, jobs=jobs, oracle=oracle)
-
-
-def table4_levels() -> list[tuple[str, TwoElectronLevel]]:
-    """The sixteen tagged levels of table 4 as (tag, level) pairs."""
-    return golden_states(4)
 
 
 # ----------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_criterion_3_table4_reproduction(report4):
         c for c in report4.cells if c.label.startswith("l:") and abs(c.gamma_d - 0.2) < 1e-12
     ][0]
     d = DotParams(gamma=0.0, gamma_d=0.05)
-    ordered = [tag for tag, _ in level_order(d, tables.table4_levels())]
+    ordered = [tag for tag, _ in level_order(d, tables.golden_states(4))]
     ordering_ok = ordered.index("e") < ordered.index("h") and ordered.index("n") < ordered.index("k")
     ok = report4.max_delta <= 1e-3 and abs(corrected.value - 1.4413) <= 1e-3 and ordering_ok
     _report(

@@ -417,7 +417,7 @@ def test_backends_offer_what_the_hierarchy_calls():
     def public(cls):
         return {name for name in dir(cls) if not name.startswith("_")}
 
-    callers = (_hierarchy_core, engine._v_polys, engine._tables_from_polys)
+    callers = (_hierarchy_core, engine._v_polys, engine._hierarchy_tables)
     called = set().union(*(_backend_calls(fn) for fn in callers))
     assert public(_F64Backend) == public(_DDBackend)
     assert public(_F64Backend) == called, (

@@ -1,5 +1,6 @@
 """Shift geometry, hierarchy, and resummation against independent oracles."""
 
+import dataclasses
 import inspect
 import math
 import os
@@ -195,21 +196,21 @@ def _solve_pieces(p, s, order=19):
     sp = shift_params(p, q0, s)
     b = b_coefficients(p, sp, 2 * order + 4)
     v = v_series(b, sp.beta, 2 * order + 2)
-    e, h = solve_hierarchy(v, s.k, order, sp, leading_energy(p, sp))
-    return sp, e, h
+    e, _, _ = solve_hierarchy(v, s.k, order, sp, leading_energy(p, sp))
+    return sp, e
 
 
 class TestHierarchy:
     def test_oscillator_is_exact(self):
         p = HybridPotential(a_osc=0.5, c_coul=0.0)
         s = StateIndex.from_azimuthal(1, 2)
-        sp, e, h = _solve_pieces(p, s)
+        sp, e = _solve_pieces(p, s)
         assert float(np.max(np.abs(e.corrections))) <= 1e-9
         assert e.leading_term == pytest.approx(5.0 * math.sqrt(1.0), rel=1e-12)
 
     def test_order_zero_algebra_by_hand(self):
         # for k = 0: -(U0' + U0^2)/2 + v0 must be q0^2 E^(-1) = 0 identically
-        sp, e, h = _solve_pieces(ION, S00)
+        sp, e = _solve_pieces(ION, S00)
         omega = sp.omega
         u0 = np.array([0.0, -omega])                     # U0 = -Omega x
         u0_sq = np.convolve(u0, u0)
@@ -221,8 +222,8 @@ class TestHierarchy:
         assert np.max(np.abs(residual)) <= 1e-12 * omega
 
     def test_odd_log_derivative_rows_vanish(self):
-        sp, e, h = _solve_pieces(ION, S00)
-        for j, w in enumerate(h.w_polys):
+        _, W, _ = engine._hierarchy_tables(ION, S00, "double")
+        for j, w in enumerate(W):
             # odd half-orders carry no odd-parity piece, even ones no even-parity piece
             assert np.all(w[j % 2 :: 2] == 0.0), j
             assert np.any(w[1 - j % 2 :: 2] != 0.0), j
@@ -230,21 +231,21 @@ class TestHierarchy:
     def test_prefactor_is_monic(self):
         p = HybridPotential(a_osc=0.9**2 / 8.0, c_coul=1.0)
         s = StateIndex.from_azimuthal(2, 0)
-        sp, e, h = _solve_pieces(p, s)
-        assert h.f_polys[0][s.k] == 1.0
+        _, _, F = engine._hierarchy_tables(p, s, "double")
+        assert F[0][s.k] == 1.0
 
     def test_ion_ground_state_energy(self):
-        sp, e, h = _solve_pieces(ION, S00)
+        sp, e = _solve_pieces(ION, S00)
         assert 2.0 * resum(e) == pytest.approx(0.8162, abs=1e-3)
 
     def test_order_cap(self):
-        sp, _, _ = _solve_pieces(ION, S00, order=3)
+        sp, _ = _solve_pieces(ION, S00, order=3)
         v = v_series(b_coefficients(ION, sp, 2 * 31 + 4), sp.beta, 2 * 31 + 2)
         with pytest.raises(OrderOverflow):
             solve_hierarchy(v, S00.k, 31, sp, leading_energy(ION, sp))
 
     def test_insufficient_v_rejected(self):
-        sp, _, _ = _solve_pieces(ION, S00, order=3)
+        sp, _ = _solve_pieces(ION, S00, order=3)
         b = b_coefficients(ION, sp, 8)
         v = v_series(b, sp.beta, 6)
         with pytest.raises(ValueError):
@@ -311,7 +312,7 @@ class TestResummation:
 
     def test_plain_sum_equals_pade_on_exact_series(self):
         p = HybridPotential(a_osc=0.5, c_coul=0.0)
-        sp, e, h = _solve_pieces(p, StateIndex.from_azimuthal(0, 1))
+        sp, e = _solve_pieces(p, StateIndex.from_azimuthal(0, 1))
         assert resum(e, 19, 0) == pytest.approx(pade_stability(e).member(9, 10), abs=1e-10)
 
     def test_needs_enough_corrections(self):
@@ -328,13 +329,13 @@ class TestResummation:
 
     def test_stability_on_oscillator_is_exactly_stable(self):
         p = HybridPotential(a_osc=0.5, c_coul=0.0)
-        sp, e, h = _solve_pieces(p, StateIndex.from_azimuthal(0, 0))
+        sp, e = _solve_pieces(p, StateIndex.from_azimuthal(0, 0))
         stair = pade_stability(e)
         assert stair.converged
         assert stair.spread <= 1e-10
 
     def test_ion_ground_state_ladder_is_stable(self):
-        sp, e, h = _solve_pieces(ION, S00)
+        sp, e = _solve_pieces(ION, S00)
         stair = pade_stability(e)
         assert stair.converged
         assert stair.spread <= 5e-5
@@ -349,6 +350,12 @@ class TestSolveState:
     def test_takes_a_state_and_nothing_else(self):
         assert list(inspect.signature(solve_state).parameters) == ["p", "s"]
         assert list(inspect.signature(locate_q0).parameters) == ["p", "s"]
+
+    def test_returns_the_eigenvalue_and_its_certificate(self):
+        # the hierarchy tables are not part of a solve; wavefunction_eval
+        # gets them from engine._hierarchy_tables
+        names = [f.name for f in dataclasses.fields(engine.SolveResult)]
+        assert names == ["energy", "expansion", "shift", "staircase", "precision"]
 
     def test_deterministic(self):
         a = solve_state(ION, S00)
@@ -498,32 +505,57 @@ class TestSolveState:
         lambda: HybridPotential(1.0, math.inf),
         lambda: StateIndex(0, l_eff=math.inf),
         lambda: StateIndex(0, l_eff=math.nan),
+        lambda: wavefunction_eval(ION, S00, [5.0, math.nan]),
+        lambda: wavefunction_eval(ION, S00, [5.0, math.inf]),
+        lambda: wavefunction_eval(ION, S00, [5.0, -math.inf]),
+        lambda: wavefunction_eval(ION, S00, [5.0], x_max=math.nan),
+        lambda: wavefunction_eval(ION, S00, [5.0], x_max=math.inf),
+        lambda: wavefunction_eval(ION, S00, [5.0], x_max=0.0),
+        lambda: wavefunction_eval(ION, S00, [5.0], x_max=-1.0),
     ],
-    ids=["a_osc-nan", "a_osc-inf", "c_coul-nan", "c_coul-inf", "l_eff-inf", "l_eff-nan"],
+    ids=["a_osc-nan", "a_osc-inf", "c_coul-nan", "c_coul-inf", "l_eff-inf", "l_eff-nan",
+         "psi-q-nan", "psi-q-inf", "psi-q-minus-inf", "psi-x_max-nan", "psi-x_max-inf",
+         "psi-x_max-zero", "psi-x_max-negative"],
 )
 def test_non_finite_input_rejected(build):
     with pytest.raises(ValueError):
         build()
 
 
+def _psi_from_tables(res, W, F, q):
+    """psi(q) from one path's float W and F tables, by wavefunction_eval's arithmetic."""
+    sp = res.shift
+    x = math.sqrt(sp.lbar) * (q - sp.q0) / sp.q0
+    rt = 1.0 / math.sqrt(sp.lbar)
+    exponent = np.zeros_like(x)
+    prefactor = np.zeros_like(x)
+    scale = 1.0
+    for w, f in zip(W, F):
+        u_int = np.concatenate(([0.0], w / np.arange(1, len(w) + 1)))
+        exponent += scale * np.polynomial.polynomial.polyval(x, u_int)
+        prefactor += scale * np.polynomial.polynomial.polyval(x, f)
+        scale *= rt
+    return prefactor * np.exp(exponent)
+
+
 class TestWavefunction:
     def test_oscillator_leading_order_is_gaussian(self):
         # the zeroth-order exponent is exactly -Omega x^2 / 2
         p = HybridPotential(a_osc=0.5, c_coul=0.0)
-        res = solve_state(p, StateIndex.from_azimuthal(0, 0))
-        np.testing.assert_allclose(res.hierarchy.w_polys[0], [0.0, -res.shift.omega])
-        np.testing.assert_allclose(res.hierarchy.f_polys[0], [1.0])
+        res, W, F = engine._hierarchy_tables(p, StateIndex.from_azimuthal(0, 0))
+        np.testing.assert_allclose(W[0], [0.0, -res.shift.omega])
+        np.testing.assert_allclose(F[0], [1.0])
 
     @pytest.mark.parametrize("m", [0, 3])
     def test_oscillator_full_wavefunction_matches_exact(self, m):
         # the resummed exponent reproduces q**(|m|+1/2) exp(-omega q^2 / 2)
         p = HybridPotential(a_osc=0.5, c_coul=0.0)
-        res = solve_state(p, StateIndex.from_azimuthal(0, m))
-        sp = res.shift
+        s = StateIndex.from_azimuthal(0, m)
+        sp = solve_state(p, s).shift
         q = np.linspace(max(0.3 * sp.q0, 0.05), 1.7 * sp.q0, 101)
         x = math.sqrt(sp.lbar) * (q - sp.q0) / sp.q0
         center = np.abs(x) <= 1.0
-        psi = np.abs(wavefunction_eval(res.hierarchy, sp, q))
+        psi = np.abs(wavefunction_eval(p, s, q))
         exact = q ** (abs(m) + 0.5) * np.exp(-q * q / 2.0)  # omega_1 = sqrt(2 a) = 1
         psi /= np.max(psi[center])
         exact /= np.max(exact[center])
@@ -532,15 +564,28 @@ class TestWavefunction:
     def test_single_node_for_k_one(self):
         p = HybridPotential(a_osc=0.2**2 / 8.0, c_coul=1.0)
         s = StateIndex.from_azimuthal(1, 0)
-        res = solve_state(p, s)
-        sp = res.shift
+        sp = solve_state(p, s).shift
         q = np.linspace(0.4 * sp.q0, 1.8 * sp.q0, 301)
-        psi = wavefunction_eval(res.hierarchy, sp, q)
+        psi = wavefunction_eval(p, s, q)
         signs = np.sign(psi[np.abs(psi) > 1e-10 * np.max(np.abs(psi))])
         assert int(np.sum(signs[1:] * signs[:-1] < 0)) == 1
 
     def test_trust_region_warning(self):
-        res = solve_state(ION, S00)
-        sp = res.shift
+        sp = solve_state(ION, S00).shift
         with pytest.warns(UserWarning):
-            wavefunction_eval(res.hierarchy, sp, np.array([sp.q0 * 20.0]))
+            wavefunction_eval(ION, S00, np.array([sp.q0 * 20.0]))
+
+    def test_escalated_state_reads_the_extended_tables(self):
+        # relative motion, Gamma = 0.0881, k = 3, m = 0 escalates to dd; psi
+        # is built from the dd tables, bit for bit, not from the double ones
+        p = HybridPotential(a_osc=0.0881**2 / 32.0, c_coul=0.5)
+        s = StateIndex.from_azimuthal(3, 0)
+        res = solve_state(p, s)
+        assert res.precision == "extended"
+        sp = res.shift
+        q = np.linspace(0.6 * sp.q0, 1.4 * sp.q0, 41)
+        psi = wavefunction_eval(p, s, q)
+        extended = _psi_from_tables(*engine._hierarchy_tables(p, s, "extended"), q)
+        double = _psi_from_tables(*engine._hierarchy_tables(p, s, "double"), q)
+        assert [v.hex() for v in psi.tolist()] == [v.hex() for v in extended.tolist()]
+        assert not np.array_equal(psi, double)

@@ -24,6 +24,6 @@ PIN = json.loads((Path(__file__).parent / "data" / "hierarchy_pin.json").read_te
     "row", PIN, ids=[f"{r['system']}-k{r['k']}-m{r['m']}-G{r['Gamma']}-{r['precision']}" for r in PIN]
 )
 def test_hierarchy_bit_identical(row):
-    res = solve(row["system"], row["Gamma"], row["k"], row["m"], row["precision"])
+    res, W, F = solve(row["system"], row["Gamma"], row["k"], row["m"], row["precision"])
     assert res.precision == row["precision"]
-    assert solve_digest(res) == row["sha256"]
+    assert solve_digest(res, W, F) == row["sha256"]

@@ -1,6 +1,8 @@
 """Finite-difference eigensolver: exact limits, convergence order, and the
 cross-check against the expansion pipeline."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,12 @@ class TestGuards:
         with pytest.raises(DomainTooSmall):
             solve_radial_fd(problem, 0)
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_domain_rejected(self, L):
+        w = HybridPotential(a_osc=1.0, c_coul=0.0)
+        with pytest.raises(ValueError, match="domain length"):
+            RadialProblem(m=0, W=w, L=L, n_points=2000)
+
     def test_point_minimum_enforced(self):
         w = HybridPotential(a_osc=1.0, c_coul=0.0)
         with pytest.raises(ValueError):
@@ -133,15 +141,14 @@ class TestWavefunctionAgainstEigenvector:
         # expansion wavefunction vs finite-difference eigenvector, both
         # max-normalized, on the central trust region
         d = DotParams(0.0, 0.2)
-        res = solve_state(HybridPotential(d.gamma_eff**2 / 8.0, 1.0),
-                          StateIndex.from_azimuthal(0, 0))
-        sp = res.shift
+        pot, state = HybridPotential(d.gamma_eff**2 / 8.0, 1.0), StateIndex.from_azimuthal(0, 0)
+        sp = solve_state(pot, state).shift
         w = HybridPotential(a_osc=d.gamma_eff**2 / 4.0, c_coul=2.0)
         problem = RadialProblem.auto_sized(0, w, 0)
         _, q, u = solve_radial_fd(problem, 0, return_vector=True)
         x = np.sqrt(sp.lbar) * (q - sp.q0) / sp.q0
         center = np.abs(x) <= 2.0
-        psi = np.abs(wavefunction_eval(res.hierarchy, sp, q[center], x_max=2.5))
+        psi = np.abs(wavefunction_eval(pot, state, q[center], x_max=2.5))
         ref = np.abs(u[center])
         psi /= psi.max()
         ref /= ref.max()

@@ -8,8 +8,9 @@ equal digests only when they agree bit for bit.
 
 The sweep is 360 solves: both systems, Gamma 0.05, 0.2, 0.7, 2 and 5,
 k 0-5, |m| 0, 1 and 3, each run on both arithmetic paths of the engine,
-"double" and "extended" (engine._solve_path), whichever one solve_state
-would take; each key ends in its path's name.  From k = 4 on
+"double" and "extended", whichever one solve_state would take; each key
+ends in its path's name.  A solve and its W and F tables come from
+engine._hierarchy_tables, the source wavefunction_eval reads them from.  From k = 4 on
 a prefactor (F_0 at k = 4, every F_i from k = 5) has three or more
 nonzero coefficients, so its products take three or more rows each.
 
@@ -54,33 +55,32 @@ ORIGIN_KS = range(5)
 ORIGIN_MS = range(6)
 
 
-def solve_hexes(res) -> list[str]:
-    """float.hex of every number one SolveResult carries, in a fixed order."""
+def solve_hexes(res, W, F) -> list[str]:
+    """float.hex of every number of one SolveResult and its W and F tables, in a fixed order."""
     out = [float(res.energy).hex()]
     out += [float(c).hex() for c in res.expansion.corrections]
     out += ["None" if v is None else float(v).hex() for v in res.staircase.values]
-    for poly in res.hierarchy.w_polys + res.hierarchy.f_polys:
+    for poly in W + F:
         out += [float(c).hex() for c in poly]
     return out
 
 
-def solve_digest(res) -> str:
-    return hashlib.sha256("\n".join(solve_hexes(res)).encode()).hexdigest()
+def solve_digest(res, W, F) -> str:
+    return hashlib.sha256("\n".join(solve_hexes(res, W, F)).encode()).hexdigest()
 
 
 def solve(system: str, gamma: float, k: int, m: int, path: str):
-    """One radial solve, on the arithmetic path "double" or "extended".
+    """(SolveResult, W, F) of one radial solve on the path "double" or "extended".
 
     The potential is the one quantum_dot maps (system, Gamma) to.
     """
     from pslet import HybridPotential, StateIndex
-    from pslet.engine import _solve_path, locate_q0
+    from pslet.engine import _hierarchy_tables
     from pslet.quantum_dot import _SYSTEMS
 
     divisor, c_coul, _ = _SYSTEMS[system]
     pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
-    s = StateIndex.from_azimuthal(k, m)
-    return _solve_path(path, pot, s, locate_q0(pot, s))
+    return _hierarchy_tables(pot, StateIndex.from_azimuthal(k, m), path)
 
 
 def sweep_lines():
@@ -89,7 +89,7 @@ def sweep_lines():
     for system, gamma, k, m, path in itertools.product(SYSTEMS, GAMMAS, KS, MS, PATHS):
         key = f"{system} G={gamma!r} k={k} m={m} {path}"
         try:
-            yield f"{key} {solve_digest(solve(system, gamma, k, m, path))}"
+            yield f"{key} {solve_digest(*solve(system, gamma, k, m, path))}"
         except PsletError as err:  # a failed solve is a fingerprint too
             yield f"{key} error:{type(err).__name__}"
 
