@@ -25,6 +25,13 @@ does not converge is therefore re-solved in double-double arithmetic; the
 escalation guards against the hierarchy's rounding error, not against the
 Pade fit.  That observed convergence is the only choice of path.
 
+The double-double corrections come from a compiled table, not from the
+hierarchy: scaled to q0 = 1 they are F_n(k, omega), functions of the node
+count and the oscillator frequency alone, and data/series.npz holds them in
+Chebyshev form for k <= K_TAB and omega in TABLE_OMEGA (built by
+tools/series_table.py; see _table_corrections).  The dd hierarchy runs only
+for a state outside the table, and for the W and F tables.
+
 A solve returns the eigenvalue and its certificate (SolveResult).  The W
 and F tables of its hierarchy are read at run time only by
 wavefunction_eval, which gets them from _hierarchy_tables.
@@ -35,12 +42,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
+from importlib import resources
 
 import numpy as np
 
 from . import _dd
-from ._dd import DD, DDPoly, dd_add, dd_mul
+from ._dd import DD, DDPoly, dd_add, dd_div, dd_mul
 from .errors import (
     HierarchyResidual,
     NoRootInDomain,
@@ -48,6 +56,7 @@ from .errors import (
     OmegaDomainError,
     OrderOverflow,
     PoleProximity,
+    SeriesTableMismatch,
     SingularPadeSystem,
     ZeroPivot,
 )
@@ -66,6 +75,11 @@ DEFAULT_PADE = (9, 10)
 
 # Engine-unit stability demanded of the last five order-ladder members.
 STABILITY_TOL = 5e-5
+
+# Highest node count, and the oscillator-frequency interval, of the compiled
+# correction table data/series.npz (tools/series_table.py).
+K_TAB = 5
+TABLE_OMEGA = (2.0, 8.0)
 
 # Log-spaced points on which locate_q0 looks for a sign change.
 _N_SCAN = 512
@@ -1100,13 +1114,69 @@ def _dd_shift_and_b(p: HybridPotential, s: StateIndex, q0_seed: float, n_b: int)
     return q, omega, beta, lbar, b, em2
 
 
+@cache
+def _series_table() -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) Chebyshev coefficients of u^2 F_n(k, omega), indexed [k, j, n].
+
+    Read once from data/series.npz (tools/series_table.py), which must have
+    been built for DEFAULT_ORDER, K_TAB and TABLE_OMEGA.  Every solve shares
+    the arrays, so they are read-only.
+    """
+    with resources.files("pslet.data").joinpath("series.npz").open("rb") as fh:
+        with np.load(fh, allow_pickle=False) as table:
+            built = (int(table["order"]), int(table["k_tab"]), tuple(table["domain"].tolist()))
+            if built != (DEFAULT_ORDER, K_TAB, TABLE_OMEGA):
+                raise SeriesTableMismatch(
+                    f"series.npz holds (order, K_TAB, omega domain) = {built}, the engine "
+                    f"needs {(DEFAULT_ORDER, K_TAB, TABLE_OMEGA)}: rebuild it with "
+                    "tools/series_table.py"
+                )
+            out = tuple(np.ascontiguousarray(table[name].transpose(0, 2, 1))
+                        for name in ("hi", "lo"))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _table_corrections(k: int, omega: DD, q0: DD) -> list[DD] | None:
+    """E^(0)..E^(DEFAULT_ORDER) in dd from the compiled table; None outside it.
+
+    q0^2 E^(n) = F_n(k, omega) depends on k and omega alone (see
+    tools/series_table.py), and the table holds u^2 F_n in Chebyshev form in
+    u = 2/omega.  One dd Clenshaw sum over the table's columns evaluates all
+    n at once.  The table covers k <= K_TAB and omega in TABLE_OMEGA.
+    """
+    if k > K_TAB or not TABLE_OMEGA[0] <= float(omega) <= TABLE_OMEGA[1]:
+        return None
+    hi, lo = _series_table()
+    ch, cl = hi[k], lo[k]
+    u_lo, u_hi = 2.0 / TABLE_OMEGA[1], 2.0 / TABLE_OMEGA[0]
+    u = DD(2.0) / omega
+    x = (u + u - (u_lo + u_hi)) / (u_hi - u_lo)
+    x2 = x + x
+    bh = bl = b2h = b2l = np.zeros(ch.shape[1])
+    for j in range(len(ch) - 1, 0, -1):
+        th, tl = dd_mul(bh, bl, x2.hi, x2.lo)
+        th, tl = dd_add(th, tl, -b2h, -b2l)
+        b2h, b2l = bh, bl
+        bh, bl = dd_add(th, tl, ch[j], cl[j])
+    th, tl = dd_mul(bh, bl, x.hi, x.lo)
+    th, tl = dd_add(th, tl, -b2h, -b2l)
+    th, tl = dd_add(th, tl, ch[0], cl[0])
+    scale = u * u * q0 * q0
+    eh, el = dd_div(th, tl, scale.hi, scale.lo)
+    return [DD(h, l) for h, l in zip(eh.tolist(), el.tolist())]
+
+
 def solve_state(p: HybridPotential, s: StateIndex) -> SolveResult:
     """Full pipeline for one radial state in engine units.
 
     Solves in double precision and re-solves in double-double whenever the
     Pade order ladder fails its stability tolerance, which is where
     double-precision coefficient noise (amplified by the ill-conditioned
-    fit) shows up.  The energy is the top member of the final ladder (see
+    fit) shows up.  The double-double corrections come from the compiled
+    (k, omega) table (_table_corrections); the dd hierarchy runs only for a
+    state outside it.  The energy is the top member of the final ladder (see
     _ladder_energy).
     """
     return _solve(p, s)[0]
@@ -1121,25 +1191,30 @@ def _hierarchy_tables(p: HybridPotential, s: StateIndex, path: str | None = None
     """(SolveResult, W, F) of one state, W and F as float arrays (see solve_hierarchy).
 
     On the path solve_state takes when path is None (wavefunction_eval), else
-    on path alone, "double" or "extended" (tools/hexsweep.py).
+    on path alone, "double" or "extended" (tools/hexsweep.py).  The result is
+    the one that path gives solve_state; on the extended path W and F come
+    from the dd hierarchy, which the table spares solve_state.
     """
-    res, W, F = _solve(p, s, path)
+    res, W, F = _solve(p, s, path, tables=True)
     be = _DDBackend if res.precision == "extended" else _F64Backend
     return res, [be.poly_to_float(w) for w in W], [be.poly_to_float(f) for f in F]
 
 
-def _solve(p: HybridPotential, s: StateIndex, path: str | None = None, q0: float | None = None):
+def _solve(p: HybridPotential, s: StateIndex, path: str | None = None, q0: float | None = None,
+           tables: bool = False):
     """(SolveResult, W, F) on path from the origin q0 (None: locate it).
 
     path None is solve_state's choice: "double", then "extended" (double-
     double) when the double ladder does not converge.  W and F stay in the
-    path's arithmetic, numpy arrays or DDPolys.
+    path's arithmetic, numpy arrays or DDPolys.  The extended path takes its
+    corrections from the compiled table where it covers the state, and then
+    runs the dd hierarchy only when tables is set; otherwise W and F are None.
     """
     if q0 is None:
         q0 = locate_q0(p, s)
     if path is None:
-        out = _solve(p, s, "double", q0)
-        return out if out[0].staircase.converged else _solve(p, s, "extended", q0)
+        out = _solve(p, s, "double", q0, tables)
+        return out if out[0].staircase.converged else _solve(p, s, "extended", q0, tables)
     if path == "double":
         sp = shift_params(p, q0, s)
         b = b_coefficients(p, sp, 2 * DEFAULT_ORDER + 4)
@@ -1149,8 +1224,11 @@ def _solve(p: HybridPotential, s: StateIndex, path: str | None = None, q0: float
     else:
         J = 2 * DEFAULT_ORDER + 2
         q, omega, beta, lbar, b, em2 = _dd_shift_and_b(p, s, q0, J + 4)
-        be = _DDBackend()
-        corr_dd, W, F = _hierarchy_core(_v_polys(b, beta, J, be), s.k, DEFAULT_ORDER, omega, q, be)
+        corr_dd, W, F = _table_corrections(s.k, omega, q), None, None
+        if corr_dd is None or tables:
+            be = _DDBackend()
+            hier, W, F = _hierarchy_core(_v_polys(b, beta, J, be), s.k, DEFAULT_ORDER, omega, q, be)
+            corr_dd = hier if corr_dd is None else corr_dd
         expansion = EnergyExpansion(
             leading_coeff=float(em2),
             corrections=np.array([float(c) for c in corr_dd]),

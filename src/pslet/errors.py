@@ -47,3 +47,7 @@ class NotConverged(PsletError):
 
 class DomainTooSmall(PsletError):
     """The eigenvector still has significant amplitude at the outer boundary."""
+
+
+class SeriesTableMismatch(PsletError):
+    """The compiled correction table was built for another order, k range or domain."""

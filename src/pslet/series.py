@@ -25,6 +25,10 @@ CONDITION_LIMIT = 1e12
 # |den(t)| below this fraction of sum_i |den_i t^i| counts as sitting on a pole.
 POLE_TOLERANCE = 1e-8
 
+# A denominator system whose largest term is below this is scaled up before
+# the solve: the product of two such terms is subnormal or zero.
+_TINY = 2.0**-500
+
 
 @dataclass(frozen=True)
 class PadeApproximant:
@@ -106,6 +110,11 @@ def pade_fit(c, M: int, N: int) -> PadeApproximant:
 
     rho = _growth_rate(c)
     cs = c / rho ** np.arange(len(c))
+    # the solve's products of tiny (say subnormal) terms underflow and lose
+    # their digits; an exact power-of-two scale keeps them and changes no q
+    top = float(np.max(np.abs(cs)))
+    if 0.0 < top < _TINY:
+        cs = np.ldexp(cs, -math.frexp(top)[1])
     rows, idx, inside = _toeplitz_index(M, N)
     A = np.where(inside, cs[idx], 0.0)
     rhs = -cs[rows]

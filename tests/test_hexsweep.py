@@ -15,12 +15,12 @@ LINES = [
 ]
 
 
-def _compare(tmp_path, a_lines, b_lines):
+def _compare(tmp_path, a_lines, b_lines, *flags):
     a, b = tmp_path / "parent.txt", tmp_path / "change.txt"
     a.write_text("".join(line + "\n" for line in a_lines))
     b.write_text("".join(line + "\n" for line in b_lines))
     proc = subprocess.run(
-        [sys.executable, HEXSWEEP, "--compare", str(a), str(b)],
+        [sys.executable, HEXSWEEP, "--compare", str(a), str(b), *flags],
         capture_output=True,
         text=True,
         timeout=60,
@@ -48,4 +48,56 @@ def test_changed_and_one_sided_entries_are_named(tmp_path):
     assert proc.stdout.splitlines() == [
         f"differs: ion G=0.05 k=0 m=0 double (only in {a})",
         "1 of 4 entries differ",
+    ]
+
+
+def _solve_line(key, digest, energy, spread, converged=True):
+    return (f"{key} {digest} energy={energy.hex()} spread={spread.hex()} "
+            f"converged={converged} ladder=None,{energy.hex()}")
+
+
+KEY = "rm G=0.2 k=1 m=0 extended"
+PARENT = [_solve_line(KEY, "aa", 1.0, 2.0**-10), LINES[0]]
+
+
+def test_move_inside_its_spread_is_listed_and_passes(tmp_path):
+    change = [_solve_line(KEY, "bb", 1.0 + 2.0**-12, 2.0**-11), LINES[0]]
+    proc, _, _ = _compare(tmp_path, PARENT, change, "--moves")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"moved: {KEY} |dE| 2.441e-04, 0.25 / 0.5 of the spread",
+        f"1 of 2 entries differ; largest move |dE| 2.441e-04 (larger spread 9.766e-04) at {KEY}"
+        "; 0 past their spread or unjudged",
+    ]
+    # plain --compare keeps its bit-exact verdict on the same files
+    proc, _, _ = _compare(tmp_path, PARENT, change)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [f"differs: {KEY}", "1 of 2 entries differ"]
+
+
+def test_move_past_its_spread_fails(tmp_path):
+    change = [_solve_line(KEY, "bb", 1.0 + 2.0**-8, 2.0**-10), LINES[0]]
+    proc, _, _ = _compare(tmp_path, PARENT, change, "--moves")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[0] == f"moved: {KEY} |dE| 3.906e-03, 4 / 4 of the spread"
+    assert proc.stdout.splitlines()[-1].endswith("; 1 past their spread or unjudged")
+
+
+def test_converged_flip_is_named(tmp_path):
+    change = [_solve_line(KEY, "bb", 1.0, 2.0**-10, converged=False), LINES[0]]
+    proc, _, _ = _compare(tmp_path, PARENT, change, "--moves")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == (
+        f"moved: {KEY} |dE| 0.000e+00, 0 / 0 of the spread, converged True -> False"
+    )
+
+
+def test_entry_without_a_spread_is_unjudged(tmp_path):
+    changed = LINES[0][:-1] + "9"
+    proc, a, _ = _compare(tmp_path, LINES, [changed] + LINES[1:3], "--moves")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "differs: ion G=0.05 k=0 m=0 double (no energy and spread to judge)",
+        f"differs: origin oscillator G=0.01 k=0 m=0 (only in {a})",
+        "2 of 4 entries differ; 2 past their spread or unjudged",
     ]

@@ -124,7 +124,13 @@ class TestPadeFit:
 
     @staticmethod
     def _assert_row_residuals(p, c):
-        """Every defining row of the fit holds to the backward-stable bound."""
+        """Every defining row of the fit holds to the backward-stable bound.
+
+        On subnormal series both relative terms underflow below the one
+        subnormal ulp a residual can carry, so the bound never falls below
+        four subnormal ulps; for any series with a normal max|c| the floor
+        term alone exceeds that, and the bound is the relative one.
+        """
         cmax = max(abs(float(x)) for x in c)
         floor = 1e-14 * cmax * float(np.sum(np.abs(p.den)))
         for r in range(len(c)):
@@ -132,7 +138,7 @@ class TestPadeFit:
             lhs = math.fsum(terms)
             rhs = p.num[r] if r <= p.M else 0.0
             scale = max(sum(abs(t) for t in terms), abs(rhs))
-            assert abs(lhs - rhs) <= 1e-12 * scale + floor
+            assert abs(lhs - rhs) <= max(1e-12 * scale + floor, 4 * math.ulp(0.0))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -150,6 +156,9 @@ class TestPadeFit:
     # the [4/4] fit has a pole at |t| = 0.318, and its re-expansion error
     # grows about 3.2x per coefficient, to 1.05e-12 at n = 8
     @example(c=[1.125, -2.0, 0.6953125, 1.125, 0.6953125, -0.640625, -0.625, 0.0, 0.0])
+    # subnormal series: the row residual is one subnormal ulp
+    @example(c=[0.0, 0.0, 5e-324, 5e-324, 0.0])
+    @example(c=[0.0, 2.2250738585e-313, 5e-324, 2.2250738585e-313, 0.0])
     @settings(max_examples=150, deadline=None)
     def test_reexpansion_invariant(self, c):
         # coefficient n agrees to 1e-10 relative, or to an absolute floor:

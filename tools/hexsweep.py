@@ -4,7 +4,10 @@ Each solve is reduced to one SHA-256 over the float.hex of everything the
 engine computes for it: the resummed energy, the corrections E^(0)..E^(n),
 every Pade ladder value, and every coefficient of the W and F tables of the
 correction hierarchy.  float.hex keeps the sign of zero, so two builds give
-equal digests only when they agree bit for bit.
+equal digests only when they agree bit for bit.  Beside the digest each
+line carries the values a move is judged by, as name=value fields: the
+energy and the ladder spread (float.hex, engine units), converged, and
+every ladder value (float.hex, or None where the member failed).
 
 The sweep is 360 solves: both systems, Gamma 0.05, 0.2, 0.7, 2 and 5,
 k 0-5, |m| 0, 1 and 3, each run on both arithmetic paths of the engine,
@@ -18,6 +21,8 @@ With --figures the file instead holds one line per row and per crossing of
 figures 1-7 on their default grids: the float.hex of the row's energy,
 leading_fraction and pade_spread, and of the crossing's gamma_lo and
 gamma_hi.  The CSVs print six decimals, so they cannot show bit identity.
+A row carries its energy (in Ry*), spread (in engine units) and converged
+as fields too.
 
 With --origins the file holds one line per state of a wider sweep of the
 expansion origin alone: the float.hex of q0, omega, beta and lbar from
@@ -29,10 +34,18 @@ Gamma log-spaced over 0.01-20, k 0-4 and |m| 0-5.
     PYTHONPATH=src python tools/hexsweep.py --figures figures.txt
     PYTHONPATH=src python tools/hexsweep.py --origins origins.txt
     python tools/hexsweep.py --compare parent.txt change.txt
+    python tools/hexsweep.py --compare parent.txt change.txt --moves
 
-The last form lists the entries that differ or that only one file has, and
+--compare lists the entries that differ or that only one file has, and
 exits 1 if there are any.  Run one of the first three forms on two
-checkouts to list the values a change moves.
+checkouts to list the values a change moves.  With --moves it prints, for
+each entry that differs, |dE| (in engine units for a solve, in Ry* for a
+figure row, which is 2 or 4 engine units, so the test is stricter there),
+|dE| over the ladder spread of each side, and any flip of converged; a
+summary line names the largest move.  It exits 1 when a move exceeds the
+larger of the two spreads, or when an entry that differs carries no energy
+and spread to judge it by (a crossing, an origin, an error, an entry only
+one file has).
 """
 
 from __future__ import annotations
@@ -40,6 +53,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -54,6 +68,9 @@ ORIGIN_GAMMAS = tuple(0.01 * (2000.0 ** (i / 11)) for i in range(12))
 ORIGIN_KS = range(5)
 ORIGIN_MS = range(6)
 
+# the name=value fields that may follow a line's digest or hex list
+FIELDS = ("energy", "spread", "converged", "ladder")
+
 
 def solve_hexes(res, W, F) -> list[str]:
     """float.hex of every number of one SolveResult and its W and F tables, in a fixed order."""
@@ -67,6 +84,14 @@ def solve_hexes(res, W, F) -> list[str]:
 
 def solve_digest(res, W, F) -> str:
     return hashlib.sha256("\n".join(solve_hexes(res, W, F)).encode()).hexdigest()
+
+
+def value_fields(energy: float, spread: float, converged: bool, ladder=None) -> str:
+    """The name=value fields --moves reads: float.hex, and None for a failed member."""
+    out = f" energy={float(energy).hex()} spread={float(spread).hex()} converged={converged}"
+    if ladder is not None:
+        out += " ladder=" + ",".join("None" if v is None else float(v).hex() for v in ladder)
+    return out
 
 
 def solve(system: str, gamma: float, k: int, m: int, path: str):
@@ -89,7 +114,10 @@ def sweep_lines():
     for system, gamma, k, m, path in itertools.product(SYSTEMS, GAMMAS, KS, MS, PATHS):
         key = f"{system} G={gamma!r} k={k} m={m} {path}"
         try:
-            yield f"{key} {solve_digest(*solve(system, gamma, k, m, path))}"
+            res, W, F = solve(system, gamma, k, m, path)
+            stair = res.staircase
+            fields = value_fields(res.energy, stair.spread, stair.converged, stair.values)
+            yield f"{key} {solve_digest(res, W, F)}{fields}"
         except PsletError as err:  # a failed solve is a fingerprint too
             yield f"{key} error:{type(err).__name__}"
 
@@ -100,8 +128,9 @@ def figure_lines():
     for fig_id in tables.FIGURE_IDS:
         records, crossings = tables.figure_curves(fig_id)
         for i, r in enumerate(records):
-            values = (r.energy, r.leading_fraction, r.pade_spread)
-            yield f"figure {fig_id} row {i} {r.label} " + ",".join(float(v).hex() for v in values)
+            values = ",".join(float(v).hex() for v in (r.energy, r.leading_fraction, r.pade_spread))
+            fields = value_fields(r.energy, r.pade_spread, r.converged)
+            yield f"figure {fig_id} row {i} {r.label} {values}{fields}"
         seen = {}
         for c in crossings:
             pair = (c.state_a, c.state_b)
@@ -131,23 +160,62 @@ def origin_lines():
         yield f"{key} " + ",".join(float(v).hex() for v in (sp.q0, sp.omega, sp.beta, sp.lbar))
 
 
-def _read(path: Path) -> dict[str, str]:
+def _read(path: Path) -> dict[str, tuple[str, dict]]:
+    """{key: (everything after the key, {field name: value})} of one fingerprint file."""
     rows = {}
     for line in path.read_text().splitlines():
-        key, _, digest = line.rpartition(" ")
-        rows[key] = digest
+        tokens = line.split(" ")
+        fields = {}
+        while tokens[-1].partition("=")[0] in FIELDS:
+            name, _, value = tokens.pop().partition("=")
+            fields[name] = value
+        key = " ".join(tokens[:-1])
+        rows[key] = (line[len(key) + 1:], fields)
     return rows
 
 
-def compare(a: Path, b: Path) -> int:
+def _move(fa: dict, fb: dict):
+    """(|dE|, |dE|/spread on each side, flip) of one entry, or None with nothing to judge."""
+    try:
+        ea, eb = float.fromhex(fa["energy"]), float.fromhex(fb["energy"])
+        sa, sb = float.fromhex(fa["spread"]), float.fromhex(fb["spread"])
+    except KeyError:
+        return None
+    de = abs(ea - eb)
+    if not math.isfinite(de):
+        return None
+    ratios = tuple(de / s if s > 0.0 else (0.0 if de == 0.0 else math.inf) for s in (sa, sb))
+    flip = fa.get("converged") != fb.get("converged")
+    return de, ratios, max(sa, sb), flip
+
+
+def compare(a: Path, b: Path, moves: bool = False) -> int:
     ra, rb = _read(a), _read(b)
-    differ = [key for key in ra if ra[key] != rb.get(key)]
+    differ = [key for key in ra if ra[key][0] != rb.get(key, (None,))[0]]
     differ += [key for key in rb if key not in ra]
+    largest, failed = None, 0
     for key in differ:
         where = "" if key in ra and key in rb else f" (only in {a if key in ra else b})"
-        print(f"differs: {key}{where}")
-    print(f"{len(differ)} of {len(ra.keys() | rb.keys())} entries differ")
-    return 1 if differ else 0
+        move = _move(ra[key][1], rb[key][1]) if moves and not where else None
+        if move is None:
+            print(f"differs: {key}{where or (' (no energy and spread to judge)' if moves else '')}")
+            failed += 1
+            continue
+        de, (ratio_a, ratio_b), spread, flip = move
+        flipped = (f", converged {ra[key][1]['converged']} -> {rb[key][1]['converged']}"
+                   if flip else "")
+        print(f"moved: {key} |dE| {de:.3e}, {ratio_a:.3g} / {ratio_b:.3g} of the spread{flipped}")
+        failed += de > spread
+        if largest is None or de > largest[0]:
+            largest = (de, spread, key)
+    summary = f"{len(differ)} of {len(ra.keys() | rb.keys())} entries differ"
+    if moves:
+        if largest is not None:
+            de, spread, key = largest
+            summary += f"; largest move |dE| {de:.3e} (larger spread {spread:.3e}) at {key}"
+        summary += f"; {failed} past their spread or unjudged"
+    print(summary)
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -160,9 +228,13 @@ def main(argv=None) -> int:
                       help="fingerprint the expansion origin of a 1,080-state sweep instead")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
                         help="list the entries that differ between two fingerprint files")
+    parser.add_argument("--moves", action="store_true",
+                        help="with --compare, judge each entry's energy move by its spread")
     args = parser.parse_args(argv)
+    if args.moves and not args.compare:
+        parser.error("--moves needs --compare A B")
     if args.compare:
-        return compare(*args.compare)
+        return compare(*args.compare, moves=args.moves)
     if args.out is None:
         parser.error("give an output file or --compare A B")
     lines = figure_lines() if args.figures else origin_lines() if args.origins else sweep_lines()
