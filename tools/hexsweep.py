@@ -166,7 +166,7 @@ def _read(path: Path) -> dict[str, tuple[str, dict]]:
     for line in path.read_text().splitlines():
         tokens = line.split(" ")
         fields = {}
-        while tokens[-1].partition("=")[0] in FIELDS:
+        while len(tokens) > 1 and tokens[-1].partition("=")[0] in FIELDS:
             name, _, value = tokens.pop().partition("=")
             fields[name] = value
         key = " ".join(tokens[:-1])
