@@ -18,6 +18,10 @@ the layers beneath (origin search, hierarchy, Pade ladder) are importable
 from their modules, pslet.engine, pslet.series and pslet.oracle.  The
 `pslet` command-line tool exposes single solves, golden-table reproduction,
 figure data and field scans.
+
+Importing pslet (or pslet.cli) loads numpy and pslet alone.  scipy.linalg
+loads on the first finite-difference solve (solve_radial_fd, oracle_delta,
+--oracle), and the process pool on the first scan with jobs > 1.
 """
 
 from . import tables

@@ -16,6 +16,10 @@ in engine units, it errs by 3e-11 to 1.8e-10 at Taut's exact points
 hardest states checked (Gamma up to 5, k = 3, |m| = 4; the ion 4s state at
 Gamma 0.05-0.2).  Its gates (RICHARDSON_TOL, the callers' 1e-3 checks) are
 far looser than that precision.
+
+It is the only user of scipy in pslet: scipy.linalg is imported by the
+first solve, not with the module, so that a run without the oracle never
+loads it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import DomainTooSmall, NotConverged
 from .potentials import HybridPotential
@@ -87,6 +90,9 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
 
 
 def _kth_eigenpair(diag, off, k, want_vector):
+    # imported on first use, not with the module (see the module docstring)
+    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+
     if want_vector:
         w, v = eigh_tridiagonal(diag, off, select="i", select_range=(k, k))
         return float(w[0]), v[:, 0]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -488,6 +487,8 @@ def scan_spectrum(
     row_states = [state for state in states for _ in gamma_grid]
     row_params = [replace(d0, gamma=g) for _ in states for g in gamma_grid]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(row, row_states, row_params, chunksize=4))
     else:

@@ -61,7 +61,9 @@ def _growth_rate(c: np.ndarray) -> float:
     so the equilibrated solve is bit-deterministic.  The exponent is clamped
     so that rho**(len(c)-1) can never overflow.
     """
-    nz = np.abs(c[c != 0.0])
+    a = np.abs(c)
+    # a coefficient below one ulp of the largest does not set the growth
+    nz = a[(a != 0.0) & (a >= 2.0**-52 * a.max())]
     if len(nz) < 2:
         return 1.0
     # per-step growth exponent in log space; immune to over/underflow

@@ -1,8 +1,11 @@
 """tools/hexsweep.py --compare, the check behind every bit-identity claim."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+
+from pslet.quantum_dot import SpectrumRecord
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEXSWEEP = os.path.join(ROOT, "tools", "hexsweep.py")
@@ -101,3 +104,43 @@ def test_entry_without_a_spread_is_unjudged(tmp_path):
         f"differs: origin oscillator G=0.01 k=0 m=0 (only in {a})",
         "2 of 4 entries differ; 2 past their spread or unjudged",
     ]
+
+
+def _hexsweep():
+    spec = importlib.util.spec_from_file_location("hexsweep", HEXSWEEP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _figure_row(fig_id, energy, spread=2.0**-10):
+    rec = SpectrumRecord(label="1s", gamma=0.1, gamma_d=0.2, gamma_eff=0.5, energy=energy,
+                         leading_fraction=0.95, pade_spread=spread, converged=True)
+    return _hexsweep().figure_row_line(fig_id, 0, rec)
+
+
+def test_figure_row_spread_is_in_ry_like_its_energy():
+    # ion rows (figures 1-4) carry 2 eps, relative-motion rows (5-7) 4 eps
+    assert _figure_row(2, 1.0).endswith(f"spread={(2.0**-9).hex()} converged=True")
+    assert _figure_row(7, 1.0).endswith(f"spread={(2.0**-8).hex()} converged=True")
+    # the hex list keeps the record's own pade_spread, in engine units
+    assert f",{(2.0**-10).hex()} energy=" in _figure_row(7, 1.0)
+
+
+def test_figure_row_move_is_judged_by_its_spread_in_ry(tmp_path):
+    # an ion row moved by 1.5 spreads in eps is 0.75 of its spread in Ry*
+    ion = [_figure_row(2, 1.0)], [_figure_row(2, 1.0 + 1.5 * 2.0**-10)]
+    proc, _, _ = _compare(tmp_path, *ion, "--moves")
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.splitlines()[0] == (
+        "moved: figure 2 row 0 1s |dE| 1.465e-03, 0.75 / 0.75 of the spread"
+    )
+    # a relative-motion row passes at 3 spreads in eps and fails at 5
+    rm = [_figure_row(7, 1.0)], [_figure_row(7, 1.0 + 3.0 * 2.0**-10)]
+    proc, _, _ = _compare(tmp_path, *rm, "--moves")
+    assert proc.returncode == 0, proc.stdout
+    assert "0.75 / 0.75 of the spread" in proc.stdout
+    rm = [_figure_row(7, 1.0)], [_figure_row(7, 1.0 + 5.0 * 2.0**-10)]
+    proc, _, _ = _compare(tmp_path, *rm, "--moves")
+    assert proc.returncode == 1, proc.stdout
+    assert "1.25 / 1.25 of the spread" in proc.stdout

@@ -159,6 +159,9 @@ class TestPadeFit:
     # subnormal series: the row residual is one subnormal ulp
     @example(c=[0.0, 0.0, 5e-324, 5e-324, 0.0])
     @example(c=[0.0, 2.2250738585e-313, 5e-324, 2.2250738585e-313, 0.0])
+    # a leading coefficient 1e-17 of the rest must not read as growth:
+    # taken at face value it gives rho = 128 and a condition of 2.7e8
+    @example(c=[5.303993624546562e-18, 1.0, 1e-05, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
     @settings(max_examples=150, deadline=None)
     def test_reexpansion_invariant(self, c):
         # coefficient n agrees to 1e-10 relative, or to an absolute floor:

@@ -21,8 +21,10 @@ With --figures the file instead holds one line per row and per crossing of
 figures 1-7 on their default grids: the float.hex of the row's energy,
 leading_fraction and pade_spread, and of the crossing's gamma_lo and
 gamma_hi.  The CSVs print six decimals, so they cannot show bit identity.
-A row carries its energy (in Ry*), spread (in engine units) and converged
-as fields too.
+A row carries its energy, spread and converged as fields too, the energy
+and the spread both in Ry*: the spread is the record's pade_spread (engine
+units) times the energy factor of the radial solve behind the row, 2 for
+the ion (figures 1-4) and 4 for relative motion (figures 5-7).
 
 With --origins the file holds one line per state of a wider sweep of the
 expansion origin alone: the float.hex of q0, omega, beta and lbar from
@@ -40,12 +42,11 @@ Gamma log-spaced over 0.01-20, k 0-4 and |m| 0-5.
 exits 1 if there are any.  Run one of the first three forms on two
 checkouts to list the values a change moves.  With --moves it prints, for
 each entry that differs, |dE| (in engine units for a solve, in Ry* for a
-figure row, which is 2 or 4 engine units, so the test is stricter there),
-|dE| over the ladder spread of each side, and any flip of converged; a
-summary line names the largest move.  It exits 1 when a move exceeds the
-larger of the two spreads, or when an entry that differs carries no energy
-and spread to judge it by (a crossing, an origin, an error, an entry only
-one file has).
+figure row), |dE| over the ladder spread of each side (in the same units),
+and any flip of converged; a summary line names the largest move.  It
+exits 1 when a move exceeds the larger of the two spreads, or when an
+entry that differs carries no energy and spread to judge it by (a
+crossing, an origin, an error, an entry only one file has).
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ ORIGIN_SYSTEMS = ("ion", "rm", "oscillator")
 ORIGIN_GAMMAS = tuple(0.01 * (2000.0 ** (i / 11)) for i in range(12))
 ORIGIN_KS = range(5)
 ORIGIN_MS = range(6)
+
+# the radial system behind each figure's rows, whose energy factor converts
+# a row's spread to Ry*
+FIGURE_SYSTEMS = dict.fromkeys((1, 2, 3, 4), "ion") | dict.fromkeys((5, 6, 7), "rm")
 
 # the name=value fields that may follow a line's digest or hex list
 FIELDS = ("energy", "spread", "converged", "ladder")
@@ -122,15 +127,23 @@ def sweep_lines():
             yield f"{key} error:{type(err).__name__}"
 
 
+def figure_row_line(fig_id: int, i: int, r) -> str:
+    """The line of row i of figure fig_id, its spread field in Ry* like its energy."""
+    from pslet.quantum_dot import _SYSTEMS
+
+    factor = _SYSTEMS[FIGURE_SYSTEMS[fig_id]][2]
+    values = ",".join(float(v).hex() for v in (r.energy, r.leading_fraction, r.pade_spread))
+    fields = value_fields(r.energy, factor * r.pade_spread, r.converged)
+    return f"figure {fig_id} row {i} {r.label} {values}{fields}"
+
+
 def figure_lines():
     from pslet import tables
 
     for fig_id in tables.FIGURE_IDS:
         records, crossings = tables.figure_curves(fig_id)
         for i, r in enumerate(records):
-            values = ",".join(float(v).hex() for v in (r.energy, r.leading_fraction, r.pade_spread))
-            fields = value_fields(r.energy, r.pade_spread, r.converged)
-            yield f"figure {fig_id} row {i} {r.label} {values}{fields}"
+            yield figure_row_line(fig_id, i, r)
         seen = {}
         for c in crossings:
             pair = (c.state_a, c.state_b)
