@@ -62,7 +62,7 @@ def _growth_rate(c: np.ndarray) -> float:
     so that rho**(len(c)-1) can never overflow.
     """
     a = np.abs(c)
-    # a coefficient below one ulp of the largest does not set the growth
+    # a coefficient below 2**-52 of the largest is rounding noise, not growth
     nz = a[(a != 0.0) & (a >= 2.0**-52 * a.max())]
     if len(nz) < 2:
         return 1.0

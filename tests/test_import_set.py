@@ -5,6 +5,9 @@ import os
 import subprocess
 import sys
 
+from pslet import oracle
+from pslet.potentials import HybridPotential
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 PROBE = """
@@ -27,11 +30,8 @@ def test_import_loads_neither_scipy_nor_the_pool():
     assert proc.returncode == 0, proc.stderr
     loaded, value, linalg = proc.stdout.splitlines()
     assert loaded == "[]"
-    # the first finite-difference solve loads scipy.linalg, and its value is
-    # the one this process computes with scipy loaded from the start
+    # the first finite-difference solve loads scipy.linalg and returns the
+    # value this process computes
     assert linalg == "True"
-    from pslet import oracle
-    from pslet.potentials import HybridPotential
-
     problem = oracle.RadialProblem.auto_sized(0, HybridPotential(a_osc=0.01, c_coul=2.0), 0)
     assert float.fromhex(value) == oracle.solve_radial_fd(problem, 0)
