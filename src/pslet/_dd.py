@@ -8,9 +8,12 @@ whose staircase is unstable in double precision are therefore re-solved
 with this backend, which keeps every quantity as an unevaluated sum
 hi + lo of two doubles (Dekker/Knuth error-free transforms).
 
-Vector routines operate on (hi, lo) pairs of equal-length numpy arrays and
-are used for the polynomial algebra; the scalar DD class covers the root
-polishing and shift geometry.
+The routines dd_add, dd_mul and dd_div take (hi, lo) pairs of numpy arrays
+for the polynomial algebra and the compiled correction table, and pairs of
+Python floats for the scalar loops: the hierarchy's elimination (dd_axpy)
+and the Pade fit, which hold hi and lo lists rather than DD objects.  The
+scalar DD class covers the dd origin polish and shift geometry, and carries
+the Pade fit's coefficients in and out.
 """
 
 from __future__ import annotations
@@ -233,41 +236,57 @@ class DDPoly:
         return DDPoly(*dd_mul(self.hi[1:], self.lo[1:], k, np.zeros_like(k)))
 
 
+def _sub_mul(ah, al, bh, bl, ch, cl):
+    """a - b * c in dd, the operation sequence of DD's a - b * c."""
+    ph, pl = dd_mul(bh, bl, ch, cl)
+    return dd_add(ah, al, -ph, -pl)
+
+
 def dd_pade_fit(c: list[DD], M: int, N: int) -> tuple[list[DD], list[DD]]:
-    """(M, N) Pade fit in dd arithmetic; Gaussian elimination, partial pivoting."""
+    """(M, N) Pade fit in dd arithmetic; Gaussian elimination, partial pivoting.
+
+    The pivot is the first row of largest |hi|.  The elimination, the back
+    substitution and the numerator run on hi/lo lists of Python floats in
+    the operation order of DD's operators, so they give the bits of the same
+    steps on DD numbers without boxing each one.
+    """
     from .errors import SingularPadeSystem
 
     if len(c) != M + N + 1:
         raise ValueError(f"need exactly M+N+1 = {M + N + 1} coefficients, got {len(c)}")
     if N == 0:
         return list(c[: M + 1]), [DD(1.0)]
-    A = [[c[M + 1 + i - s] if M + 1 + i - s >= 0 else DD(0.0) for s in range(1, N + 1)] for i in range(N)]
-    rhs = [-c[M + 1 + i] for i in range(N)]
+    ch, cl = [x.hi for x in c], [x.lo for x in c]
+    rows = [[M + 1 + i - s for s in range(1, N + 1)] for i in range(N)]
+    Ah = [[ch[j] if j >= 0 else 0.0 for j in row] for row in rows]
+    Al = [[cl[j] if j >= 0 else 0.0 for j in row] for row in rows]
+    rh, rl = [-ch[M + 1 + i] for i in range(N)], [-cl[M + 1 + i] for i in range(N)]
     for col in range(N):
-        piv = max(range(col, N), key=lambda r: abs(A[r][col].hi))
-        if A[piv][col].hi == 0.0 and A[piv][col].lo == 0.0:
+        piv = max(range(col, N), key=lambda r: abs(Ah[r][col]))
+        if Ah[piv][col] == 0.0 and Al[piv][col] == 0.0:
             raise SingularPadeSystem(f"[{M}/{N}] dd denominator system is singular")
-        A[col], A[piv] = A[piv], A[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        for a in (Ah, Al, rh, rl):
+            a[col], a[piv] = a[piv], a[col]
+        ph, pl = Ah[col], Al[col]
         for r in range(col + 1, N):
-            f = A[r][col] / A[col][col]
+            ah, al = Ah[r], Al[r]
+            fh, fl = dd_div(ah[col], al[col], ph[col], pl[col])
             for cc in range(col, N):
-                A[r][cc] = A[r][cc] - f * A[col][cc]
-            rhs[r] = rhs[r] - f * rhs[col]
-    q = [DD(0.0)] * N
+                ah[cc], al[cc] = _sub_mul(ah[cc], al[cc], fh, fl, ph[cc], pl[cc])
+            rh[r], rl[r] = _sub_mul(rh[r], rl[r], fh, fl, rh[col], rl[col])
+    qh, ql = [1.0] + [0.0] * N, [0.0] * (N + 1)
     for r in range(N - 1, -1, -1):
-        s = rhs[r]
+        sh, sl = rh[r], rl[r]
         for cc in range(r + 1, N):
-            s = s - A[r][cc] * q[cc]
-        q[r] = s / A[r][r]
-    den = [DD(1.0)] + q
+            sh, sl = _sub_mul(sh, sl, Ah[r][cc], Al[r][cc], qh[cc + 1], ql[cc + 1])
+        qh[r + 1], ql[r + 1] = dd_div(sh, sl, Ah[r][r], Al[r][r])
     num = []
     for i in range(M + 1):
-        s = DD(0.0)
+        sh = sl = 0.0
         for j in range(0, min(i, N) + 1):
-            s = s + den[j] * c[i - j]
-        num.append(s)
-    return num, den
+            sh, sl = dd_add(sh, sl, *dd_mul(qh[j], ql[j], ch[i - j], cl[i - j]))
+        num.append(DD(sh, sl))
+    return num, [DD(h, l) for h, l in zip(qh, ql)]
 
 
 def dd_pade_eval(num: list[DD], den: list[DD], t: DD) -> DD:
@@ -275,17 +294,18 @@ def dd_pade_eval(num: list[DD], den: list[DD], t: DD) -> DD:
     from .errors import PoleProximity
     from .series import POLE_TOLERANCE
 
-    dv = DD(0.0)
-    for cc in reversed(den):
-        dv = dv * t + cc
+    def horner(coeffs):
+        vh = vl = 0.0
+        for cc in reversed(coeffs):
+            vh, vl = dd_add(*dd_mul(vh, vl, t.hi, t.lo), cc.hi, cc.lo)
+        return vh, vl
+
+    dh, dl = horner(den)
     scale = 0.0
     tp = 1.0
     for cc in den:
         scale += abs(float(cc)) * abs(tp)
         tp *= float(t)
-    if abs(float(dv)) < POLE_TOLERANCE * scale:
-        raise PoleProximity(f"dd denominator {float(dv):.3e} at t={float(t):.6g} sits on a pole")
-    nv = DD(0.0)
-    for cc in reversed(num):
-        nv = nv * t + cc
-    return nv / dv
+    if abs(dh + dl) < POLE_TOLERANCE * scale:
+        raise PoleProximity(f"dd denominator {dh + dl:.3e} at t={float(t):.6g} sits on a pole")
+    return DD(*dd_div(*horner(num), dh, dl))

@@ -29,7 +29,9 @@ The double-double corrections come from a compiled table, not from the
 hierarchy: scaled to q0 = 1 they are F_n(k, omega), functions of the node
 count and the oscillator frequency alone, and data/series.npz holds them in
 Chebyshev form for k <= K_TAB and omega in TABLE_OMEGA (built by
-tools/series_table.py; see _table_corrections).  The dd hierarchy runs only
+tools/series_table.py).  _table_corrections evaluates it from dd Chebyshev
+polynomials built by doubling, summed pairwise, and the dd Pade ladder is
+fitted on hi/lo float pairs (_dd.dd_pade_fit).  The dd hierarchy runs only
 for a state outside the table, and for the W and F tables.
 
 A solve returns the eigenvalue and its certificate (SolveResult).  The W
@@ -1143,8 +1145,11 @@ def _table_corrections(k: int, omega: DD, q0: DD) -> list[DD] | None:
 
     q0^2 E^(n) = F_n(k, omega) depends on k and omega alone (see
     tools/series_table.py), and the table holds u^2 F_n in Chebyshev form in
-    u = 2/omega.  One dd Clenshaw sum over the table's columns evaluates all
-    n at once.  The table covers k <= K_TAB and omega in TABLE_OMEGA.
+    u = 2/omega.  The T_j(x) of every coefficient index j are built in dd by
+    doubling, T_{m+i} = 2 T_m T_i - T_{m-i} for i = 1..m with m = 1, 2, 4,
+    ..., and the terms c_j T_j are added up in one fixed pairwise tree (a
+    zero row pads an odd count), all n at once.  The table covers k <= K_TAB
+    and omega in TABLE_OMEGA.
     """
     if k > K_TAB or not TABLE_OMEGA[0] <= float(omega) <= TABLE_OMEGA[1]:
         return None
@@ -1153,18 +1158,22 @@ def _table_corrections(k: int, omega: DD, q0: DD) -> list[DD] | None:
     u_lo, u_hi = 2.0 / TABLE_OMEGA[1], 2.0 / TABLE_OMEGA[0]
     u = DD(2.0) / omega
     x = (u + u - (u_lo + u_hi)) / (u_hi - u_lo)
-    x2 = x + x
-    bh = bl = b2h = b2l = np.zeros(ch.shape[1])
-    for j in range(len(ch) - 1, 0, -1):
-        th, tl = dd_mul(bh, bl, x2.hi, x2.lo)
-        th, tl = dd_add(th, tl, -b2h, -b2l)
-        b2h, b2l = bh, bl
-        bh, bl = dd_add(th, tl, ch[j], cl[j])
-    th, tl = dd_mul(bh, bl, x.hi, x.lo)
-    th, tl = dd_add(th, tl, -b2h, -b2l)
-    th, tl = dd_add(th, tl, ch[0], cl[0])
+    th, tl = np.zeros(len(ch)), np.zeros(len(ch))
+    th[:2], tl[:2] = (1.0, x.hi), (0.0, x.lo)
+    m = 1
+    while m + 1 < len(ch):
+        i = min(m, len(ch) - 1 - m)
+        ph, pl = dd_mul(th[1 : i + 1], tl[1 : i + 1], 2.0 * th[m], 2.0 * tl[m])
+        th[m + 1 : m + i + 1], tl[m + 1 : m + i + 1] = dd_add(
+            ph, pl, -th[m - i : m][::-1], -tl[m - i : m][::-1])
+        m *= 2
+    sh, sl = dd_mul(ch, cl, th[:, None], tl[:, None])
+    while len(sh) > 1:
+        if len(sh) % 2:
+            sh, sl = np.vstack((sh, np.zeros_like(sh[:1]))), np.vstack((sl, np.zeros_like(sl[:1])))
+        sh, sl = dd_add(sh[0::2], sl[0::2], sh[1::2], sl[1::2])
     scale = u * u * q0 * q0
-    eh, el = dd_div(th, tl, scale.hi, scale.lo)
+    eh, el = dd_div(sh[0], sl[0], scale.hi, scale.lo)
     return [DD(h, l) for h, l in zip(eh.tolist(), el.tolist())]
 
 

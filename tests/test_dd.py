@@ -1,10 +1,15 @@
 """Double-double primitives validated against mpmath at 50 digits."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
 
 from pslet._dd import DD, DDPoly, dd_add, dd_div, dd_mul, dd_pade_eval, dd_pade_fit
+from pslet.errors import PoleProximity, SingularPadeSystem
 
 mpmath.mp.dps = 50
 
@@ -104,3 +109,35 @@ class TestDDPade:
     def test_geometric(self):
         num, den = dd_pade_fit([DD(1.0), DD(1.0)], 0, 1)
         assert float(dd_pade_eval(num, den, DD(0.5))) == pytest.approx(2.0, abs=1e-30)
+
+    def test_geometric_series_is_singular_at_two_two(self):
+        # every 2x2 block of 1, t, t^2, ... has rank one
+        with pytest.raises(SingularPadeSystem, match=r"\[2/2\] dd denominator system is singular"):
+            dd_pade_fit([DD(1.0)] * 5, 2, 2)
+
+    def test_eval_on_a_pole_raises(self):
+        # den(t) = 1 - 2t vanishes at t = 1/2
+        with pytest.raises(PoleProximity, match="sits on a pole"):
+            dd_pade_eval([DD(1.0)], [DD(1.0), DD(-2.0)], DD(0.5))
+
+    def test_zero_denominator_degree_returns_the_series(self):
+        c = [DD(1.0, 1e-20), DD(-0.5, 2e-21), DD(0.25)]
+        num, den = dd_pade_fit(c, 2, 0)
+        assert [(x.hi, x.lo) for x in num] == [(x.hi, x.lo) for x in c]
+        assert [(x.hi, x.lo) for x in den] == [(1.0, 0.0)]
+
+
+# SHA-256 of every hi and lo word of the [9/10] fit below, recorded before
+# the fit moved from boxed DD operators to float pairs; both run the same
+# operation sequence, so no word may change
+ION_G02_FIT_SHA256 = "ab6a9b2324f18f69cf3a30ee9ea2b9eb9debe4795f14cc0636bd96421c4cea00"
+
+
+def test_top_ladder_fit_keeps_every_word():
+    rows = json.loads((Path(__file__).parent / "data" / "corrections_pin.json").read_text())
+    row = next(r for r in rows if (r["system"], r["k"], r["m"], r["Gamma"], r["precision"])
+               == ("ion", 0, 0, 0.2, "extended"))
+    num, den = dd_pade_fit([DD(float.fromhex(h)) for h in row["corrections"]], 9, 10)
+    assert (len(num), len(den)) == (10, 11)
+    words = "".join(f"{x.hi.hex()} {x.lo.hex()}\n" for x in num + den)
+    assert hashlib.sha256(words.encode()).hexdigest() == ION_G02_FIT_SHA256
