@@ -1,4 +1,5 @@
-"""Double-double primitives validated against mpmath at 50 digits."""
+"""Double-double primitives validated against mpmath at 50 digits; the dd Pade
+fit's failure paths and its bits."""
 
 import hashlib
 import json
@@ -129,7 +130,8 @@ class TestDDPade:
 
 # SHA-256 of every hi and lo word of the [9/10] fit below, recorded before
 # the fit moved from boxed DD operators to float pairs; both run the same
-# operation sequence, so no word may change
+# operation sequence, so no word may change.  The input is the pin row's
+# float corrections, so the compiled table's lo words do not enter.
 ION_G02_FIT_SHA256 = "ab6a9b2324f18f69cf3a30ee9ea2b9eb9debe4795f14cc0636bd96421c4cea00"
 
 
