@@ -35,6 +35,7 @@ from .errors import (
     NotConverged,
     OmegaDomainError,
     OrderOverflow,
+    OutsideSeriesTable,
     PoleProximity,
     PsletError,
     SingularPadeSystem,
@@ -70,6 +71,7 @@ __all__ = [
     "NotConverged",
     "OmegaDomainError",
     "OrderOverflow",
+    "OutsideSeriesTable",
     "PoleProximity",
     "PsletError",
     "RadialProblem",

@@ -5,15 +5,15 @@ precision its high-order corrections carry large rounding errors: E^(19)
 is off by 1.0e-2 relative for relative motion with k = 0, |m| = 1,
 Gamma = 2, and by 7.3e-5 for the ion 1s state at Gamma = 0.2.  States
 whose staircase is unstable in double precision are therefore re-solved
-with this backend, which keeps every quantity as an unevaluated sum
-hi + lo of two doubles (Dekker/Knuth error-free transforms).
+from the compiled correction table, in this arithmetic, which keeps every
+quantity as an unevaluated sum hi + lo of two doubles (Dekker/Knuth
+error-free transforms).
 
 The routines dd_add, dd_mul and dd_div take (hi, lo) pairs of numpy arrays
-for the polynomial algebra and the compiled correction table, and pairs of
-Python floats for the scalar loops: the hierarchy's elimination (dd_axpy)
-and the Pade fit, which hold hi and lo lists rather than DD objects.  The
-scalar DD class covers the dd origin polish and shift geometry, and carries
-the Pade fit's coefficients in and out.
+for the compiled correction table, and pairs of Python floats for the Pade
+fit, which holds hi and lo lists rather than DD objects.  The scalar DD
+class covers the dd origin polish and shift geometry, and carries the Pade
+fit's coefficients in and out.
 """
 
 from __future__ import annotations
@@ -61,43 +61,6 @@ def dd_div(ah, al, bh, bl):
     q3 = rh / bh
     h, l = two_sum(q1, q2)
     return two_sum(h, l + q3)
-
-
-def dd_axpy(hi: list, lo: list, terms, zh: float, zl: float, sign: float = 1.0) -> None:
-    """In place on Python floats: (hi[i], lo[i]) += sign * (a * z) for each (i, ah, al).
-
-    The operation sequence of dd_mul(ah, al, zh, zl) followed by dd_add,
-    written out for scalars, so each touched coefficient gets the bits of
-    DDPoly.add(infl.scale(z), sign).  A coefficient of infl that is an exact
-    dd zero is left out of terms: its scaled value is an exact zero too, and
-    adding one to a normalized pair returns the pair unchanged.
-    """
-    t = _SPLIT * zh
-    bhi = t - (t - zh)
-    blo = zh - bhi
-    for i, ah, al in terms:
-        # dd_mul: two_prod(ah, zh), then two_sum(p, e + (ah * zl + al * zh))
-        p = ah * zh
-        t = _SPLIT * ah
-        ahi = t - (t - ah)
-        alo = ah - ahi
-        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-        x = e + (ah * zl + al * zh)
-        ph = p + x
-        bb = ph - p
-        pl = (p - (ph - bb)) + (x - bb)
-        ph = sign * ph
-        pl = sign * pl
-        # dd_add: two_sum(hi, ph), then two_sum(s, sl + (lo + pl))
-        a = hi[i]
-        s = a + ph
-        bb = s - a
-        sl = (a - (s - bb)) + (ph - bb)
-        x = sl + (lo[i] + pl)
-        h = s + x
-        bb = h - s
-        lo[i] = (s - (h - bb)) + (x - bb)
-        hi[i] = h
 
 
 class DD:
@@ -157,83 +120,10 @@ class DD:
         if self.hi == 0.0:
             return DD(0.0)
         x = DD(np.sqrt(self.hi))
-        # one dd Newton step reaches full dd accuracy from a double seed
+        # two dd Newton steps from a double seed reach full dd accuracy
         for _ in range(2):
             x = x + (self - x * x) / (2.0 * x)
         return x
-
-
-class DDPoly:
-    """Dense polynomial with double-double coefficients, constant term first.
-
-    hi and lo are numpy arrays; the hierarchy's elimination form holds
-    Python lists instead, read only through len, get and dd_axpy.
-    """
-
-    __slots__ = ("hi", "lo")
-
-    def __init__(self, hi: np.ndarray, lo: np.ndarray):
-        self.hi = hi
-        self.lo = lo
-
-    @classmethod
-    def zeros(cls, n: int) -> "DDPoly":
-        return cls(np.zeros(n), np.zeros(n))
-
-    @classmethod
-    def from_float(cls, coeffs: np.ndarray) -> "DDPoly":
-        c = np.asarray(coeffs, dtype=float)
-        return cls(c.copy(), np.zeros_like(c))
-
-    def __len__(self) -> int:
-        return len(self.hi)
-
-    def get(self, j: int) -> DD:
-        return DD(self.hi[j], self.lo[j]) if j < len(self.hi) else DD(0.0)
-
-    def set(self, j: int, value: DD) -> None:
-        self.hi[j] = value.hi
-        self.lo[j] = value.lo
-
-    def to_float(self) -> np.ndarray:
-        return self.hi + self.lo
-
-    def add(self, other: "DDPoly", sign: float = 1.0) -> "DDPoly":
-        n = max(len(self), len(other))
-        ah = np.zeros(n)
-        al = np.zeros(n)
-        ah[: len(self)] = self.hi
-        al[: len(self)] = self.lo
-        bh = np.zeros(n)
-        bl = np.zeros(n)
-        bh[: len(other)] = sign * other.hi
-        bl[: len(other)] = sign * other.lo
-        return DDPoly(*dd_add(ah, al, bh, bl))
-
-    def mul(self, other: "DDPoly", cap: int) -> "DDPoly":
-        # loop over the shorter operand; each row is one vectorized dd FMA
-        a, b = (self, other) if len(self) <= len(other) else (other, self)
-        n = min(cap + 1, len(a) + len(b) - 1)
-        ch = np.zeros(n)
-        cl = np.zeros(n)
-        for i in range(min(len(a), n)):
-            if a.hi[i] == 0.0 and a.lo[i] == 0.0:
-                continue
-            jmax = min(len(b), n - i)
-            if jmax <= 0:
-                break
-            ph, pl = dd_mul(a.hi[i], a.lo[i], b.hi[:jmax], b.lo[:jmax])
-            ch[i : i + jmax], cl[i : i + jmax] = dd_add(ch[i : i + jmax], cl[i : i + jmax], ph, pl)
-        return DDPoly(ch, cl)
-
-    def scale(self, z: DD) -> "DDPoly":
-        return DDPoly(*dd_mul(self.hi, self.lo, z.hi, z.lo))
-
-    def derivative(self) -> "DDPoly":
-        if len(self) == 1:
-            return DDPoly.zeros(1)
-        k = np.arange(1, len(self), dtype=float)
-        return DDPoly(*dd_mul(self.hi[1:], self.lo[1:], k, np.zeros_like(k)))
 
 
 def _sub_mul(ah, al, bh, bl, ch, cl):

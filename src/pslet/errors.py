@@ -51,3 +51,7 @@ class DomainTooSmall(PsletError):
 
 class SeriesTableMismatch(PsletError):
     """The compiled correction table was built for another order, k range or domain."""
+
+
+class OutsideSeriesTable(PsletError):
+    """A state needs double-double corrections at a (k, omega) the compiled table does not cover."""

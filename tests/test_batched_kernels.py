@@ -1,9 +1,9 @@
 """The hierarchy's batched kernels against the sequential sums they stand for.
 
-Each backend kernel of engine._hierarchy_core (product_sum, eliminate,
-influences, and the dd elimination update _dd.dd_axpy) replaces a loop of
-poly_add / poly_mul / DDPoly.add / DDPoly.mul / get / axpy / set_ calls and
-must give its bits, the sign of every zero included.  The references below
+Each kernel of engine._F64Backend that engine._hierarchy_core calls
+(product_sum, eliminate, influences) replaces a loop of poly_add /
+poly_mul / get / axpy / set_ calls and must give its bits, the sign of
+every zero included.  The references below
 are those loops, with the double-precision poly_add in its zero-buffer
 form.  Inputs are random stacks of unequal lengths with exact zeros and
 negative zeros.  The hierarchy forms the sum of its pair products
@@ -11,10 +11,11 @@ W_i W_{j-i} (each added at i and at j - i) and its residual R with one
 product_sum call each, and both are checked against the loop they replace.
 
 The kernels keep the term order of every sum and rest on two facts,
-checked here directly: adding an exact zero (double or dd) to a value that
-holds no negative zero returns it unchanged; np.convolve starts its sums
-from +0.0, so it never returns a negative zero.  Both backends offer the
-same methods, and only those the hierarchy calls.
+checked here directly: adding an exact zero to a value that holds no
+negative zero returns it unchanged (a dd pair too); np.convolve starts its
+sums from +0.0, so it never returns a negative zero.  The double backend
+and tools/series_table.py's decimal backend offer the same methods, and
+only those the hierarchy calls.
 
 The other shortcuts of a solve are pinned the same way to the code they
 replace: the hierarchy without its identically-zero F_i' W_{j-i} rows, the
@@ -26,15 +27,17 @@ against the ladder that fitted every member up front.
 import ast
 import inspect
 import math
+import sys
 import textwrap
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pslet import engine
-from pslet._dd import DD, DDPoly, dd_add, dd_axpy, two_sum
-from pslet.engine import _DDBackend, _F64Backend, _hierarchy_core, _root_function
+from pslet._dd import dd_add, two_sum
+from pslet.engine import _F64Backend, _hierarchy_core, _root_function
 from pslet.errors import PoleProximity, PsletError, SingularPadeSystem
 from pslet.potentials import HybridPotential
 from pslet.series import (
@@ -48,15 +51,15 @@ from pslet.series import (
     staircase_orders,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from series_table import _DecimalBackend  # noqa: E402
+
 _RNG = np.random.default_rng(7)
 
 
 def _bits(x) -> list[str]:
     return [float(v).hex() for v in np.asarray(x, dtype=float).ravel()]
-
-
-def _dd_bits(p: DDPoly) -> list[str]:
-    return _bits(p.hi) + _bits(p.lo)
 
 
 def _sprinkle(v: np.ndarray) -> np.ndarray:
@@ -69,16 +72,6 @@ def _sprinkle(v: np.ndarray) -> np.ndarray:
 
 def _random_f64(n: int) -> np.ndarray:
     return _sprinkle(_RNG.normal(size=n) * 10.0 ** _RNG.integers(-8, 8, size=n))
-
-
-def _random_dd(n: int, zeros: bool = True) -> DDPoly:
-    """A normalized dd polynomial; with zeros, some coefficients are exact +-0 pairs."""
-    hi, lo = two_sum(_RNG.normal(size=n) * 10.0 ** _RNG.integers(-8, 8, size=n),
-                     _RNG.normal(size=n) * 1e-25)
-    if zeros:
-        hi = _sprinkle(hi)
-        lo = np.where(hi == 0.0, np.copysign(0.0, hi), lo)
-    return DDPoly(hi, lo)
 
 
 def _zero_buffer_add(a, b, sign=1.0):
@@ -104,9 +97,10 @@ def _random_index(n_terms: int, max_len: int) -> list:
 # ----------------------------------------------------------------------
 
 def test_exact_zero_leaves_a_normalized_pair_unchanged():
-    p = _random_dd(500, zeros=False)
-    hi = np.where(_RNG.random(500) < 0.2, 0.0, p.hi)  # +0 pairs too, never -0
-    lo = np.where(hi == 0.0, 0.0, p.lo)
+    hi, lo = two_sum(_RNG.normal(size=500) * 10.0 ** _RNG.integers(-8, 8, size=500),
+                     _RNG.normal(size=500) * 1e-25)
+    hi = np.where(_RNG.random(500) < 0.2, 0.0, hi)  # +0 pairs too, never -0
+    lo = np.where(hi == 0.0, 0.0, lo)
     for zh, zl in [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)]:
         z = np.full(500, zh), np.full(500, zl)
         assert _bits(np.concatenate(dd_add(hi, lo, *z))) == _bits(np.concatenate((hi, lo)))
@@ -191,145 +185,27 @@ def test_f64_poly_add_without_zero_buffer():
 
 
 # ----------------------------------------------------------------------
-# double-double
+# product_sum
 # ----------------------------------------------------------------------
 
-def _hierarchy_w(n: int) -> list:
-    """W_0..W_{n-1} shaped like the hierarchy's: 2i + 2 coefficients of parity i + 1."""
-    W = []
-    for i in range(n):
-        w = DDPoly.zeros(2 * i + 2)
-        p = _random_dd(i + 1)
-        w.hi[(i + 1) % 2 :: 2], w.lo[(i + 1) % 2 :: 2] = p.hi, p.lo
-        W.append(w)
-    return W
-
-
-def test_dd_pair_products_are_ddpoly_mul():
-    # the sum over the mirrored index, and each pair product on its own
-    for _ in range(5):
-        W = _hierarchy_w(22)
-        for j in range(1, 22):
-            pairs = [(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)]
-            ref = DDPoly.zeros(1)
-            for i in range(1, j):
-                ref = ref.add(W[i].mul(W[j - i], 100))
-            assert _dd_bits(_DDBackend.product_sum(pairs, 100, _mirrored(j))) == _dd_bits(ref)
-            for t, (a, b, _) in enumerate(pairs):
-                one = DDPoly.zeros(1).add(a.mul(b, 100))
-                assert _dd_bits(_DDBackend.product_sum(pairs, 100, [t])) == _dd_bits(one)
-
-
-def test_dd_ordered_sum_is_the_sequential_sum():
-    # product_sum's sum, over every term in order and over an index with repeats
-    for _ in range(100):
-        terms = [(_few_nonzero_dd(int(_RNG.integers(1, 5)), 3),
-                  _random_dd(int(_RNG.integers(1, 30))), float(_RNG.choice([1.0, -1.0])))
-                 for _ in range(int(_RNG.integers(1, 20)))]
-        for index in (range(len(terms)), _random_index(len(terms), 30)):
-            acc = DDPoly.zeros(1)
-            for t in index:
-                a, b, sign = terms[t]
-                acc = acc.add(a.mul(b, 60), sign)
-            assert _dd_bits(_DDBackend.product_sum(terms, 60, index)) == _dd_bits(acc)
-
-
-def _few_nonzero_dd(n: int, max_nonzero: int) -> DDPoly:
-    """A random dd polynomial with at most max_nonzero nonzero coefficients."""
-    a = _random_dd(n)
-    live = np.flatnonzero(a.hi)
-    drop = live[max_nonzero:] if len(live) > max_nonzero else []
-    a.hi[drop], a.lo[drop] = 0.0, 0.0
-    return a
-
-
-@pytest.mark.parametrize("max_nonzero", [1, 2, 3])
-def test_dd_product_sum_is_the_sequential_sum(max_nonzero):
-    # R = F_0.mul(T_known), then R = R.add(a.mul(b), sign) for each term
-    for _ in range(60):
-        cap = int(_RNG.integers(3, 60))
-        f0 = _few_nonzero_dd(int(_RNG.integers(1, 7)), max_nonzero)
-        t_known = _random_dd(int(_RNG.integers(1, 20)))
-        terms = []
-        for _ in range(int(_RNG.integers(0, 10))):
-            a = _few_nonzero_dd(int(_RNG.integers(1, 7)), max_nonzero)
-            b = _random_dd(int(_RNG.integers(1, 40)))
-            pair = (a, b) if _RNG.random() < 0.8 else (b, a)
-            terms.append((*pair, float(_RNG.choice([1.0, -1.0]))))
-        ref = f0.mul(t_known, cap)
-        for a, b, sign in terms:
-            ref = ref.add(a.mul(b, cap), sign)
-        terms = [(f0, t_known, 1.0)] + terms
-        got = _DDBackend.product_sum(terms, cap, range(len(terms)))
-        assert _dd_bits(got) == _dd_bits(ref)
-
-
-def test_dd_axpy_is_ddpoly_add_of_the_scaled_influence():
-    # R as the hierarchy builds it, from sums that start at +0.0: no -0.0
-    for _ in range(200):
-        n = int(_RNG.integers(1, 40))
-        R = DDPoly.zeros(n).add(_random_dd(n))
-        infl = _random_dd(int(_RNG.integers(1, n + 1)))
-        z = DD(*two_sum(float(_RNG.normal()) * 10.0 ** int(_RNG.integers(-6, 6)),
-                        float(_RNG.normal()) * 1e-25))
-        sign = float(_RNG.choice([1.0, -1.0]))
-        ref = R.add(infl.scale(z), sign)
-        work = _DDBackend.work(R)
-        _DDBackend.axpy(work, _DDBackend.sparse(infl), z, sign)
-        assert _dd_bits(_DDBackend.unwork(work)) == _dd_bits(ref)
-        hi, lo = R.hi.tolist(), R.lo.tolist()
-        dd_axpy(hi, lo, _DDBackend.sparse(infl), z.hi, z.lo, sign)
-        assert _bits(hi + lo) == _dd_bits(ref)
-
-
-# ----------------------------------------------------------------------
-# product_sum, both backends
-# ----------------------------------------------------------------------
-
-def _random_poly(be, n: int):
-    return _random_f64(n) if be is _F64Backend else _random_dd(n)
-
-
-def _put(p, at, values) -> None:
-    """p[at] = values, as exact dd pairs for a DDPoly."""
-    if isinstance(p, DDPoly):
-        p.hi[at], p.lo[at] = values, 0.0
-    else:
-        p[at] = values
-
-
-def _poly_bits(p) -> list:
-    return _dd_bits(p) if isinstance(p, DDPoly) else _bits(p)
-
-
-def _signed(p, sign: float):
-    """sign * p, both halves of a DDPoly scaled as DDPoly.add(p, sign) scales them."""
-    return DDPoly(sign * p.hi, sign * p.lo) if isinstance(p, DDPoly) else sign * p
-
-
-def _plain_add(acc, p, sign=1.0):
-    """acc + sign * p as the plain loop adds it: DDPoly.add, or into a zero buffer."""
-    return acc.add(p, sign) if isinstance(acc, DDPoly) else _zero_buffer_add(acc, p, sign)
-
-
-def _products_case(be, case: str):
+def _products_case(case: str):
     """(terms, cap) for one edge of the kernel; the operands hold exact +-0 coefficients."""
     def term(la: int, lb: int):
-        return _random_poly(be, la), _random_poly(be, lb), float(_RNG.choice([1.0, -1.0]))
+        return _random_f64(la), _random_f64(lb), float(_RNG.choice([1.0, -1.0]))
 
     if case == "equal_lengths":
         return [term(12, 12) for _ in range(6)], 40
     if case == "longer_first":
         return [term(int(_RNG.integers(8, 30)), int(_RNG.integers(1, 8))) for _ in range(6)], 60
-    if case == "cap_below_a_row":  # rows m > cap are live: DDPoly.mul's jmax <= 0 break
+    if case == "cap_below_a_row":  # rows m > cap are live and are cut
         a, b, sign = term(8, 10)
-        _put(a, slice(4, 8), _RNG.normal(size=4))
+        a[4:8] = _RNG.normal(size=4)
         return [(a, b, sign)], 3
     if case == "one_term":
         return [term(int(_RNG.integers(1, 10)), int(_RNG.integers(1, 30)))], 50
     if case == "negative_sign_zeros":  # the product's +0.0 columns 0-2 turn to -0.0
         a, b, _ = term(5, 9)
-        _put(a, slice(0, 3), 0.0)
+        a[0:3] = 0.0
         return [(a, b, -1.0), (b, a, -1.0)], 50
     raise ValueError(case)
 
@@ -339,66 +215,55 @@ def _plain_sum(be, terms, cap, index):
     acc = be.poly_zeros(1)
     for t in index:
         a, b, sign = terms[t]
-        acc = _plain_add(acc, be.poly_mul(a, b, cap), sign)
+        acc = _zero_buffer_add(acc, be.poly_mul(a, b, cap), sign)
     return acc
 
 
-@pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
+@pytest.mark.parametrize("be", [_F64Backend])
 @pytest.mark.parametrize(
     "case", ["equal_lengths", "longer_first", "cap_below_a_row", "one_term", "negative_sign_zeros"]
 )
 def test_products_are_the_signed_poly_mul(be, case):
     # each term on its own, every term in order, and an index with repeats
     for _ in range(30):
-        terms, cap = _products_case(be, case)
+        terms, cap = _products_case(case)
         n = len(terms)
         for index in [[t] for t in range(n)] + [range(n), _random_index(n, 12)]:
             got = be.product_sum(terms, cap, index)
-            assert _poly_bits(got) == _poly_bits(_plain_sum(be, terms, cap, index))
+            assert _bits(got) == _bits(_plain_sum(be, terms, cap, index))
     if case == "negative_sign_zeros":
         # the rows hold -0.0 there; the sum's +0.0 start turns them to +0.0
-        rows = [_signed(be.poly_mul(a, b, cap), sign) for a, b, sign in terms]
-        assert all(_poly_bits(r)[:3] == ["-0x0.0p+0"] * 3 for r in rows)
-        assert _poly_bits(be.product_sum(terms, cap, range(n)))[:3] == ["0x0.0p+0"] * 3
+        rows = [sign * be.poly_mul(a, b, cap) for a, b, sign in terms]
+        assert all(_bits(r)[:3] == ["-0x0.0p+0"] * 3 for r in rows)
+        assert _bits(be.product_sum(terms, cap, range(n)))[:3] == ["0x0.0p+0"] * 3
 
 
-def test_dd_tie_keeps_the_first_operand():
-    # the two operand orders sum each coefficient in opposite orders
-    differ = 0
-    for _ in range(30):
-        a, b = _random_dd(12), _random_dd(12)
-        got = _DDBackend.product_sum([(a, b, 1.0)], 40, [0])
-        assert _dd_bits(got) == _dd_bits(DDPoly.zeros(1).add(a.mul(b, 40)))
-        differ += _dd_bits(got) != _dd_bits(DDPoly.zeros(1).add(b.mul(a, 40)))
-    assert differ > 0
-
-
-@pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
+@pytest.mark.parametrize("be", [_F64Backend])
 def test_pair_products_with_zero_parity_rows(be):
     # W_i as the hierarchy shapes it, with half its parity's coefficients
     # exact +-0 (all of W_1's)
     for _ in range(5):
         W = []
         for i in range(16):
-            w = _random_poly(be, 2 * i + 2)
-            _put(w, slice(i % 2, None, 2), 0.0)
+            w = _random_f64(2 * i + 2)
+            w[i % 2 :: 2] = 0.0
             zero = np.flatnonzero(_RNG.random(i + 1) < (1.0 if i == 1 else 0.5))
-            _put(w, 2 * zero + (i + 1) % 2, np.where(_RNG.random(len(zero)) < 0.5, -0.0, 0.0))
+            w[2 * zero + (i + 1) % 2] = np.where(_RNG.random(len(zero)) < 0.5, -0.0, 0.0)
             W.append(w)
         for j in range(1, 16):
             pairs = [(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)]
             got = be.product_sum(pairs, 50, _mirrored(j))
-            assert _poly_bits(got) == _poly_bits(_plain_sum(be, pairs, 50, _mirrored(j)))
+            assert _bits(got) == _bits(_plain_sum(be, pairs, 50, _mirrored(j)))
 
 
-@pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
+@pytest.mark.parametrize("be", [_F64Backend])
 def test_no_products(be):
     # half-order 1 has no pairs; an empty index adds nothing to the zero start
-    zero = _poly_bits(be.poly_zeros(1))
-    assert _poly_bits(be.product_sum([], 10, [])) == zero
-    assert _poly_bits(be.product_sum([], 10, range(0))) == zero
-    terms = [(_random_poly(be, 3), _random_poly(be, 5), 1.0)]
-    assert _poly_bits(be.product_sum(terms, 10, [])) == zero
+    zero = _bits(be.poly_zeros(1))
+    assert _bits(be.product_sum([], 10, [])) == zero
+    assert _bits(be.product_sum([], 10, range(0))) == zero
+    terms = [(_random_f64(3), _random_f64(5), 1.0)]
+    assert _bits(be.product_sum(terms, 10, [])) == zero
 
 
 def _backend_calls(fn) -> set:
@@ -417,9 +282,9 @@ def test_backends_offer_what_the_hierarchy_calls():
     def public(cls):
         return {name for name in dir(cls) if not name.startswith("_")}
 
-    callers = (_hierarchy_core, engine._v_polys, engine._hierarchy_tables)
+    callers = (_hierarchy_core, engine._v_polys)
     called = set().union(*(_backend_calls(fn) for fn in callers))
-    assert public(_F64Backend) == public(_DDBackend)
+    assert public(_F64Backend) == public(_DecimalBackend)
     assert public(_F64Backend) == called, (
         f"not called: {sorted(public(_F64Backend) - called)}, "
         f"missing: {sorted(called - public(_F64Backend))}"
@@ -427,7 +292,7 @@ def test_backends_offer_what_the_hierarchy_calls():
 
 
 # ----------------------------------------------------------------------
-# influence polynomials, both backends
+# influence polynomials
 # ----------------------------------------------------------------------
 
 def _prefactor(be, k: int, omega):
@@ -460,13 +325,12 @@ def _influence_bits(infl: list) -> list:
     return [([(e[0], *_bits(e[1:])) for e in sparse], float(m).hex()) for sparse, m in infl]
 
 
-@pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
+@pytest.mark.parametrize("be", [_F64Backend])
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_influences_are_the_plain_loop(be, k):
     J = 40  # order 19
     for _ in range(20):
-        w = float(_RNG.uniform(1.5, 5.0))
-        omega = w if be is _F64Backend else DD(*two_sum(w, float(_RNG.normal()) * 1e-17 * w))
+        omega = float(_RNG.uniform(1.5, 5.0))
         f0, f0p = _prefactor(be, k, omega)
         got = be.influences(f0, f0p, omega, 2 * J + 2)
         ref = _plain_influences(be, f0, f0p, omega, 2 * J + 2, k + 2 * J + 4)
@@ -474,7 +338,7 @@ def test_influences_are_the_plain_loop(be, k):
 
 
 # ----------------------------------------------------------------------
-# eliminate, both backends
+# eliminate
 # ----------------------------------------------------------------------
 
 def _plain_eliminate(be, r, w, powers, influence, k: int, omega, scale: float) -> float:
@@ -488,7 +352,7 @@ def _plain_eliminate(be, r, w, powers, influence, k: int, omega, scale: float) -
     return scale
 
 
-@pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
+@pytest.mark.parametrize("be", [_F64Backend])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_eliminate_is_the_per_power_loop(be, k):
     # R as the hierarchy builds it, from sums that start at +0.0, at a
@@ -496,26 +360,24 @@ def test_eliminate_is_the_per_power_loop(be, k):
     J = 40  # order 19
     n = k + 2 * J + 5
     for _ in range(20):
-        w = float(_RNG.uniform(1.5, 5.0))
-        omega = w if be is _F64Backend else DD(*two_sum(w, float(_RNG.normal()) * 1e-17 * w))
+        omega = float(_RNG.uniform(1.5, 5.0))
         f0, f0p = _prefactor(be, k, omega)
         influence = be.influences(f0, f0p, omega, 2 * J + 2)
         j = int(_RNG.integers(1, J + 1))
         powers = range(2 * j + 1, -1, -2) if j % 2 == 0 else range(2 * j, -1, -2)
-        R = be.poly_zeros(n)
-        R = _plain_add(R, _random_poly(be, n))
+        R = _zero_buffer_add(be.poly_zeros(n), _random_f64(n))
         scale = float(_RNG.choice([1.0, be.max_abs(R)]))
         got_r, got_w = be.work(R), be.poly_zeros(2 * j + 2)
         got = be.eliminate(got_r, got_w, powers, influence, k, omega, scale)
         ref_r, ref_w = be.work(R), be.poly_zeros(2 * j + 2)
         ref = _plain_eliminate(be, ref_r, ref_w, powers, influence, k, omega, scale)
-        assert _poly_bits(be.unwork(got_r)) == _poly_bits(be.unwork(ref_r))
-        assert _poly_bits(got_w) == _poly_bits(ref_w)
+        assert _bits(be.unwork(got_r)) == _bits(be.unwork(ref_r))
+        assert _bits(got_w) == _bits(ref_w)
         assert got.hex() == ref.hex()
 
 
 # ----------------------------------------------------------------------
-# the F' skip of the hierarchy, both backends
+# the F' skip of the hierarchy
 # ----------------------------------------------------------------------
 
 def _with_zero_fp_rows(base, k: int):
@@ -556,36 +418,30 @@ def _with_zero_fp_rows(base, k: int):
     return Backend
 
 
-def _hierarchy_inputs(be, k: int, gamma: float, m: int, order: int):
+def _hierarchy_inputs(k: int, gamma: float, m: int, order: int):
     """(vpolys, omega, q0) of one ion state, as solve_state hands them to the core."""
     pot = HybridPotential(a_osc=gamma * gamma / 8.0, c_coul=1.0)
     s = engine.StateIndex.from_azimuthal(k, m)
-    q0 = engine.locate_q0(pot, s)
+    sp = engine.shift_params(pot, engine.locate_q0(pot, s), s)
     J = 2 * order + 2
-    if be is _F64Backend:
-        sp = engine.shift_params(pot, q0, s)
-        b = engine.b_coefficients(pot, sp, J + 2)
-        return engine.v_series(b, sp.beta, J), sp.omega, sp.q0
-    q, omega, beta, _, b, _ = engine._dd_shift_and_b(pot, s, q0, J + 4)
-    return engine._v_polys(b, beta, J, be), omega, q
+    b = engine.b_coefficients(pot, sp, J + 2)
+    return engine.v_series(b, sp.beta, J), sp.omega, sp.q0
 
 
-def _core_bits(out, be) -> list:
+def _core_bits(out) -> list:
     corr, W, F = out
-    return [float(be.to_float(c)).hex() for c in corr] + [
-        _bits(be.poly_to_float(p)) for p in W + F
-    ]
+    return [float(c).hex() for c in corr] + [_bits(p) for p in W + F]
 
 
-@pytest.mark.parametrize("be", [_F64Backend, _DDBackend])
+@pytest.mark.parametrize("be", [_F64Backend])
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_hierarchy_skips_only_zero_fp_rows(be, k):
-    order = 19 if be is _F64Backend else 12
+    order = 19
     for gamma, m in [(0.3, 0), (2.0, 1)]:
-        v, omega, q0 = _hierarchy_inputs(be, k, gamma, m, order)
+        v, omega, q0 = _hierarchy_inputs(k, gamma, m, order)
         got = _hierarchy_core(v, k, order, omega, q0, be)
         ref = _hierarchy_core(v, k, order, omega, q0, _with_zero_fp_rows(be, k))
-        assert _core_bits(got, be) == _core_bits(ref, be)
+        assert _core_bits(got) == _core_bits(ref)
 
 
 # ----------------------------------------------------------------------

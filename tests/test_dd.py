@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pslet._dd import DD, DDPoly, dd_add, dd_div, dd_mul, dd_pade_eval, dd_pade_fit
+from pslet._dd import DD, dd_add, dd_div, dd_mul, dd_pade_eval, dd_pade_fit
 from pslet.errors import PoleProximity, SingularPadeSystem
 
 mpmath.mp.dps = 50
@@ -67,30 +67,6 @@ class TestPrimitives:
     def test_scalar_third_roundtrip(self):
         third = DD(1.0) / DD(3.0)
         assert float(third * DD(3.0) - DD(1.0)) == pytest.approx(0.0, abs=1e-31)
-
-
-class TestDDPoly:
-    def test_convolution_matches_mpmath(self):
-        a = DDPoly(*_random_dd(9))
-        b = DDPoly(*_random_dd(7))
-        c = a.mul(b, cap=20)
-        am, bm = _as_mp(a.hi, a.lo), _as_mp(b.hi, b.lo)
-        exact = [mpmath.mpf(0)] * len(c)
-        for i, ai in enumerate(am):
-            for j, bj in enumerate(bm):
-                if i + j < len(exact):
-                    exact[i + j] += ai * bj
-        assert _rel_err(c.hi, c.lo, exact) < 1e-28
-
-    def test_truncation_cap(self):
-        a = DDPoly.from_float(np.ones(6))
-        c = a.mul(a, cap=3)
-        assert len(c) == 4
-
-    def test_derivative(self):
-        a = DDPoly.from_float(np.array([1.0, 2.0, 3.0]))
-        d = a.derivative()
-        np.testing.assert_allclose(d.to_float(), [2.0, 6.0])
 
 
 class TestDDPade:

@@ -222,7 +222,7 @@ class TestHierarchy:
         assert np.max(np.abs(residual)) <= 1e-12 * omega
 
     def test_odd_log_derivative_rows_vanish(self):
-        _, W, _ = engine._hierarchy_tables(ION, S00, "double")
+        _, W, _ = engine._solve(ION, S00, "double")
         for j, w in enumerate(W):
             # odd half-orders carry no odd-parity piece, even ones no even-parity piece
             assert np.all(w[j % 2 :: 2] == 0.0), j
@@ -231,7 +231,7 @@ class TestHierarchy:
     def test_prefactor_is_monic(self):
         p = HybridPotential(a_osc=0.9**2 / 8.0, c_coul=1.0)
         s = StateIndex.from_azimuthal(2, 0)
-        _, _, F = engine._hierarchy_tables(p, s, "double")
+        _, _, F = engine._solve(p, s, "double")
         assert F[0][s.k] == 1.0
 
     def test_ion_ground_state_energy(self):
@@ -353,7 +353,7 @@ class TestSolveState:
 
     def test_returns_the_eigenvalue_and_its_certificate(self):
         # the hierarchy tables are not part of a solve; wavefunction_eval
-        # gets them from engine._hierarchy_tables
+        # gets them from the double path of engine._solve
         names = [f.name for f in dataclasses.fields(engine.SolveResult)]
         assert names == ["energy", "expansion", "shift", "staircase", "precision"]
 
@@ -493,7 +493,7 @@ class TestSolveState:
         real = engine._root_derivative
         monkeypatch.setattr(engine, "_root_derivative", lambda p, q, s: 8.0 * real(p, q, s))
         with pytest.raises(NoRootInDomain, match="did not converge"):
-            engine._dd_shift_and_b(ION, S00, q0, 10)
+            engine._dd_shift(ION, S00, q0)
 
 
 @pytest.mark.parametrize(
@@ -542,7 +542,7 @@ class TestWavefunction:
     def test_oscillator_leading_order_is_gaussian(self):
         # the zeroth-order exponent is exactly -Omega x^2 / 2
         p = HybridPotential(a_osc=0.5, c_coul=0.0)
-        res, W, F = engine._hierarchy_tables(p, StateIndex.from_azimuthal(0, 0))
+        res, W, F = engine._solve(p, StateIndex.from_azimuthal(0, 0), "double")
         np.testing.assert_allclose(W[0], [0.0, -res.shift.omega])
         np.testing.assert_allclose(F[0], [1.0])
 
@@ -575,9 +575,10 @@ class TestWavefunction:
         with pytest.warns(UserWarning):
             wavefunction_eval(ION, S00, np.array([sp.q0 * 20.0]))
 
-    def test_escalated_state_reads_the_extended_tables(self):
-        # relative motion, Gamma = 0.0881, k = 3, m = 0 escalates to dd; psi
-        # is built from the dd tables, bit for bit, not from the double ones
+    def test_escalated_state_reads_the_double_tables(self):
+        # relative motion, Gamma = 0.0881, k = 3, m = 0 escalates to dd; its
+        # energy comes from the compiled table, which has no W and F, and psi
+        # is the double path's, bit for bit
         p = HybridPotential(a_osc=0.0881**2 / 32.0, c_coul=0.5)
         s = StateIndex.from_azimuthal(3, 0)
         res = solve_state(p, s)
@@ -585,7 +586,6 @@ class TestWavefunction:
         sp = res.shift
         q = np.linspace(0.6 * sp.q0, 1.4 * sp.q0, 41)
         psi = wavefunction_eval(p, s, q)
-        extended = _psi_from_tables(*engine._hierarchy_tables(p, s, "extended"), q)
-        double = _psi_from_tables(*engine._hierarchy_tables(p, s, "double"), q)
-        assert [v.hex() for v in psi.tolist()] == [v.hex() for v in extended.tolist()]
-        assert not np.array_equal(psi, double)
+        double = _psi_from_tables(*engine._solve(p, s, "double"), q)
+        assert [v.hex() for v in psi.tolist()] == [v.hex() for v in double.tolist()]
+        assert engine._solve(p, s, "extended")[1:] == (None, None)

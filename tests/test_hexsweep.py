@@ -1,5 +1,6 @@
 """tools/hexsweep.py --compare, the check behind every bit-identity claim."""
 
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -12,7 +13,7 @@ HEXSWEEP = os.path.join(ROOT, "tools", "hexsweep.py")
 
 LINES = [
     "ion G=0.05 k=0 m=0 double 9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08",
-    "rm G=2.0 k=5 m=3 extended error:HierarchyResidual",
+    "rm G=2.0 k=5 m=3 double error:HierarchyResidual",
     "figure 7 row 0 1s 0x1.8p+0,0x1.fp-1,0x0.0p+0",
     "origin oscillator G=0.01 k=0 m=0 0x1.4p+3,0x1.0p+1,-0x1.0p+0,0x1.0p-1",
 ]
@@ -111,6 +112,16 @@ def _hexsweep():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_extended_digest_covers_energy_corrections_and_ladder():
+    # the extended path reads the compiled table and has no W and F tables
+    hexsweep = _hexsweep()
+    res, W, F = hexsweep.solve("ion", 0.2, 0, 0, "extended")
+    assert res.precision == "extended" and (W, F) == ([], [])
+    hexes = [res.energy.hex()] + [float(c).hex() for c in res.expansion.corrections]
+    hexes += ["None" if v is None else v.hex() for v in res.staircase.values]
+    assert hexsweep.solve_digest(res, W, F) == hashlib.sha256("\n".join(hexes).encode()).hexdigest()
 
 
 def _figure_row(fig_id, energy, spread=2.0**-10):

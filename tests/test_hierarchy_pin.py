@@ -1,10 +1,12 @@
-"""The whole correction hierarchy pinned bit for bit in both precisions.
+"""The whole double-precision correction hierarchy pinned bit for bit.
 
-data/hierarchy_pin.json holds, for the states and arithmetic paths of
+data/hierarchy_pin.json holds, for the double-path states of
 corrections_pin.json, one SHA-256 over the float.hex of the energy, every
 Pade ladder value, E^(0)..E^(19) and every coefficient of the W and F
 tables (tools/hexsweep.py, solve_digest).  A change to the arithmetic of
-the hierarchy that leaves the corrections alone still changes these.
+the hierarchy that leaves the corrections alone still changes these.  The
+extended path runs no hierarchy; corrections_pin.json pins its energies,
+ladders and corrections.
 """
 
 import json

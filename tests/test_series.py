@@ -43,7 +43,7 @@ def taylor_of_rational(num, den, n):
 
 class TestPolynomial:
     """The double backend's truncated polynomial arithmetic, on which the
-    hierarchy runs (the dd backend's is checked in test_dd.TestDDPoly)."""
+    hierarchy runs."""
 
     be = _F64Backend
 

@@ -2,8 +2,10 @@
 
 Each solve is reduced to one SHA-256 over the float.hex of everything the
 engine computes for it: the resummed energy, the corrections E^(0)..E^(n),
-every Pade ladder value, and every coefficient of the W and F tables of the
-correction hierarchy.  float.hex keeps the sign of zero, so two builds give
+every Pade ladder value, and, on the double path, every coefficient of the
+W and F tables of the correction hierarchy.  The extended path reads its
+corrections from the compiled table and has no W and F, so its digest
+covers the energy, the ladder and the corrections alone.  float.hex keeps the sign of zero, so two builds give
 equal digests only when they agree bit for bit.  Beside the digest each
 line carries the values a move is judged by, as name=value fields: the
 energy and the ladder spread (float.hex, engine units), converged, and
@@ -13,7 +15,7 @@ The sweep is 360 solves: both systems, Gamma 0.05, 0.2, 0.7, 2 and 5,
 k 0-5, |m| 0, 1 and 3, each run on both arithmetic paths of the engine,
 "double" and "extended", whichever one solve_state would take; each key
 ends in its path's name.  A solve and its W and F tables come from
-engine._hierarchy_tables, the source wavefunction_eval reads them from.  From k = 4 on
+engine._solve, the source wavefunction_eval reads them from.  From k = 4 on
 a prefactor (F_0 at k = 4, every F_i from k = 5) has three or more
 nonzero coefficients, so its products take three or more rows each.
 
@@ -102,15 +104,17 @@ def value_fields(energy: float, spread: float, converged: bool, ladder=None) -> 
 def solve(system: str, gamma: float, k: int, m: int, path: str):
     """(SolveResult, W, F) of one radial solve on the path "double" or "extended".
 
-    The potential is the one quantum_dot maps (system, Gamma) to.
+    The potential is the one quantum_dot maps (system, Gamma) to.  W and F
+    are empty lists on the extended path, which has no hierarchy tables.
     """
     from pslet import HybridPotential, StateIndex
-    from pslet.engine import _hierarchy_tables
+    from pslet.engine import _solve
     from pslet.quantum_dot import _SYSTEMS
 
     divisor, c_coul, _ = _SYSTEMS[system]
     pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
-    return _hierarchy_tables(pot, StateIndex.from_azimuthal(k, m), path)
+    res, W, F = _solve(pot, StateIndex.from_azimuthal(k, m), path)
+    return res, W or [], F or []
 
 
 def sweep_lines():

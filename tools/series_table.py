@@ -12,10 +12,11 @@ with 40-digit mpmath arithmetic, and writes them as double-double (hi, lo)
 pairs to src/pslet/data/series.npz, for n = 0..DEFAULT_ORDER and
 k = 0..K_TAB, with the order, K_TAB, the omega domain and the node count.
 The engine reads the table when a state escalates to double-double
-(engine._table_corrections).  Running the nodes in dd instead would carry
-the dd hierarchy's own rounding into the table: at k = 0 it reaches 1e-19
-of max|F_n|, and the interpolant spreads it, enough to move the last bit of
-E^(19) of the ion 1s state at Gamma = 0.2.
+(engine._table_corrections); it is the engine's only source of dd
+corrections.  Running the nodes in dd instead would carry dd rounding into
+the table: a dd run of the hierarchy reached 1e-19 of max|F_n| at k = 0,
+and the interpolant spreads it, enough to move the last bit of E^(19) of
+the ion 1s state at Gamma = 0.2.
 
     PYTHONPATH=src python tools/series_table.py            # rebuild the table
     PYTHONPATH=src python tools/series_table.py --check 0  # rebuild k = 0, compare
@@ -56,8 +57,8 @@ class _DecimalBackend:
 
     Polynomials are lists of Decimals, and every kernel is the plain loop
     the engine's batched kernels stand for.  At PRECISION digits it gives
-    F_n to about 1e-34 relative, where the dd hierarchy's own rounding
-    reaches 1e-19 of max|F_n| at k = 0 (its sums cancel there).  decimal
+    F_n to about 1e-34 relative, where a dd run of the hierarchy reached
+    1e-19 of max|F_n| at k = 0 (its sums cancel there).  decimal
     rounds every operation correctly, so the table rebuilds bit for bit.
     """
 
