@@ -85,11 +85,9 @@ STABILITY_TOL = 5e-5
 K_TAB = 5
 TABLE_OMEGA = (2.0, 8.0)
 
-# Log-spaced points on which locate_q0 looks for a sign change.
+# Log-spaced points of locate_q0's grid; it bisects their indices for the
+# one interval on which the origin condition changes sign.
 _N_SCAN = 512
-
-# Relative nearness to zero at which the array scan re-runs a point in scalars.
-_RECHECK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -243,22 +241,16 @@ def _root_derivative(p: HybridPotential, q: float, s: StateIndex) -> float:
     return d_sqrt - (s.k + 0.5) * d_omega
 
 
-def _curvature_ok(p: HybridPotential, q: float) -> bool:
-    """Second minimization condition: d2/dq2 of the leading term is positive."""
-    q_scale = q**3 * p.derivative(q, 1)
-    return 3.0 / q**4 + p.derivative(q, 2) / q_scale > 0.0
-
-
 def locate_q0(p: HybridPotential, s: StateIndex) -> float:
     """Find the expansion origin: the radius minimizing the leading energy term.
 
-    Scans a log-spaced grid for a sign change of the combined origin/shift
-    condition, then polishes the bracket with safeguarded Newton iteration.
-    When several roots exist the smallest one with positive curvature of the
-    leading term is returned.  The scan is evaluated as arrays, with the
-    scalar _root_function re-run wherever that could decide a bracket
-    differently (see _scan_values), so the brackets, and the polished root,
-    are those of a scalar scan.
+    The origin condition g = _root_function is strictly increasing where
+    V' > 0: q^3 V' = 2 a q^4 - c q rises and Omega^2 = 3 + (2 a q^3 + 2 c) /
+    (2 a q^3 - c) falls.  So a log-spaced grid holds at most one interval
+    on which g changes sign from negative to non-negative.  Bisecting the
+    grid's indices finds it, and safeguarded Newton iteration polishes it.
+    The leading term's curvature there, 3/q^4 + V''/(q^3 V'), equals
+    Omega^2/q^4 > 0, so the root is always a minimum.
     """
     a2 = 2.0 * p.a_osc
     osc_len = (a2 / 2.0) ** -0.25 if a2 > 0.0 else 1.0
@@ -269,58 +261,21 @@ def locate_q0(p: HybridPotential, s: StateIndex) -> float:
         q_lo = 1e-8 * osc_len
     q_hi = 1e3 * osc_len
     grid = np.geomspace(q_lo, q_hi, _N_SCAN)
-    vals = _scan_values(p, grid, s)
-    finite = np.isfinite(vals)
-    if not finite.any():
+    g_lo, g_hi = _root_function(p, grid[0], s), _root_function(p, grid[-1], s)
+    if not (math.isfinite(g_lo) or math.isfinite(g_hi)):
         raise OmegaDomainError(
             f"oscillator frequency is not real anywhere in [{q_lo:.3e}, {q_hi:.3e}]"
         )
-    rising = finite[:-1] & finite[1:] & (vals[:-1] < 0.0) & (vals[1:] >= 0.0)
-    brackets = [(grid[i], grid[i + 1]) for i in np.flatnonzero(rising)]
-    if not brackets:
+    if not g_lo < 0.0 <= g_hi:
         raise NoRootInDomain(f"no sign change of the origin condition in [{q_lo:.3e}, {q_hi:.3e}]")
-    for lo, hi in brackets:
-        root = _polish_root(p, s, lo, hi)
-        if _curvature_ok(p, root):
-            return root
-    raise NoRootInDomain(f"roots found in [{q_lo:.3e}, {q_hi:.3e}] but none is a minimum")
-
-
-def _scan_values(p: HybridPotential, grid: np.ndarray, s: StateIndex) -> np.ndarray:
-    """_root_function on every grid point, as arrays, with the scalar's signs.
-
-    The array formulas are the scalar ones, but numpy's power may round
-    q**2 and q**3 an ulp away from the scalar pow, which moves V', V'',
-    Omega^2 and g by a few ulps of their terms.  Only the sign and the
-    finiteness of each value decide a bracket, and such a move can flip
-    them only where the value nearly cancels.  So every point where V',
-    Omega^2 or g is within a relative _RECHECK of zero (against the sum of
-    its terms' magnitudes), or is not finite, is evaluated again by
-    _root_function, and so are its two neighbours.
-    """
-    a2, c = 2.0 * p.a_osc, p.c_coul
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        osc, coul = a2 * grid, c / grid**2
-        v1 = osc - coul
-        cube = grid**3
-        ratio = grid * (a2 + 2.0 * c / cube) / v1
-        om2 = 3.0 + ratio
-        root = np.sqrt(cube * v1)
-        rhs = s.l_eff + 0.5 + (s.k + 0.5) * np.sqrt(om2)
-        vals = root - rhs
-        vals[(v1 <= 0.0) | (om2 <= 0.0)] = np.nan
-        near = (
-            ~np.isfinite(vals)
-            | (np.abs(v1) <= _RECHECK * (np.abs(osc) + np.abs(coul)))
-            | (np.abs(om2) <= _RECHECK * (3.0 + np.abs(ratio)))
-            | (np.abs(vals) <= _RECHECK * (root + np.abs(rhs)))
-        )
-    centre = near.copy()
-    near[1:] |= centre[:-1]
-    near[:-1] |= centre[1:]
-    for i in np.flatnonzero(near):
-        vals[i] = _root_function(p, grid[i], s)
-    return vals
+    lo, hi = 0, _N_SCAN - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _root_function(p, grid[mid], s) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return _polish_root(p, s, grid[lo], grid[hi])
 
 
 def _polish_root(p: HybridPotential, s: StateIndex, lo: float, hi: float) -> float:

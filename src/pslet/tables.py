@@ -166,16 +166,21 @@ def parse_grid(spec: str) -> tuple[float, float, float]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like lo:hi:step, got {spec!r}")
-    lo, hi, step = (float(p) for p in parts)
+    return _checked_grid(tuple(float(p) for p in parts), spec)
+
+
+def _checked_grid(grid: tuple[float, float, float], shown) -> tuple[float, float, float]:
+    """The one grid rule: lo, hi and step finite, step > 0 and hi >= lo."""
+    lo, hi, step = grid
     if not all(math.isfinite(x) for x in (lo, hi, step)):
-        raise ValueError(f"bad grid {spec!r}: lo, hi and step must be finite")
+        raise ValueError(f"bad grid {shown!r}: lo, hi and step must be finite")
     if step <= 0.0 or hi < lo:
-        raise ValueError(f"bad grid {spec!r}: need hi >= lo and step > 0")
+        raise ValueError(f"bad grid {shown!r}: need hi >= lo and step > 0")
     return lo, hi, step
 
 
 def _grid_points(grid: tuple[float, float, float]) -> list[float]:
-    lo, hi, step = grid
+    lo, hi, step = _checked_grid(grid, grid)
     n = int(round((hi - lo) / step))
     pts = [lo + i * step for i in range(n + 1)]
     if pts[-1] > hi + 1e-12:

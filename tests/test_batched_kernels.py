@@ -19,9 +19,8 @@ only those the hierarchy calls.
 
 The other shortcuts of a solve are pinned the same way to the code they
 replace: the hierarchy without its identically-zero F_i' W_{j-i} rows, the
-origin scan as arrays against the scalar scan, the double Pade fit and
-evaluation against their numpy spelling, and the top-down Pade ladder
-against the ladder that fitted every member up front.
+double Pade fit and evaluation against their numpy spelling, and the
+top-down Pade ladder against the ladder that fitted every member up front.
 """
 
 import ast
@@ -37,7 +36,7 @@ import pytest
 
 from pslet import engine
 from pslet._dd import dd_add, two_sum
-from pslet.engine import _F64Backend, _hierarchy_core, _root_function
+from pslet.engine import _F64Backend, _hierarchy_core
 from pslet.errors import PoleProximity, PsletError, SingularPadeSystem
 from pslet.potentials import HybridPotential
 from pslet.series import (
@@ -442,89 +441,6 @@ def test_hierarchy_skips_only_zero_fp_rows(be, k):
         got = _hierarchy_core(v, k, order, omega, q0, be)
         ref = _hierarchy_core(v, k, order, omega, q0, _with_zero_fp_rows(be, k))
         assert _core_bits(got) == _core_bits(ref)
-
-
-# ----------------------------------------------------------------------
-# the origin scan as arrays
-# ----------------------------------------------------------------------
-
-def _scalar_scan(p, grid, s) -> np.ndarray:
-    """The scan as locate_q0 evaluated it point by point."""
-    return np.array([_root_function(p, q, s) for q in grid])
-
-
-def _scalar_brackets(grid, vals) -> list:
-    """The scalar scan's bracket list, in its own loop."""
-    finite = np.isfinite(vals)
-    return [
-        (grid[i], grid[i + 1])
-        for i in range(len(grid) - 1)
-        if finite[i] and finite[i + 1] and vals[i] < 0.0 <= vals[i + 1]
-    ]
-
-
-def _scan_states(n: int):
-    """A seeded sweep: ion, relative motion and c = 0; Gamma 0.01-20; k 0-4; |m| 0-5."""
-    rng = np.random.default_rng(16)
-    for _ in range(n):
-        divisor, c = [(8.0, 1.0), (32.0, 0.5), (8.0, 0.0)][int(rng.integers(3))]
-        gamma = 0.01 * 2000.0 ** float(rng.random())
-        pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c)
-        yield pot, engine.StateIndex.from_azimuthal(int(rng.integers(5)), int(rng.integers(6)))
-
-
-def test_array_scan_gives_the_scalar_brackets(monkeypatch):
-    grids = []
-    real = engine._scan_values
-    monkeypatch.setattr(engine, "_scan_values", lambda p, g, s: grids.append(g) or real(p, g, s))
-    for pot, s in _scan_states(300):
-        engine.locate_q0(pot, s)
-        grid = grids[-1]
-        got, ref = real(pot, grid, s), _scalar_scan(pot, grid, s)
-        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
-        assert np.array_equal(got < 0.0, ref < 0.0)
-        assert _scalar_brackets(grid, got) == _scalar_brackets(grid, ref)
-
-
-def test_array_scan_signs_at_the_root():
-    # on points a few ulps around a polished root g sits at rounding level,
-    # where array and scalar rounding may disagree; the re-check decides
-    # (with numpy 2.4's AVX-512 power, 3 of these 160,400 points flip sign
-    # without it)
-    for pot, s in _scan_states(400):
-        q0 = engine.locate_q0(pot, s)
-        grid = q0 * (1.0 + np.arange(-200, 201) * np.finfo(float).eps)
-        got, ref = engine._scan_values(pot, grid, s), _scalar_scan(pot, grid, s)
-        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
-        assert np.array_equal(got < 0.0, ref < 0.0)
-
-
-def test_array_scan_where_the_frequency_is_not_real():
-    # below 2 a q^3 = c, V' < 0 and the scalar scan returns nan; the bracket
-    # search must see the same finite region.  Within ulps of that edge the
-    # array and scalar V' may disagree in sign (with numpy 2.4's AVX-512
-    # power, at 1 of the 34,000 edge points below); the re-check decides.
-    s = engine.StateIndex.from_azimuthal(1, 1)
-    rng = np.random.default_rng(16)
-    for n in range(2000):
-        c, divisor = [(1.0, 8.0), (0.5, 32.0)][int(rng.integers(2))]
-        gamma = 0.01 * 2000.0 ** float(rng.random())
-        pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c)
-        edge = (c / (2.0 * pot.a_osc)) ** (1.0 / 3.0)
-        grid = edge * (1.0 + np.arange(-8, 9) * np.finfo(float).eps)
-        if n < 50:
-            grid = np.concatenate((np.geomspace(0.2 * edge, 0.99 * edge, 100), grid,
-                                   np.geomspace(1.01 * edge, 50.0 * edge, 400)))
-        got, ref = engine._scan_values(pot, grid, s), _scalar_scan(pot, grid, s)
-        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
-        assert np.array_equal(got < 0.0, ref < 0.0)
-
-
-def test_locate_q0_is_the_scalar_scans_root(monkeypatch):
-    states = list(_scan_states(120))
-    got = [engine.locate_q0(pot, s).hex() for pot, s in states]
-    monkeypatch.setattr(engine, "_scan_values", _scalar_scan)
-    assert got == [engine.locate_q0(pot, s).hex() for pot, s in states]
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,28 @@ def bisection_root(p, s, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def origin_states(n: int):
+    """A seeded sweep: ion, relative motion and c = 0; Gamma 1e-4-1e3; k 0-11; |m| 0-11."""
+    rng = np.random.default_rng(16)
+    for _ in range(n):
+        divisor, c = [(8.0, 1.0), (32.0, 0.5), (8.0, 0.0)][int(rng.integers(3))]
+        gamma = 1e-4 * 1e7 ** float(rng.random())
+        pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c)
+        yield pot, StateIndex.from_azimuthal(int(rng.integers(12)), int(rng.integers(12)))
+
+
+def scalar_scan_brackets(p, s) -> list:
+    """Every rising bracket of _root_function, run point by point over locate_q0's grid."""
+    osc_len = p.a_osc**-0.25
+    if p.c_coul > 0.0:
+        q_lo = 1.01 * (p.c_coul / (2.0 * p.a_osc)) ** (1.0 / 3.0)
+    else:
+        q_lo = 1e-8 * osc_len
+    grid = np.geomspace(q_lo, 1e3 * osc_len, engine._N_SCAN)
+    vals = [engine._root_function(p, q, s) for q in grid]
+    return [(grid[i], grid[i + 1]) for i in range(len(grid) - 1) if vals[i] < 0.0 <= vals[i + 1]]
+
+
 class TestStateIndex:
     def test_azimuthal_mapping(self):
         s = StateIndex.from_azimuthal(2, -3)
@@ -93,6 +115,14 @@ class TestLocateQ0:
         sp = shift_params(ION, q0, S00)
         lhs = math.sqrt(q0**3 * ION.derivative(q0, 1))
         assert abs(lhs - sp.lbar) <= 1e-9 * sp.lbar
+
+    def test_locate_q0_is_the_scalar_scans_root(self):
+        # g rises wherever V' > 0, so the full scalar scan has exactly one
+        # rising bracket, and the index bisection must return its polished root
+        for p, s in origin_states(300):
+            brackets = scalar_scan_brackets(p, s)
+            assert len(brackets) == 1, (p, s)
+            assert locate_q0(p, s).hex() == engine._polish_root(p, s, *brackets[0]).hex()
 
     def test_no_root_reports_interval(self):
         # the origin of l_eff = 1e7 lies near 3e3, past the scan's 1e3 oscillator lengths

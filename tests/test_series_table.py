@@ -39,7 +39,7 @@ def _decimal_series(k: int, omega: float) -> list:
 
 
 @pytest.mark.parametrize("k", range(engine.K_TAB + 1))
-def test_table_matches_the_dd_hierarchy(k):
+def test_table_matches_the_decimal_hierarchy(k):
     # the reference is the generator's decimal hierarchy off its nodes, so
     # this checks the interpolant and its dd evaluation together: 2.6e-29 of
     # max|F_n| at k = 0 and below 1e-31 at k = 1-5

@@ -1,5 +1,7 @@
 """Golden-data plumbing, figure emission, and the command-line interface."""
 
+import math
+
 import pytest
 
 from pslet import DotParams, NotConverged, StateLabel, cli, ion_energy, oracle, tables
@@ -42,6 +44,12 @@ class TestGrids:
         for bad in ("0:0.4", "0:0.4:-0.1", "1:0:0.1"):
             with pytest.raises(ValueError):
                 tables.parse_grid(bad)
+
+    @pytest.mark.parametrize("bad", [(0.0, 0.4, 0.0), (0.0, 0.4, -0.1), (0.4, 0.0, 0.1),
+                                     (0.0, math.inf, 0.1), (math.nan, 0.4, 0.1)])
+    def test_figure_curves_rejects_bad_tuple_grids(self, bad):
+        with pytest.raises(ValueError, match="bad grid"):
+            tables.figure_curves(2, grid=bad)
 
 
 class TestFigures:
