@@ -26,14 +26,14 @@ escalation guards against the hierarchy's rounding error, not against the
 Pade fit.  That observed convergence is the only choice of path.
 
 The double-double corrections come from a compiled table, the only dd
-source: scaled to q0 = 1 they are F_n(k, omega), functions of the node
-count and the oscillator frequency alone, and data/series.npz holds them in
-Chebyshev form for k <= K_TAB and omega in TABLE_OMEGA (built by
-tools/series_table.py, which runs _hierarchy_core in decimal arithmetic).
-_table_corrections evaluates it from dd Chebyshev polynomials built by
-doubling, summed pairwise, and the dd Pade ladder is fitted on hi/lo float
-pairs (_dd.dd_pade_fit).  A state that escalates outside the table raises
-OutsideSeriesTable.
+source: scaled to q0 = 1 they are F_n(k, omega) = omega^e_n P_n(z), with
+P_n an exact polynomial in z = 1 - 4/omega^2, and data/series.npz holds the
+P_n in Chebyshev form for k <= K_TAB and every omega > 2 (built by
+tools/series_table.py, which runs _hierarchy_core in exact rational
+arithmetic).  _table_corrections evaluates it from dd Chebyshev polynomials
+built by doubling, summed pairwise, and the dd Pade ladder is fitted on
+hi/lo float pairs (_dd.dd_pade_fit).  A state that escalates with
+k > K_TAB raises OutsideSeriesTable.
 
 A solve returns the eigenvalue and its certificate (SolveResult).  The W
 and F tables of the double hierarchy are read at run time only by
@@ -51,7 +51,7 @@ from importlib import resources
 import numpy as np
 
 from . import _dd
-from ._dd import DD, dd_add, dd_div, dd_mul
+from ._dd import DD, dd_add, dd_mul
 from .errors import (
     HierarchyResidual,
     NoRootInDomain,
@@ -80,10 +80,9 @@ DEFAULT_PADE = (9, 10)
 # Engine-unit stability demanded of the last five order-ladder members.
 STABILITY_TOL = 5e-5
 
-# Highest node count, and the oscillator-frequency interval, of the compiled
-# correction table data/series.npz (tools/series_table.py).
+# Highest node count of the compiled correction table data/series.npz
+# (tools/series_table.py).
 K_TAB = 5
-TABLE_OMEGA = (2.0, 8.0)
 
 # Log-spaced points of locate_q0's grid; it bisects their indices for the
 # one interval on which the origin condition changes sign.
@@ -558,7 +557,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     Raises ZeroPivot when an elimination pivot vanishes and HierarchyResidual
     when the residual of a half-order does not close to rounding level.  Two
     backends run it: _F64Backend for every solve and wavefunction, and
-    tools/series_table.py's decimal backend, whose kernels are the plain
+    tools/series_table.py's rational backend, whose kernels are the plain
     loops, for the compiled correction table.
 
     Work that does not change inside the half-order loop is done once per
@@ -893,47 +892,47 @@ def _dd_shift(p: HybridPotential, s: StateIndex, q0_seed: float):
 
 
 @cache
-def _series_table() -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) Chebyshev coefficients of u^2 F_n(k, omega), indexed [k, j, n].
+def _series_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hi, lo, e): Chebyshev coefficients of P_n(k, z), indexed [k, j, n], and e_n.
 
     Read once from data/series.npz (tools/series_table.py), which must have
-    been built for DEFAULT_ORDER, K_TAB and TABLE_OMEGA.  Every solve shares
-    the arrays, so they are read-only.
+    been built for DEFAULT_ORDER and K_TAB.  Every solve shares the arrays,
+    so they are read-only.
     """
     with resources.files("pslet.data").joinpath("series.npz").open("rb") as fh:
         with np.load(fh, allow_pickle=False) as table:
-            built = (int(table["order"]), int(table["k_tab"]), tuple(table["domain"].tolist()))
-            if built != (DEFAULT_ORDER, K_TAB, TABLE_OMEGA):
+            built = (int(table["order"]), int(table["k_tab"]))
+            if built != (DEFAULT_ORDER, K_TAB):
                 raise SeriesTableMismatch(
-                    f"series.npz holds (order, K_TAB, omega domain) = {built}, the engine "
-                    f"needs {(DEFAULT_ORDER, K_TAB, TABLE_OMEGA)}: rebuild it with "
-                    "tools/series_table.py"
+                    f"series.npz holds (order, K_TAB) = {built}, the engine needs "
+                    f"{(DEFAULT_ORDER, K_TAB)}: rebuild it with tools/series_table.py"
                 )
             out = tuple(np.ascontiguousarray(table[name].transpose(0, 2, 1))
-                        for name in ("hi", "lo"))
+                        for name in ("hi", "lo")) + (table["e"],)
     for a in out:
         a.setflags(write=False)
     return out
 
 
 def _table_corrections(k: int, omega: DD, q0: DD) -> list[DD] | None:
-    """E^(0)..E^(DEFAULT_ORDER) in dd from the compiled table; None outside it.
+    """E^(0)..E^(DEFAULT_ORDER) in dd from the compiled table; None for k > K_TAB.
 
-    q0^2 E^(n) = F_n(k, omega) depends on k and omega alone (see
-    tools/series_table.py), and the table holds u^2 F_n in Chebyshev form in
-    u = 2/omega.  The T_j(x) of every coefficient index j are built in dd by
+    q0^2 E^(n) = F_n(k, omega) = omega^e_n P_n(z) exactly, with P_n a
+    polynomial in z = 1 - 4/omega^2 (see tools/series_table.py), and the
+    table holds P_n in Chebyshev form in x = 2z - 1.  z is formed as
+    (omega - 2)(omega + 2)/omega^2, which keeps its relative accuracy near
+    omega = 2.  The T_j(x) of every coefficient index j are built in dd by
     doubling, T_{m+i} = 2 T_m T_i - T_{m-i} for i = 1..m with m = 1, 2, 4,
-    ..., and the terms c_j T_j are added up in one fixed pairwise tree (a
-    zero row pads an odd count), all n at once.  The table covers k <= K_TAB
-    and omega in TABLE_OMEGA.
+    ..., the terms c_j T_j are added up in one fixed pairwise tree (a zero
+    row pads an odd count), all n at once, and row n is multiplied by
+    omega^e_n / q0^2, with e_n 1 or 2.  It covers every omega > 2.
     """
-    if k > K_TAB or not TABLE_OMEGA[0] <= float(omega) <= TABLE_OMEGA[1]:
+    if k > K_TAB:
         return None
-    hi, lo = _series_table()
+    hi, lo, e = _series_table()
     ch, cl = hi[k], lo[k]
-    u_lo, u_hi = 2.0 / TABLE_OMEGA[1], 2.0 / TABLE_OMEGA[0]
-    u = DD(2.0) / omega
-    x = (u + u - (u_lo + u_hi)) / (u_hi - u_lo)
+    z = (omega - 2.0) * (omega + 2.0) / (omega * omega)
+    x = z + z - 1.0
     th, tl = np.zeros(len(ch)), np.zeros(len(ch))
     th[:2], tl[:2] = (1.0, x.hi), (0.0, x.lo)
     m = 1
@@ -948,8 +947,9 @@ def _table_corrections(k: int, omega: DD, q0: DD) -> list[DD] | None:
         if len(sh) % 2:
             sh, sl = np.vstack((sh, np.zeros_like(sh[:1]))), np.vstack((sl, np.zeros_like(sl[:1])))
         sh, sl = dd_add(sh[0::2], sl[0::2], sh[1::2], sl[1::2])
-    scale = u * u * q0 * q0
-    eh, el = dd_div(sh[0], sl[0], scale.hi, scale.lo)
+    w1 = omega / (q0 * q0)
+    w2 = w1 * omega
+    eh, el = dd_mul(sh[0], sl[0], np.where(e == 1, w1.hi, w2.hi), np.where(e == 1, w1.lo, w2.lo))
     return [DD(h, l) for h, l in zip(eh.tolist(), el.tolist())]
 
 
@@ -960,9 +960,9 @@ def solve_state(p: HybridPotential, s: StateIndex) -> SolveResult:
     Pade order ladder fails its stability tolerance, which is where
     double-precision coefficient noise (amplified by the ill-conditioned
     fit) shows up.  The double-double corrections come from the compiled
-    (k, omega) table (_table_corrections); a state that escalates outside it
-    raises OutsideSeriesTable.  The energy is the top member of the final
-    ladder (see _ladder_energy).
+    (k, omega) table (_table_corrections); a state that escalates with
+    k > K_TAB raises OutsideSeriesTable.  The energy is the top member of
+    the final ladder (see _ladder_energy).
     """
     return _solve(p, s)[0]
 
@@ -997,8 +997,7 @@ def _solve(p: HybridPotential, s: StateIndex, path: str | None = None, q0: float
         corr_dd, W, F = _table_corrections(s.k, omega, q), None, None
         if corr_dd is None:
             raise OutsideSeriesTable(
-                f"k = {s.k}, omega = {float(omega):.6g} is outside the compiled series table "
-                f"(k <= {K_TAB}, omega in [{TABLE_OMEGA[0]:g}, {TABLE_OMEGA[1]:g}])"
+                f"k = {s.k} is outside the compiled series table (k <= {K_TAB})"
             )
         expansion = EnergyExpansion(
             leading_coeff=float(em2),

@@ -50,8 +50,8 @@ class DomainTooSmall(PsletError):
 
 
 class SeriesTableMismatch(PsletError):
-    """The compiled correction table was built for another order, k range or domain."""
+    """The compiled correction table was built for another order or k range."""
 
 
 class OutsideSeriesTable(PsletError):
-    """A state needs double-double corrections at a (k, omega) the compiled table does not cover."""
+    """A state needs double-double corrections at a node count k past the compiled table."""

@@ -170,12 +170,15 @@ def parse_grid(spec: str) -> tuple[float, float, float]:
 
 
 def _checked_grid(grid: tuple[float, float, float], shown) -> tuple[float, float, float]:
-    """The one grid rule: lo, hi and step finite, step > 0 and hi >= lo."""
+    """The one grid rule: lo, hi and step finite, step > 0, hi >= lo, at most 1e6 steps."""
     lo, hi, step = grid
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise ValueError(f"bad grid {shown!r}: lo, hi and step must be finite")
     if step <= 0.0 or hi < lo:
         raise ValueError(f"bad grid {shown!r}: need hi >= lo and step > 0")
+    # hi - lo and the quotient can overflow to inf, which fails the test too
+    if not (hi - lo) / step <= 1e6:
+        raise ValueError(f"bad grid {shown!r}: (hi - lo)/step must be at most 1e6")
     return lo, hi, step
 
 

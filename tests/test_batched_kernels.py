@@ -14,7 +14,7 @@ The kernels keep the term order of every sum and rest on two facts,
 checked here directly: adding an exact zero to a value that holds no
 negative zero returns it unchanged (a dd pair too); np.convolve starts its
 sums from +0.0, so it never returns a negative zero.  The double backend
-and tools/series_table.py's decimal backend offer the same methods, and
+and tools/series_table.py's rational backend offer the same methods, and
 only those the hierarchy calls.
 
 The other shortcuts of a solve are pinned the same way to the code they
@@ -52,7 +52,7 @@ from pslet.series import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from series_table import _DecimalBackend  # noqa: E402
+from series_table import _RationalBackend  # noqa: E402
 
 _RNG = np.random.default_rng(7)
 
@@ -283,7 +283,7 @@ def test_backends_offer_what_the_hierarchy_calls():
 
     callers = (_hierarchy_core, engine._v_polys)
     called = set().union(*(_backend_calls(fn) for fn in callers))
-    assert public(_F64Backend) == public(_DecimalBackend)
+    assert public(_F64Backend) == public(_RationalBackend)
     assert public(_F64Backend) == called, (
         f"not called: {sorted(public(_F64Backend) - called)}, "
         f"missing: {sorted(called - public(_F64Backend))}"

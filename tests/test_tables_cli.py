@@ -46,7 +46,9 @@ class TestGrids:
                 tables.parse_grid(bad)
 
     @pytest.mark.parametrize("bad", [(0.0, 0.4, 0.0), (0.0, 0.4, -0.1), (0.4, 0.0, 0.1),
-                                     (0.0, math.inf, 0.1), (math.nan, 0.4, 0.1)])
+                                     (0.0, math.inf, 0.1), (math.nan, 0.4, 0.1),
+                                     (-1e308, 1e308, 1.0), (0.0, 1e300, 1e-300),
+                                     (0.0, 1.0, 1e-12)])
     def test_figure_curves_rejects_bad_tuple_grids(self, bad):
         with pytest.raises(ValueError, match="bad grid"):
             tables.figure_curves(2, grid=bad)

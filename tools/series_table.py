@@ -1,70 +1,62 @@
-"""Compile the correction series F_n(k, omega) into a Chebyshev table.
+"""Compile the correction series F_n(k, omega) into an exact Chebyshev table.
 
 Scaled to q0 = 1, the correction hierarchy depends only on the node count
 k and the oscillator frequency omega: at a converged origin B_1 = 0,
 B_2 = omega^2/2, B_n = (-1)^n ((n + 1)/2 + (omega^2 - 4)/3) for n >= 3, and
 the shift is beta = -(1/2 + (k + 1/2) omega).  So q0^2 E^(n) = F_n(k, omega)
-for every potential of the engine's family.  This tool runs the engine's
-hierarchy (engine._hierarchy_core) in 45-digit decimal arithmetic on those
-inputs at the Chebyshev points of the first kind of u = 2/omega on [1/4, 1]
-(omega in [2, 8]), turns u^2 F_n at the nodes into Chebyshev coefficients
-with 40-digit mpmath arithmetic, and writes them as double-double (hi, lo)
-pairs to src/pslet/data/series.npz, for n = 0..DEFAULT_ORDER and
-k = 0..K_TAB, with the order, K_TAB, the omega domain and the node count.
-The engine reads the table when a state escalates to double-double
-(engine._table_corrections); it is the engine's only source of dd
-corrections.  Running the nodes in dd instead would carry dd rounding into
-the table: a dd run of the hierarchy reached 1e-19 of max|F_n| at k = 0,
-and the interpolant spreads it, enough to move the last bit of E^(19) of
-the ion 1s state at Gamma = 0.2.
+for every potential of the engine's family.  The hierarchy divides only by
+omega and by integers, and F_n = omega^e_n P_n(z) exactly, with P_n a
+polynomial of degree <= DEGREE with rational coefficients in
+z = 1 - 4/omega^2 (z in [0, 1) for omega >= 2).
+
+This tool runs engine._hierarchy_core in exact rational arithmetic at
+DEGREE + 2 integer omega, interpolates F_n / omega^e_n exactly in z through
+DEGREE + 1 of them, and exits 1 unless the interpolant also gives the last
+one exactly.  It converts each P_n exactly to Chebyshev coefficients in
+x = 2z - 1 and writes them, rounded to double-double (hi, lo) pairs, to
+src/pslet/data/series.npz for n = 0..DEFAULT_ORDER and k = 0..K_TAB, with
+e_n, the order and K_TAB: the engine's only source of dd corrections
+(engine._table_corrections).  In the Chebyshev basis the sum is well
+conditioned for every omega > 2; a monomial sum in omega loses 20 digits
+near omega = 2.
 
     PYTHONPATH=src python tools/series_table.py            # rebuild the table
     PYTHONPATH=src python tools/series_table.py --check 0  # rebuild k = 0, compare
 
 --check K rebuilds the slice of one k and exits 1 unless it equals the
-shipped slice bit for bit.  A full rebuild takes about 30 s on one core;
-one k takes 3-7 s.
+shipped slice bit for bit.  One k takes 15-45 s on one core.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
 import sys
-from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import numpy as np
 
 from pslet import engine
 
-# Chebyshev nodes per k; the order-19 coefficients fall below 1e-30 of
-# their largest by degree 60 for k >= 1, and to 7e-31 by degree 71 at k = 0.
-NODES = 72
-
-# mpmath working precision of the transform, in decimal digits
-DIGITS = 40
-
-# decimal digits of the hierarchy run at each node
-PRECISION = 45
+# deg P_n = (5n + 6) // 2 and e_n of F_n = omega^e_n P_n(z), as exact runs
+# found them; build_k checks both
+DEGREE = (5 * engine.DEFAULT_ORDER + 6) // 2
+EXPONENTS = [2 - n % 2 for n in range(engine.DEFAULT_ORDER + 1)]
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "pslet" / "data" / "series.npz"
 
 
-class _DecimalBackend:
-    """_hierarchy_core's scalar backend in decimal.Decimal, for offline use.
+class _RationalBackend:
+    """_hierarchy_core's scalar backend in fractions.Fraction, for offline use.
 
-    Polynomials are lists of Decimals, and every kernel is the plain loop
-    the engine's batched kernels stand for.  At PRECISION digits it gives
-    F_n to about 1e-34 relative, where a dd run of the hierarchy reached
-    1e-19 of max|F_n| at k = 0 (its sums cancel there).  decimal
-    rounds every operation correctly, so the table rebuilds bit for bit.
+    Polynomials are lists of Fractions, and every kernel is the plain loop
+    the engine's batched kernels stand for.  The arithmetic is exact, so
+    every residual closes to zero.
     """
 
-    residual_tol = 1e-30
+    residual_tol = 0.0
 
-    scalar = staticmethod(Decimal)
+    scalar = staticmethod(Fraction)
 
     @staticmethod
     def to_float(z) -> float:
@@ -131,8 +123,8 @@ class _DecimalBackend:
             shifted = cls.poly_zeros(t + 2)
             shifted[t + 1] = omega
             if t >= 1:
-                shifted[t - 1] = Decimal(-t) / 2
-            x_t = cls.poly_zeros(t) + [Decimal(1)]
+                shifted[t - 1] = Fraction(-t, 2)
+            x_t = cls.poly_zeros(t) + [Fraction(1)]
             c = cls.poly_add(cls.poly_mul(f0, shifted, len(f0) + t + 1),
                              cls.poly_mul(f0p, x_t, len(f0) + t + 1), -1.0)
             out.append((cls.sparse(c), cls.max_abs(c)))
@@ -163,61 +155,67 @@ class _DecimalBackend:
         return r
 
 
-_ZERO = Decimal(0)
+_ZERO = Fraction(0)
 
 
-def _decimal(x) -> Decimal:
-    return Decimal(mpmath.nstr(x, DIGITS + 20, strip_zeros=False))
-
-
-def _u_nodes() -> list:
-    """u at the Chebyshev points of the first kind, x_j = cos(pi (j + 1/2) / NODES)."""
-    w_lo, w_hi = engine.TABLE_OMEGA
-    u_lo, u_hi = mpmath.mpf(2) / w_hi, mpmath.mpf(2) / w_lo
-    half, mid = (u_hi - u_lo) / 2, (u_hi + u_lo) / 2
-    return [mid + half * mpmath.cos(mpmath.pi * (j + mpmath.mpf(1) / 2) / NODES)
-            for j in range(NODES)]
-
-
-def node_series(k: int, u) -> list:
-    """F_0..F_DEFAULT_ORDER at omega = 2/u, from the hierarchy with q0 = 1, as mpmath numbers."""
+def exact_series(k: int, omega: Fraction) -> list:
+    """F_0..F_DEFAULT_ORDER at a rational omega, from the hierarchy with q0 = 1, as Fractions."""
     J = 2 * engine.DEFAULT_ORDER + 2
-    with mpmath.workdps(DIGITS + 20):
-        omega = 2 / u
-        cq = (omega * omega - 4) / 3
-        b = [0, 0, omega * omega / 2]
-        b += [(-1) ** n * (mpmath.mpf(n + 1) / 2 + cq) for n in range(3, J + 5)]
-        beta = -(mpmath.mpf(1) / 2 + (k + mpmath.mpf(1) / 2) * omega)
-        b, beta, omega = [_decimal(x) for x in b], _decimal(beta), _decimal(omega)
-    with decimal.localcontext() as ctx:
-        ctx.prec = PRECISION
-        be = _DecimalBackend()
-        corr, _, _ = engine._hierarchy_core(
-            engine._v_polys(b, beta, J, be), k, engine.DEFAULT_ORDER, omega, Decimal(1), be
-        )
-    return [mpmath.mpf(str(c)) for c in corr]
+    cq = (omega * omega - 4) / 3
+    b = [_ZERO, _ZERO, omega * omega / 2]
+    b += [(-1) ** n * (Fraction(n + 1, 2) + cq) for n in range(3, J + 5)]
+    beta = -(Fraction(1, 2) + (k + Fraction(1, 2)) * omega)
+    be = _RationalBackend()
+    corr, _, _ = engine._hierarchy_core(
+        engine._v_polys(b, beta, J, be), k, engine.DEFAULT_ORDER, omega, Fraction(1), be
+    )
+    return corr
+
+
+def _chebyshev(zs: list, values: list) -> list:
+    """Exact c_j with sum_j c_j T_j(2z - 1) through (zs, values), from the Newton form.
+
+    The Newton form is turned into Chebyshev coefficients by Horner's rule,
+    with z = (1 + x)/2 and x T_j = (T_(j-1) + T_(j+1))/2 (x T_0 = T_1).
+    """
+    a = list(values)
+    for j in range(1, len(a)):
+        for i in range(len(a) - 1, j - 1, -1):
+            a[i] = (a[i] - a[i - 1]) / (zs[i] - zs[i - j])
+    c = [a[-1]]
+    for i in range(len(a) - 2, -1, -1):
+        xc = [_ZERO] * (len(c) + 1)
+        xc[1] = c[0]
+        for j, cj in enumerate(c[1:], 1):
+            xc[j - 1] += cj / 2
+            xc[j + 1] += cj / 2
+        c = [(x + y) / 2 - zs[i] * y for x, y in zip(xc, c + [_ZERO])]
+        c[0] += a[i]
+    return c
 
 
 def build_k(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) of the Chebyshev coefficients of u^2 F_n, shape (DEFAULT_ORDER + 1, NODES).
+    """(hi, lo) of the Chebyshev coefficients of P_n, shape (DEFAULT_ORDER + 1, DEGREE + 1).
 
-    Coefficient 0 is already halved, so u^2 F_n = sum_j c_nj T_j(x) with
-    x = (2u - u_lo - u_hi) / (u_hi - u_lo).
+    P_n(z) = sum_j c_nj T_j(x) with x = 2z - 1, so coefficient 0 is already
+    halved.  Raises ValueError unless every F_n / omega^e_n is a polynomial
+    of degree <= DEGREE in z: the interpolant through all DEGREE + 2 sample
+    frequencies must have no term of degree DEGREE + 1, that is, the one
+    through the first DEGREE + 1 must also give the last exactly.
     """
-    with mpmath.workdps(DIGITS):
-        nodes = _u_nodes()
-        values = [[u * u * f for f in node_series(k, u)] for u in nodes]
-        theta = [mpmath.pi * (j + mpmath.mpf(1) / 2) / NODES for j in range(NODES)]
-        cos = [[mpmath.cos(m * t) for t in theta] for m in range(NODES)]
-        hi = np.zeros((engine.DEFAULT_ORDER + 1, NODES))
-        lo = np.zeros_like(hi)
-        for n in range(engine.DEFAULT_ORDER + 1):
-            for m in range(NODES):
-                c = mpmath.fsum(values[j][n] * cos[m][j] for j in range(NODES)) * 2 / NODES
-                if m == 0:
-                    c /= 2
-                hi[n, m] = float(c)
-                lo[n, m] = float(c - mpmath.mpf(hi[n, m]))
+    omegas = [Fraction(w) for w in range(3, DEGREE + 5)]
+    zs = [1 - 4 / (w * w) for w in omegas]
+    runs = [exact_series(k, w) for w in omegas]
+    hi = np.zeros((engine.DEFAULT_ORDER + 1, DEGREE + 1))
+    lo = np.zeros_like(hi)
+    for n, e in enumerate(EXPONENTS):
+        c = _chebyshev(zs, [f[n] / w**e for f, w in zip(runs, omegas)])
+        if c.pop():
+            raise ValueError(f"k = {k}: F_{n} / omega^{e} is not a polynomial of degree "
+                             f"<= {DEGREE} in z")
+        for j, cj in enumerate(c):
+            hi[n, j] = float(cj)
+            lo[n, j] = float(cj - Fraction(hi[n, j]))
     return hi, lo
 
 
@@ -226,10 +224,9 @@ def build() -> dict:
     return {
         "hi": np.stack([h for h, _ in slices]),
         "lo": np.stack([l for _, l in slices]),
+        "e": np.array(EXPONENTS),
         "order": np.array(engine.DEFAULT_ORDER),
         "k_tab": np.array(engine.K_TAB),
-        "domain": np.array(engine.TABLE_OMEGA),
-        "nodes": np.array(NODES),
     }
 
 
