@@ -2,13 +2,15 @@
 
 An escalated solve reads its double-double corrections from the table
 (engine._table_corrections), which covers k <= K_TAB and every omega > 2; a
-state that escalates with k > K_TAB raises OutsideSeriesTable.  The full
-bit-for-bit rebuild, tools/series_table.py --check K, takes 15-45 s a k
-and is not run here.
+state that escalates with k > K_TAB raises OutsideSeriesTable.  The
+bit-for-bit rebuild, tools/series_table.py --check K, takes 15-45 s a k;
+it is run here for k = 0 alone.
 """
 
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -112,3 +114,13 @@ def test_table_built_for_other_constants_is_rejected(monkeypatch, name, value):
     monkeypatch.setattr(engine, name, value)
     with pytest.raises(SeriesTableMismatch):
         engine._series_table.__wrapped__()
+
+
+def test_rebuilt_slice_is_bit_identical():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "series_table.py"), "--check", "0"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "k = 0: identical to series.npz"
