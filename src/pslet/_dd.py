@@ -12,13 +12,12 @@ error-free transforms).
 The routines dd_add, dd_mul and dd_div take (hi, lo) pairs of numpy arrays
 for the compiled correction table, and pairs of Python floats for the Pade
 fit, which holds hi and lo lists rather than DD objects.  The scalar DD
-class covers the dd origin polish and shift geometry, and carries the Pade
-fit's coefficients in and out.
+class (+, -, *, / and float) carries the Newton step on the frequency
+equation and the shift geometry (engine._dd_shift), and the Pade fit's
+coefficients in and out.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 
@@ -80,8 +79,6 @@ class DD:
         o = self._coerce(other)
         return DD(*dd_add(self.hi, self.lo, o.hi, o.lo))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return DD(-self.hi, -self.lo)
 
@@ -89,41 +86,19 @@ class DD:
         o = self._coerce(other)
         return DD(*dd_add(self.hi, self.lo, -o.hi, -o.lo))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         return DD(*dd_mul(self.hi, self.lo, o.hi, o.lo))
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         o = self._coerce(other)
         return DD(*dd_div(self.hi, self.lo, o.hi, o.lo))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __abs__(self):
-        return DD(-self.hi, -self.lo) if self.hi < 0 else DD(self.hi, self.lo)
 
     def __float__(self):
         return self.hi + self.lo
 
     def __repr__(self):
         return f"DD({self.hi!r}, {self.lo!r})"
-
-    def sqrt(self) -> "DD":
-        if self.hi < 0.0:
-            raise ValueError("dd sqrt of negative value")
-        if self.hi == 0.0:
-            return DD(0.0)
-        x = DD(np.sqrt(self.hi))
-        # two dd Newton steps from a double seed reach full dd accuracy
-        for _ in range(2):
-            x = x + (self - x * x) / (2.0 * x)
-        return x
 
 
 def _sub_mul(ah, al, bh, bl, ch, cl):

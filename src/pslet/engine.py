@@ -63,6 +63,7 @@ from .errors import (
     SeriesTableMismatch,
     SingularPadeSystem,
     ZeroPivot,
+    check_integers,
 )
 from .potentials import HybridPotential
 from .series import pade_eval, pade_fit, staircase_orders
@@ -101,6 +102,7 @@ class StateIndex:
     l_eff: float
 
     def __post_init__(self):
+        check_integers(k=self.k)
         if self.k < 0:
             raise ValueError("node count k must be non-negative")
         if not math.isfinite(self.l_eff):
@@ -857,37 +859,52 @@ def _series_is_trivial(corrections: np.ndarray, leading_term: float) -> bool:
 # ----------------------------------------------------------------------
 
 def _dd_shift(p: HybridPotential, s: StateIndex, q0_seed: float):
-    """Polish the origin and rebuild the shift geometry in dd.
+    """The origin and its shift geometry in dd, from the frequency equation.
+
+    With t = 2 a q^3, the origin condition q^3 V' = lbar^2 and Omega^2 =
+    3 + q V''/V' give omega^2 - 4 = 3c/(t - c) and omega^2 - 1 = 3t/(t - c).
+    So q0 = lbar^2 (omega^2 - 4)/(3c) needs no cube root, and omega is the
+    one root on (2, inf) of lbar^6 (omega^2 - 4)^4 = (27 c^4/2a)(omega^2 - 1),
+    with lbar = l_eff + 1/2 + (k + 1/2) omega.  Newton runs on u = omega - 2,
+    so omega^2 - 4 = u(u + 4) keeps its relative accuracy near omega = 2.
+    It starts from the frequency at the double origin q0_seed and takes dd
+    residuals over a double-precision derivative; each step gains about
+    sixteen digits, so the third must already sit at dd rounding level.  The
+    pure oscillator (c = 0) has omega = 2 and q0^4 = lbar^2/(2a).
 
     Returns (q0, omega, beta, lbar, E^(-2)), the last the coefficient of
     lbar^2 in the energy, all DD.
     """
+    a, c = p.a_osc, p.c_coul
     half = DD(0.5)
-    three = DD(3.0)
-
-    def gfun(q: DD) -> DD:
-        v1 = p.derivative_dd(q, 1)
-        v2 = p.derivative_dd(q, 2)
-        omega = (three + q * v2 / v1).sqrt()
-        return (q * q * q * v1).sqrt() - (DD(s.l_eff) + half + (DD(s.k) + half) * omega)
-
-    # four Newton steps with a double-precision derivative; each gains about
-    # sixteen digits, so the fourth must already sit at dd rounding level
-    q = DD(q0_seed)
-    for _ in range(4):
-        step = gfun(q) / DD(_root_derivative(p, float(q), s))
-        q = q - step
-    if not abs(float(step)) <= 1e-28 * float(q):
-        raise NoRootInDomain(
-            f"dd origin polish did not converge: last Newton step {float(step):.3e} "
-            f"at q0 = {float(q):.6g}"
-        )
-    v1 = p.derivative_dd(q, 1)
-    v2 = p.derivative_dd(q, 2)
-    omega = (three + q * v2 / v1).sqrt()
-    beta = -(half + (DD(s.k) + half) * omega)
+    kh = DD(s.k) + half
+    u = DD(0.0)
+    if c != 0.0:
+        rhs = DD(c) * c * c * c * 27.0 / (2.0 * a)
+        u = DD(math.sqrt(_omega_sq(p, q0_seed)) - 2.0)
+        for _ in range(3):
+            w = u * (u + 4.0)
+            lbar = DD(s.l_eff) + (half + kh * (u + 2.0))
+            l2, w2 = lbar * lbar, w * w
+            lf, wf = float(lbar), float(w)
+            slope = (6.0 * float(kh) * lf**5 * wf**4
+                     + (4.0 * lf**6 * wf**3 - float(rhs)) * (2.0 * float(u) + 4.0))
+            step = (l2 * l2 * l2 * w2 * w2 - rhs * (w + 3.0)) / slope
+            u = u - step
+        if not abs(float(step)) <= 1e-28 * float(u):
+            raise NoRootInDomain(
+                f"dd frequency Newton did not converge: last step {float(step):.3e} "
+                f"at omega - 2 = {float(u):.6g}"
+            )
+    omega = u + 2.0
+    beta = -(half + kh * omega)
     lbar = DD(s.l_eff) - beta
-    em2 = half / (q * q) + p.derivative_dd(q, 0) / (lbar * lbar)
+    if c == 0.0:
+        # E^(-2) is stationary in q0, so a double q0 leaves it dd-accurate
+        q = DD((float(lbar) ** 2 / (2.0 * a)) ** 0.25)
+    else:
+        q = lbar * lbar * (u * (u + 4.0)) / (DD(c) * 3.0)
+    em2 = half / (q * q) + (DD(a) * q * q + DD(c) / q) / (lbar * lbar)
     return q, omega, beta, lbar, em2
 
 

@@ -1,4 +1,7 @@
-"""Exception types raised by the solver and its supporting modules."""
+"""Exception types raised by the solver and its supporting modules, and the
+integer check its entry points share."""
+
+import operator
 
 
 class PsletError(Exception):
@@ -18,7 +21,8 @@ class NonPositiveRadius(PsletError):
 
 
 class NoRootInDomain(PsletError):
-    """No expansion origin was found in the scanned radial interval."""
+    """No expansion origin was found in the scanned radial interval, or the
+    double-double Newton step on the frequency equation did not converge."""
 
 
 class OmegaDomainError(PsletError):
@@ -38,7 +42,7 @@ class OrderOverflow(PsletError):
 
 
 class NonIntegralCluster(PsletError):
-    """The strong-field clustering rule produced a non-integral radial index."""
+    """The strong-field clustering rule produced a negative radial index."""
 
 
 class NotConverged(PsletError):
@@ -55,3 +59,12 @@ class SeriesTableMismatch(PsletError):
 
 class OutsideSeriesTable(PsletError):
     """A state needs double-double corrections at a node count k past the compiled table."""
+
+
+def check_integers(**numbers) -> None:
+    """A quantum number that is not an int or a numpy integer is a ValueError."""
+    for name, value in numbers.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainTooSmall, NotConverged
+from .errors import DomainTooSmall, NotConverged, check_integers
 from .potentials import HybridPotential
 
 TAIL_LIMIT = 1e-6          # max relative eigenvector amplitude at q = L
@@ -47,6 +47,7 @@ class RadialProblem:
     n_points: int
 
     def __post_init__(self):
+        check_integers(m=self.m)
         if not (math.isfinite(self.L) and self.L > 0.0):
             raise ValueError(f"domain length must be finite and positive, got {self.L}")
         if self.n_points < MIN_POINTS:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._dd import DD
 from .errors import NonPositiveRadius
 
 
@@ -50,14 +49,3 @@ class HybridPotential:
         if self.c_coul == 0.0:
             return 0.0
         return self.c_coul * (-1.0) ** n * math.factorial(n) / q ** (n + 1)
-
-    def derivative_dd(self, q: DD, n: int) -> DD:
-        """Double-double derivative of order 0-2, for the extended path's origin polish."""
-        if n == 0:
-            return DD(self.a_osc) * q * q + DD(self.c_coul) / q
-        if n == 1:
-            return DD(2.0 * self.a_osc) * q - DD(self.c_coul) / (q * q)
-        if n == 2:
-            return DD(2.0 * self.a_osc) + DD(2.0 * self.c_coul) / (q * q * q)
-        raise ValueError("the dd origin polish needs derivatives up to order 2 only")
-

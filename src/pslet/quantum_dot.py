@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .engine import StateIndex, solve_state
-from .errors import NonIntegralCluster, PsletError
+from .errors import NonIntegralCluster, PsletError, check_integers
 from .potentials import HybridPotential
 
 # spectroscopic letters for |m| = 0, 1, 2, ... (j is skipped by convention)
@@ -81,6 +81,7 @@ class StateLabel:
     m: int
 
     def __post_init__(self):
+        check_integers(k=self.k, m=self.m)
         if self.k < 0:
             raise ValueError("k must be non-negative")
 
@@ -238,6 +239,7 @@ def ee_interaction(d: DotParams, st: StateLabel) -> float:
 
 def cm_energy(d: DotParams, K: int, M: int) -> float:
     """Center-of-mass oscillator: (2K + |M| + 1) G + M gamma, exact."""
+    check_integers(K=K, M=M)
     if K < 0:
         raise ValueError("K must be non-negative")
     return _oscillator_level(d, K, M)
@@ -252,10 +254,8 @@ def total_energy(d: DotParams, k: int, m: int, K: int, M: int) -> TwoElectronLev
 
 def landau_cluster(kp: int, mp: int) -> tuple[int, int]:
     """The s state (k, 0) that state (kp, mp) merges into at infinite field."""
-    offset = abs(mp) + mp
-    if offset % 2 != 0:
-        raise NonIntegralCluster(f"|m| + m = {offset} is not even for m = {mp}")
-    k = kp + offset // 2
+    check_integers(kp=kp, mp=mp)
+    k = kp + max(mp, 0)
     if k < 0:
         raise NonIntegralCluster(f"clustering of ({kp}, {mp}) gives negative k = {k}")
     return k, 0

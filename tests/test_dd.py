@@ -57,13 +57,6 @@ class TestPrimitives:
         exact = [a / b for a, b in zip(_as_mp(ah, al), _as_mp(bh, bl))]
         assert _rel_err(ch, cl, exact) < 1e-28
 
-    def test_sqrt(self):
-        for _ in range(50):
-            x = abs(float(_RNG.normal())) * 10.0 ** int(_RNG.integers(-6, 7))
-            got = DD(x).sqrt()
-            exact = mpmath.sqrt(mpmath.mpf(x))
-            assert abs((mpmath.mpf(got.hi) + mpmath.mpf(got.lo) - exact) / exact) < 1e-30
-
     def test_scalar_third_roundtrip(self):
         third = DD(1.0) / DD(3.0)
         assert float(third * DD(3.0) - DD(1.0)) == pytest.approx(0.0, abs=1e-31)

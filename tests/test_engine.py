@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -517,13 +518,52 @@ class TestSolveState:
             assert res.staircase.spread == max(window) - min(window)
 
     def test_dd_origin_polish_must_converge(self, monkeypatch):
-        # a derivative eight times too steep leaves the fourth dd Newton step
-        # near 1e-17 q instead of at dd rounding level
+        # a seed frequency 1e-3 off in Omega^2 leaves the third dd Newton
+        # step on the frequency equation near 1e-14 (omega - 2) instead of at
+        # dd rounding level
         q0 = locate_q0(ION, S00)
-        real = engine._root_derivative
-        monkeypatch.setattr(engine, "_root_derivative", lambda p, q, s: 8.0 * real(p, q, s))
+        real = engine._omega_sq
+        monkeypatch.setattr(engine, "_omega_sq", lambda p, q: real(p, q) + 1e-3)
         with pytest.raises(NoRootInDomain, match="did not converge"):
             engine._dd_shift(ION, S00, q0)
+
+
+class TestDDOrigin:
+    @pytest.mark.parametrize("a_osc", [0.005, 0.3, 2.0])
+    @pytest.mark.parametrize("k,m", [(0, 0), (2, 1), (1, 3)])
+    def test_extended_path_gives_the_oscillator_levels(self, a_osc, k, m):
+        # c = 0: omega = 2 and q0^4 = lbar^2/(2a), and the energy is the
+        # level (2k + |m| + 1) sqrt(2a) rounded once to double
+        p = HybridPotential(a_osc=a_osc, c_coul=0.0)
+        res = _path("extended", p, StateIndex.from_azimuthal(k, m))
+        with mpmath.workdps(50):
+            assert res.energy == float((2 * k + abs(m) + 1) * mpmath.sqrt(2 * mpmath.mpf(a_osc)))
+
+    def test_matches_an_mpmath_root_of_the_frequency_equation(self):
+        # lbar^6 (omega^2 - 4)^4 = (27 c^4/2a)(omega^2 - 1) at 50 digits, and
+        # its q0 = lbar^2 (omega^2 - 4)/(3c) meets the origin condition
+        # q^3 V' = 2a q^4 - c q = lbar^2
+        rng = np.random.default_rng(33)
+        with mpmath.workdps(50):
+            for _ in range(60):
+                divisor, coulomb = [(8.0, 1.0), (32.0, 0.5)][int(rng.integers(2))]
+                gamma = 1e-4 * 1e7 ** float(rng.random())
+                p = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=coulomb)
+                s = StateIndex.from_azimuthal(int(rng.integers(6)), int(rng.integers(12)))
+                q, omega, *_ = engine._dd_shift(p, s, locate_q0(p, s))
+                a, c = mpmath.mpf(p.a_osc), mpmath.mpf(p.c_coul)
+
+                def lbar(w):
+                    return s.l_eff + 0.5 + (s.k + 0.5) * w
+
+                w = mpmath.findroot(
+                    lambda w: lbar(w) ** 6 * (w * w - 4) ** 4 - 27 * c**4 / (2 * a) * (w * w - 1),
+                    float(omega),
+                )
+                q_mp = lbar(w) ** 2 * (w * w - 4) / (3 * c)
+                assert abs(2 * a * q_mp**4 - c * q_mp - lbar(w) ** 2) <= 1e-40 * lbar(w) ** 2
+                for got, exact in ((omega, w), (q, q_mp)):
+                    assert abs(mpmath.mpf(got.hi) + got.lo - exact) <= 1e-28 * exact, (p, s)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from pslet._dd import DD
 from pslet.errors import NonPositiveRadius
 from pslet.potentials import HybridPotential
 
@@ -53,11 +52,4 @@ class TestHybridDerivative:
             exact = p.derivative(q, n)
             scale = max(abs(exact), abs(p.derivative(q, n - 1)) / q)
             assert abs(fd - exact) <= 1e-6 * max(scale, 1e-12)
-
-    def test_dd_derivatives_match_float(self):
-        p = HybridPotential(a_osc=0.04, c_coul=1.0)
-        for q in (0.5, 2.0, 30.0):
-            for n in range(3):
-                got = float(p.derivative_dd(DD(q), n))
-                assert got == pytest.approx(p.derivative(q, n), rel=1e-15)
 

@@ -5,11 +5,13 @@ import dataclasses
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from pslet import quantum_dot
 from pslet.engine import StateIndex, solve_state
 from pslet.errors import NonIntegralCluster, PsletError
+from pslet.oracle import RadialProblem
 from pslet.potentials import HybridPotential
 from pslet.quantum_dot import (
     DotParams,
@@ -55,6 +57,45 @@ class TestDotParams:
     def test_non_finite_rejected(self, gamma, gamma_d):
         with pytest.raises(ValueError, match="finite"):
             DotParams(gamma=gamma, gamma_d=gamma_d)
+
+
+_D = DotParams(gamma=0.2, gamma_d=0.2)
+_W = HybridPotential(a_osc=0.01, c_coul=2.0)
+
+
+class TestQuantumNumbersAreIntegers:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ion_energy(_D, StateLabel(math.nan, 0)),
+            lambda: StateLabel(1.5, 0),
+            lambda: ion_energy(_D, StateLabel(0, 1.5)),
+            lambda: rm_energy(_D, StateLabel(0, 0.5)),
+            lambda: StateLabel(0, math.inf),
+            lambda: StateLabel(2.0, 0),
+            lambda: StateIndex(k=1.5, l_eff=0.5),
+            lambda: StateIndex(k=math.nan, l_eff=0.5),
+            lambda: cm_energy(_D, math.nan, 0),
+            lambda: cm_energy(_D, 0, 0.5),
+            lambda: total_energy(_D, 0, 0, math.nan, 0),
+            lambda: landau_cluster(math.nan, 0),
+            lambda: landau_cluster(0, 0.5),
+            lambda: RadialProblem.auto_sized(1.5, _W, 0),
+            lambda: RadialProblem(m=math.nan, W=_W, L=10.0, n_points=4000),
+        ],
+        ids=["ion-k-nan", "label-k-1.5", "ion-m-1.5", "rm-m-0.5", "label-m-inf",
+             "label-k-float-2", "index-k-1.5", "index-k-nan", "cm-K-nan", "cm-M-0.5",
+             "total-K-nan", "cluster-kp-nan", "cluster-mp-0.5", "fd-m-1.5", "fd-m-nan"],
+    )
+    def test_non_integral_rejected(self, build):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        k, m = np.int64(1), np.int64(-2)
+        assert StateLabel(k, m).name == StateLabel(1, -2).name
+        assert cm_energy(_D, k, m) == cm_energy(_D, 1, -2)
+        assert landau_cluster(k, np.int32(3)) == (4, 0)
 
 
 class TestLabels:

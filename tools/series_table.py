@@ -70,7 +70,7 @@ class _RationalBackend:
     def poly_add(a: list, b: list, sign=1.0) -> list:
         n = max(len(a), len(b))
         a, b = a + [_ZERO] * (n - len(a)), b + [_ZERO] * (n - len(b))
-        return [x + y if sign == 1.0 else x - y for x, y in zip(a, b)]
+        return [(x + y if sign == 1.0 else x - y) if y else x for x, y in zip(a, b)]
 
     @staticmethod
     def poly_mul(a: list, b: list, cap: int) -> list:
