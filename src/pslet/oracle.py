@@ -17,6 +17,11 @@ hardest states checked (Gamma up to 5, k = 3, |m| = 4; the ion 4s state at
 Gamma 0.05-0.2).  Its gates (RICHARDSON_TOL, the callers' 1e-3 checks) are
 far looser than that precision.
 
+It is a plain radial solver and knows nothing of the dot's systems: its
+full-scale problem is twice the engine's, W = 2V with eigenvalue 2 eps.
+quantum_dot.radial_potential maps a system and Gamma to V, and
+quantum_dot.oracle_delta doubles it and maps the eigenvalue back to Ry*.
+
 It is the only user of scipy in pslet: scipy.linalg is imported by the
 first solve, not with the module, so that a run without the oracle never
 loads it.
@@ -111,6 +116,7 @@ def solve_radial_fd(problem: RadialProblem, k: int, return_vector: bool = False)
     amplitude above 1e-6 at the outer boundary, and NotConverged when the
     two grids disagree beyond 1e-4 relative after extrapolation.
     """
+    check_integers(k=k)
     if k < 0:
         raise ValueError("state index k must be non-negative")
     n = problem.n_points
@@ -143,21 +149,4 @@ def solve_radial_fd(problem: RadialProblem, k: int, return_vector: bool = False)
         q, _ = problem.grid(2 * n)
         return extrapolated, q, vec
     return extrapolated
-
-
-def _fd_energy(st, d, system: str) -> float:
-    """Finite-difference energy in Ry*, mapped like ion_energy or rm_energy.
-
-    system is "ion" (one electron plus impurity) or "two_electron_rm" (the
-    relative-motion part of the interacting pair).
-    """
-    g = d.gamma_eff
-    if system == "ion":
-        w, scale = HybridPotential(a_osc=g * g / 4.0, c_coul=2.0), 1.0
-    elif system == "two_electron_rm":
-        w, scale = HybridPotential(a_osc=g * g / 16.0, c_coul=1.0), 2.0
-    else:
-        raise ValueError(f"unknown system {system!r}")
-    problem = RadialProblem.auto_sized(st.m, w, st.k)
-    return scale * solve_radial_fd(problem, st.k) + st.m * d.gamma
 

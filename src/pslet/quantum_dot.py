@@ -2,7 +2,8 @@
 
 Two systems map onto one half-scaled radial problem, V(q) = (G^2/div) q^2
 + c/q with G^2 = gamma^2 + gamma_d^2, and one energy rule, E = f eps +
-m gamma; _SYSTEMS holds (div, c, f) for each:
+m gamma; _SYSTEMS holds (div, c, f) for each, and radial_potential is the
+one place that builds V from it:
 
 * "ion": one electron with a negatively charged ion impurity, (8, 1, 2);
 * "rm": the relative motion of two interacting electrons, (32, 1/2, 4),
@@ -149,6 +150,14 @@ class RadialSolution:
     converged: bool
 
 
+def radial_potential(system: str, gamma_eff: float) -> HybridPotential:
+    """The engine-unit potential (G^2/div) q^2 + c/q of one system at G."""
+    if system not in _SYSTEMS:
+        raise ValueError(f"unknown system {system!r}")
+    divisor, c_coul, _ = _SYSTEMS[system]
+    return HybridPotential(a_osc=gamma_eff * gamma_eff / divisor, c_coul=c_coul)
+
+
 @lru_cache(maxsize=4096)
 def radial_solution(
     system: str,
@@ -163,12 +172,8 @@ def radial_solution(
     An entry keeps a few floats, not the SolveResult with its coefficient
     arrays.  A solve that raises is not cached: every call raises afresh.
     """
-    if system not in _SYSTEMS:
-        raise ValueError(f"unknown system {system!r}")
-    divisor, c_coul, _ = _SYSTEMS[system]
-    pot = HybridPotential(a_osc=gamma_eff * gamma_eff / divisor, c_coul=c_coul)
     state = StateIndex.from_azimuthal(k, abs_m)
-    res = solve_state(pot, state)
+    res = solve_state(radial_potential(system, gamma_eff), state)
     return RadialSolution(
         energy=res.energy,
         leading_fraction=res.leading_fraction,
@@ -312,14 +317,21 @@ def oracle_delta(state, d: DotParams, energy: float) -> float:
     """|energy - E_FD| for the energy a record of this state reports.
 
     An impurity state reports its ion energy, a two-electron level its
-    relative-motion energy plus the exact center-of-mass energy.
+    relative-motion energy plus the exact center-of-mass energy.  The
+    oracle's full-scale problem is twice the engine's, with eigenvalue
+    2 eps, so E_FD = (f/2) E_full + m gamma; the powers of two are exact.
     """
-    from .oracle import _fd_energy
+    # read at call time, so that a wrapper on oracle.solve_radial_fd sees the call
+    from .oracle import RadialProblem, solve_radial_fd
 
-    if isinstance(state, TwoElectronLevel):
-        e_fd = _fd_energy(state.rm, d, "two_electron_rm") + cm_energy(d, state.cm_k, state.cm_m)
-    else:
-        e_fd = _fd_energy(state, d, "ion")
+    two_electron = isinstance(state, TwoElectronLevel)
+    system, st = ("rm", state.rm) if two_electron else ("ion", state)
+    pot = radial_potential(system, d.gamma_eff)
+    full = HybridPotential(a_osc=2.0 * pot.a_osc, c_coul=2.0 * pot.c_coul)
+    e_full = solve_radial_fd(RadialProblem.auto_sized(st.m, full, st.k), st.k)
+    e_fd = _SYSTEMS[system][2] / 2.0 * e_full + st.m * d.gamma
+    if two_electron:
+        e_fd += cm_energy(d, state.cm_k, state.cm_m)
     return abs(energy - e_fd)
 
 

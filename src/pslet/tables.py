@@ -268,66 +268,54 @@ def scan_levels(states, d0: DotParams, pts, interaction: bool, jobs: int = 1,
 # CSV emission
 # ----------------------------------------------------------------------
 
-_HEADER = "label,gamma,gamma_d,Gamma,energy,leading_fraction,pade_spread"
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6f}" if math.isfinite(x) else "nan"
 
 
+def _sci(otherwise: str):
+    return lambda x: f"{x:.3e}" if math.isfinite(x) else otherwise
+
+
+# CSV column -> formatter, for every CSV written here.  Column Gamma holds
+# the row's gamma_eff, every other column the attribute of its own name.
+_COLUMNS = {
+    "label": str, "state_a": str, "state_b": str,
+    "gamma": _fmt, "gamma_d": _fmt, "Gamma": _fmt, "energy": _fmt, "reference": _fmt,
+    "leading_fraction": _fmt, "gamma_lo": _fmt, "gamma_hi": _fmt,
+    "delta": _sci("nan"),
+    "pade_spread": _sci("inf"),
+    "converged": lambda b: "1" if b else "0",
+    "oracle_delta": lambda x: "" if x is None else _fmt(x),
+}
+
+_RECORD_COLUMNS = ("label", "gamma", "gamma_d", "Gamma", "energy", "leading_fraction",
+                   "pade_spread")
+_CELL_COLUMNS = ("label", "gamma", "gamma_d", "Gamma", "energy", "reference", "delta",
+                 "leading_fraction", "pade_spread", "converged")
+_CROSSING_COLUMNS = ("state_a", "state_b", "gamma_lo", "gamma_hi")
+
+
+def _csv(rows, columns, sep: str) -> str:
+    """A header line of the column names, then one line per row, joined by sep."""
+    cells = [("gamma_eff" if name == "Gamma" else name, _COLUMNS[name]) for name in columns]
+    lines = [sep.join(columns)]
+    lines += [sep.join(fmt(getattr(row, attr)) for attr, fmt in cells) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def records_csv(records, oracle: bool = False, sep: str = ",") -> str:
     """Deterministic CSV for spectrum records (6-decimal fixed format)."""
-    header = _HEADER + (",oracle_delta" if oracle else "")
-    lines = [header.replace(",", sep)]
-    for r in records:
-        fields = [
-            r.label,
-            _fmt(r.gamma),
-            _fmt(r.gamma_d),
-            _fmt(r.gamma_eff),
-            _fmt(r.energy),
-            _fmt(r.leading_fraction),
-            f"{r.pade_spread:.3e}" if math.isfinite(r.pade_spread) else "inf",
-        ]
-        if oracle:
-            fields.append(_fmt(r.oracle_delta) if r.oracle_delta is not None else "")
-        lines.append(sep.join(fields))
-    return "\n".join(lines) + "\n"
+    return _csv(records, _RECORD_COLUMNS + (("oracle_delta",) if oracle else ()), sep)
 
 
 def crossings_csv(crossings, sep: str = ",") -> str:
-    lines = [sep.join(("state_a", "state_b", "gamma_lo", "gamma_hi"))]
-    for c in crossings:
-        lines.append(sep.join((c.state_a, c.state_b, _fmt(c.gamma_lo), _fmt(c.gamma_hi))))
-    return "\n".join(lines) + "\n"
+    return _csv(crossings, _CROSSING_COLUMNS, sep)
 
 
 def table_csv(report: TableReport, sep: str = ",") -> str:
     """One row per cell: computed value, golden reference and their gap."""
     with_oracle = any(c.oracle_delta is not None for c in report.cells)
-    cols = (
-        "label,gamma,gamma_d,Gamma,energy,reference,delta,leading_fraction,pade_spread,converged"
-    )
-    if with_oracle:
-        cols += ",oracle_delta"
-    lines = [cols.replace(",", sep)]
-    for c in report.cells:
-        fields = [
-            c.label,
-            _fmt(c.gamma),
-            _fmt(c.gamma_d),
-            _fmt(c.gamma_eff),
-            _fmt(c.value),
-            _fmt(c.reference),
-            f"{c.delta:.3e}" if math.isfinite(c.delta) else "nan",
-            _fmt(c.leading_fraction),
-            f"{c.pade_spread:.3e}" if math.isfinite(c.pade_spread) else "inf",
-            "1" if c.converged else "0",
-        ]
-        if with_oracle:
-            fields.append(_fmt(c.oracle_delta) if c.oracle_delta is not None else "")
-        lines.append(sep.join(fields))
-    return "\n".join(lines) + "\n"
+    return _csv(report.cells, _CELL_COLUMNS + (("oracle_delta",) if with_oracle else ()), sep)
 
 
 def diff_report(report: TableReport) -> str:

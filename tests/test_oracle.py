@@ -21,8 +21,8 @@ from pslet import (
     wavefunction_eval,
 )
 from pslet.errors import DomainTooSmall
-from pslet.oracle import _fd_energy, sturm_count
-from pslet.quantum_dot import oracle_delta
+from pslet.oracle import sturm_count
+from pslet.quantum_dot import cm_energy, ion_free_energy, oracle_delta, radial_potential
 
 
 def oscillator_problem(g_eff, m, k):
@@ -114,6 +114,15 @@ class TestGuards:
         with pytest.raises(ValueError):
             RadialProblem(m=0, W=w, L=10.0, n_points=100)
 
+    @pytest.mark.parametrize("k", [1.5, math.nan], ids=["fractional", "nan"])
+    def test_non_integral_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            solve_radial_fd(oscillator_problem(0.5, 0, 0), k)
+
+    def test_numpy_integer_k_solves(self):
+        problem = oscillator_problem(0.5, 0, 0)
+        assert solve_radial_fd(problem, np.int64(0)) == solve_radial_fd(problem, 0)
+
 
 class TestCrossCheck:
     def test_ion_ground_state(self):
@@ -133,8 +142,48 @@ class TestCrossCheck:
         assert 2.0 * engine.energy == pytest.approx(eps_fd, abs=1e-6)
 
     def test_unknown_system_rejected(self):
-        with pytest.raises(ValueError):
-            _fd_energy(StateLabel(0, 0), DotParams(0.0, 0.2), "three_electron")
+        with pytest.raises(ValueError, match="unknown system"):
+            radial_potential("three_electron", 0.2)
+
+
+def full_scale_fd_energy(st, d, system):
+    """The FD energy in Ry* from the full-scale problems written out.
+
+    Ion: W = G^2 q^2/4 + 2/q, E = eps + m gamma.  Relative motion:
+    W = G^2 q^2/16 + 1/q, E = 2 eps + m gamma.
+    """
+    g = d.gamma_eff
+    if system == "ion":
+        w, scale = HybridPotential(a_osc=g * g / 4.0, c_coul=2.0), 1.0
+    else:
+        w, scale = HybridPotential(a_osc=g * g / 16.0, c_coul=1.0), 2.0
+    problem = RadialProblem.auto_sized(st.m, w, st.k)
+    return scale * solve_radial_fd(problem, st.k) + st.m * d.gamma
+
+
+class TestOracleDeltaMap:
+    """oracle_delta, built from radial_potential, equals the written-out
+    full-scale problems bit for bit."""
+
+    def test_ion_state(self):
+        st, d = StateLabel(1, -2), DotParams(0.3, 0.2)
+        energy = ion_energy(d, st)
+        assert oracle_delta(st, d, energy) == abs(energy - full_scale_fd_energy(st, d, "ion"))
+
+    def test_two_electron_level(self):
+        lvl, d = TwoElectronLevel(rm=StateLabel(1, 1), cm_k=1, cm_m=-1), DotParams(0.25, 0.2)
+        energy = spectrum_record(lvl, d).energy
+        e_fd = full_scale_fd_energy(lvl.rm, d, "rm") + cm_energy(d, 1, -1)
+        assert oracle_delta(lvl, d, energy) == abs(energy - e_fd)
+
+    def test_table_2_pair_row(self):
+        row = {"k": "1", "m": "1", "Gamma": "0.2", "energy": "0.3170"}
+        assert row in tables.load_golden(2)
+        st, d = tables._row_state(row), tables._row_params(row)
+        rec = tables._pair_row(st, d, oracle=True)
+        total = rec.energy + cm_energy(d, 0, 0) + ion_free_energy(d, st)
+        e_fd = full_scale_fd_energy(st, d, "rm") + cm_energy(d, 0, 0)
+        assert rec.error is None and rec.oracle_delta == abs(total - e_fd)
 
 
 # Two published cells that sit well off the eigenvalue while pslet and the

@@ -3,7 +3,7 @@
 An escalated solve reads its double-double corrections from the table
 (engine._table_corrections), which covers k <= K_TAB and every omega > 2; a
 state that escalates with k > K_TAB raises OutsideSeriesTable.  The
-bit-for-bit rebuild, tools/series_table.py --check K, takes 15-45 s a k;
+bit-for-bit rebuild, tools/series_table.py --check K, takes 9-19 s a k;
 it is run here for k = 0 alone.
 """
 

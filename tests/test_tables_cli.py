@@ -5,6 +5,7 @@ import math
 import pytest
 
 from pslet import DotParams, NotConverged, StateLabel, cli, ion_energy, oracle, tables
+from pslet.quantum_dot import oracle_delta
 
 # a solve and a scan that are valid as they stand
 _SOLVE = ["solve", "--system", "ion", "--k", "0", "--m", "0", "--gamma", "0", "--gamma-d", "0.2"]
@@ -153,8 +154,7 @@ class TestCli:
         energy = float(out.split("energy=")[1].split()[0])
         delta = float(out.split("oracle_delta=")[1].split()[0])
         assert energy == pytest.approx(ion_energy(d, st), abs=5e-7)
-        assert delta == pytest.approx(abs(ion_energy(d, st) - oracle._fd_energy(st, d, "ion")),
-                                      abs=5e-7)
+        assert delta == pytest.approx(oracle_delta(st, d, ion_energy(d, st)), abs=5e-7)
 
     def test_solve_without_coulomb(self, capsys):
         code = cli.main(

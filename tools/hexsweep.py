@@ -58,6 +58,7 @@ import hashlib
 import itertools
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 SYSTEMS = ("ion", "rm")
@@ -107,13 +108,11 @@ def solve(system: str, gamma: float, k: int, m: int, path: str):
     The potential is the one quantum_dot maps (system, Gamma) to.  W and F
     are empty lists on the extended path, which has no hierarchy tables.
     """
-    from pslet import HybridPotential, StateIndex
+    from pslet import StateIndex
     from pslet.engine import _solve
-    from pslet.quantum_dot import _SYSTEMS
+    from pslet.quantum_dot import radial_potential
 
-    divisor, c_coul, _ = _SYSTEMS[system]
-    pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
-    res, W, F = _solve(pot, StateIndex.from_azimuthal(k, m), path)
+    res, W, F = _solve(radial_potential(system, gamma), StateIndex.from_azimuthal(k, m), path)
     return res, W or [], F or []
 
 
@@ -157,17 +156,18 @@ def figure_lines():
 
 
 def origin_lines():
-    from pslet import HybridPotential, StateIndex
+    from pslet import StateIndex
     from pslet.engine import locate_q0, shift_params
     from pslet.errors import PsletError
-    from pslet.quantum_dot import _SYSTEMS
+    from pslet.quantum_dot import radial_potential
 
     states = itertools.product(ORIGIN_SYSTEMS, ORIGIN_GAMMAS, ORIGIN_KS, ORIGIN_MS)
     for system, gamma, k, m in states:
         key = f"origin {system} G={gamma!r} k={k} m={m}"
-        divisor, c_coul, _ = _SYSTEMS["ion" if system == "oscillator" else system]
-        pot = HybridPotential(a_osc=gamma * gamma / divisor,
-                              c_coul=0.0 if system == "oscillator" else c_coul)
+        if system == "oscillator":  # the ion's oscillator without its Coulomb core
+            pot = replace(radial_potential("ion", gamma), c_coul=0.0)
+        else:
+            pot = radial_potential(system, gamma)
         s = StateIndex.from_azimuthal(k, m)
         try:
             sp = shift_params(pot, locate_q0(pot, s), s)
