@@ -18,9 +18,10 @@ from pslet import (
     solve_state,
     wavefunction_eval,
 )
+from pslet.quantum_dot import radial_potential
 
 # the impurity ground state at combined confinement 0.2
-pot = HybridPotential(a_osc=0.2**2 / 8.0, c_coul=1.0)
+pot = radial_potential("ion", 0.2)
 state = StateIndex.from_azimuthal(0, 0)
 res = solve_state(pot, state)
 sp = res.shift
@@ -52,7 +53,8 @@ print(f"resummed eigenvalue = {res.energy:.8f}  (leading term carries {res.leadi
 
 print()
 print("=== the same number from brute force ===")
-oracle_w = HybridPotential(a_osc=0.2**2 / 4.0, c_coul=2.0)  # full-scale convention
+# the oracle's full-scale problem is twice the engine's, with eigenvalue 2 eps
+oracle_w = HybridPotential(a_osc=2.0 * pot.a_osc, c_coul=2.0 * pot.c_coul)
 problem = RadialProblem.auto_sized(0, oracle_w, 0)
 eps_fd = solve_radial_fd(problem, 0)
 print(f"finite differences: {eps_fd:.6f}  vs  2 x engine: {2 * res.energy:.6f}")

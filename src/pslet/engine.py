@@ -413,13 +413,14 @@ class _F64Backend:
 
         With no zero buffer to add into, a -0.0 of an operand stays -0.0;
         the hierarchy's sums that can hold one are read only by np.convolve,
-        whose sums start from +0.0 (see _hierarchy_core).
+        whose sums start from +0.0 (see _hierarchy_core).  A sign of 1.0
+        multiplies exactly, so it is left out.
         """
         if len(a) >= len(b):
             out = a.copy()
-            out[: len(b)] += sign * b
+            out[: len(b)] += b if sign == 1.0 else sign * b
         else:
-            out = sign * b
+            out = b.copy() if sign == 1.0 else sign * b
             out[: len(a)] += a
         return out
 
@@ -435,31 +436,28 @@ class _F64Backend:
         """The plain sum 0.0 + p_index[0] + p_index[1] + ..., each row zero-padded.
 
         p_t is sign * poly_mul(a, b, cap) for the t-th (a, b, sign) of terms,
-        and index lists the products to add, in order, each as often as it
-        appears.  The plain loop is acc = poly_zeros(1), then acc = acc + p_t
-        for each t of index, with every sum started from +0.0 as a zero
-        buffer does.  Here every product goes into a row of one zero buffer
-        below a zero row, and np.cumsum adds the zero row and then the
-        indexed rows along axis 0, one after the other; when index takes
-        every term once in order, the buffer is summed as it stands.  A lone
-        row is 0.0 + p_t, which needs no buffer.
+        sign 1.0 or -1.0, and index lists the products to add, in order, each
+        as often as it appears.  The plain loop is acc = poly_zeros(1), then
+        acc = acc + p_t for each t of index, every sum started from +0.0 as a
+        zero buffer does.  Here each product is formed once by the C
+        correlation np.convolve runs, np.correlate(longer, shorter[::-1]),
+        the first operand the longer on a tie; the indexed ones are added in
+        place, in order, to a zero buffer as wide as the widest of them, and
+        one of sign -1.0 is subtracted, which rounds as adding its negation.
         """
-        if len(index) < 2:
-            if not index:
-                return np.zeros(1)
-            a, b, sign = terms[index[0]]
-            row = np.convolve(a, b)[: cap + 1]
-            return 0.0 + (row if sign == 1.0 else sign * row)
-        rows = np.zeros((len(terms) + 1, cap + 1))
-        lens = []
-        for t, (a, b, sign) in enumerate(terms):
-            row = np.convolve(a, b)[: cap + 1]
-            rows[t + 1, : len(row)] = row if sign == 1.0 else sign * row
-            lens.append(len(row))
-        if index != range(len(terms)):
-            rows = rows[[0, *[t + 1 for t in index]]]
-        width = max([lens[t] for t in index])
-        return np.cumsum(rows[:, :width], axis=0)[-1]
+        rows = []
+        for a, b, _ in terms:
+            if len(b) > len(a):
+                a, b = b, a
+            rows.append(np.correlate(a, b[::-1], "full"))
+        acc = np.zeros(max([len(rows[t]) for t in index], default=1))
+        for t in index:
+            row = rows[t]
+            if terms[t][2] == 1.0:
+                acc[: len(row)] += row
+            else:
+                acc[: len(row)] -= row
+        return acc[: cap + 1]
 
     @staticmethod
     def poly_scale(a, z):
@@ -481,7 +479,7 @@ class _F64Backend:
 
     @staticmethod
     def max_abs(a) -> float:
-        return float(np.max(np.abs(a))) if len(a) else 0.0
+        return float(np.abs(a).max()) if len(a) else 0.0
 
     # Elimination of one unknown adds z times its influence polynomial to the
     # residual R.  An influence has only a handful of nonzero coefficients,
@@ -572,9 +570,9 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     k = 2.
 
     Each half-order makes two product_sum calls and one eliminate call.
-    The first product_sum forms every W_i W_{j-i} over stacked operands and
-    adds them up in the order i = 1..j-1; the second forms F_0 T_known,
-    every F_i T_{j-i} and every -F_i' W_{j-i}, and adds those up into R.
+    The first product_sum forms every W_i W_{j-i} once and adds them up in
+    the order i = 1..j-1; the second forms F_0 T_known, every F_i T_{j-i}
+    and every -F_i' W_{j-i}, and adds those up into R.
     eliminate then solves the half-order's W unknowns one power at a time
     on the backend's own form of R, each update touching only the nonzero
     coefficients of the influence.  In double precision all of it gives the
@@ -582,7 +580,8 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     resting on these facts (tests/test_batched_kernels.py):
 
     1. every sum keeps its term order (product_sum adds rows one by one),
-       and every row is the np.convolve it stands for;
+       and every row is the np.convolve it stands for, from the same C
+       correlation of the longer operand with the reversed shorter one;
     2. adding an exact zero to a value that holds no negative zero returns
        it unchanged, so zero padding and skipped coefficients change
        nothing; every sum here starts from +0.0;
@@ -660,10 +659,10 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     for j in range(1, J + 1):
         # known part: products of already-solved pieces.  W_i W_{j-i} and
         # W_{j-i} W_i are the same bits: W_i has 2i+2 coefficients, so the
-        # operands differ in length whenever i != j-i, and np.convolve (longer
-        # operand first) then computes the product in one fixed operand
-        # order.  Each product is formed once and added at i and j-i,
-        # summing over i = 1..j-1.
+        # operands differ in length whenever i != j-i, and the product kernel
+        # (longer operand first, as in np.convolve) then computes it in one
+        # fixed operand order.  Each product is formed once and added at i
+        # and j-i, summing over i = 1..j-1.
         pairs = [(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)]
         acc = be.product_sum(pairs, cap, [min(i, j - i) - 1 for i in range(1, j)])
         t_known = be.poly_add(be.poly_scale(acc, minus_half), vpolys[j])

@@ -13,9 +13,13 @@ product_sum call each, and both are checked against the loop they replace.
 The kernels keep the term order of every sum and rest on two facts,
 checked here directly: adding an exact zero to a value that holds no
 negative zero returns it unchanged (a dd pair too); np.convolve starts its
-sums from +0.0, so it never returns a negative zero.  The double backend
-and tools/series_table.py's rational backend offer the same methods, and
-only those the hierarchy calls.
+sums from +0.0, so it never returns a negative zero.  The double kernels
+also rest on their numpy spelling, checked here too: product_sum's
+np.correlate(longer, shorter[::-1]) is np.convolve whichever operand comes
+first; poly_add without its multiply by 1.0 keeps every -0.0 an operand
+held; max_abs passes a NaN or inf on to the residual check.  The double
+backend and tools/series_table.py's rational backend offer the same
+methods, and only those the hierarchy calls.
 
 The other shortcuts of a solve are pinned the same way to the code they
 replace: the hierarchy without its identically-zero F_i' W_{j-i} rows, the
@@ -28,6 +32,7 @@ import inspect
 import math
 import sys
 import textwrap
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -183,6 +188,69 @@ def test_f64_poly_add_without_zero_buffer():
         assert _bits(_F64Backend.poly_add(a, b)) == _bits(_zero_buffer_add(a, b))
 
 
+@pytest.mark.parametrize("first", ["shorter", "equal"])
+def test_product_is_convolve_whichever_operand_comes_first(first):
+    # np.convolve correlates the longer operand with the reversed shorter
+    # one, the first operand counting as the longer on a tie; product_sum
+    # must pick the same two, since the other pairing rounds differently
+    swapped_differs = 0
+    for _ in range(200):
+        n = int(_RNG.integers(2, 40))
+        a = _random_f64(n if first == "equal" else int(_RNG.integers(1, n)))
+        b = _random_f64(n)
+        cap = int(_RNG.integers(0, 2 * n))
+        ref = np.convolve(a, b)[: cap + 1]
+        assert _bits(_F64Backend.product_sum([(a, b, 1.0)], cap, [0])) == _bits(ref)
+        other = np.correlate(b, a[::-1], "full") if first == "equal" else np.correlate(a, b[::-1], "full")
+        swapped_differs += _bits(other[: cap + 1]) != _bits(ref)
+    assert swapped_differs > 0
+
+
+def _signed_poly_add(a, b, sign=1.0):
+    """poly_add as spelled before, with b always multiplied by its sign."""
+    if len(a) >= len(b):
+        out = a.copy()
+        out[: len(b)] += sign * b
+    else:
+        out = sign * b
+        out[: len(a)] += a
+    return out
+
+
+def test_poly_add_keeps_negative_zeros_where_the_signed_spelling_did():
+    # with a sign of 1.0 the multiply is left out; 1.0 * -0.0 is -0.0, so
+    # every -0.0 of either operand that the old spelling kept stays
+    kept = {"a": 0, "b": 0}
+    for _ in range(300):
+        a = _random_f64(int(_RNG.integers(1, 30)))
+        b = _random_f64(int(_RNG.integers(1, 30)))
+        for sign in (-1.0, 1.0):
+            got = _F64Backend.poly_add(a, b, sign)
+            assert _bits(got) == _bits(_signed_poly_add(a, b, sign))
+        negative_zero = np.signbit(got) & (got == 0.0)
+        for name, v in (("a", a), ("b", b)):
+            held = np.zeros(len(got), dtype=bool)
+            held[: len(v)] = np.signbit(v) & (v == 0.0)
+            kept[name] += int(np.any(negative_zero & held))
+    assert kept["a"] > 0 and kept["b"] > 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_max_abs_passes_nan_and_inf_to_the_residual_check(bad):
+    # _hierarchy_core raises unless resid <= tol * scale and resid is finite
+    for n in (1, 2, 7, 40):
+        for at in {0, n // 2, n - 1}:
+            a = _RNG.normal(size=n)
+            a[at] = bad
+            resid = _F64Backend.max_abs(a)
+            assert math.isnan(resid) if math.isnan(bad) else resid == math.inf
+            assert not (resid <= _F64Backend.residual_tol * max(resid, 1.0)
+                        and math.isfinite(resid))
+    a = _RNG.normal(size=9)
+    a[[2, 6]] = math.inf, math.nan
+    assert math.isnan(_F64Backend.max_abs(a))
+
+
 # ----------------------------------------------------------------------
 # product_sum
 # ----------------------------------------------------------------------
@@ -263,6 +331,26 @@ def test_no_products(be):
     assert _bits(be.product_sum([], 10, range(0))) == zero
     terms = [(_random_f64(3), _random_f64(5), 1.0)]
     assert _bits(be.product_sum(terms, 10, [])) == zero
+
+
+def test_rational_product_sum_is_the_plain_loop():
+    # the rational backend sums in integers over one common denominator;
+    # the plain loop of poly_add / poly_mul must give the same Fractions
+    def poly(n):
+        return [Fraction(int(_RNG.integers(-50, 51)), int(_RNG.integers(1, 30)))
+                if _RNG.random() < 0.8 else Fraction(0) for _ in range(n)]
+
+    be = _RationalBackend
+    for _ in range(40):
+        terms = [(poly(int(_RNG.integers(1, 8))), poly(int(_RNG.integers(1, 12))),
+                  float(_RNG.choice([1.0, -1.0]))) for _ in range(int(_RNG.integers(1, 6)))]
+        cap = int(_RNG.integers(0, 20))
+        for index in (range(len(terms)), _random_index(len(terms), 10), []):
+            acc = be.poly_zeros(1)
+            for t in index:
+                a, b, sign = terms[t]
+                acc = be.poly_add(acc, be.poly_mul(a, b, cap), sign)
+            assert be.product_sum(terms, cap, index) == acc
 
 
 def _backend_calls(fn) -> set:

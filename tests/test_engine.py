@@ -289,10 +289,12 @@ class TestHierarchy:
 
     def test_overflowed_v_raises_residual_error(self):
         # an overflowed coefficient leaves R and the scale both infinite, so
-        # the ratio test alone (inf <= tol * inf) would let it through
-        v, sp = _corrupted_v(order=3, delta=math.inf)
-        with pytest.raises(HierarchyResidual, match="residual inf at half-order 1"):
-            solve_hierarchy(v, S00.k, 3, sp, leading_energy(ION, sp))
+        # the ratio test alone (inf <= tol * inf) would let it through; a
+        # NaN residual must fail it too
+        for delta in (math.inf, math.nan):
+            v, sp = _corrupted_v(order=3, delta=delta)
+            with pytest.raises(HierarchyResidual, match=f"residual {delta} at half-order 1"):
+                solve_hierarchy(v, S00.k, 3, sp, leading_energy(ION, sp))
 
     def test_residual_check_survives_optimized_mode(self):
         # under python -O every assert is stripped; the check must still fire

@@ -73,12 +73,18 @@ class _RationalBackend:
         a, b = a + [_ZERO] * (n - len(a)), b + [_ZERO] * (n - len(b))
         return [(x + y if sign == 1.0 else x - y) if y else x for x, y in zip(a, b)]
 
-    @staticmethod
-    def poly_mul(a: list, b: list, cap: int) -> list:
-        """The product in integers over one common denominator per operand.
+    @classmethod
+    def poly_mul(cls, a: list, b: list, cap: int) -> list:
+        d, out = cls._integer_product(a, b, cap)
+        return [Fraction(c, d) for c in out]
 
-        One Fraction, and so one gcd, per output coefficient: the product
-        of Fractions term by term normalises every partial sum.
+    @staticmethod
+    def _integer_product(a: list, b: list, cap: int) -> tuple[int, list]:
+        """(d, integers c) with the product a b cut after x^cap equal to c / d.
+
+        Each operand goes over its common denominator, so the products and
+        sums run in integers: Fractions term by term would normalise every
+        partial sum with a gcd.
         """
         n = min(cap + 1, len(a) + len(b) - 1)
         da, a = _over_common_denominator(a[:n])
@@ -91,15 +97,25 @@ class _RationalBackend:
                     if i + j >= n:
                         break
                     out[i + j] += x * y
-        return [Fraction(c, da * db) for c in out]
+        return da * db, out
 
     @classmethod
     def product_sum(cls, terms: list, cap: int, index) -> list:
-        prods = [cls.poly_mul(a, b, cap) for a, b, _ in terms]
-        acc = [_ZERO]
+        """The sum of the indexed sign * poly_mul(a, b, cap), in integers over one denominator.
+
+        One Fraction, and so one gcd, per output coefficient; the sum is
+        exact, so its order does not matter.
+        """
+        prods = [cls._integer_product(a, b, cap) for a, b, _ in terms]
+        d = math.lcm(*(prods[t][0] for t in index))
+        acc = [0] * max((len(prods[t][1]) for t in index), default=1)
         for t in index:
-            acc = cls.poly_add(acc, prods[t], terms[t][2])
-        return acc
+            dt, p = prods[t]
+            scale = d // dt if terms[t][2] == 1.0 else -(d // dt)
+            for i, c in enumerate(p):
+                if c:
+                    acc[i] += scale * c
+        return [Fraction(c, d) for c in acc]
 
     @staticmethod
     def poly_scale(a: list, z) -> list:
