@@ -24,7 +24,7 @@ near omega = 2.
     PYTHONPATH=src python tools/series_table.py --check 0  # rebuild k = 0, compare
 
 --check K rebuilds the slice of one k and exits 1 unless it equals the
-shipped slice bit for bit.  One k takes 9-19 s on one core.
+shipped slice bit for bit.  One k takes 4-11 s on one core.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ class _RationalBackend:
     """_hierarchy_core's scalar backend in fractions.Fraction, for offline use.
 
     Polynomials are lists of Fractions, and every kernel is the plain loop
-    the engine's batched kernels stand for.  The arithmetic is exact, so
+    the engine's batched kernels stand for; product_sum adds its products
+    in integers, which is exact in any order.  The arithmetic is exact, so
     every residual closes to zero.
     """
 
