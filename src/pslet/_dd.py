@@ -15,9 +15,19 @@ fit, which holds hi and lo lists rather than DD objects.  The scalar DD
 class (+, -, *, / and float) carries the Newton step on the frequency
 equation and the shift geometry (engine._dd_shift), and the Pade fit's
 coefficients in and out.
+
+dd_pade_fit builds the whole staircase of Pade members of one series in a
+single pass: Rutishauser's qd table gives the coefficients of the series'
+corresponding continued fraction, and the fraction's three-term recurrence
+gives each convergent, which is the [M/N] member with N = M or M + 1.  A
+zero qd divisor fails the first member that needs it and every member
+above it.  dd_pade_eval evaluates one member with the double path's pole
+rule.
 """
 
 from __future__ import annotations
+
+import math
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 
@@ -107,51 +117,64 @@ def _sub_mul(ah, al, bh, bl, ch, cl):
     return dd_add(ah, al, -ph, -pl)
 
 
-def dd_pade_fit(c: list[DD], M: int, N: int) -> tuple[list[DD], list[DD]]:
-    """(M, N) Pade fit in dd arithmetic; Gaussian elimination, partial pivoting.
+def dd_pade_fit(c: list[DD]) -> dict:
+    """Every staircase Pade member of the series c in dd, from one qd table.
 
-    The pivot is the first row of largest |hi|.  The elimination, the back
-    substitution and the numerator run on hi/lo lists of Python floats in
-    the operation order of DD's operators, so they give the bits of the same
-    steps on DD numbers without boxing each one.
+    Returns {(M, N): (num, den) or None} for every M + N < len(c) with
+    N = M or M + 1: [0/0], [0/1], [1/1], [1/2], ... up to [9/10] for the 20
+    corrections of a solve.  Rutishauser's qd table (progressive form) gives
+    the coefficients a_1, a_2, ... of the corresponding fraction
+    c_0 / (1 - a_1 t / (1 - a_2 t / ...)): q_1^(j) = c_{j+1} / c_j, e_0^(j) = 0,
+    e_k^(j) = (q_k^(j+1) - q_k^(j)) + e_{k-1}^(j+1) and
+    q_{k+1}^(j) = (q_k^(j+1) * e_k^(j+1)) / e_k^(j), with a_{2k-1} = q_k^(0)
+    and a_{2k} = e_k^(0).  Its n-th convergent P_n / Q_n is the [n//2 / (n+1)//2]
+    member: P_n = P_{n-1} - a_n t P_{n-2}, and the same for Q, from
+    P_{-1} = 0, P_0 = c_0, Q_{-1} = Q_0 = 1, so den[0] = 1 exactly.
+
+    A zero divisor in the table makes its entry NaN, which reaches every
+    coefficient that depends on it; the first a_n that is not finite fails
+    member n and every member above it, which are returned as None.  Nothing
+    is raised.  Whether a member's denominator sits on a pole at the point of
+    evaluation is for dd_pade_eval to decide, as for any fit.  The work runs
+    on (hi, lo) pairs of Python floats in the operation order of DD's
+    operators.
     """
-    from .errors import SingularPadeSystem
+    nan = (float("nan"), float("nan"))
 
-    if len(c) != M + N + 1:
-        raise ValueError(f"need exactly M+N+1 = {M + N + 1} coefficients, got {len(c)}")
-    if N == 0:
-        return list(c[: M + 1]), [DD(1.0)]
-    ch, cl = [x.hi for x in c], [x.lo for x in c]
-    rows = [[M + 1 + i - s for s in range(1, N + 1)] for i in range(N)]
-    Ah = [[ch[j] if j >= 0 else 0.0 for j in row] for row in rows]
-    Al = [[cl[j] if j >= 0 else 0.0 for j in row] for row in rows]
-    rh, rl = [-ch[M + 1 + i] for i in range(N)], [-cl[M + 1 + i] for i in range(N)]
-    for col in range(N):
-        piv = max(range(col, N), key=lambda r: abs(Ah[r][col]))
-        if Ah[piv][col] == 0.0 and Al[piv][col] == 0.0:
-            raise SingularPadeSystem(f"[{M}/{N}] dd denominator system is singular")
-        for a in (Ah, Al, rh, rl):
-            a[col], a[piv] = a[piv], a[col]
-        ph, pl = Ah[col], Al[col]
-        for r in range(col + 1, N):
-            ah, al = Ah[r], Al[r]
-            fh, fl = dd_div(ah[col], al[col], ph[col], pl[col])
-            for cc in range(col, N):
-                ah[cc], al[cc] = _sub_mul(ah[cc], al[cc], fh, fl, ph[cc], pl[cc])
-            rh[r], rl[r] = _sub_mul(rh[r], rl[r], fh, fl, rh[col], rl[col])
-    qh, ql = [1.0] + [0.0] * N, [0.0] * (N + 1)
-    for r in range(N - 1, -1, -1):
-        sh, sl = rh[r], rl[r]
-        for cc in range(r + 1, N):
-            sh, sl = _sub_mul(sh, sl, Ah[r][cc], Al[r][cc], qh[cc + 1], ql[cc + 1])
-        qh[r + 1], ql[r + 1] = dd_div(sh, sl, Ah[r][r], Al[r][r])
-    num = []
-    for i in range(M + 1):
-        sh = sl = 0.0
-        for j in range(0, min(i, N) + 1):
-            sh, sl = dd_add(sh, sl, *dd_mul(qh[j], ql[j], ch[i - j], cl[i - j]))
-        num.append(DD(sh, sl))
-    return num, [DD(h, l) for h, l in zip(qh, ql)]
+    def div(a, b):
+        return dd_div(*a, *b) if b[0] != 0.0 else nan
+
+    cs = [(x.hi, x.lo) for x in c]
+    a = cs[:1]
+    q = [div(cs[j + 1], cs[j]) for j in range(len(cs) - 1)]
+    e = [(0.0, 0.0)] * len(q)
+    while q:
+        a.append(q[0])
+        e = [dd_add(*dd_add(*q[j + 1], -q[j][0], -q[j][1]), *e[j + 1]) for j in range(len(q) - 1)]
+        if not e:
+            break
+        a.append(e[0])
+        q = [div(dd_mul(*q[j + 1], *e[j + 1]), e[j]) for j in range(len(e) - 1)]
+    members = {}
+    num_prev, num, den_prev, den = [], cs[:1], [(1.0, 0.0)], [(1.0, 0.0)]
+    for n, an in enumerate(a):
+        if not (math.isfinite(an[0]) and math.isfinite(an[1])):
+            members.update(dict.fromkeys([(m // 2, (m + 1) // 2) for m in range(n, len(c))]))
+            break
+        if n:
+            num_prev, num = num, _step(num, num_prev, an)
+            den_prev, den = den, _step(den, den_prev, an)
+        members[n // 2, (n + 1) // 2] = ([DD(*x) for x in num], [DD(*x) for x in den])
+    return members
+
+
+def _step(p1, p2, a):
+    """P_{n-1} - a t P_{n-2} on lists of (hi, lo) pairs, lowest degree first."""
+    size = max(len(p1), len(p2) + 1)
+    p1 = p1 + [(0.0, 0.0)] * (size - len(p1))
+    return p1[:1] + [
+        _sub_mul(*p1[i], *a, *p2[i - 1]) if i <= len(p2) else p1[i] for i in range(1, size)
+    ]
 
 
 def dd_pade_eval(num: list[DD], den: list[DD], t: DD) -> DD:

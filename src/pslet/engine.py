@@ -31,9 +31,13 @@ P_n an exact polynomial in z = 1 - 4/omega^2, and data/series.npz holds the
 P_n in Chebyshev form for k <= K_TAB and every omega > 2 (built by
 tools/series_table.py, which runs _hierarchy_core in exact rational
 arithmetic).  _table_corrections evaluates it from dd Chebyshev polynomials
-built by doubling, summed pairwise, and the dd Pade ladder is fitted on
-hi/lo float pairs (_dd.dd_pade_fit).  A state that escalates with
-k > K_TAB raises OutsideSeriesTable.
+built by doubling, summed pairwise.  One call of _dd.dd_pade_fit then
+builds every member of the dd Pade ladder in one pass, from the qd table of
+the corrections and the three-term recurrence of its continued fraction,
+on hi/lo float pairs; a member whose qd divisor vanishes is None.  Each
+member the ladder reads is evaluated by _dd.dd_pade_eval, whose pole rule
+is the double path's.  A state that escalates with k > K_TAB raises
+OutsideSeriesTable.
 
 A solve returns the eigenvalue and its certificate (SolveResult).  The W
 and F tables of the double hierarchy are read at run time only by
@@ -1023,10 +1027,11 @@ def _solve(p: HybridPotential, s: StateIndex, path: str | None = None, q0: float
         sp = ShiftParams(q0=float(q), omega=float(omega), beta=float(beta), lbar=float(lbar))
         lead = lbar * lbar * em2
         t = DD(1.0) / lbar
+        members = _dd.dd_pade_fit(corr_dd)
 
-        def fit_eval(M: int, N: int) -> float:
-            num, den = _dd.dd_pade_fit(corr_dd[: M + N + 1], M, N)
-            return float(lead + _dd.dd_pade_eval(num, den, t))
+        def fit_eval(M: int, N: int) -> float | None:
+            member = members[M, N]
+            return None if member is None else float(lead + _dd.dd_pade_eval(*member, t))
 
         stair = _ladder(expansion.corrections, float(lead), fit_eval)
     res = SolveResult(

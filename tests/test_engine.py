@@ -429,8 +429,16 @@ class TestSolveState:
         res = solve_state(ION, S00)
         assert res.leading_fraction > 0.9
 
-    @staticmethod
-    def _assert_fits_top_down(res, fits):
+    def test_double_solve_fits_each_ladder_member_once(self, monkeypatch):
+        fits = []
+        real = engine.pade_fit
+
+        def counting(c, M, N):
+            fits.append((M, N))
+            return real(c, M, N)
+
+        monkeypatch.setattr(engine, "pade_fit", counting)
+        res = _path("double", ION, S00)
         # the solve fits the five top members its spread reads, and the
         # resummed [9/10] value is the ladder's own, not a second fit;
         # reading the ladder fits the other twelve, and a second read none
@@ -442,29 +450,23 @@ class TestSolveState:
         assert len(res.staircase.values) == 17
         assert len(fits) == 17
 
-    def test_double_solve_fits_each_ladder_member_once(self, monkeypatch):
-        fits = []
-        real = engine.pade_fit
-
-        def counting(c, M, N):
-            fits.append((M, N))
-            return real(c, M, N)
-
-        monkeypatch.setattr(engine, "pade_fit", counting)
-        res = _path("double", ION, S00)
-        self._assert_fits_top_down(res, fits)
-
-    def test_extended_solve_fits_each_ladder_member_once(self, monkeypatch):
-        fits = []
+    def test_extended_solve_calls_dd_pade_fit_once(self, monkeypatch):
+        # one qd pass builds every member; reading the whole ladder fits
+        # nothing more, and the [9/10] value is the ladder's own
+        calls = []
         real = _dd.dd_pade_fit
 
-        def counting(c, M, N):
-            fits.append((M, N))
-            return real(c, M, N)
+        def counting(c):
+            calls.append(len(c))
+            return real(c)
 
         monkeypatch.setattr(_dd, "dd_pade_fit", counting)
         res = _path("extended", ION, S00)
-        self._assert_fits_top_down(res, fits)
+        assert calls == [engine.DEFAULT_ORDER + 1]
+        assert res.energy == res.staircase.member(9, 10)
+        assert None not in res.staircase.values
+        assert len(res.staircase.values) == 17
+        assert calls == [engine.DEFAULT_ORDER + 1]
 
     @staticmethod
     def _count_double_fits(monkeypatch):
