@@ -11,18 +11,14 @@ error-free transforms).
 
 The routines dd_add, dd_mul and dd_div take (hi, lo) pairs of numpy arrays
 for the compiled correction table, and pairs of Python floats for the Pade
-fit, which holds hi and lo lists rather than DD objects.  The scalar DD
+fit, which works on such pairs rather than DD objects.  The scalar DD
 class (+, -, *, / and float) carries the Newton step on the frequency
 equation and the shift geometry (engine._dd_shift), and the Pade fit's
 coefficients in and out.
 
-dd_pade_fit builds the whole staircase of Pade members of one series in a
-single pass: Rutishauser's qd table gives the coefficients of the series'
-corresponding continued fraction, and the fraction's three-term recurrence
-gives each convergent, which is the [M/N] member with N = M or M + 1.  A
-zero qd divisor fails the first member that needs it and every member
-above it.  dd_pade_eval evaluates one member with the double path's pole
-rule.
+dd_pade_fit builds every staircase Pade member of a series in one pass,
+as the convergents of its qd continued fraction; dd_pade_eval evaluates
+one member under the double path's pole rule.
 """
 
 from __future__ import annotations
@@ -117,7 +113,7 @@ def _sub_mul(ah, al, bh, bl, ch, cl):
     return dd_add(ah, al, -ph, -pl)
 
 
-def dd_pade_fit(c: list[DD]) -> dict:
+def dd_pade_fit(c: list[DD]) -> dict[tuple[int, int], tuple[list[DD], list[DD]] | None]:
     """Every staircase Pade member of the series c in dd, from one qd table.
 
     Returns {(M, N): (num, den) or None} for every M + N < len(c) with
@@ -131,13 +127,12 @@ def dd_pade_fit(c: list[DD]) -> dict:
     member: P_n = P_{n-1} - a_n t P_{n-2}, and the same for Q, from
     P_{-1} = 0, P_0 = c_0, Q_{-1} = Q_0 = 1, so den[0] = 1 exactly.
 
-    A zero divisor in the table makes its entry NaN, which reaches every
-    coefficient that depends on it; the first a_n that is not finite fails
-    member n and every member above it, which are returned as None.  Nothing
-    is raised.  Whether a member's denominator sits on a pole at the point of
-    evaluation is for dd_pade_eval to decide, as for any fit.  The work runs
-    on (hi, lo) pairs of Python floats in the operation order of DD's
-    operators.
+    A zero divisor makes its table entry NaN, which reaches every entry that
+    depends on it; the first a_n that is not finite fails member n and every
+    member above it, which are None.  Nothing is raised.  Whether a member's
+    denominator sits on a pole at t is for dd_pade_eval to decide, by the
+    same rule as for any fit.  The work runs on (hi, lo) pairs of Python
+    floats in the operation order of DD's operators.
     """
     nan = (float("nan"), float("nan"))
 
@@ -159,7 +154,7 @@ def dd_pade_fit(c: list[DD]) -> dict:
     num_prev, num, den_prev, den = [], cs[:1], [(1.0, 0.0)], [(1.0, 0.0)]
     for n, an in enumerate(a):
         if not (math.isfinite(an[0]) and math.isfinite(an[1])):
-            members.update(dict.fromkeys([(m // 2, (m + 1) // 2) for m in range(n, len(c))]))
+            members.update(dict.fromkeys((m // 2, (m + 1) // 2) for m in range(n, len(c))))
             break
         if n:
             num_prev, num = num, _step(num, num_prev, an)

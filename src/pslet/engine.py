@@ -789,8 +789,9 @@ def _ladder(corrections: np.ndarray, lead: float, fit_eval) -> StaircaseResult:
 
     corrections holds the series in double precision and lead its leading
     term; fit_eval(M, N) returns the leading term plus the [M/N] Pade value
-    at 1/lbar, fitted in the precision of the solve.  Members whose fit
-    fails or whose denominator sits on a pole are recorded as missing.  The
+    at 1/lbar, fitted in the precision of the solve, or None where that fit
+    failed.  Members whose fit fails or whose denominator sits on a pole are
+    recorded as missing.  The
     spread is max - min over the last five available members (fewer if the
     ladder is shorter); spread <= STABILITY_TOL is the convergence signal
     used to accept a state.
