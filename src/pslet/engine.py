@@ -433,35 +433,78 @@ class _F64Backend:
         return np.convolve(a, b)[: cap + 1]
 
     # The batched kernels below each stand for a plain loop, named in their
-    # docstrings, and give its bits: every sum keeps its term order.
+    # docstrings, and give its bits: every sum keeps its term order.  The
+    # two product sums take no cap: no product of the hierarchy reaches it
+    # (see _hierarchy_core).
 
     @staticmethod
-    def product_sum(terms, cap, index):
-        """The plain sum 0.0 + p_index[0] + p_index[1] + ..., each row zero-padded.
+    def operand(a):
+        """The form the product sums read a in: (a, a reversed, contiguous).
 
-        p_t is sign * poly_mul(a, b, cap) for the t-th (a, b, sign) of terms,
-        sign 1.0 or -1.0, and index lists the products to add, in order, each
-        as often as it appears.  The plain loop is acc = poly_zeros(1), then
-        acc = acc + p_t for each t of index, every sum started from +0.0 as a
-        zero buffer does.  Here each product is formed once by the C
-        correlation np.convolve runs, np.correlate(longer, shorter[::-1]),
-        the first operand the longer on a tie; the indexed ones are added in
-        place, in order, to a zero buffer as wide as the widest of them, and
-        one of sign -1.0 is subtracted, which rounds as adding its negation.
+        np.convolve(a, b) is the C correlation np.correlate(longer,
+        shorter[::-1], "full"), the first operand counting as the longer on
+        a tie.  _hierarchy_core makes this form once for each polynomial a
+        product reads, when it is solved, so a product finds either operand
+        ready in the order it needs; only T_known, made anew each half-order
+        and the shorter operand only at j = 1 with k >= 3, is reversed there.
         """
-        rows = []
-        for a, b, _ in terms:
-            if len(b) > len(a):
-                a, b = b, a
-            rows.append(np.correlate(a, b[::-1], "full"))
-        acc = np.zeros(max([len(rows[t]) for t in index], default=1))
-        for t in index:
-            row = rows[t]
-            if terms[t][2] == 1.0:
+        return a, a[::-1].copy()
+
+    @staticmethod
+    def mirrored_sum(W, j):
+        """The plain sum 0.0 + W_1 W_{j-1} + W_2 W_{j-2} + ... + W_{j-1} W_1.
+
+        W holds operand forms, W_i with 2i + 2 coefficients.  The plain loop
+        is acc = poly_zeros(1), then acc = acc + poly_mul(W_i, W_{j-i}, cap)
+        for i = 1..j-1, every sum started from +0.0 as a zero buffer does;
+        at j = 1 it is poly_zeros(1).  W_i W_{j-i} and W_{j-i} W_i are the
+        same bits, the longer operand going first whichever is named first,
+        so each product is formed once for i <= j/2, as
+        np.correlate(W_{j-i}, W_i reversed), and added at i and at j - i.
+        Every product has 2j + 3 coefficients, so whole rows are added in
+        place to one zero buffer.
+        """
+        rows = [np.correlate(W[j - i][0], W[i][1], "full") for i in range(1, j // 2 + 1)]
+        acc = np.zeros(2 * j + 3 if j > 1 else 1)
+        for row in rows + rows[: (j - 1) // 2][::-1]:
+            acc += row
+        return acc
+
+    @staticmethod
+    def f_term_sum(f0, t_known, F, T, Fp, W, j):
+        """The plain sum F_0 T_known + sum over i = 1..j-1 of (F_i T_{j-i} - F_i' W_{j-i}).
+
+        f0, F, T, Fp and W hold operand forms, and t_known is a plain array;
+        F[i] or Fp[i] is None where its product is left out.  The plain loop
+        is R = poly_mul(F_0, T_known, cap), then R = poly_add(R, poly_mul(F_i,
+        T_{j-i}, cap)) and R = poly_add(R, poly_mul(F_i', W_{j-i}, cap), -1.0)
+        for each i in order, poly_add with a zero buffer.  Each product is
+        np.correlate(longer, shorter reversed), the F side first on a tie,
+        as np.convolve(F_i, T_{j-i}) takes it.  F_0 T_known is the widest
+        row (a wider later one fails numpy's broadcast), so it is that
+        buffer with its +0.0 start already added (np.correlate's sums start
+        from +0.0); the later rows are added in place, a row of sign -1.0
+        subtracted, which rounds as adding its negation.  F_0 with one
+        coefficient c (k = 0, where c = 1.0) makes the row c T_known + 0.0,
+        the correlation's sums without the call.
+        """
+        f0, f0r = f0
+        if len(f0) == 1:
+            acc = t_known * f0[0] + 0.0
+        elif len(t_known) > len(f0):
+            acc = np.correlate(t_known, f0r, "full")
+        else:
+            acc = np.correlate(f0, t_known[::-1], "full")
+        for f, t, fp, w in zip(F[1:j], T[j - 1 : 0 : -1], Fp[1:j], W[j - 1 : 0 : -1]):
+            if f is not None:
+                (f, fr), (t, tr) = f, t
+                row = np.correlate(t, fr, "full") if len(t) > len(f) else np.correlate(f, tr, "full")
                 acc[: len(row)] += row
-            else:
+            if fp is not None:
+                (f, fr), (w, wr) = fp, w
+                row = np.correlate(w, fr, "full") if len(w) > len(f) else np.correlate(f, wr, "full")
                 acc[: len(row)] -= row
-        return acc[: cap + 1]
+        return acc
 
     @staticmethod
     def poly_scale(a, z):
@@ -565,27 +608,38 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     loops, for the compiled correction table.
 
     Work that does not change inside the half-order loop is done once per
-    solve: the influence polynomial of each power, the derivative of each
-    solved F_i and the mirrored products W_i W_{j-i}.  Products with an F_i
-    that has no unknowns (every i >= 1 for k = 0, even i for k = 1) are
-    skipped, and T_j is only built where such a product reads it.  So is
+    solve: the influence polynomial of each power, and the operand form
+    (be.operand) of each solved W_i, F_i, F_i' and T_i that the product
+    sums read, made when the piece is solved.  Products with an F_i that
+    has no unknowns (every i >= 1 for k = 0, even i for k = 1) are skipped,
+    and T_j is only built where such a product reads it.  So is
     F_i' W_{j-i} where F_i's only unknown sits at power 0, so that F_i' is
     identically zero: every such term at k = 1, and those of even i at
-    k = 2.
+    k = 2.  A skipped piece has no operand form (None).
 
-    Each half-order makes two product_sum calls and one eliminate call.
-    The first product_sum forms every W_i W_{j-i} once and adds them up in
-    the order i = 1..j-1; the second forms F_0 T_known, every F_i T_{j-i}
-    and every -F_i' W_{j-i}, and adds those up into R.
+    Each half-order makes two product sums and one eliminate call.
+    mirrored_sum forms every W_i W_{j-i} once, for i <= j/2, and adds them
+    up in the order i = 1..j-1; f_term_sum forms F_0 T_known, every
+    F_i T_{j-i} and every -F_i' W_{j-i}, and adds those up into R.  No
+    product reaches the cap k + 2J + 4 of the plain loop's poly_mul: the
+    widest, F_0 T_known at j = J, has k + 2J + 3 coefficients.
     eliminate then solves the half-order's W unknowns one power at a time
     on the backend's own form of R, each update touching only the nonzero
     coefficients of the influence.  In double precision all of it gives the
     bits of the plain loop of poly_add / poly_mul / get / axpy / set_ calls,
     resting on these facts (tests/test_batched_kernels.py):
 
-    1. every sum keeps its term order (product_sum adds rows one by one),
-       and every row is the np.convolve it stands for, from the same C
-       correlation of the longer operand with the reversed shorter one;
+    1. every sum keeps its term order (both sums add rows one by one), and
+       every row is the np.convolve it stands for, from the same C
+       correlation of the longer operand with the reversed shorter one,
+       F_i or F_i' first on a tie (k = 5 ties F_i with T_1 and F_i' with
+       W_1; k = 3 ties F_0 with T_known at j = 1).  That correlation takes
+       its dot products from the BLAS ddot, whose summation order is the
+       BLAS kernel's: with OpenBLAS 0.3.31 (DYNAMIC_ARCH, Haswell kernel) a
+       dot of 1-11 terms is the sequential sum, one of 12-15 the
+       sequential sum with fused multiply-adds, and a longer one neither.
+       So the double bits, and tests/data/hierarchy_pin.json, hold for that
+       kernel; another BLAS kernel may round the longer products otherwise;
     2. adding an exact zero to a value that holds no negative zero returns
        it unchanged, so zero padding and skipped coefficients change
        nothing; every sum here starts from +0.0;
@@ -593,7 +647,8 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
        negative zero: the negative zeros that _F64Backend.poly_add keeps
        without a zero buffer never reach R, and F_0 T_known, which the
        plain loop takes as R's start, passes the +0.0 start of R's sum
-       unchanged (at k = 0 it is the only row);
+       unchanged (at k = 0, where F_0 = [1.0], it is the only row,
+       T_known + 0.0);
     4. a skipped F_i' W_{j-i} row was an exact (signed) zero: every operand
        is finite once the earlier half-orders have passed their residual
        check, and R, which is longer than the row, holds no negative zero,
@@ -615,8 +670,12 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
 
     W = [None] * (J + 1)
     F = [None] * (J + 1)
-    Fp = [None] * (J + 1)
-    T = [None] * (J + 1)
+    # the operand forms the two product sums read, each made once, when its
+    # polynomial is solved; None where no product reads it
+    W_op = [None] * (J + 1)
+    F_op = [None] * (J + 1)
+    Fp_op = [None] * (J + 1)
+    T_op = [None] * (J + 1)
     eps = {}
 
     if be.to_float(omega_s) <= 0.0:
@@ -633,6 +692,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         be.set_(f0, p, val)
     F[0] = f0
     f0p = be.poly_diff(F[0])
+    f0_op = be.operand(F[0])
 
     # F_i carries unknowns at the powers p < k of parity k + i; with none it
     # stays zero and its products would add exact zeros to R.  T_j is read
@@ -661,22 +721,12 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         prefactor.append((pivot, be.sparse(infl)))
 
     for j in range(1, J + 1):
-        # known part: products of already-solved pieces.  W_i W_{j-i} and
-        # W_{j-i} W_i are the same bits: W_i has 2i+2 coefficients, so the
-        # operands differ in length whenever i != j-i, and the product kernel
-        # (longer operand first, as in np.convolve) then computes it in one
-        # fixed operand order.  Each product is formed once and added at i
-        # and j-i, summing over i = 1..j-1.
-        pairs = [(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)]
-        acc = be.product_sum(pairs, cap, [min(i, j - i) - 1 for i in range(1, j)])
+        # known part: products of already-solved pieces, the sum of the
+        # W_i W_{j-i} over i = 1..j-1, then R from F_0 T_known and the
+        # F_i T_{j-i} and -F_i' W_{j-i} that are not identically zero
+        acc = be.mirrored_sum(W_op, j)
         t_known = be.poly_add(be.poly_scale(acc, minus_half), vpolys[j])
-        terms = [(F[0], t_known, 1.0)]
-        for i in range(1, j):
-            if has_f[i]:
-                terms.append((F[i], T[j - i], 1.0))
-            if has_fp[i]:
-                terms.append((Fp[i], W[j - i], -1.0))
-        R = be.product_sum(terms, cap, range(len(terms)))
+        R = be.f_term_sum(f0_op, t_known, F_op, T_op, Fp_op, W_op, j)
         scale = max(be.max_abs(R), 1.0)
 
         # odd-parity unknowns at even half-orders, even-parity at odd ones;
@@ -686,6 +736,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         powers = range(2 * j + 1, -1, -2) if j % 2 == 0 else range(2 * j, -1, -2)
         scale = be.eliminate(r, wj, powers, influence, k, omega_s, scale)
         W[j] = wj
+        W_op[j] = be.operand(wj)
 
         if j % 2 == 0:
             # the x^k coefficient carries the energy at integer orders
@@ -703,8 +754,10 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
             r = be.axpy(r, infl, z)
             be.set_(fj, p, z)
         F[j] = fj
+        if has_f[j]:
+            F_op[j] = be.operand(fj)
         if has_fp[j]:
-            Fp[j] = be.poly_diff(fj)
+            Fp_op[j] = be.operand(be.poly_diff(fj))
 
         # the check reads every coefficient of R; an overflow that leaves
         # R infinite (with an infinite scale) fails it too
@@ -724,7 +777,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
             tj = be.poly_add(tj, vpolys[j])
             if j % 2 == 0:
                 be.set_(tj, 0, be.get(tj, 0) - eps[j])
-            T[j] = tj
+            T_op[j] = be.operand(tj)
 
     q0_sq = q0_s * q0_s
     corrections = [eps[2 * n + 2] / q0_sq for n in range(order + 1)]

@@ -1,22 +1,24 @@
 """The hierarchy's batched kernels against the sequential sums they stand for.
 
 Each kernel of engine._F64Backend that engine._hierarchy_core calls
-(product_sum, eliminate, influences) replaces a loop of poly_add /
-poly_mul / get / axpy / set_ calls and must give its bits, the sign of
-every zero included.  The references below
-are those loops, with the double-precision poly_add in its zero-buffer
-form.  Inputs are random stacks of unequal lengths with exact zeros and
-negative zeros.  The hierarchy forms the sum of its pair products
-W_i W_{j-i} (each added at i and at j - i) and its residual R with one
-product_sum call each, and both are checked against the loop they replace.
+(mirrored_sum, f_term_sum, eliminate, influences) replaces a loop of
+poly_add / poly_mul / get / axpy / set_ calls and must give its bits, the
+sign of every zero included.  The references below are those loops, with
+the double-precision poly_add in its zero-buffer form.  Inputs are random
+stacks of unequal lengths with exact zeros and negative zeros.  The
+hierarchy forms the sum of its pair products W_i W_{j-i} with mirrored_sum
+and its residual R with f_term_sum, both reading operands in the form
+operand() gives them; each is checked against the loop it replaces, the
+rational backend's too, and the whole hierarchy against the generic
+product kernel it called before.
 
 The kernels keep the term order of every sum and rest on two facts,
 checked here directly: adding an exact zero to a value that holds no
 negative zero returns it unchanged (a dd pair too); np.convolve starts its
 sums from +0.0, so it never returns a negative zero.  The double kernels
-also rest on their numpy spelling, checked here too: product_sum's
-np.correlate(longer, shorter[::-1]) is np.convolve whichever operand comes
-first; poly_add without its multiply by 1.0 keeps every -0.0 an operand
+also rest on their numpy spelling, checked here too: np.correlate(longer,
+shorter reversed) is np.convolve whichever operand comes first, F_i first
+on a tie; poly_add without its multiply by 1.0 keeps every -0.0 an operand
 held; max_abs passes a NaN or inf on to the residual check.  The double
 backend and tools/series_table.py's rational backend offer the same
 methods, and only those the hierarchy calls.
@@ -86,14 +88,66 @@ def _zero_buffer_add(a, b, sign=1.0):
     return out
 
 
-def _mirrored(j: int) -> list:
-    """The hierarchy's index into its pair products: W_i W_{j-i} for i = 1..j-1."""
-    return [min(i, j - i) - 1 for i in range(1, j)]
+# a cap no product reaches, as in the hierarchy (see _hierarchy_core)
+_NO_CAP = 10**6
 
 
-def _random_index(n_terms: int, max_len: int) -> list:
-    """A random index list over n_terms terms, with repeats."""
-    return [int(t) for t in _RNG.integers(0, n_terms, size=int(_RNG.integers(0, max_len + 1)))]
+def _plain_add(be):
+    """The plain loop's sum step: the zero-buffer sum in double precision."""
+    return _zero_buffer_add if be is _F64Backend else be.poly_add
+
+
+def _plain_mirrored_sum(be, W, j):
+    """The plain loop mirrored_sum stands for: W_i W_{j-i} for i = 1..j-1, from a +0.0 start."""
+    add = _plain_add(be)
+    acc = be.poly_zeros(1)
+    for i in range(1, j):
+        acc = add(acc, be.poly_mul(W[i], W[j - i], _NO_CAP))
+    return acc
+
+
+def _plain_f_term_sum(be, f0, t_known, F, T, Fp, W, j, cap=_NO_CAP):
+    """The plain loop f_term_sum stands for; a None F[i] or Fp[i] leaves its product out."""
+    add = _plain_add(be)
+    R = be.poly_mul(f0, t_known, cap)
+    for i in range(1, j):
+        if F[i] is not None:
+            R = add(R, be.poly_mul(F[i], T[j - i], cap))
+        if Fp[i] is not None:
+            R = add(R, be.poly_mul(Fp[i], W[j - i], cap), -1.0)
+    return R
+
+
+def _ops(be, polys: list) -> list:
+    """The operand forms of polys, None kept."""
+    return [None if p is None else be.operand(p) for p in polys]
+
+
+def _f_terms(be, f0, t_known, F, T, Fp, W, j):
+    """f_term_sum on plain polynomials, each put in operand form first."""
+    return be.f_term_sum(be.operand(f0), t_known, _ops(be, F), _ops(be, T), _ops(be, Fp),
+                         _ops(be, W), j)
+
+
+def _random_f_terms(j: int, lf: int, lfp: int, t_len, w_len, f0_len=None, tk_len=None):
+    """(f0, t_known, F, T, Fp, W) for f_term_sum at half-order j, as plain arrays.
+
+    F_i has lf coefficients and F_i' lfp, T_i t_len(i) and W_i w_len(i);
+    F_0 has f0_len (lf + 1 if None), and T_known tk_len (if None, enough to
+    make F_0 T_known the widest row, as in the hierarchy).  About 30% of the
+    F_i and F_i' are None.
+    """
+    def some(n):
+        return [None] + [None if _RNG.random() < 0.3 else _random_f64(n) for _ in range(1, j)]
+
+    F, Fp = some(lf), some(lfp)
+    T = [None] + [_random_f64(t_len(i)) for i in range(1, j)]
+    W = [None] + [_random_f64(w_len(i)) for i in range(1, j)]
+    rows = [lf + len(t) - 1 for t in T[1:]] + [lfp + len(w) - 1 for w in W[1:]]
+    f0_len = lf + 1 if f0_len is None else f0_len
+    if tk_len is None:
+        tk_len = max(max(rows, default=1) - f0_len + 1, int(_RNG.integers(1, 2 * j + 4)))
+    return _random_f64(f0_len), _random_f64(tk_len), F, T, Fp, W
 
 
 # ----------------------------------------------------------------------
@@ -127,52 +181,67 @@ def test_convolve_never_returns_negative_zero():
 
 @pytest.mark.parametrize("max_len", [1, 30])
 def test_f64_ordered_sum_is_the_sequential_sum(max_len):
-    # product_sum's sum, over every term in order and over an index with
-    # repeats; one-coefficient rows: a reduction over a stack of them
-    # (np.sum(axis=0)) would pair rows up
-    for _ in range(300):
-        terms = [(_random_f64(1), _random_f64(int(_RNG.integers(1, max_len + 1))),
-                  float(_RNG.choice([1.0, -1.0])))
-                 for _ in range(int(_RNG.integers(1, 25)))]
-        for index in (range(len(terms)), _random_index(len(terms), 40)):
-            acc = np.zeros(1)
-            for t in index:
-                a, b, sign = terms[t]
-                acc = _zero_buffer_add(acc, _F64Backend.poly_mul(a, b, 60), sign)
-            assert _bits(_F64Backend.product_sum(terms, 60, index)) == _bits(acc)
+    # f_term_sum adds its rows one by one, in order; one-coefficient rows:
+    # a reduction over a stack of them (np.sum(axis=0)) would pair rows up
+    for _ in range(100):
+        j = int(_RNG.integers(1, 25))
+        if max_len == 1:
+            f0, t_known = _random_f64(1), _random_f64(1)
+            F, T, Fp, W = ([None] + [_random_f64(1) for _ in range(1, j)] for _ in range(4))
+        else:
+            def length(i):
+                return int(_RNG.integers(1, max_len + 1))
+
+            f0, t_known, F, T, Fp, W = _random_f_terms(
+                j, int(_RNG.integers(1, 6)), int(_RNG.integers(1, 5)), length, length)
+        got = _f_terms(_F64Backend, f0, t_known, F, T, Fp, W, j)
+        assert _bits(got) == _bits(_plain_f_term_sum(_F64Backend, f0, t_known, F, T, Fp, W, j))
 
 
-def test_f64_product_sum_is_the_sequential_sum():
-    # R = poly_mul(F_0, T_known), then R = poly_add(R, poly_mul(a, b), sign)
-    # for each term; with no terms (k = 0) R is the lone product
-    for _ in range(200):
-        cap = int(_RNG.integers(3, 60))
-        f0, t_known = _random_f64(int(_RNG.integers(1, 6))), _random_f64(int(_RNG.integers(1, 20)))
-        terms = [
-            (_random_f64(int(_RNG.integers(1, 6))), _random_f64(int(_RNG.integers(1, 40))),
-             float(_RNG.choice([1.0, -1.0])))
-            for _ in range(int(_RNG.integers(0, 12)))
-        ]
-        ref = _F64Backend.poly_mul(f0, t_known, cap)
-        for a, b, sign in terms:
-            ref = _zero_buffer_add(ref, _F64Backend.poly_mul(a, b, cap), sign)
-        terms = [(f0, t_known, 1.0)] + terms
-        got = _F64Backend.product_sum(terms, cap, range(len(terms)))
-        assert _bits(got) == _bits(ref)
+def test_f64_f_term_sum_is_the_sequential_sum():
+    # R = poly_mul(F_0, T_known), then each F_i T_{j-i} added and each
+    # F_i' W_{j-i} taken away, in the order i = 1..j-1, with the hierarchy's
+    # operand lengths: F_i has max(k, 1) coefficients, T_i 2i + 3 and W_i
+    # 2i + 2, so k = 5 ties F_i with T_1 and F_i' with W_1, and k = 3 ties
+    # F_0 with T_known at j = 1
+    for _ in range(40):
+        for k in range(6):
+            j = int(_RNG.integers(1, 16))
+            f0, t_known, F, T, Fp, W = _random_f_terms(
+                j, max(k, 1), max(k - 1, 1), lambda i: 2 * i + 3, lambda i: 2 * i + 2,
+                f0_len=k + 1, tk_len=2 * j + 3 if j > 1 else 4)
+            if k == 0:  # F_0 = [1.0], and no F_i has unknowns
+                f0, F, Fp = np.ones(1), [None] * j, [None] * j
+            got = _f_terms(_F64Backend, f0, t_known, F, T, Fp, W, j)
+            assert _bits(got) == _bits(_plain_f_term_sum(_F64Backend, f0, t_known, F, T, Fp, W, j))
+
+
+def test_f64_k0_row_is_t_known_plus_zero():
+    # at k = 0 the sum is F_0 T_known alone with F_0 = [1.0]: T_known + 0.0,
+    # the -0.0 of T_known turned to +0.0 as np.convolve's sums do
+    for _ in range(100):
+        j = int(_RNG.integers(1, 41))
+        t_known = _random_f64(2 * j + 3 if j > 1 else 4)
+        t_known[_RNG.random(len(t_known)) < 0.3] = -0.0
+        t_known[0] = -0.0
+        f0, F = np.ones(1), [None] * j
+        got = _f_terms(_F64Backend, f0, t_known, F, F, F, F, j)
+        assert _bits(got) == _bits(_plain_f_term_sum(_F64Backend, f0, t_known, F, F, F, F, j))
+        assert _bits(got) == _bits(t_known + 0.0)
+        assert not np.any(np.signbit(got) & (got == 0.0))
 
 
 def test_f64_pair_products():
-    # the sum over the mirrored index, and each pair product on its own
+    # the mirrored sum, and each pair product on its own: np.correlate(W_{j-i},
+    # W_i reversed) is np.convolve in either operand order
     W = [_random_f64(2 * i + 2) for i in range(12)]
+    Wop = _ops(_F64Backend, W)
     for j in range(1, 12):
-        pairs = [(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)]
-        ref = np.zeros(1)
-        for i in range(1, j):
-            ref = _zero_buffer_add(ref, _F64Backend.poly_mul(W[i], W[j - i], 40))
-        assert _bits(_F64Backend.product_sum(pairs, 40, _mirrored(j))) == _bits(ref)
-        for t, (a, b, _) in enumerate(pairs):
-            one = _zero_buffer_add(np.zeros(1), _F64Backend.poly_mul(a, b, 40))
-            assert _bits(_F64Backend.product_sum(pairs, 40, [t])) == _bits(one)
+        ref = _plain_mirrored_sum(_F64Backend, W, j)
+        assert _bits(_F64Backend.mirrored_sum(Wop, j)) == _bits(ref)
+        for i in range(1, j // 2 + 1):
+            row = _bits(np.correlate(Wop[j - i][0], Wop[i][1], "full"))
+            assert row == _bits(np.convolve(W[i], W[j - i])) == _bits(np.convolve(W[j - i], W[i]))
 
 
 def test_f64_poly_add_without_zero_buffer():
@@ -191,18 +260,23 @@ def test_f64_poly_add_without_zero_buffer():
 @pytest.mark.parametrize("first", ["shorter", "equal"])
 def test_product_is_convolve_whichever_operand_comes_first(first):
     # np.convolve correlates the longer operand with the reversed shorter
-    # one, the first operand counting as the longer on a tie; product_sum
-    # must pick the same two, since the other pairing rounds differently
+    # one, the first operand counting as the longer on a tie; f_term_sum
+    # must pick the same two, F_i first on a tie, since the other pairing
+    # rounds differently.  The product sits in F_0 T_known (j = 1) and in
+    # F_1 T_1 over a zero F_0 T_known (j = 2), whose +0.0 passes it unchanged.
     swapped_differs = 0
     for _ in range(200):
         n = int(_RNG.integers(2, 40))
         a = _random_f64(n if first == "equal" else int(_RNG.integers(1, n)))
         b = _random_f64(n)
-        cap = int(_RNG.integers(0, 2 * n))
-        ref = np.convolve(a, b)[: cap + 1]
-        assert _bits(_F64Backend.product_sum([(a, b, 1.0)], cap, [0])) == _bits(ref)
+        ref = np.convolve(a, b)
+        assert _bits(_f_terms(_F64Backend, a, b, [None], [None], [None], [None], 1)) == _bits(ref)
+        zero = np.zeros(len(a) + 1)
+        got = _f_terms(_F64Backend, zero, np.zeros(len(b)), [None, a], [None, b], [None, None],
+                       [None, None], 2)
+        assert _bits(got[: len(ref)]) == _bits(ref)
         longer, shorter = (b, a) if first == "equal" else (a, b)  # the pairing not taken
-        other = np.correlate(longer, shorter[::-1], "full")[: cap + 1]
+        other = np.correlate(longer, shorter[::-1], "full")
         swapped_differs += _bits(other) != _bits(ref)
     assert swapped_differs > 0
 
@@ -253,57 +327,51 @@ def test_max_abs_passes_nan_and_inf_to_the_residual_check(bad):
 
 
 # ----------------------------------------------------------------------
-# product_sum
+# the two product sums
 # ----------------------------------------------------------------------
 
-def _products_case(case: str):
-    """(terms, cap) for one edge of the kernel; the operands hold exact +-0 coefficients."""
-    def term(la: int, lb: int):
-        return _random_f64(la), _random_f64(lb), float(_RNG.choice([1.0, -1.0]))
-
-    if case == "equal_lengths":
-        return [term(12, 12) for _ in range(6)], 40
-    if case == "longer_first":
-        return [term(int(_RNG.integers(8, 30)), int(_RNG.integers(1, 8))) for _ in range(6)], 60
-    if case == "cap_below_a_row":  # rows m > cap are live and are cut
-        a, b, sign = term(8, 10)
-        a[4:8] = _RNG.normal(size=4)
-        return [(a, b, sign)], 3
-    if case == "one_term":
-        return [term(int(_RNG.integers(1, 10)), int(_RNG.integers(1, 30)))], 50
-    if case == "negative_sign_zeros":  # the product's +0.0 columns 0-2 turn to -0.0
-        a, b, _ = term(5, 9)
-        a[0:3] = 0.0
-        return [(a, b, -1.0), (b, a, -1.0)], 50
+def _products_case(case: str, j: int):
+    """f_term_sum inputs (f0, t_known, F, T, Fp, W) for one edge of the kernel, and a cap."""
+    if case == "equal_lengths":  # every product a tie, F_i first
+        return _random_f_terms(j, 12, 12, lambda i: 12, lambda i: 12), _NO_CAP
+    if case == "longer_first":  # T_i and W_i the longer, as in the hierarchy
+        return _random_f_terms(j, int(_RNG.integers(1, 8)), int(_RNG.integers(1, 8)),
+                               lambda i: int(_RNG.integers(8, 30)),
+                               lambda i: int(_RNG.integers(8, 30))), _NO_CAP
+    if case == "row_at_the_cap":  # the widest row ends at the cap, as at j = J
+        terms = _random_f_terms(j, 4, 3, lambda i: 2 * i + 3, lambda i: 2 * i + 2)
+        return terms, len(terms[0]) + len(terms[1]) - 2
+    if case == "one_term":  # F_0 T_known alone
+        return _random_f_terms(1, 1, 1, None, None, int(_RNG.integers(1, 10)),
+                               int(_RNG.integers(1, 30))), _NO_CAP
+    if case == "negative_sign_zeros":  # -F_i' W_{j-i} rows hold -0.0 in columns 0-2
+        f0, t_known, F, T, Fp, W = _random_f_terms(j, 5, 5, lambda i: 9, lambda i: 9)
+        f0[0:3], t_known[0:3] = 0.0, 0.0
+        Fp = [None] + [_random_f64(5) for _ in range(1, j)]
+        F = [None] * j
+        for fp in Fp[1:]:
+            fp[0:3] = 0.0
+        return (f0, t_known, F, T, Fp, W), _NO_CAP
     raise ValueError(case)
-
-
-def _plain_sum(be, terms, cap, index):
-    """The plain loop product_sum stands for, from a +0.0 start."""
-    acc = be.poly_zeros(1)
-    for t in index:
-        a, b, sign = terms[t]
-        acc = _zero_buffer_add(acc, be.poly_mul(a, b, cap), sign)
-    return acc
 
 
 @pytest.mark.parametrize("be", [_F64Backend])
 @pytest.mark.parametrize(
-    "case", ["equal_lengths", "longer_first", "cap_below_a_row", "one_term", "negative_sign_zeros"]
+    "case", ["equal_lengths", "longer_first", "row_at_the_cap", "one_term", "negative_sign_zeros"]
 )
 def test_products_are_the_signed_poly_mul(be, case):
-    # each term on its own, every term in order, and an index with repeats
     for _ in range(30):
-        terms, cap = _products_case(case)
-        n = len(terms)
-        for index in [[t] for t in range(n)] + [range(n), _random_index(n, 12)]:
-            got = be.product_sum(terms, cap, index)
-            assert _bits(got) == _bits(_plain_sum(be, terms, cap, index))
+        j = int(_RNG.integers(2, 12))
+        terms, cap = _products_case(case, j)
+        j = len(terms[2])
+        got = _f_terms(be, *terms, j)
+        assert _bits(got) == _bits(_plain_f_term_sum(be, *terms, j, cap))
     if case == "negative_sign_zeros":
-        # the rows hold -0.0 there; the sum's +0.0 start turns them to +0.0
-        rows = [sign * be.poly_mul(a, b, cap) for a, b, sign in terms]
+        # the rows hold -0.0 there; the +0.0 of F_0 T_known turns them to +0.0
+        f0, t_known, F, T, Fp, W = terms
+        rows = [-be.poly_mul(fp, w, cap) for fp, w in zip(Fp[1:], W[j - 1 : 0 : -1])]
         assert all(_bits(r)[:3] == ["-0x0.0p+0"] * 3 for r in rows)
-        assert _bits(be.product_sum(terms, cap, range(n)))[:3] == ["0x0.0p+0"] * 3
+        assert _bits(_f_terms(be, *terms, j))[:3] == ["0x0.0p+0"] * 3
 
 
 @pytest.mark.parametrize("be", [_F64Backend])
@@ -318,40 +386,45 @@ def test_pair_products_with_zero_parity_rows(be):
             zero = np.flatnonzero(_RNG.random(i + 1) < (1.0 if i == 1 else 0.5))
             w[2 * zero + (i + 1) % 2] = np.where(_RNG.random(len(zero)) < 0.5, -0.0, 0.0)
             W.append(w)
+        Wop = _ops(be, W)
         for j in range(1, 16):
-            pairs = [(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)]
-            got = be.product_sum(pairs, 50, _mirrored(j))
-            assert _bits(got) == _bits(_plain_sum(be, pairs, 50, _mirrored(j)))
+            assert _bits(be.mirrored_sum(Wop, j)) == _bits(_plain_mirrored_sum(be, W, j))
 
 
 @pytest.mark.parametrize("be", [_F64Backend])
 def test_no_products(be):
-    # half-order 1 has no pairs; an empty index adds nothing to the zero start
-    zero = _bits(be.poly_zeros(1))
-    assert _bits(be.product_sum([], 10, [])) == zero
-    assert _bits(be.product_sum([], 10, range(0))) == zero
-    terms = [(_random_f64(3), _random_f64(5), 1.0)]
-    assert _bits(be.product_sum(terms, 10, [])) == zero
+    # half-order 1 has no pairs: the mirrored sum is the zero start; with
+    # every F_i and F_i' None the F-term sum is F_0 T_known alone
+    assert _bits(be.mirrored_sum([None, None], 1)) == _bits(be.poly_zeros(1))
+    for j in (1, 2, 7):
+        f0, t_known = _random_f64(3), _random_f64(2 * j + 3)
+        W = [None] + [_random_f64(2 * i + 2) for i in range(1, j)]
+        none = [None] * j
+        got = _f_terms(be, f0, t_known, none, W, none, W, j)
+        assert _bits(got) == _bits(_zero_buffer_add(np.zeros(1), np.convolve(f0, t_known)))
 
 
-def test_rational_product_sum_is_the_plain_loop():
+def _random_fractions(n: int) -> list:
+    return [Fraction(int(_RNG.integers(-50, 51)), int(_RNG.integers(1, 30)))
+            if _RNG.random() < 0.8 else Fraction(0) for _ in range(n)]
+
+
+def test_rational_kernels_are_the_plain_loop():
     # the rational backend sums in integers over one common denominator;
     # the plain loop of poly_add / poly_mul must give the same Fractions
-    def poly(n):
-        return [Fraction(int(_RNG.integers(-50, 51)), int(_RNG.integers(1, 30)))
-                if _RNG.random() < 0.8 else Fraction(0) for _ in range(n)]
-
     be = _RationalBackend
     for _ in range(40):
-        terms = [(poly(int(_RNG.integers(1, 8))), poly(int(_RNG.integers(1, 12))),
-                  float(_RNG.choice([1.0, -1.0]))) for _ in range(int(_RNG.integers(1, 6)))]
-        cap = int(_RNG.integers(0, 20))
-        for index in (range(len(terms)), _random_index(len(terms), 10), []):
-            acc = be.poly_zeros(1)
-            for t in index:
-                a, b, sign = terms[t]
-                acc = be.poly_add(acc, be.poly_mul(a, b, cap), sign)
-            assert be.product_sum(terms, cap, index) == acc
+        j = int(_RNG.integers(1, 9))
+        W = [None] + [_random_fractions(2 * i + 2) for i in range(1, j)]
+        assert be.mirrored_sum(_ops(be, W), j) == _plain_mirrored_sum(be, W, j)
+        lf = int(_RNG.integers(1, 6))
+        F = [None] + [None if _RNG.random() < 0.3 else _random_fractions(lf) for _ in range(1, j)]
+        Fp = [None] + [None if _RNG.random() < 0.3 else _random_fractions(max(lf - 1, 1))
+                       for _ in range(1, j)]
+        T = [None] + [_random_fractions(2 * i + 3) for i in range(1, j)]
+        f0, t_known = _random_fractions(lf + 1), _random_fractions(2 * j + 3)
+        got = _f_terms(be, f0, t_known, F, T, Fp, W, j)
+        assert got == _plain_f_term_sum(be, f0, t_known, F, T, Fp, W, j)
 
 
 def _backend_calls(fn) -> set:
@@ -372,6 +445,7 @@ def test_backends_offer_what_the_hierarchy_calls():
 
     callers = (_hierarchy_core, engine._v_polys)
     called = set().union(*(_backend_calls(fn) for fn in callers))
+    assert {"operand", "mirrored_sum", "f_term_sum"} <= called
     assert public(_F64Backend) == public(_RationalBackend)
     assert public(_F64Backend) == called, (
         f"not called: {sorted(public(_F64Backend) - called)}, "
@@ -465,50 +539,32 @@ def test_eliminate_is_the_per_power_loop(be, k):
 
 
 # ----------------------------------------------------------------------
-# the F' skip of the hierarchy
+# the F' skip of the hierarchy, and the hierarchy against its generic sum
 # ----------------------------------------------------------------------
 
 def _with_zero_fp_rows(base, k: int):
-    """base, with product_sum given back the rows F_i' W_{j-i} whose F_i' is zero.
+    """base, with f_term_sum given back the rows F_i' W_{j-i} whose F_i' is zero.
 
-    _hierarchy_core leaves those rows out when F_i's only unknown sits at
-    power 0.  Here they go back in their old places, each with the F_i' that
-    poly_diff gives for such an F_i: its powers above 0 are all zero.  Each
-    half-order calls product_sum twice: first for the pairs W_i W_{j-i},
-    from which W_1..W_{j-1} and j are read (W_i has 2i + 2 coefficients),
-    then for the rows of R, F_0 T_known first, each added once in order.
+    _hierarchy_core leaves those rows out (Fp[i] is None while F[i] is not)
+    when F_i's only unknown sits at power 0.  Here they go back in their
+    places, each with the F_i' that poly_diff gives for such an F_i: its
+    powers above 0 are all zero.
     """
+    zero_fp = base.operand(base.poly_diff(base.poly_zeros(max(k, 1))))
 
     class Backend(base):
-        W = None
-
         @staticmethod
-        def product_sum(terms, cap, index):
-            if Backend.W is None:
-                Backend.W = {len(w) // 2 - 1: w for a, b, _ in terms for w in (a, b)}
-                return base.product_sum(terms, cap, index)
-            assert index == range(len(terms))
-            W, Backend.W = Backend.W, None
-            j = max(W, default=0) + 1
-            full, given = [terms[0]], iter(terms[1:])
-            for i in range(1, j):
-                powers = [p for p in range(k) if p % 2 == (k + i) % 2]
-                if powers:
-                    full.append(next(given))  # F_i T_{j-i}
-                    if max(powers) > 0:
-                        full.append(next(given))  # F_i' W_{j-i}
-                    else:
-                        zero_fp = base.poly_diff(base.poly_zeros(max(k, 1)))
-                        full.append((zero_fp, W[j - i], -1.0))
-            assert next(given, None) is None
-            return base.product_sum(full, cap, range(len(full)))
+        def f_term_sum(f0, t_known, F, T, Fp, W, j):
+            Fp = [zero_fp if f is not None and fp is None else fp for f, fp in zip(F, Fp)]
+            return base.f_term_sum(f0, t_known, F, T, Fp, W, j)
 
     return Backend
 
 
-def _hierarchy_inputs(k: int, gamma: float, m: int, order: int):
-    """(vpolys, omega, q0) of one ion state, as solve_state hands them to the core."""
-    pot = HybridPotential(a_osc=gamma * gamma / 8.0, c_coul=1.0)
+def _hierarchy_inputs(k: int, gamma: float, m: int, order: int, system: str = "ion"):
+    """(vpolys, omega, q0) of one state, as solve_state hands them to the core."""
+    divisor, c_coul = {"ion": (8.0, 1.0), "rm": (32.0, 0.5)}[system]
+    pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
     s = engine.StateIndex.from_azimuthal(k, m)
     sp = engine.shift_params(pot, engine.locate_q0(pot, s), s)
     J = 2 * order + 2
@@ -530,6 +586,80 @@ def test_hierarchy_skips_only_zero_fp_rows(be, k):
         got = _hierarchy_core(v, k, order, omega, q0, be)
         ref = _hierarchy_core(v, k, order, omega, q0, _with_zero_fp_rows(be, k))
         assert _core_bits(got) == _core_bits(ref)
+
+
+def _product_sum(terms, cap, index):
+    """The generic product kernel the hierarchy called before its two sums.
+
+    The plain sum 0.0 + p_index[0] + p_index[1] + ..., each row zero-padded,
+    with p_t = sign * poly_mul(a, b, cap) for the t-th (a, b, sign) of terms:
+    each product formed once as np.correlate(longer, shorter[::-1]), the
+    first operand the longer on a tie, and the indexed ones added in order
+    to a zero buffer as wide as the widest of them.
+    """
+    rows = []
+    for a, b, _ in terms:
+        if len(b) > len(a):
+            a, b = b, a
+        rows.append(np.correlate(a, b[::-1], "full"))
+    acc = np.zeros(max([len(rows[t]) for t in index], default=1))
+    for t in index:
+        row = rows[t]
+        if terms[t][2] == 1.0:
+            acc[: len(row)] += row
+        else:
+            acc[: len(row)] -= row
+    return acc[: cap + 1]
+
+
+class _GenericSums(_F64Backend):
+    """_F64Backend with both product sums made by _product_sum from plain arrays.
+
+    The (a, b, sign) terms and the index are built as the hierarchy built
+    them; no product reaches the hierarchy's cap, so none is passed.
+    """
+
+    @staticmethod
+    def operand(a):
+        return a
+
+    @staticmethod
+    def mirrored_sum(W, j):
+        pairs = [(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)]
+        return _product_sum(pairs, _NO_CAP, [min(i, j - i) - 1 for i in range(1, j)])
+
+    @staticmethod
+    def f_term_sum(f0, t_known, F, T, Fp, W, j):
+        terms = [(f0, t_known, 1.0)]
+        for i in range(1, j):
+            if F[i] is not None:
+                terms.append((F[i], T[j - i], 1.0))
+            if Fp[i] is not None:
+                terms.append((Fp[i], W[j - i], -1.0))
+        return _product_sum(terms, _NO_CAP, range(len(terms)))
+
+
+def _core_outcome(v, k, order, omega, q0, be):
+    try:
+        return _core_bits(_hierarchy_core(v, k, order, omega, q0, be))
+    except PsletError as err:
+        return type(err).__name__, str(err)
+
+
+def test_hierarchy_is_the_generic_product_sum():
+    # 30 states with k 0-5, among them the operand-order ties: ion k = 5
+    # (F_i against T_1, F_i' against W_1) and rm Gamma 0.2, k 3, |m| 1
+    # (F_0 against T_known at half-order 1)
+    rng = np.random.default_rng(38)
+    states = [("ion", 5, m, g) for g, m in [(0.05, 0), (0.7, 1), (3.0, 2)]] + [("rm", 3, 1, 0.2)]
+    while len(states) < 30:
+        states.append((str(rng.choice(["ion", "rm"])), len(states) % 6, int(rng.integers(0, 3)),
+                       float(10.0 ** rng.uniform(math.log10(0.05), math.log10(5.0)))))
+    order = 19
+    for system, k, m, gamma in states:
+        v, omega, q0 = _hierarchy_inputs(k, gamma, m, order, system)
+        got = _core_outcome(v, k, order, omega, q0, _F64Backend)
+        assert got == _core_outcome(v, k, order, omega, q0, _GenericSums), (system, k, m, gamma)
 
 
 # ----------------------------------------------------------------------

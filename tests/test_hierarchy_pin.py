@@ -7,6 +7,13 @@ tables (tools/hexsweep.py, solve_digest).  A change to the arithmetic of
 the hierarchy that leaves the corrections alone still changes these.  The
 extended path runs no hierarchy; corrections_pin.json pins its energies,
 ladders and corrections.
+
+The pinned digests hold for one BLAS kernel.  The hierarchy's products are
+np.correlate calls, which take their dot products from the BLAS ddot, and
+its summation order is the kernel's: with OpenBLAS 0.3.31 (DYNAMIC_ARCH,
+Haswell kernel) a dot of 1-11 terms is the sequential sum, one of 12-15
+the sequential sum with fused multiply-adds, and a longer one neither.
+Under another kernel these digests may differ with no change to pslet.
 """
 
 import json

@@ -46,14 +46,27 @@ EXPONENTS = [2 - n % 2 for n in range(engine.DEFAULT_ORDER + 1)]
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "pslet" / "data" / "series.npz"
 
+_ZERO = Fraction(0)
+
+
+def _over_common_denominator(p: list) -> tuple[int, list]:
+    """(d, [x * d for x in p]) with d the least common denominator of p."""
+    d = math.lcm(*(x.denominator for x in p))
+    return d, [x.numerator * (d // x.denominator) for x in p]
+
 
 class _RationalBackend:
     """_hierarchy_core's scalar backend in fractions.Fraction, for offline use.
 
     Polynomials are lists of Fractions, and every kernel is the plain loop
-    the engine's batched kernels stand for; product_sum adds its products
-    in integers, which is exact in any order.  The arithmetic is exact, so
-    every residual closes to zero.
+    the engine's batched kernels stand for.  The operand form the two
+    product sums read is (d, integers c) with the polynomial equal to c / d,
+    d its least common denominator, made once per solved polynomial; the
+    sums form their products and add them in integers over one denominator,
+    which is exact in any order, and make one Fraction, and so one gcd, per
+    output coefficient.  Fractions term by term would normalise every
+    partial sum with a gcd.  The arithmetic is exact, so every residual
+    closes to zero.
     """
 
     residual_tol = 0.0
@@ -74,49 +87,29 @@ class _RationalBackend:
         a, b = a + [_ZERO] * (n - len(a)), b + [_ZERO] * (n - len(b))
         return [(x + y if sign == 1.0 else x - y) if y else x for x, y in zip(a, b)]
 
-    @classmethod
-    def poly_mul(cls, a: list, b: list, cap: int) -> list:
-        d, out = cls._integer_product(a, b, cap)
-        return [Fraction(c, d) for c in out]
+    @staticmethod
+    def poly_mul(a: list, b: list, cap: int) -> list:
+        d, out = _integer_product(_over_common_denominator(a), _over_common_denominator(b))
+        return [Fraction(c, d) for c in out[: cap + 1]]
+
+    operand = staticmethod(_over_common_denominator)
 
     @staticmethod
-    def _integer_product(a: list, b: list, cap: int) -> tuple[int, list]:
-        """(d, integers c) with the product a b cut after x^cap equal to c / d.
+    def mirrored_sum(W: list, j: int) -> list:
+        """The sum of W_i W_{j-i} over i = 1..j-1, each product formed once for i <= j/2."""
+        rows = [_integer_product(W[j - i], W[i]) for i in range(1, j // 2 + 1)]
+        return _fraction_sum([(1, p) for p in rows + rows[: (j - 1) // 2][::-1]])
 
-        Each operand goes over its common denominator, so the products and
-        sums run in integers: Fractions term by term would normalise every
-        partial sum with a gcd.
-        """
-        n = min(cap + 1, len(a) + len(b) - 1)
-        da, a = _over_common_denominator(a[:n])
-        db, b = _over_common_denominator(b[:n])
-        out = [0] * n
-        b_live = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if x:
-                for j, y in b_live:
-                    if i + j >= n:
-                        break
-                    out[i + j] += x * y
-        return da * db, out
-
-    @classmethod
-    def product_sum(cls, terms: list, cap: int, index) -> list:
-        """The sum of the indexed sign * poly_mul(a, b, cap), in integers over one denominator.
-
-        One Fraction, and so one gcd, per output coefficient; the sum is
-        exact, so its order does not matter.
-        """
-        prods = [cls._integer_product(a, b, cap) for a, b, _ in terms]
-        d = math.lcm(*(prods[t][0] for t in index))
-        acc = [0] * max((len(prods[t][1]) for t in index), default=1)
-        for t in index:
-            dt, p = prods[t]
-            scale = d // dt if terms[t][2] == 1.0 else -(d // dt)
-            for i, c in enumerate(p):
-                if c:
-                    acc[i] += scale * c
-        return [Fraction(c, d) for c in acc]
+    @staticmethod
+    def f_term_sum(f0, t_known: list, F: list, T: list, Fp: list, W: list, j: int) -> list:
+        """F_0 T_known plus F_i T_{j-i} - F_i' W_{j-i} over i = 1..j-1, None entries left out."""
+        prods = [(1, _integer_product(f0, _over_common_denominator(t_known)))]
+        for i in range(1, j):
+            if F[i] is not None:
+                prods.append((1, _integer_product(F[i], T[j - i])))
+            if Fp[i] is not None:
+                prods.append((-1, _integer_product(Fp[i], W[j - i])))
+        return _fraction_sum(prods)
 
     @staticmethod
     def poly_scale(a: list, z) -> list:
@@ -181,13 +174,28 @@ class _RationalBackend:
         return r
 
 
-_ZERO = Fraction(0)
+def _integer_product(a: tuple, b: tuple) -> tuple[int, list]:
+    """(d, integers c) with c / d the product of two polynomials in operand form."""
+    (da, a), (db, b) = a, b
+    out = [0] * (len(a) + len(b) - 1)
+    b_live = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b_live:
+                out[i + j] += x * y
+    return da * db, out
 
 
-def _over_common_denominator(p: list) -> tuple[int, list]:
-    """(d, [x * d for x in p]) with d the least common denominator of p."""
-    d = math.lcm(*(x.denominator for x in p))
-    return d, [x.numerator * (d // x.denominator) for x in p]
+def _fraction_sum(prods: list) -> list:
+    """The sum of sign * c / d over the (sign, (d, c)) of prods, as Fractions; c zero-padded."""
+    d = math.lcm(*(dt for _, (dt, c) in prods))
+    acc = [0] * max((len(c) for _, (dt, c) in prods), default=1)
+    for sign, (dt, p) in prods:
+        scale = sign * (d // dt)
+        for i, c in enumerate(p):
+            if c:
+                acc[i] += scale * c
+    return [Fraction(c, d) for c in acc]
 
 
 def exact_series(k: int, omega: Fraction) -> list:
