@@ -46,6 +46,7 @@ from pslet._dd import dd_add, two_sum
 from pslet.engine import _F64Backend, _hierarchy_core
 from pslet.errors import PoleProximity, PsletError, SingularPadeSystem
 from pslet.potentials import HybridPotential
+from pslet.quantum_dot import radial_potential
 from pslet.series import (
     CONDITION_LIMIT,
     POLE_TOLERANCE,
@@ -210,25 +211,14 @@ def test_f64_f_term_sum_is_the_sequential_sum():
             f0, t_known, F, T, Fp, W = _random_f_terms(
                 j, max(k, 1), max(k - 1, 1), lambda i: 2 * i + 3, lambda i: 2 * i + 2,
                 f0_len=k + 1, tk_len=2 * j + 3 if j > 1 else 4)
-            if k == 0:  # F_0 = [1.0], and no F_i has unknowns
+            if k == 0:  # F_0 = [1.0], no F_i has unknowns, and R is T_known + 0.0
                 f0, F, Fp = np.ones(1), [None] * j, [None] * j
+                t_known[[0, -1]] = -0.0
             got = _f_terms(_F64Backend, f0, t_known, F, T, Fp, W, j)
             assert _bits(got) == _bits(_plain_f_term_sum(_F64Backend, f0, t_known, F, T, Fp, W, j))
-
-
-def test_f64_k0_row_is_t_known_plus_zero():
-    # at k = 0 the sum is F_0 T_known alone with F_0 = [1.0]: T_known + 0.0,
-    # the -0.0 of T_known turned to +0.0 as np.convolve's sums do
-    for _ in range(100):
-        j = int(_RNG.integers(1, 41))
-        t_known = _random_f64(2 * j + 3 if j > 1 else 4)
-        t_known[_RNG.random(len(t_known)) < 0.3] = -0.0
-        t_known[0] = -0.0
-        f0, F = np.ones(1), [None] * j
-        got = _f_terms(_F64Backend, f0, t_known, F, F, F, F, j)
-        assert _bits(got) == _bits(_plain_f_term_sum(_F64Backend, f0, t_known, F, F, F, F, j))
-        assert _bits(got) == _bits(t_known + 0.0)
-        assert not np.any(np.signbit(got) & (got == 0.0))
+            if k == 0:
+                assert _bits(got) == _bits(t_known + 0.0)
+                assert not np.any(np.signbit(got) & (got == 0.0))
 
 
 def test_f64_pair_products():
@@ -563,8 +553,7 @@ def _with_zero_fp_rows(base, k: int):
 
 def _hierarchy_inputs(k: int, gamma: float, m: int, order: int, system: str = "ion"):
     """(vpolys, omega, q0) of one state, as solve_state hands them to the core."""
-    divisor, c_coul = {"ion": (8.0, 1.0), "rm": (32.0, 0.5)}[system]
-    pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
+    pot = radial_potential(system, gamma)
     s = engine.StateIndex.from_azimuthal(k, m)
     sp = engine.shift_params(pot, engine.locate_q0(pot, s), s)
     J = 2 * order + 2
