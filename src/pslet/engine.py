@@ -53,6 +53,7 @@ from functools import cache, partial
 from importlib import resources
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _dd
 from ._dd import DD, dd_add, dd_mul
@@ -394,6 +395,104 @@ def _v_polys(b, beta, n_max: int, backend) -> list:
 # the order-by-order hierarchy, generic over the scalar backend
 # ----------------------------------------------------------------------
 
+# the tables the two product sums read, each indexed by half-order
+_TABLES = ("F", "Fp", "T", "W")
+
+
+def _unknown_powers(k: int, i: int) -> range:
+    """The powers of F_i's unknowns: the p < k of the parity of k + i."""
+    return range((k + i) % 2, k, 2)
+
+
+@cache
+def _f_side_plan(k: int, J: int) -> tuple[int, dict, list]:
+    """(size, reads, steps): how _F64Backend forms R at every half-order, for one (k, J).
+
+    For i = 1..j-1: F_i T_{j-i} where F_i has unknowns, then -F_i' W_{j-i}
+    where F_i' has a nonzero power (an unknown of F_i above power 0).  A
+    term whose F_i or F_i' has exactly one, at power p, is a scaled shift:
+    its coefficient times T_{j-i} or W_{j-i} moved up by p.  Each output
+    of it is one product, which rounds once in any order of the sum, with
+    or without FMA.  That is every term at k <= 2, the F_i T_{j-i} of even
+    i and every F_i' W_{j-i} at k = 3, and the F_i' W_{j-i} of even i at
+    k = 4.  Every other term is a correlation, the longer operand first
+    (F side on a tie), from the hierarchy's lengths: F_i has max(k, 1)
+    coefficients, F_i' k - 1, T_m 2m + 3 and W_m 2m + 2.
+
+    size: the length of a solve's flat buffer, which holds a row for each
+    T_m and W_m (k zeros, the coefficients, zeros up to the widest row of
+    R) and one for each F_i and -F_i' (max(k, 1) entries); 0 where no term
+    is a scaled shift.
+    reads[name][i]: (form, offset) of table name's entry i: whether a
+    correlation reads its operand form, and where its row starts in the
+    buffer (None where no scaled shift reads it).
+    steps[j]: None where R is F_0 T_known alone (j = 1, or k = 0), else
+    (n, width, shift_rows, starts, coef, correlations): the stack's shape
+    (row 0 for F_0 T_known); the rows of the scaled shifts, the buffer
+    index each one's output column 0 reads (n_shift) and that of its
+    coefficient (n_shift x 1), both None where there are none; and each
+    other term as (row, np.positive or np.negative, length, F-side table,
+    i, table, j - i, F side first).
+    """
+    lf = max(k, 1)
+    wd = 2 * k + 2 * J + 3
+    base = {"T": 0, "W": (J + 1) * wd, "F": 2 * (J + 1) * wd}
+    base["Fp"] = base["F"] + (J + 1) * lf
+    powers = {"F": [list(_unknown_powers(k, i)) for i in range(J + 1)]}
+    powers["Fp"] = [[p - 1 for p in ps if p] for ps in powers["F"]]
+    form = {name: [False] * (J + 1) for name in _TABLES}
+    form["F"][0] = True  # F_0 T_known
+    form["W"] = [True] * (J + 1)  # the mirrored sum
+    offset = {name: [None] * (J + 1) for name in _TABLES}
+    steps = [None] * (J + 1)
+    for j in range(2, J + 1):
+        width = k + 2 * j + 3
+        rows, starts, coefs, correlations = [], [], [], []
+        n = 1
+        for i in range(1, j):
+            for f, t in (("F", "T"), ("Fp", "W")):
+                ps, m = powers[f][i], j - i
+                if not ps:
+                    continue
+                if len(ps) == 1:
+                    offset[f][i] = base[f] + i * lf
+                    offset[t][m] = base[t] + m * wd + k
+                    rows.append(n)
+                    starts.append(offset[t][m] - ps[0])
+                    coefs.append(offset[f][i] + ps[0])
+                else:
+                    form[f][i] = form[t][m] = True
+                    lf_i, lt = (lf, 2 * m + 3) if f == "F" else (lf - 1, 2 * m + 2)
+                    put = np.positive if f == "F" else np.negative
+                    correlations.append((n, put, lf_i + lt - 1, f, i, t, m, lf_i >= lt))
+                n += 1
+        if n == 1:
+            continue
+        starts, coef = (np.array(starts), np.array(coefs)[:, None]) if rows else (None, None)
+        if rows == list(range(1, n)):
+            rows = slice(1, n)
+        steps[j] = (n, width, rows, starts, coef, correlations)
+    reads = {name: list(zip(form[name], offset[name])) for name in _TABLES}
+    shifts = any(o is not None for o in offset["F"] + offset["Fp"])
+    return base["Fp"] + (J + 1) * lf if shifts else 0, reads, steps
+
+
+class _F64Operands:
+    """One solve's operands of _F64Backend's product sums, as _f_side_plan reads them.
+
+    forms[name][i] is the operand form of a correlation; flat is the buffer
+    of padded rows the scaled shifts gather from, and windows its view as
+    every run of k + 2J + 3 entries, the widest stack, so that a gather is
+    one index of start rows.
+    """
+
+    def __init__(self, k: int, J: int):
+        size, self.reads, self.steps = _f_side_plan(k, J)
+        self.forms = {name: [None] * (J + 1) for name in _TABLES}
+        self.flat = np.zeros(size)
+        self.windows = sliding_window_view(self.flat, k + 2 * J + 3) if size else None
+
+
 class _F64Backend:
     """Plain numpy arrays and floats."""
 
@@ -437,74 +536,91 @@ class _F64Backend:
     # two product sums take no cap: no product of the hierarchy reaches it
     # (see _hierarchy_core).
 
-    @staticmethod
-    def operand(a):
-        """The form the product sums read a in: (a, a reversed, contiguous).
+    operands = _F64Operands
 
-        np.convolve(a, b) is the C correlation np.correlate(longer,
+    @staticmethod
+    def operand(ops, name, j, a):
+        """Keep entry j of table name ("F", "Fp", "T" or "W") where _f_side_plan reads it.
+
+        A correlation reads it as (a, a reversed, contiguous), made here
+        once: np.convolve(a, b) is the C correlation np.correlate(longer,
         shorter[::-1], "full"), the first operand counting as the longer on
-        a tie.  _hierarchy_core makes this form once for each polynomial a
-        product reads, when it is solved, so a product finds either operand
-        ready in the order it needs; only T_known, made anew each half-order
-        and the shorter operand only at j = 1 with k >= 3, is reversed there.
+        a tie, so a product finds either operand ready in the order it
+        needs.  A scaled shift reads a from its row of ops.flat, F_i' there
+        negated.
         """
-        return a, a[::-1].copy()
+        form, offset = ops.reads[name][j]
+        if form:
+            ops.forms[name][j] = a, a[::-1].copy()
+        if offset is not None:
+            ops.flat[offset : offset + len(a)] = -a if name == "Fp" else a
 
     @staticmethod
-    def mirrored_sum(W, j):
+    def mirrored_sum(ops, j):
         """The plain sum 0.0 + W_1 W_{j-1} + W_2 W_{j-2} + ... + W_{j-1} W_1.
 
-        W holds operand forms, W_i with 2i + 2 coefficients.  The plain loop
-        is acc = poly_zeros(1), then acc = acc + poly_mul(W_i, W_{j-i}, cap)
-        for i = 1..j-1, every sum started from +0.0 as a zero buffer does;
-        at j = 1 it is poly_zeros(1).  W_i W_{j-i} and W_{j-i} W_i are the
-        same bits, the longer operand going first whichever is named first,
-        so each product is formed once for i <= j/2, as
-        np.correlate(W_{j-i}, W_i reversed), and added at i and at j - i.
-        Every product has 2j + 3 coefficients, so whole rows are added in
-        place to one zero buffer.
+        W_i has 2i + 2 coefficients.  The plain loop is acc = poly_zeros(1),
+        then acc = acc + poly_mul(W_i, W_{j-i}, cap) for i = 1..j-1, every
+        sum started from +0.0 as a zero buffer does; at j = 1 it is
+        poly_zeros(1).  W_i W_{j-i} and W_{j-i} W_i are the same bits, the
+        longer operand going first whichever is named first, so each
+        product is formed once for i <= j/2, as np.correlate(W_{j-i}, W_i
+        reversed), and added at i and at j - i.  Every product has 2j + 3
+        coefficients, so whole rows are added in place to one zero buffer;
+        at j = 2 the one row is the sum, as it holds no -0.0.
         """
+        W = ops.forms["W"]
         rows = [np.correlate(W[j - i][0], W[i][1], "full") for i in range(1, j // 2 + 1)]
-        acc = np.zeros(2 * j + 3 if j > 1 else 1)
+        if j < 3:
+            return rows[0] if rows else np.zeros(1)
+        acc = np.zeros(2 * j + 3)
         for row in rows + rows[: (j - 1) // 2][::-1]:
             acc += row
         return acc
 
     @staticmethod
-    def f_term_sum(f0, t_known, F, T, Fp, W, j):
+    def f_term_sum(ops, t_known, j):
         """The plain sum F_0 T_known + sum over i = 1..j-1 of (F_i T_{j-i} - F_i' W_{j-i}).
 
-        f0, F, T, Fp and W hold operand forms, and t_known is a plain array;
-        F[i] or Fp[i] is None where its product is left out.  The plain loop
-        is R = poly_mul(F_0, T_known, cap), then R = poly_add(R, poly_mul(F_i,
-        T_{j-i}, cap)) and R = poly_add(R, poly_mul(F_i', W_{j-i}, cap), -1.0)
-        for each i in order, poly_add with a zero buffer.  Each product is
-        np.correlate(longer, shorter reversed), the F side first on a tie,
-        as np.convolve(F_i, T_{j-i}) takes it.  F_0 T_known is the widest
-        row (a wider later one fails numpy's broadcast), so it is that
-        buffer with its +0.0 start already added (np.correlate's sums start
-        from +0.0); the later rows are added in place, a row of sign -1.0
-        subtracted, which rounds as adding its negation.  F_0 with one
-        coefficient c (k = 0, where c = 1.0) makes the row c T_known + 0.0,
-        the correlation's sums without the call.
+        The plain loop is R = poly_mul(F_0, T_known, cap), then R =
+        poly_add(R, poly_mul(F_i, T_{j-i}, cap)) where F_i has unknowns and
+        R = poly_add(R, poly_mul(F_i', W_{j-i}, cap), -1.0) where F_i' is
+        not identically zero, for each i in order, poly_add with a zero
+        buffer.  F_0 T_known is np.correlate(longer, shorter reversed), F_0
+        first on a tie, and holds no -0.0.  At k = 0 (F_0 = [1.0]) it is
+        T_known + 0.0, the correlation's sums without the call, and R.
+        Otherwise it is row 0 of a stack as wide as itself (a wider later
+        row fails numpy's broadcast), and _f_side_plan puts every later term
+        in the row of its place in the loop: the scaled shifts with one
+        index into ops.windows and one multiply, the others as the
+        correlation np.convolve(F_i, .) runs, and every F_i' W_{j-i} row
+        negated, as a subtraction adds the negation.  R is the last row of
+        the stack's accumulate, sequential by definition; zero padding adds
+        exact zeros to sums holding no -0.0.
         """
-        f0, f0r = f0
+        f0, f0r = ops.forms["F"][0]
         if len(f0) == 1:
-            acc = t_known * f0[0] + 0.0
-        elif len(t_known) > len(f0):
-            acc = np.correlate(t_known, f0r, "full")
+            return t_known * f0[0] + 0.0
+        if len(t_known) > len(f0):
+            row0 = np.correlate(t_known, f0r, "full")
         else:
-            acc = np.correlate(f0, t_known[::-1], "full")
-        for f, t, fp, w in zip(F[1:j], T[j - 1 : 0 : -1], Fp[1:j], W[j - 1 : 0 : -1]):
-            if f is not None:
-                (f, fr), (t, tr) = f, t
-                row = np.correlate(t, fr, "full") if len(t) > len(f) else np.correlate(f, tr, "full")
-                acc[: len(row)] += row
-            if fp is not None:
-                (f, fr), (w, wr) = fp, w
-                row = np.correlate(w, fr, "full") if len(w) > len(f) else np.correlate(f, wr, "full")
-                acc[: len(row)] -= row
-        return acc
+            row0 = np.correlate(f0, t_known[::-1], "full")
+        step = ops.steps[j]
+        if step is None:
+            return row0
+        n, width, shift_rows, starts, coef, correlations = step
+        stack = np.zeros((n, width))
+        stack[0] = row0
+        if starts is not None:
+            shifted = ops.windows[starts, :width]
+            shifted *= ops.flat[coef]
+            stack[shift_rows] = shifted
+        forms = ops.forms
+        for r, put, length, f, i, t, m, f_first in correlations:
+            (a, ar), (b, br) = forms[f][i], forms[t][m]
+            put(np.correlate(a, br, "full") if f_first else np.correlate(b, ar, "full"),
+                out=stack[r, :length])
+        return np.add.accumulate(stack, axis=0, out=stack)[-1]
 
     @staticmethod
     def poly_scale(a, z):
@@ -580,15 +696,21 @@ class _F64Backend:
         scale = max(scale, abs(z) * max_abs(c_t)), r = axpy(r, c_t, z) and
         set_(w, t, z), with (c_t, max_abs(c_t)) = influence[t].  r and w
         change in place.  axpy's sign of 1.0 multiplies exactly, so it is
-        left out.
+        left out; max(scale, a) is scale unless a > scale, a NaN a included;
+        and powers, the half-order's range(top, -1, -2), is w[top::-2], so
+        the z go into w with one slice assignment.
         """
+        zs = []
         for t in powers:
             infl, infl_max = influence[t]
             z = -r[k + t + 1] / omega
-            scale = max(scale, abs(z) * infl_max)
+            a = abs(z) * infl_max
+            if a > scale:
+                scale = a
             for i, v in infl:
                 r[i] += v * z
-            w[t] = z
+            zs.append(z)
+        w[powers.start :: powers.step] = zs
         return scale
 
     @staticmethod
@@ -608,19 +730,20 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     loops, for the compiled correction table.
 
     Work that does not change inside the half-order loop is done once per
-    solve: the influence polynomial of each power, and the operand form
-    (be.operand) of each solved W_i, F_i, F_i' and T_i that the product
-    sums read, made when the piece is solved.  Products with an F_i that
-    has no unknowns (every i >= 1 for k = 0, even i for k = 1) are skipped,
-    and T_j is only built where such a product reads it.  So is
+    solve: the influence polynomial of each power, and each solved W_i, F_i,
+    F_i' and T_i that the product sums read, kept by be.operand in the
+    solve's store (be.operands) when the piece is solved.  Products with an
+    F_i that has no unknowns (every i >= 1 for k = 0, even i for k = 1) are
+    skipped, and T_j is only built where such a product reads it.  So is
     F_i' W_{j-i} where F_i's only unknown sits at power 0, so that F_i' is
     identically zero: every such term at k = 1, and those of even i at
-    k = 2.  A skipped piece has no operand form (None).
+    k = 2.  A skipped piece is not kept.
 
     Each half-order makes two product sums and one eliminate call.
     mirrored_sum forms every W_i W_{j-i} once, for i <= j/2, and adds them
     up in the order i = 1..j-1; f_term_sum forms F_0 T_known, every
-    F_i T_{j-i} and every -F_i' W_{j-i}, and adds those up into R.  No
+    F_i T_{j-i} and every -F_i' W_{j-i}, and adds those up into R, in the
+    double backend from a plan made once per (k, J) (_f_side_plan).  No
     product reaches the cap k + 2J + 4 of the plain loop's poly_mul: the
     widest, F_0 T_known at j = J, has k + 2J + 3 coefficients.
     eliminate then solves the half-order's W unknowns one power at a time
@@ -629,20 +752,26 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     bits of the plain loop of poly_add / poly_mul / get / axpy / set_ calls,
     resting on these facts (tests/test_batched_kernels.py):
 
-    1. every sum keeps its term order (both sums add rows one by one), and
-       every row is the np.convolve it stands for, from the same C
-       correlation of the longer operand with the reversed shorter one,
-       F_i or F_i' first on a tie (k = 5 ties F_i with T_1 and F_i' with
-       W_1; k = 3 ties F_0 with T_known at j = 1).  That correlation takes
-       its dot products from the BLAS ddot, whose summation order is the
-       BLAS kernel's: with OpenBLAS 0.3.31 (DYNAMIC_ARCH, Haswell kernel) a
-       dot of 1-11 terms is the sequential sum, one of 12-15 the
-       sequential sum with fused multiply-adds, and a longer one neither.
-       So the double bits, and tests/data/hierarchy_pin.json, hold for that
-       kernel; another BLAS kernel may round the longer products otherwise;
+    1. every sum keeps its term order (mirrored_sum adds its rows one by
+       one, f_term_sum accumulates down the stack of its rows), and every
+       row is the np.convolve it stands for: a scaled shift (fact 5), or
+       the same C correlation of the longer operand with the reversed
+       shorter one, F_i or F_i' first on a tie (k = 5 ties F_i with T_1
+       and F_i' with W_1; k = 3 ties F_0 with T_known at j = 1).  How
+       np.correlate rounds depends on the overlap: an output where the
+       reversed shorter operand only partly overlaps the longer is a BLAS
+       ddot, which with OpenBLAS 0.3.31 (DYNAMIC_ARCH, Haswell kernel) is
+       the sequential sum with fused multiply-adds (FMA) for 1-15 terms,
+       as np.dot is; an output of full overlap comes from numpy's own
+       loop, the plain sequential sum for a shorter operand of up to 11
+       coefficients and the FMA sum at 12 and 13 (at 16, neither).  So the
+       double bits, and tests/data/hierarchy_pin.json, hold for that
+       kernel; another BLAS kernel may round the partial overlaps
+       otherwise;
     2. adding an exact zero to a value that holds no negative zero returns
        it unchanged, so zero padding and skipped coefficients change
-       nothing; every sum here starts from +0.0;
+       nothing; every sum here starts from +0.0 or from a row that holds
+       no -0.0, and x + y is -0.0 only when both are;
     3. np.convolve starts its sums from +0.0, so a product holds no
        negative zero: the negative zeros that _F64Backend.poly_add keeps
        without a zero buffer never reach R, and F_0 T_known, which the
@@ -652,7 +781,15 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     4. a skipped F_i' W_{j-i} row was an exact (signed) zero: every operand
        is finite once the earlier half-orders have passed their residual
        check, and R, which is longer than the row, holds no negative zero,
-       so by fact 2 leaving the row out changes no bit, nor R's length.
+       so by fact 2 leaving the row out changes no bit, nor R's length;
+    5. a row whose F_i or F_i' has one nonzero coefficient c, at power p,
+       holds at most one nonzero product per output, which rounds once:
+       the correlation gives it whatever order it sums in, with or without
+       FMA, and so does c times T_{j-i} or W_{j-i} moved up by p, up to
+       the sign of a zero output, which fact 2 makes harmless; -c gives
+       the negated row exactly.  (T_m is read unchecked: one that
+       overflowed fails the next residual check either way, though the
+       residual it prints may read nan on one side and inf on the other.)
 
     The influences are built in closed form from shifted copies of F_0 and
     F_0': F_0 holds the powers of one parity and F_0' the other, so each
@@ -670,12 +807,9 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
 
     W = [None] * (J + 1)
     F = [None] * (J + 1)
-    # the operand forms the two product sums read, each made once, when its
-    # polynomial is solved; None where no product reads it
-    W_op = [None] * (J + 1)
-    F_op = [None] * (J + 1)
-    Fp_op = [None] * (J + 1)
-    T_op = [None] * (J + 1)
+    # the operands the two product sums read, each kept once, when its
+    # polynomial is solved
+    ops = be.operands(k, J)
     eps = {}
 
     if be.to_float(omega_s) <= 0.0:
@@ -692,14 +826,14 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         be.set_(f0, p, val)
     F[0] = f0
     f0p = be.poly_diff(F[0])
-    f0_op = be.operand(F[0])
+    be.operand(ops, "F", 0, F[0])
 
     # F_i carries unknowns at the powers p < k of parity k + i; with none it
     # stays zero and its products would add exact zeros to R.  T_j is read
     # only through F_i T_{j-i} with such a nonzero F_i.  F_i' is zero too
     # when F_i's only unknown sits at power 0 (k = 1, and even i at k = 2).
-    has_f = [any(p % 2 == (k + i) % 2 for p in range(k)) for i in range(J + 1)]
-    has_fp = [any(p % 2 == (k + i) % 2 for p in range(1, k)) for i in range(J + 1)]
+    has_f = [bool(_unknown_powers(k, i)) for i in range(J + 1)]
+    has_fp = [max(_unknown_powers(k, i), default=0) > 0 for i in range(J + 1)]
     need_t = any(has_f[1:])
 
     # influence of the unknown W coefficient at power t <= 2J+1 on the
@@ -724,9 +858,9 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         # known part: products of already-solved pieces, the sum of the
         # W_i W_{j-i} over i = 1..j-1, then R from F_0 T_known and the
         # F_i T_{j-i} and -F_i' W_{j-i} that are not identically zero
-        acc = be.mirrored_sum(W_op, j)
+        acc = be.mirrored_sum(ops, j)
         t_known = be.poly_add(be.poly_scale(acc, minus_half), vpolys[j])
-        R = be.f_term_sum(f0_op, t_known, F_op, T_op, Fp_op, W_op, j)
+        R = be.f_term_sum(ops, t_known, j)
         scale = max(be.max_abs(R), 1.0)
 
         # odd-parity unknowns at even half-orders, even-parity at odd ones;
@@ -736,7 +870,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         powers = range(2 * j + 1, -1, -2) if j % 2 == 0 else range(2 * j, -1, -2)
         scale = be.eliminate(r, wj, powers, influence, k, omega_s, scale)
         W[j] = wj
-        W_op[j] = be.operand(wj)
+        be.operand(ops, "W", j, wj)
 
         if j % 2 == 0:
             # the x^k coefficient carries the energy at integer orders
@@ -746,18 +880,16 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
             r = be.axpy(r, f0_sparse, z, -1.0)
 
         fj = be.poly_zeros(max(k, 1))
-        for p in range(k - 1, -1, -1):
-            if p % 2 != (k + j) % 2:
-                continue
+        for p in reversed(_unknown_powers(k, j)):
             pivot, infl = prefactor[p]
             z = -be.get(r, p) / pivot
             r = be.axpy(r, infl, z)
             be.set_(fj, p, z)
         F[j] = fj
         if has_f[j]:
-            F_op[j] = be.operand(fj)
+            be.operand(ops, "F", j, fj)
         if has_fp[j]:
-            Fp_op[j] = be.operand(be.poly_diff(fj))
+            be.operand(ops, "Fp", j, be.poly_diff(fj))
 
         # the check reads every coefficient of R; an overflow that leaves
         # R infinite (with an infinite scale) fails it too
@@ -777,7 +909,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
             tj = be.poly_add(tj, vpolys[j])
             if j % 2 == 0:
                 be.set_(tj, 0, be.get(tj, 0) - eps[j])
-            T_op[j] = be.operand(tj)
+            be.operand(ops, "T", j, tj)
 
     q0_sq = q0_s * q0_s
     corrections = [eps[2 * n + 2] / q0_sq for n in range(order + 1)]

@@ -4,24 +4,28 @@ Each kernel of engine._F64Backend that engine._hierarchy_core calls
 (mirrored_sum, f_term_sum, eliminate, influences) replaces a loop of
 poly_add / poly_mul / get / axpy / set_ calls and must give its bits, the
 sign of every zero included.  The references below are those loops, with
-the double-precision poly_add in its zero-buffer form.  Inputs are random
-stacks of unequal lengths with exact zeros and negative zeros.  The
-hierarchy forms the sum of its pair products W_i W_{j-i} with mirrored_sum
-and its residual R with f_term_sum, both reading operands in the form
-operand() gives them; each is checked against the loop it replaces, the
-rational backend's too, and the whole hierarchy against the generic
-product kernel it called before.
+the double-precision poly_add in its zero-buffer form.  Inputs are random,
+shaped as the hierarchy shapes them, with exact zeros and negative zeros.
+The hierarchy forms the sum of its pair products W_i W_{j-i} with
+mirrored_sum and its residual R with f_term_sum, both reading the operands
+operand() keeps in a solve's store (operands()); f_term_sum follows a plan
+made once per (k, J), which takes a term whose F-side operand has one
+nonzero coefficient as a scaled shift.  Each sum is checked against the
+loop it replaces, the rational backend's too, the plan against the terms
+of the loop, and the whole hierarchy against the plain loop and against
+the all-correlation kernels it ran before the plan.
 
 The kernels keep the term order of every sum and rest on two facts,
 checked here directly: adding an exact zero to a value that holds no
 negative zero returns it unchanged (a dd pair too); np.convolve starts its
 sums from +0.0, so it never returns a negative zero.  The double kernels
-also rest on their numpy spelling, checked here too: np.correlate(longer,
-shorter reversed) is np.convolve whichever operand comes first, F_i first
-on a tie; poly_add without its multiply by 1.0 keeps every -0.0 an operand
-held; max_abs passes a NaN or inf on to the residual check.  The double
-backend and tools/series_table.py's rational backend offer the same
-methods, and only those the hierarchy calls.
+also rest on their numpy spelling, checked here too: np.add.accumulate down
+a stack is the row-by-row sum; np.correlate(longer, shorter reversed) is
+np.convolve whichever operand comes first, F_i first on a tie; poly_add
+without its multiply by 1.0 keeps every -0.0 an operand held; max_abs
+passes a NaN or inf on to the residual check.  The double backend and
+tools/series_table.py's rational backend offer the same methods, and only
+those the hierarchy calls.
 
 The other shortcuts of a solve are pinned the same way to the code they
 replace: the hierarchy without its identically-zero F_i' W_{j-i} rows, the
@@ -45,7 +49,6 @@ from pslet import engine
 from pslet._dd import dd_add, two_sum
 from pslet.engine import _F64Backend, _hierarchy_core
 from pslet.errors import PoleProximity, PsletError, SingularPadeSystem
-from pslet.potentials import HybridPotential
 from pslet.quantum_dot import radial_potential
 from pslet.series import (
     CONDITION_LIMIT,
@@ -119,36 +122,61 @@ def _plain_f_term_sum(be, f0, t_known, F, T, Fp, W, j, cap=_NO_CAP):
     return R
 
 
-def _ops(be, polys: list) -> list:
-    """The operand forms of polys, None kept."""
-    return [None if p is None else be.operand(p) for p in polys]
+def _store(be, k: int, J: int, tables: dict):
+    """be's operand store for one solve of (k, J), with every polynomial of tables kept."""
+    ops = be.operands(k, J)
+    for name, polys in tables.items():
+        for i, a in enumerate(polys):
+            if a is not None:
+                be.operand(ops, name, i, a)
+    return ops
 
 
-def _f_terms(be, f0, t_known, F, T, Fp, W, j):
-    """f_term_sum on plain polynomials, each put in operand form first."""
-    return be.f_term_sum(be.operand(f0), t_known, _ops(be, F), _ops(be, T), _ops(be, Fp),
-                         _ops(be, W), j)
+# the hierarchy's last half-order at order 19
+_J = 40
 
 
-def _random_f_terms(j: int, lf: int, lfp: int, t_len, w_len, f0_len=None, tk_len=None):
-    """(f0, t_known, F, T, Fp, W) for f_term_sum at half-order j, as plain arrays.
+def _f_terms(be, k, f0, t_known, F, T, Fp, W, j):
+    """f_term_sum at half-order j, with F_0 and the F, T, F' and W lists kept first."""
+    ops = _store(be, k, max(_J, j), {"F": [f0] + list(F[1:]), "Fp": Fp, "T": T, "W": W})
+    return be.f_term_sum(ops, t_known, j)
 
-    F_i has lf coefficients and F_i' lfp, T_i t_len(i) and W_i w_len(i);
-    F_0 has f0_len (lf + 1 if None), and T_known tk_len (if None, enough to
-    make F_0 T_known the widest row, as in the hierarchy).  About 30% of the
-    F_i and F_i' are None.
+
+def _hierarchy_f(k: int, j: int, values) -> tuple[list, list]:
+    """(F, F') for i < j as the hierarchy shapes them, values(n) giving each F_i's unknowns.
+
+    F_i has max(k, 1) coefficients, its unknowns at engine._unknown_powers
+    and +0.0 elsewhere, and is None without unknowns; F_i' is poly_diff(F_i),
+    None where F_i has no unknown above power 0.
     """
-    def some(n):
-        return [None] + [None if _RNG.random() < 0.3 else _random_f64(n) for _ in range(1, j)]
+    F, Fp = [None] * j, [None] * j
+    for i in range(1, j):
+        powers = list(engine._unknown_powers(k, i))
+        if powers:
+            F[i] = np.zeros(max(k, 1))
+            F[i][powers] = values(len(powers))
+            if max(powers) > 0:
+                Fp[i] = _F64Backend.poly_diff(F[i])
+    return F, Fp
 
-    F, Fp = some(lf), some(lfp)
-    T = [None] + [_random_f64(t_len(i)) for i in range(1, j)]
-    W = [None] + [_random_f64(w_len(i)) for i in range(1, j)]
-    rows = [lf + len(t) - 1 for t in T[1:]] + [lfp + len(w) - 1 for w in W[1:]]
-    f0_len = lf + 1 if f0_len is None else f0_len
-    if tk_len is None:
-        tk_len = max(max(rows, default=1) - f0_len + 1, int(_RNG.integers(1, 2 * j + 4)))
-    return _random_f64(f0_len), _random_f64(tk_len), F, T, Fp, W
+
+def _hierarchy_terms(k: int, j: int):
+    """(f0, t_known, F, T, Fp, W) for f_term_sum at half-order j, hierarchy-shaped.
+
+    T_m has 2m + 3 coefficients and W_m 2m + 2, F_0 k + 1 (F_0 = [1.0] at
+    k = 0) and T_known 2j + 3 (4 at j = 1), all with exact +-0 sprinkled in,
+    F_i's unknowns too; one F_i with a single unknown has it exactly +0.0.
+    """
+    F, Fp = _hierarchy_f(k, j, _random_f64)
+    single = [i for i in range(1, j) if len(engine._unknown_powers(k, i)) == 1]
+    if single:
+        i = single[int(_RNG.integers(len(single)))]
+        F[i][list(engine._unknown_powers(k, i))] = 0.0
+        Fp[i] = _F64Backend.poly_diff(F[i]) if Fp[i] is not None else None
+    T = [None] + [_random_f64(2 * m + 3) for m in range(1, j)]
+    W = [None] + [_random_f64(2 * m + 2) for m in range(1, j)]
+    f0 = np.ones(1) if k == 0 else _random_f64(k + 1)
+    return f0, _random_f64(2 * j + 3 if j > 1 else 4), F, T, Fp, W
 
 
 # ----------------------------------------------------------------------
@@ -182,55 +210,96 @@ def test_convolve_never_returns_negative_zero():
 
 @pytest.mark.parametrize("max_len", [1, 30])
 def test_f64_ordered_sum_is_the_sequential_sum(max_len):
-    # f_term_sum adds its rows one by one, in order; one-coefficient rows:
-    # a reduction over a stack of them (np.sum(axis=0)) would pair rows up
-    for _ in range(100):
-        j = int(_RNG.integers(1, 25))
-        if max_len == 1:
-            f0, t_known = _random_f64(1), _random_f64(1)
-            F, T, Fp, W = ([None] + [_random_f64(1) for _ in range(1, j)] for _ in range(4))
-        else:
-            def length(i):
-                return int(_RNG.integers(1, max_len + 1))
-
-            f0, t_known, F, T, Fp, W = _random_f_terms(
-                j, int(_RNG.integers(1, 6)), int(_RNG.integers(1, 5)), length, length)
-        got = _f_terms(_F64Backend, f0, t_known, F, T, Fp, W, j)
-        assert _bits(got) == _bits(_plain_f_term_sum(_F64Backend, f0, t_known, F, T, Fp, W, j))
+    # f_term_sum adds its stack with np.add.accumulate down axis 0, which is
+    # the row-by-row sum by definition; here on one-column stacks, where a
+    # reduction (np.add.reduce(axis=0)) pairs rows up and differs, and on
+    # stacks of up to 30 columns, one-row stacks among them
+    paired_differs = 0
+    for _ in range(200):
+        n = int(_RNG.integers(1, 40))
+        stack = _random_f64(n * int(_RNG.integers(1, max_len + 1))).reshape(n, -1)
+        ref = stack[0].copy()
+        for row in stack[1:]:
+            ref = ref + row
+        assert _bits(np.add.accumulate(stack, axis=0)[-1]) == _bits(ref)
+        paired_differs += _bits(np.add.reduce(stack, axis=0)) != _bits(ref)
+    assert paired_differs > 0 if max_len == 1 else True
 
 
 def test_f64_f_term_sum_is_the_sequential_sum():
     # R = poly_mul(F_0, T_known), then each F_i T_{j-i} added and each
-    # F_i' W_{j-i} taken away, in the order i = 1..j-1, with the hierarchy's
-    # operand lengths: F_i has max(k, 1) coefficients, T_i 2i + 3 and W_i
-    # 2i + 2, so k = 5 ties F_i with T_1 and F_i' with W_1, and k = 3 ties
-    # F_0 with T_known at j = 1
-    for _ in range(40):
-        for k in range(6):
-            j = int(_RNG.integers(1, 16))
-            f0, t_known, F, T, Fp, W = _random_f_terms(
-                j, max(k, 1), max(k - 1, 1), lambda i: 2 * i + 3, lambda i: 2 * i + 2,
-                f0_len=k + 1, tk_len=2 * j + 3 if j > 1 else 4)
-            if k == 0:  # F_0 = [1.0], no F_i has unknowns, and R is T_known + 0.0
-                f0, F, Fp = np.ones(1), [None] * j, [None] * j
+    # F_i' W_{j-i} taken away, in the order i = 1..j-1, on the hierarchy's
+    # shapes for k 0-6 up to half-order J: every term a scaled shift at
+    # k <= 2, both kinds at k = 3 and 4, none from k = 5, where F_i ties
+    # with T_1 and F_i' with W_1; k = 3 ties F_0 with T_known at j = 1
+    for k in range(7):
+        for j in [1, 2, 3, _J] + [int(x) for x in _RNG.integers(4, _J, size=6)]:
+            f0, t_known, F, T, Fp, W = _hierarchy_terms(k, j)
+            if k == 0:  # R is T_known + 0.0, its -0.0 turned to +0.0
                 t_known[[0, -1]] = -0.0
-            got = _f_terms(_F64Backend, f0, t_known, F, T, Fp, W, j)
+            got = _f_terms(_F64Backend, k, f0, t_known, F, T, Fp, W, j)
             assert _bits(got) == _bits(_plain_f_term_sum(_F64Backend, f0, t_known, F, T, Fp, W, j))
+            assert not np.any(np.signbit(got) & (got == 0.0))
             if k == 0:
                 assert _bits(got) == _bits(t_known + 0.0)
-                assert not np.any(np.signbit(got) & (got == 0.0))
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_plan_takes_a_scaled_shift_only_for_one_nonzero_coefficient(k):
+    # the plan's terms are the plain loop's, in its order; a term is a
+    # scaled shift exactly where its F-side operand, the shorter or equal
+    # one, has one nonzero coefficient, and the shift gathers that
+    # coefficient (negated for F_i') and the other operand moved up to its
+    # power: the signed np.convolve, one product per output, up to the sign
+    # of a zero
+    def positive(n):
+        return _RNG.uniform(1.0, 2.0, n)
+
+    F, Fp = _hierarchy_f(k, _J + 1, positive)
+    T = [None] + [positive(2 * m + 3) for m in range(1, _J)]
+    W = [None] + [positive(2 * m + 2) for m in range(1, _J)]
+    ops = _store(_F64Backend, k, _J, {"F": [positive(k + 1)] + F[1:], "Fp": Fp, "T": T, "W": W})
+    (_, _, steps), shifts = engine._f_side_plan(k, _J), 0
+    for j in range(2, _J + 1):
+        terms = []
+        for i in range(1, j):
+            terms += [(F[i], T[j - i], 1.0)] if F[i] is not None else []
+            terms += [(Fp[i], W[j - i], -1.0)] if Fp[i] is not None else []
+        if steps[j] is None:  # k = 0: R is F_0 T_known alone
+            assert not terms
+            continue
+        n, width, shift_rows, starts, coef, correlations = steps[j]
+        assert n == len(terms) + 1 and width == k + 2 * j + 3
+        rows = np.arange(n)[shift_rows].tolist() if starts is not None else []
+        assert sorted(rows + [c[0] for c in correlations]) == list(range(1, n))
+        if rows:
+            gathered = ops.flat[starts[:, None] + np.arange(width)] * ops.flat[coef]
+        for r, (f, t, sign) in enumerate(terms, start=1):
+            if r in rows:
+                assert np.count_nonzero(f) == 1 and len(f) <= len(t)
+                ref = np.zeros(width)
+                ref[: len(f) + len(t) - 1] = sign * np.convolve(f, t)
+                assert np.array_equal(gathered[rows.index(r)], ref)
+            else:
+                assert np.count_nonzero(f) > 1
+        for r, put, length, *_, f_first in correlations:
+            f, t, sign = terms[r - 1]
+            assert put is (np.positive if sign == 1.0 else np.negative)
+            assert length == len(f) + len(t) - 1 and f_first == (len(f) >= len(t))
+        shifts += len(rows)
+    assert (shifts > 0) == (1 <= k <= 4)
 
 
 def test_f64_pair_products():
     # the mirrored sum, and each pair product on its own: np.correlate(W_{j-i},
     # W_i reversed) is np.convolve in either operand order
     W = [_random_f64(2 * i + 2) for i in range(12)]
-    Wop = _ops(_F64Backend, W)
+    ops = _store(_F64Backend, 0, 12, {"W": W})
     for j in range(1, 12):
         ref = _plain_mirrored_sum(_F64Backend, W, j)
-        assert _bits(_F64Backend.mirrored_sum(Wop, j)) == _bits(ref)
+        assert _bits(_F64Backend.mirrored_sum(ops, j)) == _bits(ref)
         for i in range(1, j // 2 + 1):
-            row = _bits(np.correlate(Wop[j - i][0], Wop[i][1], "full"))
+            row = _bits(np.correlate(W[j - i], W[i][::-1], "full"))
             assert row == _bits(np.convolve(W[i], W[j - i])) == _bits(np.convolve(W[j - i], W[i]))
 
 
@@ -251,24 +320,31 @@ def test_f64_poly_add_without_zero_buffer():
 def test_product_is_convolve_whichever_operand_comes_first(first):
     # np.convolve correlates the longer operand with the reversed shorter
     # one, the first operand counting as the longer on a tie; f_term_sum
-    # must pick the same two, F_i first on a tie, since the other pairing
-    # rounds differently.  The product sits in F_0 T_known (j = 1) and in
-    # F_1 T_1 over a zero F_0 T_known (j = 2), whose +0.0 passes it unchanged.
+    # must pick the same two, the F side first on a tie, since the other
+    # pairing rounds differently.  F_0 T_known (j = 1) of any lengths; and
+    # with "equal", the ties of k = 5, F_1 T_1 and F_1' W_1 (j = 2)
     swapped_differs = 0
     for _ in range(200):
         n = int(_RNG.integers(2, 40))
         a = _random_f64(n if first == "equal" else int(_RNG.integers(1, n)))
         b = _random_f64(n)
         ref = np.convolve(a, b)
-        assert _bits(_f_terms(_F64Backend, a, b, [None], [None], [None], [None], 1)) == _bits(ref)
-        zero = np.zeros(len(a) + 1)
-        got = _f_terms(_F64Backend, zero, np.zeros(len(b)), [None, a], [None, b], [None, None],
-                       [None, None], 2)
-        assert _bits(got[: len(ref)]) == _bits(ref)
+        assert _bits(_f_terms(_F64Backend, len(a) - 1, a, b, [None], [None], [None], [None], 1)) \
+            == _bits(ref)
         longer, shorter = (b, a) if first == "equal" else (a, b)  # the pairing not taken
-        other = np.correlate(longer, shorter[::-1], "full")
-        swapped_differs += _bits(other) != _bits(ref)
+        swapped_differs += _bits(np.correlate(longer, shorter[::-1], "full")) != _bits(ref)
     assert swapped_differs > 0
+    if first == "equal":
+        swapped_differs = 0
+        for _ in range(200):
+            f0, t_known, F, T, Fp, W = _hierarchy_terms(5, 2)
+            f0, t_known = np.zeros(6), np.zeros(7)  # a zero F_0 T_known row
+            got = _f_terms(_F64Backend, 5, f0, t_known, F, T, Fp, W, 2)
+            assert _bits(got) == _bits(_plain_f_term_sum(_F64Backend, f0, t_known, F, T, Fp, W, 2))
+            other = np.correlate(T[1], F[1][::-1], "full")
+            other[:7] -= np.correlate(W[1], Fp[1][::-1], "full")
+            swapped_differs += _bits(other) != _bits(got[:9])
+        assert swapped_differs > 0
 
 
 def _signed_poly_add(a, b, sign=1.0):
@@ -320,28 +396,25 @@ def test_max_abs_passes_nan_and_inf_to_the_residual_check(bad):
 # the two product sums
 # ----------------------------------------------------------------------
 
-def _products_case(case: str, j: int):
-    """f_term_sum inputs (f0, t_known, F, T, Fp, W) for one edge of the kernel, and a cap."""
-    if case == "equal_lengths":  # every product a tie, F_i first
-        return _random_f_terms(j, 12, 12, lambda i: 12, lambda i: 12), _NO_CAP
-    if case == "longer_first":  # T_i and W_i the longer, as in the hierarchy
-        return _random_f_terms(j, int(_RNG.integers(1, 8)), int(_RNG.integers(1, 8)),
-                               lambda i: int(_RNG.integers(8, 30)),
-                               lambda i: int(_RNG.integers(8, 30))), _NO_CAP
-    if case == "row_at_the_cap":  # the widest row ends at the cap, as at j = J
-        terms = _random_f_terms(j, 4, 3, lambda i: 2 * i + 3, lambda i: 2 * i + 2)
-        return terms, len(terms[0]) + len(terms[1]) - 2
+def _products_case(case: str, k: int):
+    """(k, j, f_term_sum inputs, cap) for one edge of the kernel, hierarchy-shaped."""
+    if case == "equal_lengths":  # k = 5: F_i ties with T_1, F_i' with W_1
+        j = int(_RNG.integers(2, _J + 1))
+        return 5, j, _hierarchy_terms(5, j), _NO_CAP
+    if case == "longer_first":  # both kinds of term (k = 3, 4), the F side longer (k = 6)
+        k, j = [3, 4, 6][k % 3], int(_RNG.integers(2, _J + 1))
+        return k, j, _hierarchy_terms(k, j), _NO_CAP
+    if case == "row_at_the_cap":  # j = J: F_0 T_known ends at the last index kept
+        return k, _J, _hierarchy_terms(k, _J), k + 2 * _J + 2
     if case == "one_term":  # F_0 T_known alone
-        return _random_f_terms(1, 1, 1, None, None, int(_RNG.integers(1, 10)),
-                               int(_RNG.integers(1, 30))), _NO_CAP
+        return k, 1, _hierarchy_terms(k, 1), _NO_CAP
     if case == "negative_sign_zeros":  # -F_i' W_{j-i} rows hold -0.0 in columns 0-2
-        f0, t_known, F, T, Fp, W = _random_f_terms(j, 5, 5, lambda i: 9, lambda i: 9)
+        k, j = [2, 3, 4][k % 3], int(_RNG.integers(2, 12))
+        f0, t_known, F, T, Fp, W = terms = _hierarchy_terms(k, j)
         f0[0:3], t_known[0:3] = 0.0, 0.0
-        Fp = [None] + [_random_f64(5) for _ in range(1, j)]
-        F = [None] * j
-        for fp in Fp[1:]:
-            fp[0:3] = 0.0
-        return (f0, t_known, F, T, Fp, W), _NO_CAP
+        for t in T[1:] + W[1:]:
+            t[0:3] = 0.0
+        return k, j, terms, _NO_CAP
     raise ValueError(case)
 
 
@@ -350,18 +423,17 @@ def _products_case(case: str, j: int):
     "case", ["equal_lengths", "longer_first", "row_at_the_cap", "one_term", "negative_sign_zeros"]
 )
 def test_products_are_the_signed_poly_mul(be, case):
-    for _ in range(30):
-        j = int(_RNG.integers(2, 12))
-        terms, cap = _products_case(case, j)
-        j = len(terms[2])
-        got = _f_terms(be, *terms, j)
+    for trial in range(15):
+        k, j, terms, cap = _products_case(case, trial % 7)
+        got = _f_terms(be, k, *terms, j)
         assert _bits(got) == _bits(_plain_f_term_sum(be, *terms, j, cap))
     if case == "negative_sign_zeros":
-        # the rows hold -0.0 there; the +0.0 of F_0 T_known turns them to +0.0
+        # the negated rows hold -0.0 there; the +0.0 of F_0 T_known turns them to +0.0
         f0, t_known, F, T, Fp, W = terms
-        rows = [-be.poly_mul(fp, w, cap) for fp, w in zip(Fp[1:], W[j - 1 : 0 : -1])]
-        assert all(_bits(r)[:3] == ["-0x0.0p+0"] * 3 for r in rows)
-        assert _bits(_f_terms(be, *terms, j))[:3] == ["0x0.0p+0"] * 3
+        rows = [-be.poly_mul(fp, w, cap) for fp, w in zip(Fp[1:], W[j - 1 : 0 : -1])
+                if fp is not None]
+        assert rows and all(_bits(r)[:3] == ["-0x0.0p+0"] * 3 for r in rows)
+        assert _bits(got)[:3] == ["0x0.0p+0"] * 3
 
 
 @pytest.mark.parametrize("be", [_F64Backend])
@@ -376,22 +448,21 @@ def test_pair_products_with_zero_parity_rows(be):
             zero = np.flatnonzero(_RNG.random(i + 1) < (1.0 if i == 1 else 0.5))
             w[2 * zero + (i + 1) % 2] = np.where(_RNG.random(len(zero)) < 0.5, -0.0, 0.0)
             W.append(w)
-        Wop = _ops(be, W)
+        ops = _store(be, 0, 16, {"W": W})
         for j in range(1, 16):
-            assert _bits(be.mirrored_sum(Wop, j)) == _bits(_plain_mirrored_sum(be, W, j))
+            assert _bits(be.mirrored_sum(ops, j)) == _bits(_plain_mirrored_sum(be, W, j))
 
 
 @pytest.mark.parametrize("be", [_F64Backend])
 def test_no_products(be):
-    # half-order 1 has no pairs: the mirrored sum is the zero start; with
-    # every F_i and F_i' None the F-term sum is F_0 T_known alone
-    assert _bits(be.mirrored_sum([None, None], 1)) == _bits(be.poly_zeros(1))
-    for j in (1, 2, 7):
-        f0, t_known = _random_f64(3), _random_f64(2 * j + 3)
-        W = [None] + [_random_f64(2 * i + 2) for i in range(1, j)]
-        none = [None] * j
-        got = _f_terms(be, f0, t_known, none, W, none, W, j)
-        assert _bits(got) == _bits(_zero_buffer_add(np.zeros(1), np.convolve(f0, t_known)))
+    # half-order 1 has no pairs: the mirrored sum is the zero start; at
+    # j = 1, and at every j for k = 0, R is F_0 T_known alone
+    assert _bits(be.mirrored_sum(be.operands(0, 1), 1)) == _bits(be.poly_zeros(1))
+    for k in range(7):
+        for j in ((1, 2, 7) if k == 0 else (1,)):
+            f0, t_known, F, T, Fp, W = _hierarchy_terms(k, j)
+            got = _f_terms(be, k, f0, t_known, F, T, Fp, W, j)
+            assert _bits(got) == _bits(_zero_buffer_add(np.zeros(1), np.convolve(f0, t_known)))
 
 
 def _random_fractions(n: int) -> list:
@@ -406,14 +477,14 @@ def test_rational_kernels_are_the_plain_loop():
     for _ in range(40):
         j = int(_RNG.integers(1, 9))
         W = [None] + [_random_fractions(2 * i + 2) for i in range(1, j)]
-        assert be.mirrored_sum(_ops(be, W), j) == _plain_mirrored_sum(be, W, j)
+        assert be.mirrored_sum(_store(be, 0, j, {"W": W}), j) == _plain_mirrored_sum(be, W, j)
         lf = int(_RNG.integers(1, 6))
         F = [None] + [None if _RNG.random() < 0.3 else _random_fractions(lf) for _ in range(1, j)]
         Fp = [None] + [None if _RNG.random() < 0.3 else _random_fractions(max(lf - 1, 1))
                        for _ in range(1, j)]
         T = [None] + [_random_fractions(2 * i + 3) for i in range(1, j)]
         f0, t_known = _random_fractions(lf + 1), _random_fractions(2 * j + 3)
-        got = _f_terms(be, f0, t_known, F, T, Fp, W, j)
+        got = _f_terms(be, lf, f0, t_known, F, T, Fp, W, j)
         assert got == _plain_f_term_sum(be, f0, t_known, F, T, Fp, W, j)
 
 
@@ -435,7 +506,7 @@ def test_backends_offer_what_the_hierarchy_calls():
 
     callers = (_hierarchy_core, engine._v_polys)
     called = set().union(*(_backend_calls(fn) for fn in callers))
-    assert {"operand", "mirrored_sum", "f_term_sum"} <= called
+    assert {"operands", "operand", "mirrored_sum", "f_term_sum"} <= called
     assert public(_F64Backend) == public(_RationalBackend)
     assert public(_F64Backend) == called, (
         f"not called: {sorted(public(_F64Backend) - called)}, "
@@ -532,23 +603,32 @@ def test_eliminate_is_the_per_power_loop(be, k):
 # the F' skip of the hierarchy, and the hierarchy against its generic sum
 # ----------------------------------------------------------------------
 
-def _with_zero_fp_rows(base, k: int):
-    """base, with f_term_sum given back the rows F_i' W_{j-i} whose F_i' is zero.
+class _PlainSums(_F64Backend):
+    """_F64Backend with both product sums the plain loop, F_i' W_{j-i} rows given back.
 
-    _hierarchy_core leaves those rows out (Fp[i] is None while F[i] is not)
-    when F_i's only unknown sits at power 0.  Here they go back in their
-    places, each with the F_i' that poly_diff gives for such an F_i: its
-    powers above 0 are all zero.
+    The store keeps plain arrays.  _hierarchy_core keeps no F_i' where F_i's
+    only unknown sits at power 0; here every F_i with unknowns brings its
+    row F_i' W_{j-i} back, with the F_i' that poly_diff gives: its powers
+    above 0 are all zero.
     """
-    zero_fp = base.operand(base.poly_diff(base.poly_zeros(max(k, 1))))
 
-    class Backend(base):
-        @staticmethod
-        def f_term_sum(f0, t_known, F, T, Fp, W, j):
-            Fp = [zero_fp if f is not None and fp is None else fp for f, fp in zip(F, Fp)]
-            return base.f_term_sum(f0, t_known, F, T, Fp, W, j)
+    @staticmethod
+    def operands(k, J):
+        return {name: [None] * (J + 1) for name in engine._TABLES}
 
-    return Backend
+    @staticmethod
+    def operand(ops, name, j, a):
+        ops[name][j] = a
+
+    @staticmethod
+    def mirrored_sum(ops, j):
+        return _plain_mirrored_sum(_F64Backend, ops["W"], j)
+
+    @staticmethod
+    def f_term_sum(ops, t_known, j):
+        F = ops["F"]
+        Fp = [None if f is None else _F64Backend.poly_diff(f) for f in F]
+        return _plain_f_term_sum(_F64Backend, F[0], t_known, F, ops["T"], Fp, ops["W"], j)
 
 
 def _hierarchy_inputs(k: int, gamma: float, m: int, order: int, system: str = "ion"):
@@ -569,63 +649,63 @@ def _core_bits(out) -> list:
 @pytest.mark.parametrize("be", [_F64Backend])
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_hierarchy_skips_only_zero_fp_rows(be, k):
+    # the whole hierarchy against the plain loop with the skipped rows back
     order = 19
     for gamma, m in [(0.3, 0), (2.0, 1)]:
         v, omega, q0 = _hierarchy_inputs(k, gamma, m, order)
         got = _hierarchy_core(v, k, order, omega, q0, be)
-        ref = _hierarchy_core(v, k, order, omega, q0, _with_zero_fp_rows(be, k))
+        ref = _hierarchy_core(v, k, order, omega, q0, _PlainSums)
         assert _core_bits(got) == _core_bits(ref)
 
 
-def _product_sum(terms, cap, index):
-    """The generic product kernel the hierarchy called before its two sums.
+class _CorrelatedSums(_F64Backend):
+    """_F64Backend with the two product sums as they were before the plan.
 
-    The plain sum 0.0 + p_index[0] + p_index[1] + ..., each row zero-padded,
-    with p_t = sign * poly_mul(a, b, cap) for the t-th (a, b, sign) of terms:
-    each product formed once as np.correlate(longer, shorter[::-1]), the
-    first operand the longer on a tie, and the indexed ones added in order
-    to a zero buffer as wide as the widest of them.
+    Every product is np.correlate(longer, shorter reversed), the F side
+    first on a tie, from lists of operand forms (a, a reversed), and every
+    row is added in place to the widest, F_0 T_known, a row of sign -1.0
+    subtracted.
     """
-    rows = []
-    for a, b, _ in terms:
-        if len(b) > len(a):
-            a, b = b, a
-        rows.append(np.correlate(a, b[::-1], "full"))
-    acc = np.zeros(max([len(rows[t]) for t in index], default=1))
-    for t in index:
-        row = rows[t]
-        if terms[t][2] == 1.0:
-            acc[: len(row)] += row
+
+    @staticmethod
+    def operands(k, J):
+        return {name: [None] * (J + 1) for name in engine._TABLES}
+
+    @staticmethod
+    def operand(ops, name, j, a):
+        ops[name][j] = a, a[::-1].copy()
+
+    @staticmethod
+    def mirrored_sum(ops, j):
+        W = ops["W"]
+        rows = [np.correlate(W[j - i][0], W[i][1], "full") for i in range(1, j // 2 + 1)]
+        acc = np.zeros(2 * j + 3 if j > 1 else 1)
+        for row in rows + rows[: (j - 1) // 2][::-1]:
+            acc += row
+        return acc
+
+    @staticmethod
+    def f_term_sum(ops, t_known, j):
+        F, T, Fp, W = ops["F"], ops["T"], ops["Fp"], ops["W"]
+        f0, f0r = F[0]
+        if len(f0) == 1:
+            acc = t_known * f0[0] + 0.0
+        elif len(t_known) > len(f0):
+            acc = np.correlate(t_known, f0r, "full")
         else:
-            acc[: len(row)] -= row
-    return acc[: cap + 1]
-
-
-class _GenericSums(_F64Backend):
-    """_F64Backend with both product sums made by _product_sum from plain arrays.
-
-    The (a, b, sign) terms and the index are built as the hierarchy built
-    them; no product reaches the hierarchy's cap, so none is passed.
-    """
-
-    @staticmethod
-    def operand(a):
-        return a
-
-    @staticmethod
-    def mirrored_sum(W, j):
-        pairs = [(W[i], W[j - i], 1.0) for i in range(1, j // 2 + 1)]
-        return _product_sum(pairs, _NO_CAP, [min(i, j - i) - 1 for i in range(1, j)])
-
-    @staticmethod
-    def f_term_sum(f0, t_known, F, T, Fp, W, j):
-        terms = [(f0, t_known, 1.0)]
-        for i in range(1, j):
-            if F[i] is not None:
-                terms.append((F[i], T[j - i], 1.0))
-            if Fp[i] is not None:
-                terms.append((Fp[i], W[j - i], -1.0))
-        return _product_sum(terms, _NO_CAP, range(len(terms)))
+            acc = np.correlate(f0, t_known[::-1], "full")
+        for f, t, fp, w in zip(F[1:j], T[j - 1 : 0 : -1], Fp[1:j], W[j - 1 : 0 : -1]):
+            if f is not None:
+                (f, fr), (t, tr) = f, t
+                row = np.correlate(t, fr, "full") if len(t) > len(f) else \
+                    np.correlate(f, tr, "full")
+                acc[: len(row)] += row
+            if fp is not None:
+                (f, fr), (w, wr) = fp, w
+                row = np.correlate(w, fr, "full") if len(w) > len(f) else \
+                    np.correlate(f, wr, "full")
+                acc[: len(row)] -= row
+        return acc
 
 
 def _core_outcome(v, k, order, omega, q0, be):
@@ -636,19 +716,20 @@ def _core_outcome(v, k, order, omega, q0, be):
 
 
 def test_hierarchy_is_the_generic_product_sum():
-    # 30 states with k 0-5, among them the operand-order ties: ion k = 5
+    # 35 states with k 0-6, among them the operand-order ties: ion k = 5
     # (F_i against T_1, F_i' against W_1) and rm Gamma 0.2, k 3, |m| 1
-    # (F_0 against T_known at half-order 1)
+    # (F_0 against T_known at half-order 1); the reference forms every
+    # product as a correlation
     rng = np.random.default_rng(38)
     states = [("ion", 5, m, g) for g, m in [(0.05, 0), (0.7, 1), (3.0, 2)]] + [("rm", 3, 1, 0.2)]
-    while len(states) < 30:
-        states.append((str(rng.choice(["ion", "rm"])), len(states) % 6, int(rng.integers(0, 3)),
+    while len(states) < 35:
+        states.append((str(rng.choice(["ion", "rm"])), len(states) % 7, int(rng.integers(0, 3)),
                        float(10.0 ** rng.uniform(math.log10(0.05), math.log10(5.0)))))
     order = 19
     for system, k, m, gamma in states:
         v, omega, q0 = _hierarchy_inputs(k, gamma, m, order, system)
         got = _core_outcome(v, k, order, omega, q0, _F64Backend)
-        assert got == _core_outcome(v, k, order, omega, q0, _GenericSums), (system, k, m, gamma)
+        assert got == _core_outcome(v, k, order, omega, q0, _CorrelatedSums), (system, k, m, gamma)
 
 
 # ----------------------------------------------------------------------
@@ -718,8 +799,8 @@ def _outcome(fn, *args):
 def _pade_inputs():
     """(c, M, N, t): every ladder member of real solves, then random series."""
     for gamma, k, m in [(0.2, 0, 0), (0.7, 1, 1), (2.0, 0, 0), (5.0, 3, 0), (0.05, 2, 3)]:
-        for c_coul, divisor in [(1.0, 8.0), (0.5, 32.0)]:
-            pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
+        for system in ("ion", "rm"):
+            pot = radial_potential(system, gamma)
             s = engine.StateIndex.from_azimuthal(k, m)
             res = engine._solve_path("double", pot, s, engine.locate_q0(pot, s))
             c, t = res.expansion.corrections, 1.0 / res.expansion.lbar
@@ -847,10 +928,10 @@ def _check_ladder(corrections, lead, fit_eval) -> int:
 
 def _real_ladders():
     """(corrections, lead, fit_eval) of real solves in both precisions, failing members too."""
-    cases = [(1.0, 8.0, 0.5, 0, 0), (1.0, 8.0, 0.05, 1, 0), (0.5, 32.0, 2.0, 0, 1),
-             (0.5, 32.0, 0.0881, 3, 0), (1.0, 8.0, 5.0, 2, 3)]
-    for c_coul, divisor, gamma, k, m in cases:
-        pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c_coul)
+    cases = [("ion", 0.5, 0, 0), ("ion", 0.05, 1, 0), ("rm", 2.0, 0, 1), ("rm", 0.0881, 3, 0),
+             ("ion", 5.0, 2, 3)]
+    for system, gamma, k, m in cases:
+        pot = radial_potential(system, gamma)
         s = engine.StateIndex.from_azimuthal(k, m)
         q0 = engine.locate_q0(pot, s)
         e = engine._solve_path("double", pot, s, q0).expansion

@@ -13,21 +13,18 @@ from pathlib import Path
 
 import pytest
 
-from pslet import HybridPotential, StateIndex
+from pslet import StateIndex
 from pslet.engine import _solve_path, locate_q0
+from pslet.quantum_dot import radial_potential
 
 PIN = json.loads((Path(__file__).parent / "data" / "corrections_pin.json").read_text())
-
-# (a_osc divisor, Coulomb strength): a_osc = Gamma^2 / divisor
-SYSTEMS = {"ion": (8.0, 1.0), "rm": (32.0, 0.5)}
 
 
 @pytest.mark.parametrize(
     "row", PIN, ids=[f"{r['system']}-k{r['k']}-m{r['m']}-G{r['Gamma']}-{r['precision']}" for r in PIN]
 )
 def test_corrections_bit_identical(row):
-    divisor, coulomb = SYSTEMS[row["system"]]
-    pot = HybridPotential(a_osc=row["Gamma"] ** 2 / divisor, c_coul=coulomb)
+    pot = radial_potential(row["system"], row["Gamma"])
     state = StateIndex.from_azimuthal(row["k"], row["m"])
     res = _solve_path(row["precision"], pot, state, locate_q0(pot, state))
     assert res.precision == row["precision"]

@@ -30,6 +30,7 @@ from pslet.engine import (
 )
 from pslet.errors import HierarchyResidual, NoRootInDomain, OmegaDomainError, OrderOverflow
 from pslet.potentials import HybridPotential
+from pslet.quantum_dot import radial_potential
 
 # ion impurity state 1s at combined confinement 0.2: the standard workhorse
 ION = HybridPotential(a_osc=0.2**2 / 8.0, c_coul=1.0)
@@ -62,9 +63,11 @@ def origin_states(n: int):
     """A seeded sweep: ion, relative motion and c = 0; Gamma 1e-4-1e3; k 0-11; |m| 0-11."""
     rng = np.random.default_rng(16)
     for _ in range(n):
-        divisor, c = [(8.0, 1.0), (32.0, 0.5), (8.0, 0.0)][int(rng.integers(3))]
+        system = ["ion", "rm", None][int(rng.integers(3))]
         gamma = 1e-4 * 1e7 ** float(rng.random())
-        pot = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=c)
+        # the pure oscillator is no system of radial_potential's
+        pot = HybridPotential(gamma * gamma / 8.0, 0.0) if system is None else \
+            radial_potential(system, gamma)
         yield pot, StateIndex.from_azimuthal(int(rng.integers(12)), int(rng.integers(12)))
 
 
@@ -550,9 +553,9 @@ class TestDDOrigin:
         rng = np.random.default_rng(33)
         with mpmath.workdps(50):
             for _ in range(60):
-                divisor, coulomb = [(8.0, 1.0), (32.0, 0.5)][int(rng.integers(2))]
+                system = ["ion", "rm"][int(rng.integers(2))]
                 gamma = 1e-4 * 1e7 ** float(rng.random())
-                p = HybridPotential(a_osc=gamma * gamma / divisor, c_coul=coulomb)
+                p = radial_potential(system, gamma)
                 s = StateIndex.from_azimuthal(int(rng.integers(6)), int(rng.integers(12)))
                 q, omega, *_ = engine._dd_shift(p, s, locate_q0(p, s))
                 a, c = mpmath.mpf(p.a_osc), mpmath.mpf(p.c_coul)

@@ -8,12 +8,16 @@ the hierarchy that leaves the corrections alone still changes these.  The
 extended path runs no hierarchy; corrections_pin.json pins its energies,
 ladders and corrections.
 
-The pinned digests hold for one BLAS kernel.  The hierarchy's products are
-np.correlate calls, which take their dot products from the BLAS ddot, and
-its summation order is the kernel's: with OpenBLAS 0.3.31 (DYNAMIC_ARCH,
-Haswell kernel) a dot of 1-11 terms is the sequential sum, one of 12-15
-the sequential sum with fused multiply-adds, and a longer one neither.
-Under another kernel these digests may differ with no change to pslet.
+The pinned digests hold for one BLAS kernel.  The hierarchy's products
+with two or more nonzero coefficients on both sides are np.correlate
+calls.  An output where the reversed shorter operand only partly overlaps
+the longer is a BLAS ddot, whose summation order is the kernel's: with
+OpenBLAS 0.3.31 (DYNAMIC_ARCH, Haswell kernel) the sequential sum with
+fused multiply-adds for 1-15 terms.  An output of full overlap comes from
+numpy's own loop, the plain sequential sum for a shorter operand of up to
+11 coefficients and the fused sum at 12.  Under another kernel these
+digests may differ with no change to pslet.  A product whose F side has
+one nonzero coefficient (a scaled shift) rounds the same under any kernel.
 """
 
 import json

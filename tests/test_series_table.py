@@ -22,11 +22,10 @@ from pslet import HybridPotential, StateIndex, cli, engine
 from pslet._dd import DD
 from pslet.errors import OutsideSeriesTable, SeriesTableMismatch
 from pslet.oracle import RadialProblem, solve_radial_fd
-from pslet.quantum_dot import DotParams, StateLabel, ion_record, spectrum_row
+from pslet.quantum_dot import DotParams, StateLabel, ion_record, radial_potential, spectrum_row
 
 ROOT = Path(__file__).resolve().parents[1]
 PIN = json.loads((ROOT / "tests" / "data" / "corrections_pin.json").read_text())
-SYSTEMS = {"ion": (8.0, 1.0), "rm": (32.0, 0.5)}
 
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -65,8 +64,7 @@ def test_chebyshev_conversion_is_exact():
     ids=lambda r: f"{r['system']}-k{r['k']}-m{r['m']}-G{r['Gamma']}",
 )
 def test_pinned_extended_corrections_come_from_the_table(row):
-    divisor, coulomb = SYSTEMS[row["system"]]
-    pot = HybridPotential(a_osc=row["Gamma"] ** 2 / divisor, c_coul=coulomb)
+    pot = radial_potential(row["system"], row["Gamma"])
     s = StateIndex.from_azimuthal(row["k"], row["m"])
     q, omega, *_ = engine._dd_shift(pot, s, engine.locate_q0(pot, s))
     table = engine._table_corrections(s.k, omega, q)

@@ -61,12 +61,13 @@ class _RationalBackend:
     Polynomials are lists of Fractions, and every kernel is the plain loop
     the engine's batched kernels stand for.  The operand form the two
     product sums read is (d, integers c) with the polynomial equal to c / d,
-    d its least common denominator, made once per solved polynomial; the
-    sums form their products and add them in integers over one denominator,
-    which is exact in any order, and make one Fraction, and so one gcd, per
-    output coefficient.  Fractions term by term would normalise every
-    partial sum with a gcd.  The arithmetic is exact, so every residual
-    closes to zero.
+    d its least common denominator, made once per solved polynomial and
+    kept in a dict of tables ("F", "Fp", "T", "W") indexed by half-order,
+    None where none is kept.  The sums form their products and add them in
+    integers over one denominator, which is exact in any order, and make
+    one Fraction, and so one gcd, per output coefficient.  Fractions term
+    by term would normalise every partial sum with a gcd.  The arithmetic
+    is exact, so every residual closes to zero.
     """
 
     residual_tol = 0.0
@@ -92,18 +93,26 @@ class _RationalBackend:
         d, out = _integer_product(_over_common_denominator(a), _over_common_denominator(b))
         return [Fraction(c, d) for c in out[: cap + 1]]
 
-    operand = staticmethod(_over_common_denominator)
+    @staticmethod
+    def operands(k: int, J: int) -> dict:
+        return {name: [None] * (J + 1) for name in ("F", "Fp", "T", "W")}
 
     @staticmethod
-    def mirrored_sum(W: list, j: int) -> list:
+    def operand(ops: dict, name: str, j: int, a: list) -> None:
+        ops[name][j] = _over_common_denominator(a)
+
+    @staticmethod
+    def mirrored_sum(ops: dict, j: int) -> list:
         """The sum of W_i W_{j-i} over i = 1..j-1, each product formed once for i <= j/2."""
+        W = ops["W"]
         rows = [_integer_product(W[j - i], W[i]) for i in range(1, j // 2 + 1)]
         return _fraction_sum([(1, p) for p in rows + rows[: (j - 1) // 2][::-1]])
 
     @staticmethod
-    def f_term_sum(f0, t_known: list, F: list, T: list, Fp: list, W: list, j: int) -> list:
+    def f_term_sum(ops: dict, t_known: list, j: int) -> list:
         """F_0 T_known plus F_i T_{j-i} - F_i' W_{j-i} over i = 1..j-1, None entries left out."""
-        prods = [(1, _integer_product(f0, _over_common_denominator(t_known)))]
+        F, Fp, T, W = ops["F"], ops["Fp"], ops["T"], ops["W"]
+        prods = [(1, _integer_product(F[0], _over_common_denominator(t_known)))]
         for i in range(1, j):
             if F[i] is not None:
                 prods.append((1, _integer_product(F[i], T[j - i])))
