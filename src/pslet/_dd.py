@@ -11,10 +11,10 @@ error-free transforms).
 
 The routines dd_add, dd_mul and dd_div take (hi, lo) pairs of numpy arrays
 for the compiled correction table, and pairs of Python floats for the Pade
-fit, which works on such pairs rather than DD objects.  The scalar DD
-class (+, -, *, / and float) carries the Newton step on the frequency
-equation and the shift geometry (engine._dd_shift), and the Pade fit's
-coefficients in and out.
+fit and evaluation, which work on such pairs rather than DD objects.  The
+scalar DD class (+, -, *, / and float) carries the Newton step on the
+frequency equation and the shift geometry (engine._dd_shift), the series
+the fit reads and the value the evaluation returns.
 
 dd_pade_fit builds every staircase Pade member of a series in one pass,
 as the convergents of its qd continued fraction; dd_pade_eval evaluates
@@ -113,10 +113,11 @@ def _sub_mul(ah, al, bh, bl, ch, cl):
     return dd_add(ah, al, -ph, -pl)
 
 
-def dd_pade_fit(c: list[DD]) -> dict[tuple[int, int], tuple[list[DD], list[DD]] | None]:
+def dd_pade_fit(c: list[DD]) -> dict[tuple[int, int], tuple[list, list] | None]:
     """Every staircase Pade member of the series c in dd, from one qd table.
 
-    Returns {(M, N): (num, den) or None} for every M + N < len(c) with
+    Returns {(M, N): (num, den) or None}, num and den lists of (hi, lo)
+    pairs, lowest degree first, for every M + N < len(c) with
     N = M or M + 1: [0/0], [0/1], [1/1], [1/2], ... up to [9/10] for the 20
     corrections of a solve.  Rutishauser's qd table (progressive form) gives
     the coefficients a_1, a_2, ... of the corresponding fraction
@@ -159,7 +160,7 @@ def dd_pade_fit(c: list[DD]) -> dict[tuple[int, int], tuple[list[DD], list[DD]] 
         if n:
             num_prev, num = num, _step(num, num_prev, an)
             den_prev, den = den, _step(den, den_prev, an)
-        members[n // 2, (n + 1) // 2] = ([DD(*x) for x in num], [DD(*x) for x in den])
+        members[n // 2, (n + 1) // 2] = num, den
     return members
 
 
@@ -172,22 +173,21 @@ def _step(p1, p2, a):
     ]
 
 
-def dd_pade_eval(num: list[DD], den: list[DD], t: DD) -> DD:
-    """Horner evaluation of num(t)/den(t) in dd, with the same pole guard."""
+def dd_pade_eval(num: list, den: list, t: DD) -> DD:
+    """Horner evaluation in dd of num(t)/den(t), (hi, lo) pair lists, with the same pole guard."""
     from .errors import PoleProximity
     from .series import POLE_TOLERANCE
 
     def horner(coeffs):
         vh = vl = 0.0
-        for cc in reversed(coeffs):
-            vh, vl = dd_add(*dd_mul(vh, vl, t.hi, t.lo), cc.hi, cc.lo)
+        for ch, cl in reversed(coeffs):
+            vh, vl = dd_add(*dd_mul(vh, vl, t.hi, t.lo), ch, cl)
         return vh, vl
 
     dh, dl = horner(den)
-    scale = 0.0
-    tp = 1.0
-    for cc in den:
-        scale += abs(float(cc)) * abs(tp)
+    scale, tp = 0.0, 1.0
+    for ch, cl in den:
+        scale += abs(ch + cl) * abs(tp)
         tp *= float(t)
     if abs(dh + dl) < POLE_TOLERANCE * scale:
         raise PoleProximity(f"dd denominator {dh + dl:.3e} at t={float(t):.6g} sits on a pole")

@@ -510,27 +510,6 @@ class _F64Backend:
     def poly_zeros(n: int) -> np.ndarray:
         return np.zeros(n)
 
-    @staticmethod
-    def poly_add(a, b, sign=1.0):
-        """a + sign * b, the shorter operand padded with zeros.
-
-        With no zero buffer to add into, a -0.0 of an operand stays -0.0;
-        the hierarchy's sums that can hold one are read only by np.convolve,
-        whose sums start from +0.0 (see _hierarchy_core).  A sign of 1.0
-        multiplies exactly, so it is left out.
-        """
-        if len(a) >= len(b):
-            out = a.copy()
-            out[: len(b)] += b if sign == 1.0 else sign * b
-        else:
-            out = b.copy() if sign == 1.0 else sign * b
-            out[: len(a)] += a
-        return out
-
-    @staticmethod
-    def poly_mul(a, b, cap):
-        return np.convolve(a, b)[: cap + 1]
-
     # The batched kernels below each stand for a plain loop, named in their
     # docstrings, and give its bits: every sum keeps its term order.  The
     # two product sums take no cap: no product of the hierarchy reaches it
@@ -565,18 +544,17 @@ class _F64Backend:
         poly_zeros(1).  W_i W_{j-i} and W_{j-i} W_i are the same bits, the
         longer operand going first whichever is named first, so each
         product is formed once for i <= j/2, as np.correlate(W_{j-i}, W_i
-        reversed), and added at i and at j - i.  Every product has 2j + 3
-        coefficients, so whole rows are added in place to one zero buffer;
-        at j = 2 the one row is the sum, as it holds no -0.0.
+        reversed), and used at i and at j - i.  Every product has 2j + 3
+        coefficients, so the sum is one np.add.reduce down the rows in the
+        loop's order, sequential from +0.0 for a stack at least two columns
+        wide (9 from j = 3); at j = 2 the one row is the sum, as it holds
+        no -0.0.
         """
         W = ops.forms["W"]
         rows = [np.correlate(W[j - i][0], W[i][1], "full") for i in range(1, j // 2 + 1)]
         if j < 3:
             return rows[0] if rows else np.zeros(1)
-        acc = np.zeros(2 * j + 3)
-        for row in rows + rows[: (j - 1) // 2][::-1]:
-            acc += row
-        return acc
+        return np.add.reduce(rows + rows[: (j - 1) // 2][::-1], axis=0)
 
     @staticmethod
     def f_term_sum(ops, t_known, j):
@@ -594,8 +572,9 @@ class _F64Backend:
         in the row of its place in the loop: the scaled shifts with one
         index into ops.windows and one multiply, the others as the
         correlation np.convolve(F_i, .) runs, and every F_i' W_{j-i} row
-        negated, as a subtraction adds the negation.  R is the last row of
-        the stack's accumulate, sequential by definition; zero padding adds
+        negated, as a subtraction adds the negation.  R is the stack's
+        np.add.reduce down axis 0, the sequential sum from +0.0 for a stack
+        at least two columns wide (k + 2j + 3 >= 5); zero padding adds
         exact zeros to sums holding no -0.0.
         """
         f0, f0r = ops.forms["F"][0]
@@ -620,11 +599,35 @@ class _F64Backend:
             (a, ar), (b, br) = forms[f][i], forms[t][m]
             put(np.correlate(a, br, "full") if f_first else np.correlate(b, ar, "full"),
                 out=stack[r, :length])
-        return np.add.accumulate(stack, axis=0, out=stack)[-1]
+        return np.add.reduce(stack, axis=0)
 
     @staticmethod
-    def poly_scale(a, z):
-        return a * z
+    def known_part(acc, v):
+        """-1/2 acc + v_j in place, the bits of the plain poly_add(poly_scale(acc, -0.5), v_j)."""
+        out = acc * -0.5
+        if len(out) < len(v):
+            out, v = v.copy(), out
+        out[: len(v)] += v
+        return out
+
+    @staticmethod
+    def t_row(acc, w0, wj, v, eps):
+        """T_j = -1/2 (W_j' + acc + 2 W_0 W_j) + v_j, less eps_j at x^0 unless eps is None.
+
+        The plain loop: acc = poly_add(acc, poly_scale(poly_mul(W_0, W_j,
+        cap), 2.0)), t = poly_add(poly_scale(poly_add(poly_diff(W_j), acc),
+        -0.5), v_j), t[0] = t[0] - eps_j; here each step is in place on the
+        fresh product, longer than W_j' and v_j, with the loop's operands.
+        """
+        t = np.convolve(w0, wj)
+        t *= 2.0
+        t[: len(acc)] += acc
+        t[: len(wj) - 1] += wj[1:] * np.arange(1, len(wj))
+        t *= -0.5
+        t[: len(v)] += v
+        if eps is not None:
+            t[0] -= eps
+        return t
 
     @staticmethod
     def poly_diff(a):
@@ -739,7 +742,8 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     identically zero: every such term at k = 1, and those of even i at
     k = 2.  A skipped piece is not kept.
 
-    Each half-order makes two product sums and one eliminate call.
+    Each half-order makes two product sums, known_part (-1/2 acc + v_j),
+    one eliminate call and, where a product reads it, t_row (T_j).
     mirrored_sum forms every W_i W_{j-i} once, for i <= j/2, and adds them
     up in the order i = 1..j-1; f_term_sum forms F_0 T_known, every
     F_i T_{j-i} and every -F_i' W_{j-i}, and adds those up into R, in the
@@ -752,18 +756,20 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     bits of the plain loop of poly_add / poly_mul / get / axpy / set_ calls,
     resting on these facts (tests/test_batched_kernels.py):
 
-    1. every sum keeps its term order (mirrored_sum adds its rows one by
-       one, f_term_sum accumulates down the stack of its rows), and every
-       row is the np.convolve it stands for: a scaled shift (fact 5), or
-       the same C correlation of the longer operand with the reversed
-       shorter one, F_i or F_i' first on a tie (k = 5 ties F_i with T_1
-       and F_i' with W_1; k = 3 ties F_0 with T_known at j = 1).  How
-       np.correlate rounds depends on the overlap: an output where the
+    1. every sum keeps its term order (mirrored_sum and f_term_sum take one
+       np.add.reduce down a stack of their rows in the loop's order, which
+       is the sequential sum from +0.0 when the stack is at least two
+       columns wide, 5 or more here; a one-column stack would be summed
+       pairwise), and every row is the np.convolve it stands for: a scaled
+       shift (fact 5), or the same C correlation of the longer operand with
+       the reversed shorter one, F_i or F_i' first on a tie (k = 5 ties F_i
+       with T_1 and F_i' with W_1; k = 3 ties F_0 with T_known at j = 1).
+       How np.correlate rounds depends on the overlap: an output where the
        reversed shorter operand only partly overlaps the longer is a BLAS
        ddot, which with OpenBLAS 0.3.31 (DYNAMIC_ARCH, Haswell kernel) is
-       the sequential sum with fused multiply-adds (FMA) for 1-15 terms,
-       as np.dot is; an output of full overlap comes from numpy's own
-       loop, the plain sequential sum for a shorter operand of up to 11
+       the sequential sum with fused multiply-adds (FMA) for 1-15 terms, as
+       np.dot is; an output of full overlap comes from numpy's own loop,
+       the plain sequential sum for a shorter operand of up to 11
        coefficients and the FMA sum at 12 and 13 (at 16, neither).  So the
        double bits, and tests/data/hierarchy_pin.json, hold for that
        kernel; another BLAS kernel may round the partial overlaps
@@ -773,7 +779,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
        nothing; every sum here starts from +0.0 or from a row that holds
        no -0.0, and x + y is -0.0 only when both are;
     3. np.convolve starts its sums from +0.0, so a product holds no
-       negative zero: the negative zeros that _F64Backend.poly_add keeps
+       negative zero: the negative zeros that known_part and t_row keep
        without a zero buffer never reach R, and F_0 T_known, which the
        plain loop takes as R's start, passes the +0.0 start of R's sum
        unchanged (at k = 0, where F_0 = [1.0], it is the only row,
@@ -801,9 +807,6 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
     """
     be = backend
     J = 2 * order + 2
-    cap = k + 2 * J + 4
-    minus_half = be.scalar(-0.5)
-    two = be.scalar(2.0)
 
     W = [None] * (J + 1)
     F = [None] * (J + 1)
@@ -859,7 +862,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
         # W_i W_{j-i} over i = 1..j-1, then R from F_0 T_known and the
         # F_i T_{j-i} and -F_i' W_{j-i} that are not identically zero
         acc = be.mirrored_sum(ops, j)
-        t_known = be.poly_add(be.poly_scale(acc, minus_half), vpolys[j])
+        t_known = be.known_part(acc, vpolys[j])
         R = be.f_term_sum(ops, t_known, j)
         scale = max(be.max_abs(R), 1.0)
 
@@ -902,14 +905,7 @@ def _hierarchy_core(vpolys, k, order, omega_s, q0_s, backend):
             )
 
         if need_t and j < J:
-            w0_wj = be.poly_mul(W[0], W[j], cap)
-            acc = be.poly_add(acc, be.poly_scale(w0_wj, two))
-            tj = be.poly_add(be.poly_diff(W[j]), acc)
-            tj = be.poly_scale(tj, minus_half)
-            tj = be.poly_add(tj, vpolys[j])
-            if j % 2 == 0:
-                be.set_(tj, 0, be.get(tj, 0) - eps[j])
-            be.operand(ops, "T", j, tj)
+            be.operand(ops, "T", j, be.t_row(acc, W[0], W[j], vpolys[j], eps.get(j)))
 
     q0_sq = q0_s * q0_s
     corrections = [eps[2 * n + 2] / q0_sq for n in range(order + 1)]

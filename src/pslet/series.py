@@ -54,23 +54,24 @@ class PadeApproximant:
         object.__setattr__(self, "N", len(den) - 1)
 
 
-def _growth_rate(c: np.ndarray) -> float:
-    """Power-of-two estimate of the geometric growth of |c_n|.
+def _growth_rate(c: list) -> float:
+    """Power-of-two estimate of the geometric growth of |c_n|, c as Python floats.
 
     Rescaling by an exact power of two is lossless in binary floating point,
     so the equilibrated solve is bit-deterministic.  The exponent is clamped
     so that rho**(len(c)-1) can never overflow.
     """
-    a = np.abs(c)
+    a = [abs(x) for x in c]
     # a coefficient below 2**-52 of the largest is rounding noise, not growth
-    nz = a[(a != 0.0) & (a >= 2.0**-52 * a.max())]
+    floor = 2.0**-52 * max(a)
+    nz = [x for x in a if x != 0.0 and x >= floor]
     if len(nz) < 2:
         return 1.0
     # per-step growth exponent in log space; immune to over/underflow
     log_ratio = (math.log2(nz[-1]) - math.log2(nz[0])) / (len(c) - 1)
     e_max = 1000 // max(1, len(c) - 1)
     e = min(e_max, max(-e_max, round(log_ratio)))
-    return float(2.0**e)
+    return 2.0**e
 
 
 @functools.lru_cache(maxsize=64)
@@ -100,21 +101,23 @@ def pade_fit(c, M: int, N: int) -> PadeApproximant:
     The condition number is s[0]/s[-1] of the singular values, the 2-norm
     number np.linalg.cond computes (a zero s[-1] reads as infinite, as there),
     and the numerator's fsum runs over Python floats: the same bits as the
-    numpy spelling, without its per-call overhead.
+    numpy spelling, without its per-call overhead; a rho of 1 skips the
+    rescale and its undoing, which would change no bit.
     """
     c = np.asarray(c, dtype=float)
     if len(c) != M + N + 1:
         raise ValueError(f"need exactly M+N+1 = {M + N + 1} coefficients, got {len(c)}")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise SingularPadeSystem(f"[{M}/{N}] series has a non-finite coefficient")
     if N == 0:
         return PadeApproximant(c.copy(), np.array([1.0]))
 
-    rho = _growth_rate(c)
-    cs = c / rho ** np.arange(len(c))
+    cl = c.tolist()
+    rho = _growth_rate(cl)
+    cs = c if rho == 1.0 else c / rho ** np.arange(len(c))
     # the solve's products of tiny (say subnormal) terms underflow and lose
     # their digits; an exact power-of-two scale keeps them and changes no q
-    top = float(np.max(np.abs(cs)))
+    top = float(np.abs(cs).max())
     if 0.0 < top < _TINY:
         cs = np.ldexp(cs, -math.frexp(top)[1])
     rows, idx, inside = _toeplitz_index(M, N)
@@ -125,7 +128,7 @@ def pade_fit(c, M: int, N: int) -> PadeApproximant:
     except np.linalg.LinAlgError:
         sv = [math.nan]
     cond = sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularPadeSystem(
             f"[{M}/{N}] denominator system condition {cond:.2e} exceeds {CONDITION_LIMIT:.0e}"
         )
@@ -134,12 +137,12 @@ def pade_fit(c, M: int, N: int) -> PadeApproximant:
     except np.linalg.LinAlgError as err:
         raise SingularPadeSystem(f"[{M}/{N}] denominator system is singular") from err
     # q solves the system in the rescaled variable rho*t; undo the scaling
-    den = np.concatenate(([1.0], q * rho ** np.arange(1, N + 1)))
-    dl, cl = den.tolist(), c.tolist()
+    den = np.concatenate(([1.0], q if rho == 1.0 else q * rho ** np.arange(1, N + 1)))
+    dl = den.tolist()
     num = np.array(
         [math.fsum([dl[j] * cl[i - j] for j in range(min(i, N) + 1)]) for i in range(M + 1)]
     )
-    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
         raise SingularPadeSystem(f"[{M}/{N}] fit produced non-finite coefficients")
     return PadeApproximant(num, den)
 
@@ -163,7 +166,7 @@ def pade_eval(p: PadeApproximant, t: float) -> float:
     sum_i |den_i t^i|, which signals a spurious pole at the evaluation point.
     """
     tpow = np.abs(p.den) * np.abs(t) ** np.arange(len(p.den))
-    scale = float(np.sum(tpow))
+    scale = float(tpow.sum())
     den_val = float(_horner(p.den.tolist(), t))
     if abs(den_val) < POLE_TOLERANCE * scale:
         raise PoleProximity(

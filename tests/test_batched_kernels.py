@@ -1,36 +1,42 @@
 """The hierarchy's batched kernels against the sequential sums they stand for.
 
 Each kernel of engine._F64Backend that engine._hierarchy_core calls
-(mirrored_sum, f_term_sum, eliminate, influences) replaces a loop of
-poly_add / poly_mul / get / axpy / set_ calls and must give its bits, the
-sign of every zero included.  The references below are those loops, with
-the double-precision poly_add in its zero-buffer form.  Inputs are random,
-shaped as the hierarchy shapes them, with exact zeros and negative zeros.
-The hierarchy forms the sum of its pair products W_i W_{j-i} with
-mirrored_sum and its residual R with f_term_sum, both reading the operands
-operand() keeps in a solve's store (operands()); f_term_sum follows a plan
-made once per (k, J), which takes a term whose F-side operand has one
-nonzero coefficient as a scaled shift.  Each sum is checked against the
-loop it replaces, the rational backend's too, the plan against the terms
-of the loop, and the whole hierarchy against the plain loop and against
-the all-correlation kernels it ran before the plan.
+(mirrored_sum, f_term_sum, known_part, t_row, eliminate, influences)
+replaces a loop of poly_add / poly_mul / poly_scale / get / axpy / set_
+calls and must give its bits, the sign of every zero included.  The
+references below are those loops, on the plain polynomial steps kept here
+(tests/plain_poly.py in double precision, tools/series_table.py's helpers
+in Fractions), the double-precision poly_add in its zero-buffer form for
+the product sums.  Inputs are random, shaped as the hierarchy shapes them,
+with exact zeros and negative zeros.  The hierarchy forms the sum of its
+pair products W_i W_{j-i} with mirrored_sum and its residual R with
+f_term_sum, both reading the operands operand() keeps in a solve's store
+(operands()); f_term_sum follows a plan made once per (k, J), which takes a
+term whose F-side operand has one nonzero coefficient as a scaled shift.
+Each sum is checked against the loop it replaces, the rational backend's
+too, the plan against the terms of the loop, and the whole hierarchy
+against the plain loop and against the all-correlation kernels it ran
+before the plan.
 
 The kernels keep the term order of every sum and rest on two facts,
 checked here directly: adding an exact zero to a value that holds no
 negative zero returns it unchanged (a dd pair too); np.convolve starts its
 sums from +0.0, so it never returns a negative zero.  The double kernels
-also rest on their numpy spelling, checked here too: np.add.accumulate down
-a stack is the row-by-row sum; np.correlate(longer, shorter reversed) is
-np.convolve whichever operand comes first, F_i first on a tie; poly_add
-without its multiply by 1.0 keeps every -0.0 an operand held; max_abs
-passes a NaN or inf on to the residual check.  The double backend and
-tools/series_table.py's rational backend offer the same methods, and only
-those the hierarchy calls.
+also rest on their numpy spelling, checked here too: np.add.reduce down a
+C-contiguous stack at least two columns wide is the row-by-row sum from
++0.0 (a one-column stack it sums pairwise, and no stack of the kernels is
+that narrow); np.correlate(longer, shorter reversed) is np.convolve
+whichever operand comes first, F_i first on a tie; poly_add without its
+multiply by 1.0 keeps every -0.0 an operand held, and known_part and t_row
+keep them too; max_abs passes a NaN or inf on to the residual check.  The
+double backend and tools/series_table.py's rational backend offer the same
+methods, and only those the hierarchy calls.
 
 The other shortcuts of a solve are pinned the same way to the code they
 replace: the hierarchy without its identically-zero F_i' W_{j-i} rows, the
-double Pade fit and evaluation against their numpy spelling, and the
-top-down Pade ladder against the ladder that fitted every member up front.
+double Pade fit and evaluation against their numpy spelling and against
+their array spelling before the per-call trim, and the top-down Pade
+ladder against the ladder that fitted every member up front.
 """
 
 import ast
@@ -38,6 +44,7 @@ import inspect
 import math
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -53,9 +60,10 @@ from pslet.quantum_dot import radial_potential
 from pslet.series import (
     CONDITION_LIMIT,
     POLE_TOLERANCE,
+    _TINY,
     PadeApproximant,
-    _growth_rate,
     _horner,
+    _toeplitz_index,
     pade_eval,
     pade_fit,
     staircase_orders,
@@ -63,7 +71,8 @@ from pslet.series import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from series_table import _RationalBackend  # noqa: E402
+from plain_poly import F64Plain  # noqa: E402
+from series_table import _RationalBackend, _poly_add, _poly_mul  # noqa: E402
 
 _RNG = np.random.default_rng(7)
 
@@ -96,30 +105,70 @@ def _zero_buffer_add(a, b, sign=1.0):
 _NO_CAP = 10**6
 
 
+class _RationalPlain:
+    """The plain polynomial steps in Fractions, from tools/series_table.py's helpers."""
+
+    poly_diff = staticmethod(_RationalBackend.poly_diff)
+    get = staticmethod(_RationalBackend.get)
+    set_ = staticmethod(_RationalBackend.set_)
+    poly_add = staticmethod(_poly_add)
+
+    @staticmethod
+    def poly_mul(a, b, cap):
+        return _poly_mul(a, b)[: cap + 1]
+
+    @staticmethod
+    def poly_scale(a, z):
+        return [x * z for x in a]
+
+
+def _plain(be):
+    """The plain loop's poly_add / poly_mul / poly_scale steps in be's arithmetic."""
+    return _RationalPlain if be is _RationalBackend else F64Plain
+
+
 def _plain_add(be):
     """The plain loop's sum step: the zero-buffer sum in double precision."""
-    return _zero_buffer_add if be is _F64Backend else be.poly_add
+    return _zero_buffer_add if be is _F64Backend else _plain(be).poly_add
 
 
 def _plain_mirrored_sum(be, W, j):
     """The plain loop mirrored_sum stands for: W_i W_{j-i} for i = 1..j-1, from a +0.0 start."""
-    add = _plain_add(be)
+    add, mul = _plain_add(be), _plain(be).poly_mul
     acc = be.poly_zeros(1)
     for i in range(1, j):
-        acc = add(acc, be.poly_mul(W[i], W[j - i], _NO_CAP))
+        acc = add(acc, mul(W[i], W[j - i], _NO_CAP))
     return acc
 
 
 def _plain_f_term_sum(be, f0, t_known, F, T, Fp, W, j, cap=_NO_CAP):
     """The plain loop f_term_sum stands for; a None F[i] or Fp[i] leaves its product out."""
-    add = _plain_add(be)
-    R = be.poly_mul(f0, t_known, cap)
+    add, mul = _plain_add(be), _plain(be).poly_mul
+    R = mul(f0, t_known, cap)
     for i in range(1, j):
         if F[i] is not None:
-            R = add(R, be.poly_mul(F[i], T[j - i], cap))
+            R = add(R, mul(F[i], T[j - i], cap))
         if Fp[i] is not None:
-            R = add(R, be.poly_mul(Fp[i], W[j - i], cap), -1.0)
+            R = add(R, mul(Fp[i], W[j - i], cap), -1.0)
     return R
+
+
+def _plain_known_part(be, acc, v):
+    """The plain loop known_part stands for: poly_add(poly_scale(acc, -1/2), v_j)."""
+    plain = _plain(be)
+    return plain.poly_add(plain.poly_scale(acc, be.scalar(-0.5)), v)
+
+
+def _plain_t_row(be, acc, w0, wj, v, eps, cap=_NO_CAP):
+    """The plain loop t_row stands for, as _hierarchy_core ran it."""
+    plain = _plain(be)
+    acc = plain.poly_add(acc, plain.poly_scale(plain.poly_mul(w0, wj, cap), be.scalar(2.0)))
+    t = plain.poly_add(plain.poly_diff(wj), acc)
+    t = plain.poly_scale(t, be.scalar(-0.5))
+    t = plain.poly_add(t, v)
+    if eps is not None:
+        plain.set_(t, 0, plain.get(t, 0) - eps)
+    return t
 
 
 def _store(be, k: int, J: int, tables: dict):
@@ -208,22 +257,70 @@ def test_convolve_never_returns_negative_zero():
 # double precision
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("max_len", [1, 30])
-def test_f64_ordered_sum_is_the_sequential_sum(max_len):
-    # f_term_sum adds its stack with np.add.accumulate down axis 0, which is
-    # the row-by-row sum by definition; here on one-column stacks, where a
-    # reduction (np.add.reduce(axis=0)) pairs rows up and differs, and on
-    # stacks of up to 30 columns, one-row stacks among them
+@pytest.mark.parametrize("max_width", [1, 100])
+def test_f64_ordered_sum_is_the_sequential_sum(max_width):
+    # f_term_sum and mirrored_sum add their stacks with np.add.reduce down
+    # axis 0.  On a C-contiguous stack at least two columns wide numpy adds
+    # the rows in order, from +0.0 as the plain loop's zero buffer does:
+    # here on stacks 2-100 columns wide, one-row stacks among them, with
+    # rows of -0.0 and rows holding +-inf and NaN.  A one-column stack it
+    # sums pairwise, which differs; no stack of the kernels is that narrow
+    # (test_kernel_stacks_are_at_least_two_columns_wide)
     paired_differs = 0
-    for _ in range(200):
-        n = int(_RNG.integers(1, 40))
-        stack = _random_f64(n * int(_RNG.integers(1, max_len + 1))).reshape(n, -1)
-        ref = stack[0].copy()
-        for row in stack[1:]:
-            ref = ref + row
-        assert _bits(np.add.accumulate(stack, axis=0)[-1]) == _bits(ref)
-        paired_differs += _bits(np.add.reduce(stack, axis=0)) != _bits(ref)
-    assert paired_differs > 0 if max_len == 1 else True
+    for _ in range(300):
+        n = int(_RNG.integers(1, 100))
+        width = 1 if max_width == 1 else int(_RNG.integers(2, max_width + 1))
+        stack = _random_f64(n * width).reshape(n, width)
+        for r in np.flatnonzero(_RNG.random(n) < 0.1):
+            if _RNG.random() < 0.4:
+                stack[r] = -0.0
+            else:
+                at = _RNG.random(width) < 0.3
+                stack[r, at] = _RNG.choice([math.inf, -math.inf, math.nan], size=int(at.sum()))
+        ref = np.zeros(width)
+        with np.errstate(invalid="ignore"):
+            for row in stack:
+                ref = ref + row
+            got = np.add.reduce(stack, axis=0)
+        if max_width == 1:
+            paired_differs += _bits(got) != _bits(ref)
+        else:
+            assert _bits(got) == _bits(ref)
+    assert paired_differs > 0 if max_width == 1 else True
+
+
+class _ReduceShapes:
+    """numpy as engine reads it, recording the shape of every np.add.reduce operand."""
+
+    def __init__(self):
+        self.shapes = []
+        self.add = type("add", (), {"reduce": staticmethod(self._reduce)})
+
+    def _reduce(self, a, axis):
+        self.shapes.append(np.shape(a))
+        return np.add.reduce(a, axis=axis)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_kernel_stacks_are_at_least_two_columns_wide(k, monkeypatch):
+    # every step of the plan for k 0-6, and every stack the two product
+    # sums reduce in a real solve: f_term_sum's k + 2j + 3 columns at each
+    # planned step, mirrored_sum's (j - 1) x (2j + 3) at every j >= 3
+    _, _, steps = engine._f_side_plan(k, _J)
+    widths = {j: step[1] for j, step in enumerate(steps) if step is not None}
+    assert all(w >= 2 for w in widths.values()) and (k == 0) == (not widths)
+    v, omega, q0 = _hierarchy_inputs(k, 0.7, 1, 19)
+    recorder = _ReduceShapes()
+    monkeypatch.setattr(engine, "np", recorder)
+    _hierarchy_core(v, k, 19, omega, q0, _F64Backend)
+    expected = [(j - 1, 2 * j + 3) for j in range(3, _J + 1)] + [
+        (step[0], step[1]) for step in steps if step is not None
+    ]
+    assert sorted(recorder.shapes) == sorted(expected)
+    assert min(width for _, width in recorder.shapes) >= 5
 
 
 def test_f64_f_term_sum_is_the_sequential_sum():
@@ -310,10 +407,10 @@ def test_f64_poly_add_without_zero_buffer():
         a = _random_f64(int(_RNG.integers(1, 30)))
         b = _random_f64(int(_RNG.integers(1, 30)))
         sign = float(_RNG.choice([1.0, -1.0]))
-        got, ref = _F64Backend.poly_add(a, b, sign), _zero_buffer_add(a, b, sign)
+        got, ref = F64Plain.poly_add(a, b, sign), _zero_buffer_add(a, b, sign)
         assert np.array_equal(got, ref)
         a, b = np.abs(a), np.abs(b)
-        assert _bits(_F64Backend.poly_add(a, b)) == _bits(_zero_buffer_add(a, b))
+        assert _bits(F64Plain.poly_add(a, b)) == _bits(_zero_buffer_add(a, b))
 
 
 @pytest.mark.parametrize("first", ["shorter", "equal"])
@@ -366,7 +463,7 @@ def test_poly_add_keeps_negative_zeros_where_the_signed_spelling_did():
         a = _random_f64(int(_RNG.integers(1, 30)))
         b = _random_f64(int(_RNG.integers(1, 30)))
         for sign in (-1.0, 1.0):
-            got = _F64Backend.poly_add(a, b, sign)
+            got = F64Plain.poly_add(a, b, sign)
             assert _bits(got) == _bits(_signed_poly_add(a, b, sign))
         negative_zero = np.signbit(got) & (got == 0.0)
         for name, v in (("a", a), ("b", b)):
@@ -430,7 +527,7 @@ def test_products_are_the_signed_poly_mul(be, case):
     if case == "negative_sign_zeros":
         # the negated rows hold -0.0 there; the +0.0 of F_0 T_known turns them to +0.0
         f0, t_known, F, T, Fp, W = terms
-        rows = [-be.poly_mul(fp, w, cap) for fp, w in zip(Fp[1:], W[j - 1 : 0 : -1])
+        rows = [-_plain(be).poly_mul(fp, w, cap) for fp, w in zip(Fp[1:], W[j - 1 : 0 : -1])
                 if fp is not None]
         assert rows and all(_bits(r)[:3] == ["-0x0.0p+0"] * 3 for r in rows)
         assert _bits(got)[:3] == ["0x0.0p+0"] * 3
@@ -488,6 +585,39 @@ def test_rational_kernels_are_the_plain_loop():
         assert got == _plain_f_term_sum(be, f0, t_known, F, T, Fp, W, j)
 
 
+@pytest.mark.parametrize("be", [_F64Backend, _RationalBackend])
+def test_known_part_and_t_row_are_the_plain_loop(be):
+    # on the hierarchy's shapes: acc = [0.0] at j = 1 and 2j + 3 long from
+    # j = 2, v_j j + 3 long, W_0 = [0, -omega], W_j 2j + 2 long, eps_j at
+    # even j; -0.0 in acc and v_j, which the double kernels keep where the
+    # plain poly_add does.  The double kernels leave their inputs as they
+    # were
+    f64 = be is _F64Backend
+    rand = _random_f64 if f64 else _random_fractions
+
+    def same(x, y):
+        return _bits(x) == _bits(y) if f64 else x == y
+
+    omega = be.scalar(float(_RNG.uniform(1.5, 5.0)))
+    w0 = be.poly_zeros(2)
+    be.set_(w0, 1, -omega)
+    for j in list(range(1, 9)) + [int(x) for x in _RNG.integers(9, _J, size=6)] + [_J - 1]:
+        acc = be.poly_zeros(1) if j == 1 else rand(2 * j + 3)
+        v, wj = rand(j + 3), rand(2 * j + 2)
+        if f64:
+            v[int(_RNG.integers(len(v)))] = -0.0
+            if j > 1:
+                acc[int(_RNG.integers(len(acc)))] = -0.0
+        eps = rand(1)[0] if j % 2 == 0 else None
+        before = [_bits(x) if f64 else list(x) for x in (acc, w0, wj, v)]
+        assert same(be.known_part(acc, v), _plain_known_part(be, acc, v))
+        assert same(be.t_row(acc, w0, wj, v, eps), _plain_t_row(be, acc, w0, wj, v, eps))
+        assert [_bits(x) if f64 else list(x) for x in (acc, w0, wj, v)] == before
+    if f64:  # at j = 1 the known part is v_j itself, its -0.0 kept
+        v = np.array([-0.0, 1.0, -0.0, 2.0])
+        assert _bits(be.known_part(np.zeros(1), v)) == _bits(v)
+
+
 def _backend_calls(fn) -> set:
     """The attributes fn reads from its backend, spelled be.name or backend.name."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
@@ -536,10 +666,10 @@ def _plain_influences(be, f0, f0p, omega, n: int, cap: int) -> list:
         be.set_(tmp, t + 1, omega)
         if t >= 1:
             be.set_(tmp, t - 1, be.scalar(-t / 2.0))
-        infl = be.poly_mul(f0, tmp, cap)
+        infl = _plain(be).poly_mul(f0, tmp, cap)
         xt = be.poly_zeros(t + 1)
         be.set_(xt, t, be.scalar(1.0))
-        infl = be.poly_add(infl, be.poly_mul(f0p, xt, cap), -1.0)
+        infl = _plain(be).poly_add(infl, _plain(be).poly_mul(f0p, xt, cap), -1.0)
         out.append((be.sparse(infl), be.max_abs(infl)))
     return out
 
@@ -736,6 +866,71 @@ def test_hierarchy_is_the_generic_product_sum():
 # the Pade member against its numpy spelling
 # ----------------------------------------------------------------------
 
+def _array_growth_rate(c: np.ndarray) -> float:
+    """series._growth_rate as it was written on numpy arrays."""
+    a = np.abs(c)
+    nz = a[(a != 0.0) & (a >= 2.0**-52 * a.max())]
+    if len(nz) < 2:
+        return 1.0
+    log_ratio = (math.log2(nz[-1]) - math.log2(nz[0])) / (len(c) - 1)
+    e_max = 1000 // max(1, len(c) - 1)
+    e = min(e_max, max(-e_max, round(log_ratio)))
+    return float(2.0**e)
+
+
+def _array_pade_fit(c, M, N):
+    """series.pade_fit as it was written with numpy wrappers and an unconditional rescale."""
+    c = np.asarray(c, dtype=float)
+    if len(c) != M + N + 1:
+        raise ValueError(f"need exactly M+N+1 = {M + N + 1} coefficients, got {len(c)}")
+    if not np.all(np.isfinite(c)):
+        raise SingularPadeSystem(f"[{M}/{N}] series has a non-finite coefficient")
+    if N == 0:
+        return PadeApproximant(c.copy(), np.array([1.0]))
+    rho = _array_growth_rate(c)
+    cs = c / rho ** np.arange(len(c))
+    top = float(np.max(np.abs(cs)))
+    if 0.0 < top < _TINY:
+        cs = np.ldexp(cs, -math.frexp(top)[1])
+    rows, idx, inside = _toeplitz_index(M, N)
+    A = np.where(inside, cs[idx], 0.0)
+    rhs = -cs[rows]
+    try:
+        sv = np.linalg.svd(A, compute_uv=False).tolist()
+    except np.linalg.LinAlgError:
+        sv = [math.nan]
+    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else math.inf
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise SingularPadeSystem(
+            f"[{M}/{N}] denominator system condition {cond:.2e} exceeds {CONDITION_LIMIT:.0e}"
+        )
+    try:
+        q = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as err:
+        raise SingularPadeSystem(f"[{M}/{N}] denominator system is singular") from err
+    den = np.concatenate(([1.0], q * rho ** np.arange(1, N + 1)))
+    dl, cl = den.tolist(), c.tolist()
+    num = np.array(
+        [math.fsum([dl[j] * cl[i - j] for j in range(min(i, N) + 1)]) for i in range(M + 1)]
+    )
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+        raise SingularPadeSystem(f"[{M}/{N}] fit produced non-finite coefficients")
+    return PadeApproximant(num, den)
+
+
+def _array_pade_eval(p, t):
+    """series.pade_eval as it was written with np.sum."""
+    tpow = np.abs(p.den) * np.abs(t) ** np.arange(len(p.den))
+    scale = float(np.sum(tpow))
+    den_val = float(_horner(p.den.tolist(), t))
+    if abs(den_val) < POLE_TOLERANCE * scale:
+        raise PoleProximity(
+            f"denominator {den_val:.3e} at t={t:.6g} is below {POLE_TOLERANCE:.0e} of scale {scale:.3e}"
+        )
+    num_val = float(_horner(p.num.tolist(), t))
+    return num_val / den_val
+
+
 def _numpy_pade_fit(c, M, N):
     """series.pade_fit as it was written with np.linalg.cond and numpy scalars."""
     c = np.asarray(c, dtype=float)
@@ -744,7 +939,7 @@ def _numpy_pade_fit(c, M, N):
     if N == 0:
         return PadeApproximant(c.copy(), np.array([1.0]))
 
-    rho = _growth_rate(c)
+    rho = _array_growth_rate(c)
     cs = c / rho ** np.arange(len(c))
     rows = np.arange(M + 1, M + N + 1)
     cols = np.arange(1, N + 1)
@@ -828,17 +1023,63 @@ def test_pade_member_matches_its_numpy_spelling():
     seen = {}
     for c, M, N, t in _pade_inputs():
         fit = _outcome(pade_fit, c, M, N)
-        assert fit == _outcome(_numpy_pade_fit, c, M, N)
+        assert fit == _outcome(_numpy_pade_fit, c, M, N) == _outcome(_array_pade_fit, c, M, N)
         if isinstance(fit[0], str) and fit[0].endswith("System"):
             seen["singular"] = seen.get("singular", 0) + 1
             continue
         p = pade_fit(c, M, N)
         val = _outcome(pade_eval, p, t)
-        assert val == _outcome(_numpy_pade_eval, p, t)
+        assert val == _outcome(_numpy_pade_eval, p, t) == _outcome(_array_pade_eval, p, t)
         key = "pole" if isinstance(val, tuple) else "value"
         seen[key] = seen.get(key, 0) + 1
     # every outcome is exercised: values, CONDITION_LIMIT and POLE_TOLERANCE rejections
     assert min(seen.get(key, 0) for key in ("value", "singular", "pole")) >= 10, seen
+
+
+def _edge_series():
+    """(kind, c, M, N, t): seeded series at the fit's edges, for the array spelling only.
+
+    Flat series (rho = 1) and growing or shrinking ones (rho != 1), each
+    also scaled below _TINY, with a non-finite coefficient, and made
+    singular by a repeated geometric run (CONDITION_LIMIT).
+    """
+    rng = np.random.default_rng(40)
+    for _ in range(150):
+        M, N = int(rng.integers(0, 10)), int(rng.integers(1, 11))
+        growth = float(rng.choice([1.0, 10.0 ** rng.uniform(-2.0, 2.0)]))
+        c = rng.normal(size=M + N + 1) * growth ** np.arange(M + N + 1)
+        c[rng.random(len(c)) < 0.1] = rng.choice([0.0, -0.0])
+        t = float(rng.uniform(-1.0, 1.0)) / growth
+        yield "plain", c, M, N, t
+        yield "tiny", c * 2.0 ** -int(rng.integers(560, 1000)), M, N, t
+        bad = c.copy()
+        bad[int(rng.integers(len(c)))] = rng.choice([math.inf, -math.inf, math.nan])
+        yield "non_finite", bad, M, N, t
+        yield "singular", growth ** np.arange(M + N + 1) * c[0], M, N, t
+
+
+def test_pade_member_matches_its_array_spelling_at_the_edges():
+    # the same bits or the same exception as the array spelling, with rho
+    # = 1 and rho != 1, the _TINY rescale, a non-finite coefficient and a
+    # CONDITION_LIMIT failure each reached
+    seen = Counter()
+    for kind, c, M, N, t in _edge_series():
+        fit = _outcome(pade_fit, c, M, N)
+        assert fit == _outcome(_array_pade_fit, c, M, N), (kind, M, N)
+        solved = isinstance(fit[0], list)
+        if kind != "non_finite":
+            rho = _array_growth_rate(c)
+            seen["rho_1" if rho == 1.0 else "rho_other"] += 1
+            seen["tiny"] += solved and 0.0 < np.max(np.abs(c / rho ** np.arange(len(c)))) < _TINY
+        if solved:
+            p = pade_fit(c, M, N)
+            assert _outcome(pade_eval, p, t) == _outcome(_array_pade_eval, p, t)
+            seen["value"] += 1
+        else:
+            seen["non_finite" if "non-finite" in fit[1] else "condition" if "condition" in fit[1]
+                 else fit[1]] += 1
+    for key in ("rho_1", "rho_other", "tiny", "value", "non_finite", "condition"):
+        assert seen[key] >= 10, seen
 
 
 @pytest.mark.parametrize("t", [0.0, -0.0, 0.3, -0.3, 1e300, float("inf"), float("nan")])

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pslet.engine import StateIndex, _F64Backend, _solve_path, locate_q0, pade_stability
+from pslet.engine import StateIndex, _solve_path, locate_q0, pade_stability
 from pslet.errors import PoleProximity, SingularPadeSystem
 from pslet.potentials import HybridPotential
 from pslet.series import PadeApproximant, pade_eval, pade_fit, staircase_orders
+
+from plain_poly import F64Plain
 
 
 def brute_convolution(a, b, cap):
@@ -42,10 +44,10 @@ def taylor_of_rational(num, den, n):
 
 
 class TestPolynomial:
-    """The double backend's truncated polynomial arithmetic, on which the
-    hierarchy runs."""
+    """The plain double-precision polynomial steps the hierarchy's kernels
+    are pinned to (tests/plain_poly.py)."""
 
-    be = _F64Backend
+    be = F64Plain
 
     def test_add_cancellation(self):
         out = self.be.poly_add(np.array([1.0, 1.0]), np.array([1.0, -1.0]))

@@ -47,6 +47,7 @@ EXPONENTS = [2 - n % 2 for n in range(engine.DEFAULT_ORDER + 1)]
 OUT = Path(__file__).resolve().parents[1] / "src" / "pslet" / "data" / "series.npz"
 
 _ZERO = Fraction(0)
+_MINUS_HALF = Fraction(-1, 2)
 
 
 def _over_common_denominator(p: list) -> tuple[int, list]:
@@ -83,17 +84,6 @@ class _RationalBackend:
         return [_ZERO] * n
 
     @staticmethod
-    def poly_add(a: list, b: list, sign=1.0) -> list:
-        n = max(len(a), len(b))
-        a, b = a + [_ZERO] * (n - len(a)), b + [_ZERO] * (n - len(b))
-        return [(x + y if sign == 1.0 else x - y) if y else x for x, y in zip(a, b)]
-
-    @staticmethod
-    def poly_mul(a: list, b: list, cap: int) -> list:
-        d, out = _integer_product(_over_common_denominator(a), _over_common_denominator(b))
-        return [Fraction(c, d) for c in out[: cap + 1]]
-
-    @staticmethod
     def operands(k: int, J: int) -> dict:
         return {name: [None] * (J + 1) for name in ("F", "Fp", "T", "W")}
 
@@ -121,8 +111,16 @@ class _RationalBackend:
         return _fraction_sum(prods)
 
     @staticmethod
-    def poly_scale(a: list, z) -> list:
-        return [x * z for x in a]
+    def known_part(acc: list, v: list) -> list:
+        return _poly_add([x * _MINUS_HALF for x in acc], v)
+
+    @classmethod
+    def t_row(cls, acc: list, w0: list, wj: list, v: list, eps) -> list:
+        acc = _poly_add(acc, [x * 2 for x in _poly_mul(w0, wj)])
+        t = _poly_add([x * _MINUS_HALF for x in _poly_add(cls.poly_diff(wj), acc)], v)
+        if eps is not None:
+            t[0] = t[0] - eps
+        return t
 
     @staticmethod
     def poly_diff(a: list) -> list:
@@ -153,8 +151,7 @@ class _RationalBackend:
             if t >= 1:
                 shifted[t - 1] = Fraction(-t, 2)
             x_t = cls.poly_zeros(t) + [Fraction(1)]
-            c = cls.poly_add(cls.poly_mul(f0, shifted, len(f0) + t + 1),
-                             cls.poly_mul(f0p, x_t, len(f0) + t + 1), -1.0)
+            c = _poly_add(_poly_mul(f0, shifted), _poly_mul(f0p, x_t), -1.0)
             out.append((cls.sparse(c), cls.max_abs(c)))
         return out
 
@@ -181,6 +178,19 @@ class _RationalBackend:
     @staticmethod
     def unwork(r: list) -> list:
         return r
+
+
+def _poly_add(a: list, b: list, sign=1.0) -> list:
+    """a + sign * b, the shorter operand padded with zeros."""
+    n = max(len(a), len(b))
+    a, b = a + [_ZERO] * (n - len(a)), b + [_ZERO] * (n - len(b))
+    return [(x + y if sign == 1.0 else x - y) if y else x for x, y in zip(a, b)]
+
+
+def _poly_mul(a: list, b: list) -> list:
+    """The product of two polynomials, every coefficient kept."""
+    d, out = _integer_product(_over_common_denominator(a), _over_common_denominator(b))
+    return [Fraction(c, d) for c in out]
 
 
 def _integer_product(a: tuple, b: tuple) -> tuple[int, list]:
