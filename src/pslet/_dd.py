@@ -13,12 +13,13 @@ The routines dd_add, dd_mul and dd_div take (hi, lo) pairs of numpy arrays
 for the compiled correction table, and pairs of Python floats for the Pade
 fit and evaluation, which work on such pairs rather than DD objects.  The
 scalar DD class (+, -, *, / and float) carries the Newton step on the
-frequency equation and the shift geometry (engine._dd_shift), the series
-the fit reads and the value the evaluation returns.
+frequency equation and the shift geometry (engine._dd_shift), the point
+the evaluation reads and the value it returns.
 
 dd_pade_fit builds every staircase Pade member of a series in one pass,
-as the convergents of its qd continued fraction; dd_pade_eval evaluates
-one member under the double path's pole rule.
+as the convergents of its qd continued fraction, from the (hi, lo) arrays
+the table hands over; dd_pade_eval evaluates one member under the double
+path's pole rule.
 """
 
 from __future__ import annotations
@@ -113,11 +114,12 @@ def _sub_mul(ah, al, bh, bl, ch, cl):
     return dd_add(ah, al, -ph, -pl)
 
 
-def dd_pade_fit(c: list[DD]) -> dict[tuple[int, int], tuple[list, list] | None]:
-    """Every staircase Pade member of the series c in dd, from one qd table.
+def dd_pade_fit(hi, lo) -> dict[tuple[int, int], tuple[list, list] | None]:
+    """Every staircase Pade member of the dd series c = hi + lo, from one qd table.
 
-    Returns {(M, N): (num, den) or None}, num and den lists of (hi, lo)
-    pairs, lowest degree first, for every M + N < len(c) with
+    hi and lo are the series' (L,) float arrays, as engine._table_corrections
+    returns them.  Returns {(M, N): (num, den) or None}, num and den lists
+    of (hi, lo) pairs, lowest degree first, for every M + N < L with
     N = M or M + 1: [0/0], [0/1], [1/1], [1/2], ... up to [9/10] for the 20
     corrections of a solve.  Rutishauser's qd table (progressive form) gives
     the coefficients a_1, a_2, ... of the corresponding fraction
@@ -140,7 +142,7 @@ def dd_pade_fit(c: list[DD]) -> dict[tuple[int, int], tuple[list, list] | None]:
     def div(a, b):
         return dd_div(*a, *b) if b[0] != 0.0 else nan
 
-    cs = [(x.hi, x.lo) for x in c]
+    cs = [(float(h), float(l)) for h, l in zip(hi, lo)]
     a = cs[:1]
     q = [div(cs[j + 1], cs[j]) for j in range(len(cs) - 1)]
     e = [(0.0, 0.0)] * len(q)
@@ -155,7 +157,7 @@ def dd_pade_fit(c: list[DD]) -> dict[tuple[int, int], tuple[list, list] | None]:
     num_prev, num, den_prev, den = [], cs[:1], [(1.0, 0.0)], [(1.0, 0.0)]
     for n, an in enumerate(a):
         if not (math.isfinite(an[0]) and math.isfinite(an[1])):
-            members.update(dict.fromkeys((m // 2, (m + 1) // 2) for m in range(n, len(c))))
+            members.update(dict.fromkeys((m // 2, (m + 1) // 2) for m in range(n, len(cs))))
             break
         if n:
             num_prev, num = num, _step(num, num_prev, an)

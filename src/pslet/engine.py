@@ -16,14 +16,16 @@ resummed with a Pade approximant in 1/lbar.
 
 There is one solver configuration: solve_state(p, s) expands to order
 DEFAULT_ORDER = 19 and takes the top member [9/10] of the Pade order ladder
-(see _ladder_energy).  It runs in double precision first.  The hierarchy
-sums heavily cancelling terms, so its rounding error grows with the order:
-the double-precision E^(19) is off by 1.0e-2 relative for relative motion
-with k = 0, |m| = 1, Gamma = 2, and by 7.3e-5 for the ion 1s state at
-Gamma = 0.2, measured against double-double.  A state whose double ladder
-does not converge is therefore re-solved in double-double arithmetic; the
-escalation guards against the hierarchy's rounding error, not against the
-Pade fit.  That observed convergence is the only choice of path.
+(see _ladder_energy).  It locates the origin once and runs two straight
+path functions from it: _double first and, when its ladder does not
+converge, _extended.  The hierarchy sums heavily cancelling terms, so its
+rounding error grows with the order: the double-precision E^(19) is off by
+1.0e-2 relative for relative motion with k = 0, |m| = 1, Gamma = 2, and by
+7.3e-5 for the ion 1s state at Gamma = 0.2, measured against double-double.
+A state whose double ladder does not converge is therefore re-solved in
+double-double arithmetic; the escalation guards against the hierarchy's
+rounding error, not against the Pade fit.  That observed convergence is the
+only choice of path.
 
 The double-double corrections come from a compiled table, the only dd
 source: scaled to q0 = 1 they are F_n(k, omega) = omega^e_n P_n(z), with
@@ -31,17 +33,20 @@ P_n an exact polynomial in z = 1 - 4/omega^2, and data/series.npz holds the
 P_n in Chebyshev form for k <= K_TAB and every omega > 2 (built by
 tools/series_table.py, which runs _hierarchy_core in exact rational
 arithmetic).  _table_corrections evaluates it from dd Chebyshev polynomials
-built by doubling, summed pairwise.  One call of _dd.dd_pade_fit then
-builds every member of the dd Pade ladder in one pass, from the qd table of
-the corrections and the three-term recurrence of its continued fraction,
-on hi/lo float pairs; a member whose qd divisor vanishes is None.  Each
-member the ladder reads is evaluated by _dd.dd_pade_eval, whose pole rule
-is the double path's.  A state that escalates with k > K_TAB raises
-OutsideSeriesTable.
+built by doubling, summed pairwise, and returns the corrections as (hi, lo)
+float arrays; for k > K_TAB it raises OutsideSeriesTable.  One call of
+_dd.dd_pade_fit then reads those arrays and builds every member of the dd
+Pade ladder in one pass, from the qd table of the corrections and the
+three-term recurrence of its continued fraction, on hi/lo float pairs; a
+member whose qd divisor vanishes is None.  Each member the ladder reads is
+evaluated by _dd.dd_pade_eval, whose pole rule is the double path's.  The
+expansion an extended solve returns holds the corrections rounded to
+double, hi + lo.
 
 A solve returns the eigenvalue and its certificate (SolveResult).  The W
-and F tables of the double hierarchy are read at run time only by
-wavefunction_eval, for every state, escalated or not.
+and F tables of the double hierarchy, which _double returns beside it, are
+read at run time only by wavefunction_eval, for every state, escalated or
+not.
 """
 
 from __future__ import annotations
@@ -1116,8 +1121,8 @@ def _series_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _table_corrections(k: int, omega: DD, q0: DD) -> list[DD] | None:
-    """E^(0)..E^(DEFAULT_ORDER) in dd from the compiled table; None for k > K_TAB.
+def _table_corrections(k: int, omega: DD, q0: DD) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo): E^(0)..E^(DEFAULT_ORDER) in dd from the compiled table.
 
     q0^2 E^(n) = F_n(k, omega) = omega^e_n P_n(z) exactly, with P_n a
     polynomial in z = 1 - 4/omega^2 (see tools/series_table.py), and the
@@ -1127,10 +1132,11 @@ def _table_corrections(k: int, omega: DD, q0: DD) -> list[DD] | None:
     doubling, T_{m+i} = 2 T_m T_i - T_{m-i} for i = 1..m with m = 1, 2, 4,
     ..., the terms c_j T_j are added up in one fixed pairwise tree (a zero
     row pads an odd count), all n at once, and row n is multiplied by
-    omega^e_n / q0^2, with e_n 1 or 2.  It covers every omega > 2.
+    omega^e_n / q0^2, with e_n 1 or 2.  It covers every omega > 2; k > K_TAB
+    raises OutsideSeriesTable.
     """
     if k > K_TAB:
-        return None
+        raise OutsideSeriesTable(f"k = {k} is outside the compiled series table (k <= {K_TAB})")
     hi, lo, e = _series_table()
     ch, cl = hi[k], lo[k]
     z = (omega - 2.0) * (omega + 2.0) / (omega * omega)
@@ -1151,79 +1157,59 @@ def _table_corrections(k: int, omega: DD, q0: DD) -> list[DD] | None:
         sh, sl = dd_add(sh[0::2], sl[0::2], sh[1::2], sl[1::2])
     w1 = omega / (q0 * q0)
     w2 = w1 * omega
-    eh, el = dd_mul(sh[0], sl[0], np.where(e == 1, w1.hi, w2.hi), np.where(e == 1, w1.lo, w2.lo))
-    return [DD(h, l) for h, l in zip(eh.tolist(), el.tolist())]
+    return dd_mul(sh[0], sl[0], np.where(e == 1, w1.hi, w2.hi), np.where(e == 1, w1.lo, w2.lo))
 
 
 def solve_state(p: HybridPotential, s: StateIndex) -> SolveResult:
     """Full pipeline for one radial state in engine units.
 
-    Solves in double precision and re-solves in double-double whenever the
-    Pade order ladder fails its stability tolerance, which is where
+    The escalation rule: the double path (_double) from the origin, and the
+    extended path (_extended) from the same origin when the double Pade
+    order ladder fails its stability tolerance, which is where
     double-precision coefficient noise (amplified by the ill-conditioned
-    fit) shows up.  The double-double corrections come from the compiled
-    (k, omega) table (_table_corrections); a state that escalates with
-    k > K_TAB raises OutsideSeriesTable.  The energy is the top member of
-    the final ladder (see _ladder_energy).
+    fit) shows up.  The energy is the top member of the final ladder (see
+    _ladder_energy).
     """
-    return _solve(p, s)[0]
+    q0 = locate_q0(p, s)
+    res = _double(p, s, q0)[0]
+    return res if res.staircase.converged else _extended(p, s, q0)
 
 
-def _solve_path(path: str, p: HybridPotential, s: StateIndex, q0: float) -> SolveResult:
-    """solve_state's "double" or "extended" path alone, from the origin q0."""
-    return _solve(p, s, path, q0)[0]
+def _double(p: HybridPotential, s: StateIndex, q0: float) -> tuple[SolveResult, list, list]:
+    """(SolveResult, W, F) of the double path from the origin q0.
 
-
-def _solve(p: HybridPotential, s: StateIndex, path: str | None = None, q0: float | None = None):
-    """(SolveResult, W, F) on path from the origin q0 (None: locate it).
-
-    path None is solve_state's choice: "double", then "extended" (double-
-    double) when the double ladder does not converge.  On the double path W
-    and F are the hierarchy's float tables (see solve_hierarchy).  The
-    extended path takes its corrections from the compiled table and has no
-    tables: W and F are None.
+    W and F are the hierarchy's float tables (see solve_hierarchy).
     """
-    if q0 is None:
-        q0 = locate_q0(p, s)
-    if path is None:
-        out = _solve(p, s, "double", q0)
-        return out if out[0].staircase.converged else _solve(p, s, "extended", q0)
-    if path == "double":
-        sp = shift_params(p, q0, s)
-        b = b_coefficients(p, sp, 2 * DEFAULT_ORDER + 4)
-        v = v_series(b, sp.beta, 2 * DEFAULT_ORDER + 2)
-        expansion, W, F = solve_hierarchy(v, s.k, DEFAULT_ORDER, sp, leading_energy(p, sp))
-        stair = pade_stability(expansion)
-    else:
-        q, omega, beta, lbar, em2 = _dd_shift(p, s, q0)
-        corr_dd, W, F = _table_corrections(s.k, omega, q), None, None
-        if corr_dd is None:
-            raise OutsideSeriesTable(
-                f"k = {s.k} is outside the compiled series table (k <= {K_TAB})"
-            )
-        expansion = EnergyExpansion(
-            leading_coeff=float(em2),
-            corrections=np.array([float(c) for c in corr_dd]),
-            lbar=float(lbar),
-        )
-        sp = ShiftParams(q0=float(q), omega=float(omega), beta=float(beta), lbar=float(lbar))
-        lead = lbar * lbar * em2
-        t = DD(1.0) / lbar
-        members = _dd.dd_pade_fit(corr_dd)
+    sp = shift_params(p, q0, s)
+    b = b_coefficients(p, sp, 2 * DEFAULT_ORDER + 4)
+    v = v_series(b, sp.beta, 2 * DEFAULT_ORDER + 2)
+    expansion, W, F = solve_hierarchy(v, s.k, DEFAULT_ORDER, sp, leading_energy(p, sp))
+    stair = pade_stability(expansion)
+    return SolveResult(_ladder_energy(stair, expansion), expansion, sp, stair, "double"), W, F
 
-        def fit_eval(M: int, N: int) -> float | None:
-            member = members[M, N]
-            return None if member is None else float(lead + _dd.dd_pade_eval(*member, t))
 
-        stair = _ladder(expansion.corrections, float(lead), fit_eval)
-    res = SolveResult(
-        energy=_ladder_energy(stair, expansion),
-        expansion=expansion,
-        shift=sp,
-        staircase=stair,
-        precision=path,
-    )
-    return res, W, F
+def _extended(p: HybridPotential, s: StateIndex, q0: float) -> SolveResult:
+    """The extended (double-double) path from the double origin q0.
+
+    The dd origin and shift come from _dd_shift, the corrections from the
+    compiled table as (hi, lo) arrays, which _dd.dd_pade_fit reads as they
+    are; the expansion holds them rounded to double, hi + lo.  A state with
+    k > K_TAB raises OutsideSeriesTable.
+    """
+    q, omega, beta, lbar, em2 = _dd_shift(p, s, q0)
+    hi, lo = _table_corrections(s.k, omega, q)
+    expansion = EnergyExpansion(leading_coeff=float(em2), corrections=hi + lo, lbar=float(lbar))
+    sp = ShiftParams(q0=float(q), omega=float(omega), beta=float(beta), lbar=float(lbar))
+    lead = lbar * lbar * em2
+    t = DD(1.0) / lbar
+    members = _dd.dd_pade_fit(hi, lo)
+
+    def fit_eval(M: int, N: int) -> float | None:
+        member = members[M, N]
+        return None if member is None else float(lead + _dd.dd_pade_eval(*member, t))
+
+    stair = _ladder(expansion.corrections, float(lead), fit_eval)
+    return SolveResult(_ladder_energy(stair, expansion), expansion, sp, stair, "extended")
 
 
 # ----------------------------------------------------------------------
@@ -1253,7 +1239,7 @@ def wavefunction_eval(
         raise ValueError(f"need a finite grid and a finite x_max > 0, got x_max = {x_max}")
     if np.any(q <= 0.0):
         raise NonPositiveRadius("wavefunction grid must be strictly positive")
-    res, W, F = _solve(p, s, "double")
+    res, W, F = _double(p, s, locate_q0(p, s))
     sp = res.shift
     x = math.sqrt(sp.lbar) * (q - sp.q0) / sp.q0
     if np.any(np.abs(x) > x_max):

@@ -997,7 +997,7 @@ def _pade_inputs():
         for system in ("ion", "rm"):
             pot = radial_potential(system, gamma)
             s = engine.StateIndex.from_azimuthal(k, m)
-            res = engine._solve_path("double", pot, s, engine.locate_q0(pot, s))
+            res = engine._double(pot, s, engine.locate_q0(pot, s))[0]
             c, t = res.expansion.corrections, 1.0 / res.expansion.lbar
             for M, N in staircase_orders():
                 yield c[: M + N + 1], M, N, t
@@ -1175,9 +1175,9 @@ def _real_ladders():
         pot = radial_potential(system, gamma)
         s = engine.StateIndex.from_azimuthal(k, m)
         q0 = engine.locate_q0(pot, s)
-        e = engine._solve_path("double", pot, s, q0).expansion
+        e = engine._double(pot, s, q0)[0].expansion
         yield e.corrections, e.leading_term, partial(engine.resum, e)
-        res = engine._solve_path("extended", pot, s, q0)
+        res = engine._extended(pot, s, q0)
         # the dd ladder's own fit: the dd value, or None where the fit fails
         yield res.expansion.corrections, res.expansion.leading_term, res.staircase.fit
 

@@ -69,7 +69,7 @@ class TestDDPade:
         from pslet.series import pade_eval, pade_fit
 
         c = [1.0, 0.9, 0.5, 0.3, 0.1]
-        num, den = dd_pade_fit([DD(x) for x in c])[2, 2]
+        num, den = dd_pade_fit(c, [0.0] * len(c))[2, 2]
         p = pade_fit(np.array(c), 2, 2)
         np.testing.assert_allclose([h + lo for h, lo in num], p.num, rtol=1e-13)
         np.testing.assert_allclose([h + lo for h, lo in den], p.den, rtol=1e-13)
@@ -77,23 +77,23 @@ class TestDDPade:
         assert got == pytest.approx(pade_eval(p, 0.3), rel=1e-13)
 
     def test_every_staircase_member_up_to_the_series_length(self):
-        c = [DD(x) for x in (1.0, 0.9, 0.5, 0.3, 0.1, 0.07)]
-        members = dd_pade_fit(c)
+        c = np.array([1.0, 0.9, 0.5, 0.3, 0.1, 0.07])
+        members = dd_pade_fit(c, np.zeros_like(c))
         assert list(members) == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)]
         for (M, N), (num, den) in members.items():
             assert (len(num), len(den)) == (M + 1, N + 1)
             assert den[0] == (1.0, 0.0)
-        assert dd_pade_fit([]) == {}
+        assert dd_pade_fit(np.zeros(0), np.zeros(0)) == {}
 
     def test_geometric(self):
-        num, den = dd_pade_fit([DD(1.0), DD(1.0)])[0, 1]
+        num, den = dd_pade_fit([1.0, 1.0], [0.0, 0.0])[0, 1]
         assert float(dd_pade_eval(num, den, DD(0.5))) == pytest.approx(2.0, abs=1e-30)
 
     def test_geometric_series_is_singular_at_two_two(self):
         # every 2x2 block of 1, t, t^2, ... has rank one: e_1 is zero, so
         # q_2 = q_1 e_1 / e_1 has a zero divisor and [1/2] and every member
         # above it fail; [1/1] is still the series' sum 1 / (1 - t)
-        members = dd_pade_fit([DD(1.0)] * 5)
+        members = dd_pade_fit([1.0] * 5, [0.0] * 5)
         assert members[1, 2] is None and members[2, 2] is None
         num, den = members[1, 1]
         assert num == [(1.0, 0.0), (0.0, 0.0)]
@@ -104,7 +104,7 @@ class TestDDPade:
         # enters a_2 = e_1^(0), so [1/1] and every member above it fail (the
         # [1/1] system c_1 q_1 = -c_2 is singular), while [0/1] has
         # a_1 = c_1 / c_0 = 0 and is the constant c_0
-        members = dd_pade_fit([DD(x) for x in (1.0, 0.0, 0.5, 0.3, 0.1)])
+        members = dd_pade_fit([1.0, 0.0, 0.5, 0.3, 0.1], [0.0] * 5)
         num, den = members[0, 1]
         assert num == [(1.0, 0.0)]
         assert den == [(1.0, 0.0), (0.0, 0.0)]
@@ -116,8 +116,8 @@ class TestDDPade:
             dd_pade_eval([(1.0, 0.0)], [(1.0, 0.0), (-2.0, 0.0)], DD(0.5))
 
 
-def _reference_fit(c: list[DD], M: int, N: int) -> tuple[list, list]:
-    """The [M/N] dd fit by Gaussian elimination with partial pivoting, as (hi, lo) pairs.
+def _reference_fit(hi, lo, M: int, N: int) -> tuple[list, list]:
+    """The [M/N] dd fit of hi + lo by partial-pivoting Gaussian elimination, as (hi, lo) pairs.
 
     The per-member fit the extended path used before the qd table: the
     pivot is the first row of largest |hi|, and the elimination, the back
@@ -129,9 +129,9 @@ def _reference_fit(c: list[DD], M: int, N: int) -> tuple[list, list]:
         ph, pl = dd_mul(bh, bl, ch, cl)
         return dd_add(ah, al, -ph, -pl)
 
+    ch, cl = [float(x) for x in hi], [float(x) for x in lo]
     if N == 0:
-        return [(x.hi, x.lo) for x in c[: M + 1]], [(1.0, 0.0)]
-    ch, cl = [x.hi for x in c], [x.lo for x in c]
+        return list(zip(ch[: M + 1], cl[: M + 1])), [(1.0, 0.0)]
     rows = [[M + 1 + i - s for s in range(1, N + 1)] for i in range(N)]
     Ah = [[ch[j] if j >= 0 else 0.0 for j in row] for row in rows]
     Al = [[cl[j] if j >= 0 else 0.0 for j in row] for row in rows]
@@ -200,12 +200,13 @@ def test_one_pass_fit_matches_the_elimination_member_for_member():
     for system, gamma, k, m in _table_states():
         p, s = radial_potential(system, gamma), StateIndex.from_azimuthal(k, m)
         q, omega, _, lbar, em2 = _dd_shift(p, s, locate_q0(p, s))
-        c = _table_corrections(k, omega, q)
+        hi, lo = _table_corrections(k, omega, q)
         lead, t = lbar * lbar * em2, DD(1.0) / lbar
-        members = dd_pade_fit(c)
-        assert len(members) == len(c)
+        members = dd_pade_fit(hi, lo)
+        assert len(members) == len(hi)
         for M, N in members:
-            ref = _member_energy(lead, t, lambda: _reference_fit(c[: M + N + 1], M, N))
+            n = M + N + 1
+            ref = _member_energy(lead, t, lambda: _reference_fit(hi[:n], lo[:n], M, N))
             got = _member_energy(lead, t, lambda: members[M, N])
             assert got == ref, (system, gamma, k, m, M, N)
             if isinstance(ref, str):
@@ -224,7 +225,8 @@ def test_top_ladder_fit_keeps_every_word():
     rows = json.loads((Path(__file__).parent / "data" / "corrections_pin.json").read_text())
     row = next(r for r in rows if (r["system"], r["k"], r["m"], r["Gamma"], r["precision"])
                == ("ion", 0, 0, 0.2, "extended"))
-    num, den = dd_pade_fit([DD(float.fromhex(h)) for h in row["corrections"]])[9, 10]
+    c = [float.fromhex(h) for h in row["corrections"]]
+    num, den = dd_pade_fit(c, [0.0] * len(c))[9, 10]
     assert (len(num), len(den)) == (10, 11)
     words = "".join(f"{hi.hex()} {lo.hex()}\n" for hi, lo in num + den)
     assert hashlib.sha256(words.encode()).hexdigest() == ION_G02_FIT_SHA256

@@ -256,7 +256,7 @@ class TestHierarchy:
         assert np.max(np.abs(residual)) <= 1e-12 * omega
 
     def test_odd_log_derivative_rows_vanish(self):
-        _, W, _ = engine._solve(ION, S00, "double")
+        _, W, _ = engine._double(ION, S00, locate_q0(ION, S00))
         for j, w in enumerate(W):
             # odd half-orders carry no odd-parity piece, even ones no even-parity piece
             assert np.all(w[j % 2 :: 2] == 0.0), j
@@ -265,7 +265,7 @@ class TestHierarchy:
     def test_prefactor_is_monic(self):
         p = HybridPotential(a_osc=0.9**2 / 8.0, c_coul=1.0)
         s = StateIndex.from_azimuthal(2, 0)
-        _, _, F = engine._solve(p, s, "double")
+        _, _, F = engine._double(p, s, locate_q0(p, s))
         assert F[0][s.k] == 1.0
 
     def test_ion_ground_state_energy(self):
@@ -377,9 +377,23 @@ class TestResummation:
         assert stair.spread <= 5e-5
 
 
-def _path(path, p, s):
-    """The solve of one arithmetic path, "double" or "extended", whatever solve_state takes."""
-    return engine._solve_path(path, p, s, locate_q0(p, s))
+def _double(p, s):
+    """The double path's solve from locate_q0's origin, whatever solve_state takes."""
+    return engine._double(p, s, locate_q0(p, s))[0]
+
+
+def _extended(p, s):
+    """The extended path's solve from locate_q0's origin, whatever solve_state takes."""
+    return engine._extended(p, s, locate_q0(p, s))
+
+
+def _result_hexes(res) -> tuple:
+    """float.hex of every float of a SolveResult, with its path, ladder orders and flag."""
+    e, sp, stair = res.expansion, res.shift, res.staircase
+    floats = [res.energy, e.leading_coeff, e.lbar, *e.corrections.tolist(),
+              sp.q0, sp.omega, sp.beta, sp.lbar, stair.spread]
+    values = ["None" if v is None else float(v).hex() for v in stair.values]
+    return [float(x).hex() for x in floats], values, stair.orders, stair.converged, res.precision
 
 
 class TestSolveState:
@@ -389,7 +403,7 @@ class TestSolveState:
 
     def test_returns_the_eigenvalue_and_its_certificate(self):
         # the hierarchy tables are not part of a solve; wavefunction_eval
-        # gets them from the double path of engine._solve
+        # gets them from engine._double, the double path
         names = [f.name for f in dataclasses.fields(engine.SolveResult)]
         assert names == ["energy", "expansion", "shift", "staircase", "precision"]
 
@@ -402,8 +416,8 @@ class TestSolveState:
     def test_double_and_extended_agree(self):
         # energies may differ by the double-precision fit noise, which is
         # exactly what the measured ladder spread bounds
-        a = _path("double", ION, S00)
-        b = _path("extended", ION, S00)
+        a = _double(ION, S00)
+        b = _extended(ION, S00)
         assert abs(a.energy - b.energy) <= max(a.staircase.spread, 1e-12)
 
     def test_double_coefficients_track_extended_on_growing_series(self):
@@ -413,8 +427,8 @@ class TestSolveState:
         # covered by the ladder-spread bound above instead
         p = HybridPotential(a_osc=0.2**2 / 32.0, c_coul=0.5)
         s = StateIndex.from_azimuthal(2, 0)
-        a = _path("double", p, s)
-        b = _path("extended", p, s)
+        a = _double(p, s)
+        b = _extended(p, s)
         rel = np.abs(a.expansion.corrections - b.expansion.corrections) / np.abs(
             b.expansion.corrections
         )
@@ -441,7 +455,7 @@ class TestSolveState:
             return real(c, M, N)
 
         monkeypatch.setattr(engine, "pade_fit", counting)
-        res = _path("double", ION, S00)
+        res = _double(ION, S00)
         # the solve fits the five top members its spread reads, and the
         # resummed [9/10] value is the ladder's own, not a second fit;
         # reading the ladder fits the other twelve, and a second read none
@@ -454,17 +468,19 @@ class TestSolveState:
         assert len(fits) == 17
 
     def test_extended_solve_calls_dd_pade_fit_once(self, monkeypatch):
-        # one qd pass builds every member; reading the whole ladder fits
-        # nothing more, and the [9/10] value is the ladder's own
+        # one qd pass builds every member, from the table's hi and lo
+        # arrays; reading the whole ladder fits nothing more, and the [9/10]
+        # value is the ladder's own
         calls = []
         real = _dd.dd_pade_fit
 
-        def counting(c):
-            calls.append(len(c))
-            return real(c)
+        def counting(hi, lo):
+            assert isinstance(hi, np.ndarray) and isinstance(lo, np.ndarray)
+            calls.append(len(hi))
+            return real(hi, lo)
 
         monkeypatch.setattr(_dd, "dd_pade_fit", counting)
-        res = _path("extended", ION, S00)
+        res = _extended(ION, S00)
         assert calls == [engine.DEFAULT_ORDER + 1]
         assert res.energy == res.staircase.member(9, 10)
         assert None not in res.staircase.values
@@ -498,7 +514,7 @@ class TestSolveState:
         # it never refits the rounded corrections in double precision
         fits = self._count_double_fits(monkeypatch)
         p = HybridPotential(a_osc=0.0881**2 / 32.0, c_coul=0.5)
-        res = _path("extended", p, StateIndex.from_azimuthal(3, 0))
+        res = _extended(p, StateIndex.from_azimuthal(3, 0))
         assert res.staircase.member(9, 10) is None
         assert res.energy == res.staircase.member(9, 9)
         assert fits == []
@@ -519,10 +535,15 @@ class TestSolveState:
         # of the last five the spread is taken over, on either path
         p = HybridPotential(a_osc=a_osc, c_coul=c_coul)
         s = StateIndex.from_azimuthal(k, m)
-        for res in (solve_state(p, s), _path("double", p, s), _path("extended", p, s)):
-            window = [v for v in res.staircase.values if v is not None][-5:]
-            assert res.energy == window[-1]
-            assert res.staircase.spread == max(window) - min(window)
+        res, double, extended = solve_state(p, s), _double(p, s), _extended(p, s)
+        for r in (res, double, extended):
+            window = [v for v in r.staircase.values if v is not None][-5:]
+            assert r.energy == window[-1]
+            assert r.staircase.spread == max(window) - min(window)
+        # the escalation rule: solve_state is the double solve where its
+        # ladder converges and the extended solve otherwise, bit for bit
+        expected = double if double.staircase.converged else extended
+        assert _result_hexes(res) == _result_hexes(expected)
 
     def test_dd_origin_polish_must_converge(self, monkeypatch):
         # a seed frequency 1e-3 off in Omega^2 leaves the third dd Newton
@@ -542,7 +563,7 @@ class TestDDOrigin:
         # c = 0: omega = 2 and q0^4 = lbar^2/(2a), and the energy is the
         # level (2k + |m| + 1) sqrt(2a) rounded once to double
         p = HybridPotential(a_osc=a_osc, c_coul=0.0)
-        res = _path("extended", p, StateIndex.from_azimuthal(k, m))
+        res = _extended(p, StateIndex.from_azimuthal(k, m))
         with mpmath.workdps(50):
             assert res.energy == float((2 * k + abs(m) + 1) * mpmath.sqrt(2 * mpmath.mpf(a_osc)))
 
@@ -619,7 +640,8 @@ class TestWavefunction:
     def test_oscillator_leading_order_is_gaussian(self):
         # the zeroth-order exponent is exactly -Omega x^2 / 2
         p = HybridPotential(a_osc=0.5, c_coul=0.0)
-        res, W, F = engine._solve(p, StateIndex.from_azimuthal(0, 0), "double")
+        s = StateIndex.from_azimuthal(0, 0)
+        res, W, F = engine._double(p, s, locate_q0(p, s))
         np.testing.assert_allclose(W[0], [0.0, -res.shift.omega])
         np.testing.assert_allclose(F[0], [1.0])
 
@@ -663,6 +685,5 @@ class TestWavefunction:
         sp = res.shift
         q = np.linspace(0.6 * sp.q0, 1.4 * sp.q0, 41)
         psi = wavefunction_eval(p, s, q)
-        double = _psi_from_tables(*engine._solve(p, s, "double"), q)
+        double = _psi_from_tables(*engine._double(p, s, locate_q0(p, s)), q)
         assert [v.hex() for v in psi.tolist()] == [v.hex() for v in double.tolist()]
-        assert engine._solve(p, s, "extended")[1:] == (None, None)

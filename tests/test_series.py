@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pslet.engine import StateIndex, _solve_path, locate_q0, pade_stability
+from pslet.engine import StateIndex, _double, locate_q0, pade_stability
 from pslet.errors import PoleProximity, SingularPadeSystem
 from pslet.potentials import HybridPotential
 from pslet.series import PadeApproximant, pade_eval, pade_fit, staircase_orders
@@ -252,7 +252,7 @@ class TestNonFiniteSeries:
     def test_ladder_records_the_member_as_missing(self):
         pot = HybridPotential(a_osc=0.7**2 / 8.0, c_coul=1.0)
         s = StateIndex.from_azimuthal(1, 1)
-        e = _solve_path("double", pot, s, locate_q0(pot, s)).expansion
+        e = _double(pot, s, locate_q0(pot, s))[0].expansion
         corrections = e.corrections.copy()
         corrections[19] = math.inf
         stair = pade_stability(dataclasses.replace(e, corrections=corrections))

@@ -1,8 +1,8 @@
 """The compiled correction table data/series.npz against exact rational runs.
 
 An escalated solve reads its double-double corrections from the table
-(engine._table_corrections), which covers k <= K_TAB and every omega > 2; a
-state that escalates with k > K_TAB raises OutsideSeriesTable.  The
+(engine._table_corrections, as hi and lo arrays), which covers k <= K_TAB
+and every omega > 2; for k > K_TAB it raises OutsideSeriesTable.  The
 bit-for-bit rebuild, tools/series_table.py --check K, takes 9-19 s a k;
 it is run here for k = 0 alone.
 """
@@ -42,9 +42,9 @@ def test_table_matches_an_exact_rational_run(k):
     # this checks the table's rounding and its dd evaluation together
     for omega in OMEGAS[k]:
         exact = series_table.exact_series(k, Fraction(omega))
-        table = engine._table_corrections(k, DD(float(omega)), DD(1.0))
-        diff = np.array([float(abs(Fraction(c.hi) + Fraction(c.lo) - f))
-                         for c, f in zip(table, exact)])
+        hi, lo = engine._table_corrections(k, DD(float(omega)), DD(1.0))
+        diff = np.array([float(abs(Fraction(h) + Fraction(lo_) - f))
+                         for h, lo_, f in zip(hi.tolist(), lo.tolist(), exact)])
         scale = np.abs(np.array([float(f) for f in exact]))
         assert np.all(diff <= 1e-27 * scale), (omega, np.max(diff / scale))
 
@@ -67,18 +67,23 @@ def test_pinned_extended_corrections_come_from_the_table(row):
     pot = radial_potential(row["system"], row["Gamma"])
     s = StateIndex.from_azimuthal(row["k"], row["m"])
     q, omega, *_ = engine._dd_shift(pot, s, engine.locate_q0(pot, s))
-    table = engine._table_corrections(s.k, omega, q)
-    assert table is not None
-    assert [float(c).hex() for c in table] == row["corrections"]
+    hi, lo = engine._table_corrections(s.k, omega, q)
+    assert [c.hex() for c in (hi + lo).tolist()] == row["corrections"]
 
 
 def test_node_count_past_the_table_is_rejected(capsys):
     # ion, Gamma = 0.2, k = K_TAB + 1 escalates, and the table stops at K_TAB
     pot = HybridPotential(a_osc=0.2**2 / 8.0, c_coul=1.0)
     s = StateIndex.from_azimuthal(engine.K_TAB + 1, 0)
-    assert not engine._solve_path("double", pot, s, engine.locate_q0(pot, s)).staircase.converged
-    with pytest.raises(OutsideSeriesTable, match=f"k = {engine.K_TAB + 1} is outside"):
+    q0 = engine.locate_q0(pot, s)
+    assert not engine._double(pot, s, q0)[0].staircase.converged
+    message = f"k = {engine.K_TAB + 1} is outside"
+    with pytest.raises(OutsideSeriesTable, match=message):
         engine.solve_state(pot, s)
+    # the table raises it itself, from the dd origin the extended path takes
+    q, omega, *_ = engine._dd_shift(pot, s, q0)
+    with pytest.raises(OutsideSeriesTable, match=message):
+        engine._table_corrections(engine.K_TAB + 1, omega, q)
     # the record layer turns it into a failed record, as any PsletError
     d, st = DotParams(0.0, 0.2), StateLabel(engine.K_TAB + 1, 0)
     with pytest.raises(OutsideSeriesTable):
@@ -98,7 +103,7 @@ def test_frequency_past_eight_solves_on_the_extended_path():
     # on a four times finer grid (error <= 1.6e-8 in the oracle's units of 2 eps)
     pot = HybridPotential(a_osc=1e-4**2 / 8.0, c_coul=1.0)
     s = StateIndex.from_azimuthal(0, 0)
-    ext = engine._solve_path("extended", pot, s, engine.locate_q0(pot, s))
+    ext = engine._extended(pot, s, engine.locate_q0(pot, s))
     fd = RadialProblem.auto_sized(0, HybridPotential(a_osc=1e-4**2 / 4.0, c_coul=2.0), 0)
     fd4 = solve_radial_fd(dataclasses.replace(fd, n_points=4 * fd.n_points), 0)
     assert ext.shift.omega > 9.8 and abs(2.0 * ext.energy - fd4) <= 1.6e-8

@@ -3,9 +3,8 @@
 Times the checkout the script sits in (its src/ goes first on sys.path).
 The layers are one engine.solve_hierarchy call (the double correction
 hierarchy at the default order), one engine.pade_stability call (the
-double Pade ladder) and one extended step (engine._solve_path("extended"):
-the dd origin polish, the compiled-table corrections and the dd Pade
-ladder).  Each runs on six fixed sweep states per k, the ion and relative
+double Pade ladder) and one extended step (engine._extended: the dd
+origin polish, the compiled-table corrections and the dd Pade ladder).  Each runs on six fixed sweep states per k, the ion and relative
 motion at Gamma 0.2, 0.7 and 2 with |m| = 1, from the inputs a double solve
 hands it.  Each call is timed on its own with time.perf_counter.  A row
 gives, per layer, each state's fastest call over N rounds, averaged over
@@ -53,7 +52,7 @@ def _calls(system: str, gamma: float, k: int, m: int) -> dict:
     def hierarchy():
         return engine.solve_hierarchy(v, k, engine.DEFAULT_ORDER, sp, lead)[0]
 
-    calls = {"hierarchy": hierarchy, "extended": lambda: engine._solve_path("extended", p, s, q0)}
+    calls = {"hierarchy": hierarchy, "extended": lambda: engine._extended(p, s, q0)}
     try:
         expansion = hierarchy()
     except PsletError:

@@ -14,8 +14,9 @@ every ladder value (float.hex, or None where the member failed).
 The sweep is 360 solves: both systems, Gamma 0.05, 0.2, 0.7, 2 and 5,
 k 0-5, |m| 0, 1 and 3, each run on both arithmetic paths of the engine,
 "double" and "extended", whichever one solve_state would take; each key
-ends in its path's name.  A solve and its W and F tables come from
-engine._solve, the source wavefunction_eval reads them from.  From k = 4 on
+ends in its path's name.  A solve comes from engine._double or
+engine._extended, the path functions solve_state runs, and the W and F
+tables from _double, as wavefunction_eval reads them.  From k = 4 on
 a prefactor (F_0 at k = 4, every F_i from k = 5) has three or more
 nonzero coefficients, so its products take three or more rows each.
 
@@ -105,15 +106,17 @@ def value_fields(energy: float, spread: float, converged: bool, ladder=None) -> 
 def solve(system: str, gamma: float, k: int, m: int, path: str):
     """(SolveResult, W, F) of one radial solve on the path "double" or "extended".
 
-    The potential is the one quantum_dot maps (system, Gamma) to.  W and F
-    are empty lists on the extended path, which has no hierarchy tables.
+    The potential is the one quantum_dot maps (system, Gamma) to, and the
+    path runs from locate_q0's origin.  W and F are empty lists on the
+    extended path, which has no hierarchy tables.
     """
     from pslet import StateIndex
-    from pslet.engine import _solve
+    from pslet.engine import _double, _extended, locate_q0
     from pslet.quantum_dot import radial_potential
 
-    res, W, F = _solve(radial_potential(system, gamma), StateIndex.from_azimuthal(k, m), path)
-    return res, W or [], F or []
+    p, s = radial_potential(system, gamma), StateIndex.from_azimuthal(k, m)
+    q0 = locate_q0(p, s)
+    return _double(p, s, q0) if path == "double" else (_extended(p, s, q0), [], [])
 
 
 def sweep_lines():
