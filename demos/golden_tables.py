@@ -16,7 +16,8 @@ for table_id in (1, 4, 5):
     print(tables.diff_report(report))
 
 print("cells flagged not-converged keep their (correct) energies but carry a")
-print("ladder spread above 5e-5; the diff report lists them so downstream")
+print("ladder spread above the 5e-5 engine-unit gate (1e-4 Ry* for the ion,")
+print("2e-4 Ry* for relative motion); the diff report lists them so downstream")
 print("consumers can decide what to do with those rows.")
 print()
 

@@ -116,7 +116,11 @@ class TwoElectronLevel:
 
 @dataclass(frozen=True)
 class SpectrumRecord:
-    """One solved energy with its convergence diagnostics."""
+    """One solved energy with its convergence diagnostics.
+
+    energy and pade_spread, the ladder spread, are in Ry*; converged is
+    the engine's stability gate, 5e-5 in engine units.
+    """
 
     label: str
     gamma: float
@@ -197,8 +201,10 @@ def _level(
 ) -> tuple[float, RadialSolution]:
     """(E, radial solution) of one state, E = factor * eps + m gamma.
 
-    Without the interaction E is the closed-form oscillator level and the
-    solution is _EXACT.
+    The solution's ladder spread is scaled by the same factor, so that it
+    is in Ry* like E; converged keeps the engine's gate in eps.  Without the
+    interaction E is the closed-form oscillator level and the solution is
+    _EXACT.
     """
     if not interaction:
         return ion_free_energy(d, st), _EXACT
@@ -206,7 +212,8 @@ def _level(
         res = radial_solution(system, d.gamma_eff, st.k, abs(st.m))
     except PsletError as err:
         raise _annotate(err, f"{system} state {st.name} (k={st.k}, m={st.m})") from None
-    return _SYSTEMS[system][2] * res.energy + st.m * d.gamma, res
+    factor = _SYSTEMS[system][2]
+    return factor * res.energy + st.m * d.gamma, replace(res, pade_spread=factor * res.pade_spread)
 
 
 def ion_energy(d: DotParams, st: StateLabel) -> float:

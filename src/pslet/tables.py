@@ -329,7 +329,7 @@ def diff_report(report: TableReport) -> str:
     for c in report.flagged:
         lines.append(
             f"  flagged not-converged: {c.label} at gamma={c.gamma:g}, gamma_d={c.gamma_d:g} "
-            f"(ladder spread {c.pade_spread:.2e}); delta vs reference {c.delta:.2e}"
+            f"(ladder spread {c.pade_spread:.2e} Ry*); delta vs reference {c.delta:.2e}"
         )
     worst = max(
         (c for c in report.cells if math.isfinite(c.delta)),

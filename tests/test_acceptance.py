@@ -307,7 +307,7 @@ def test_criterion_8_ladder_stability(report1, report2, report3, report4, report
             if not cell.converged:
                 flagged.append(
                     f"table {report.table_id}: {cell.label} at gamma={cell.gamma:g}, "
-                    f"gamma_d={cell.gamma_d:g} (spread {cell.pade_spread:.2e}, "
+                    f"gamma_d={cell.gamma_d:g} (spread {cell.pade_spread:.2e} Ry*, "
                     f"|delta| vs reference {cell.delta:.2e})"
                 )
     ok = not flagged
@@ -316,7 +316,7 @@ def test_criterion_8_ladder_stability(report1, report2, report3, report4, report
         if ok
         else (
             f"{len(flagged)} tabulated cells exceed the 5e-5 last-five ladder spread "
-            "even in extended precision (their resummed energies still match the "
+            "(engine units) even in extended precision (their resummed energies still match the "
             "reference within tolerance; the spread honestly reports the ladder's "
             "intrinsic wobble for these strongly divergent series):\n    "
             + "\n    ".join(flagged)

@@ -131,27 +131,26 @@ def _figure_row(fig_id, energy, spread=2.0**-10):
 
 
 def test_figure_row_spread_is_in_ry_like_its_energy():
-    # ion rows (figures 1-4) carry 2 eps, relative-motion rows (5-7) 4 eps
-    assert _figure_row(2, 1.0).endswith(f"spread={(2.0**-9).hex()} converged=True")
-    assert _figure_row(7, 1.0).endswith(f"spread={(2.0**-8).hex()} converged=True")
-    # the hex list keeps the record's own pade_spread, in engine units
-    assert f",{(2.0**-10).hex()} energy=" in _figure_row(7, 1.0)
+    # the record's pade_spread is in Ry*, as its energy is, for the ion
+    # (figure 2) and for relative motion (figure 7) alike: the spread field
+    # and the hex list both carry it unscaled
+    for fig_id in (2, 7):
+        line = _figure_row(fig_id, 1.0)
+        assert line.endswith(f"spread={(2.0**-10).hex()} converged=True")
+        assert f",{(2.0**-10).hex()} energy=" in line
 
 
 def test_figure_row_move_is_judged_by_its_spread_in_ry(tmp_path):
-    # an ion row moved by 1.5 spreads in eps is 0.75 of its spread in Ry*
-    ion = [_figure_row(2, 1.0)], [_figure_row(2, 1.0 + 1.5 * 2.0**-10)]
-    proc, _, _ = _compare(tmp_path, *ion, "--moves")
-    assert proc.returncode == 0, proc.stdout
-    assert proc.stdout.splitlines()[0] == (
-        "moved: figure 2 row 0 1s |dE| 1.465e-03, 0.75 / 0.75 of the spread"
-    )
-    # a relative-motion row passes at 3 spreads in eps and fails at 5
-    rm = [_figure_row(7, 1.0)], [_figure_row(7, 1.0 + 3.0 * 2.0**-10)]
-    proc, _, _ = _compare(tmp_path, *rm, "--moves")
-    assert proc.returncode == 0, proc.stdout
-    assert "0.75 / 0.75 of the spread" in proc.stdout
-    rm = [_figure_row(7, 1.0)], [_figure_row(7, 1.0 + 5.0 * 2.0**-10)]
-    proc, _, _ = _compare(tmp_path, *rm, "--moves")
-    assert proc.returncode == 1, proc.stdout
-    assert "1.25 / 1.25 of the spread" in proc.stdout
+    # an ion or relative-motion row passes at 0.75 of its Ry* spread and
+    # fails at 1.25, the move and the spread both as the record holds them
+    for fig_id in (2, 7):
+        ok = [_figure_row(fig_id, 1.0)], [_figure_row(fig_id, 1.0 + 0.75 * 2.0**-10)]
+        proc, _, _ = _compare(tmp_path, *ok, "--moves")
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stdout.splitlines()[0] == (
+            f"moved: figure {fig_id} row 0 1s |dE| 7.324e-04, 0.75 / 0.75 of the spread"
+        )
+        bad = [_figure_row(fig_id, 1.0)], [_figure_row(fig_id, 1.0 + 1.25 * 2.0**-10)]
+        proc, _, _ = _compare(tmp_path, *bad, "--moves")
+        assert proc.returncode == 1, proc.stdout
+        assert "1.25 / 1.25 of the spread" in proc.stdout

@@ -25,9 +25,7 @@ figures 1-7 on their default grids: the float.hex of the row's energy,
 leading_fraction and pade_spread, and of the crossing's gamma_lo and
 gamma_hi.  The CSVs print six decimals, so they cannot show bit identity.
 A row carries its energy, spread and converged as fields too, the energy
-and the spread both in Ry*: the spread is the record's pade_spread (engine
-units) times the energy factor of the radial solve behind the row, 2 for
-the ion (figures 1-4) and 4 for relative motion (figures 5-7).
+and the spread both in Ry*, as the record holds them.
 
 With --origins the file holds one line per state of a wider sweep of the
 expansion origin alone: the float.hex of q0, omega, beta and lbar from
@@ -72,10 +70,6 @@ ORIGIN_SYSTEMS = ("ion", "rm", "oscillator")
 ORIGIN_GAMMAS = tuple(0.01 * (2000.0 ** (i / 11)) for i in range(12))
 ORIGIN_KS = range(5)
 ORIGIN_MS = range(6)
-
-# the radial system behind each figure's rows, whose energy factor converts
-# a row's spread to Ry*
-FIGURE_SYSTEMS = dict.fromkeys((1, 2, 3, 4), "ion") | dict.fromkeys((5, 6, 7), "rm")
 
 # the name=value fields that may follow a line's digest or hex list
 FIELDS = ("energy", "spread", "converged", "ladder")
@@ -134,12 +128,9 @@ def sweep_lines():
 
 
 def figure_row_line(fig_id: int, i: int, r) -> str:
-    """The line of row i of figure fig_id, its spread field in Ry* like its energy."""
-    from pslet.quantum_dot import _SYSTEMS
-
-    factor = _SYSTEMS[FIGURE_SYSTEMS[fig_id]][2]
+    """The line of row i of figure fig_id; the record's energy and spread are in Ry*."""
     values = ",".join(float(v).hex() for v in (r.energy, r.leading_fraction, r.pade_spread))
-    fields = value_fields(r.energy, factor * r.pade_spread, r.converged)
+    fields = value_fields(r.energy, r.pade_spread, r.converged)
     return f"figure {fig_id} row {i} {r.label} {values}{fields}"
 
 
