@@ -4,9 +4,8 @@ data/corrections_pin.json holds float.hex of E^(0)..E^(19) for a fixed set
 of ion and relative-motion states (k 0-3, |m| 0-2, several Gamma), each
 solved on both arithmetic paths of the engine, "double" and "extended"
 (engine._double and engine._extended; the "precision" field names the
-path).  A change to
-the arithmetic of the correction hierarchy, however small, changes some of
-these bits.
+path).  A change to the arithmetic of the correction hierarchy, however
+small, changes some of these bits.
 """
 
 import json
